@@ -49,7 +49,9 @@ int main() {
 
   std::cout << "== phase 3: survive a transient fault ==\n";
   klex::support::Rng fault_rng(9);
-  session.apply_planned_fault(fault_rng);  // inject + resync the sessions
+  // The planned fault is the session's one-event plan; applying it
+  // injects the corruption and resyncs the client sessions.
+  session.apply_fault_event(session.fault_plan.events.front(), fault_rng);
   klex::sim::SimTime recovered =
       system.run_until_stabilized(system.engine().now() + 30'000'000);
   if (recovered == klex::sim::kTimeInfinity) {

@@ -3,7 +3,7 @@
 // system and watch the protocol repair itself.
 //
 // The whole scenario is one declarative build: topology × params ×
-// workload × fault plan. After the fault, Session::apply_planned_fault
+// workload × fault plan. After the fault, Session::apply_fault_event
 // resyncs every client session with the corrupted protocol state
 // (revoked leases, phantom critical sections) before recovery is timed.
 //
@@ -62,7 +62,9 @@ int main() {
 
   std::cout << "== phase 3: transient fault ==\n";
   klex::support::Rng fault_rng(101);
-  session.apply_planned_fault(fault_rng);  // inject + resync the sessions
+  // The planned fault is the session's one-event plan; applying it
+  // injects the corruption and resyncs the client sessions.
+  session.apply_fault_event(session.fault_plan.events.front(), fault_rng);
   safety.forget();
   print_census(system, "CORRUPTED");
 

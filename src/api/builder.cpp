@@ -28,41 +28,6 @@ void Session::begin_workload() {
   driver->begin();
 }
 
-void Session::apply_planned_fault(support::Rng& rng) {
-  bool state_changed = false;
-  switch (planned_fault) {
-    case FaultKind::kNone:
-      return;
-    case FaultKind::kTransient:
-      system->inject_transient_fault(rng, fault_garbage);
-      state_changed = true;  // corruption invalidated the sessions' view
-      break;
-    case FaultKind::kChannelWipe:
-      // Process state (and the sessions' view of it) is intact; only the
-      // in-flight tokens are lost.
-      system->engine().clear_channels();
-      break;
-    case FaultKind::kGarbageFlood:
-      system->flood_channels(rng, fault_garbage);
-      break;
-    case FaultKind::kLinkChurn:
-    case FaultKind::kNodeCrash:
-    case FaultKind::kChaosBurst:
-      // Timed kinds carry per-event payloads (links / chaos config /
-      // duration) that the legacy single-fault path cannot express.
-      KLEX_REQUIRE(false, "FaultKind ", to_string(planned_fault),
-                   " needs a fault_plan() event, not fault()");
-      return;
-  }
-  // Epoch-cut rung: the O(1) incremental census detects the illegitimate
-  // population the instant the fault lands; the batched drain models the
-  // management plane reacting to that detection.
-  if (system->params().features.epoch_cut && system->epoch_cut_recover()) {
-    state_changed = true;  // the drain erased stored tokens
-  }
-  if (driver != nullptr && state_changed) driver->resync();
-}
-
 TopologyFaultResult Session::apply_fault_event(const FaultEvent& event,
                                                support::Rng& rng) {
   TopologyFaultResult result;
@@ -478,14 +443,21 @@ Session SystemBuilder::build_session() const {
   KLEX_REQUIRE(fault_ == FaultKind::kNone || fault_plan_.empty(),
                "fault() and fault_plan() are mutually exclusive (put the "
                "single fault into the plan)");
-  KLEX_REQUIRE(fault_ != FaultKind::kChaosBurst,
-               "kChaosBurst needs a fault_plan() event (the burst's chaos "
-               "config and duration live on the FaultEvent)");
+  KLEX_REQUIRE(fault_ == FaultKind::kNone || fault_ == FaultKind::kTransient ||
+                   fault_ == FaultKind::kChannelWipe ||
+                   fault_ == FaultKind::kGarbageFlood,
+               "FaultKind ", to_string(fault_),
+               " needs a fault_plan() event, not fault() (its links, "
+               "nodes, chaos config or duration live on the FaultEvent)");
   Session session;
   session.system = build();
-  session.planned_fault = fault_;
-  session.fault_garbage = fault_garbage_;
   session.fault_plan = fault_plan_;
+  if (fault_ != FaultKind::kNone) {
+    FaultEvent event;
+    event.kind = fault_;
+    event.garbage = fault_garbage_;
+    session.fault_plan.events.push_back(event);
+  }
   if (workload_.has_value()) {
     if (fleet_ >= 1) {
       // Per-tenant derived streams: tenant t's workload materializes and

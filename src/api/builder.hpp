@@ -51,34 +51,27 @@ struct Session {
   std::unique_ptr<SystemBase> system;
   proto::MaterializedWorkload workload;
   std::unique_ptr<WorkloadDriver> driver;  // null without a workload()
-  FaultKind planned_fault = FaultKind::kNone;
-  /// Garbage messages per channel for kGarbageFlood / kTransient;
-  /// -1 = the fault kind's default (uniform 0..CMAX for kTransient).
-  int fault_garbage = -1;
-  /// Staged fault schedule (SystemBuilder::fault_plan). The session does
-  /// not time the events itself -- the experiment loop (or any caller)
-  /// advances the engine to each event's time and calls
+  /// Fault schedule: SystemBuilder::fault_plan, or the single
+  /// SystemBuilder::fault folded into a one-event plan at offset 0. The
+  /// session does not time the events itself -- the experiment loop (or
+  /// any caller) advances the engine to each event's time and calls
   /// apply_fault_event; `at` is carried here so the schedule travels with
   /// the session.
   FaultPlan fault_plan;
 
   void begin_workload();
 
-  /// Executes the planned fault, then -- when the system runs the
-  /// epoch-cut rung (Features::epoch_cut) and the fault left the token
-  /// population illegitimate -- the batched epoch-cut recovery drain
-  /// (the O(1) census detects the fault the moment it is injected; the
-  /// drain models the management plane reacting to that detection).
-  /// Whenever the protocol state changed (transient corruption or a
-  /// drain), the driver's sessions are resynced. No-op for
-  /// FaultKind::kNone.
-  void apply_planned_fault(support::Rng& rng);
-
-  /// Executes one staged fault event. Legacy kinds behave exactly like
-  /// apply_planned_fault (with the event's own garbage count); topology
-  /// kinds (kLinkChurn / kNodeCrash) run the live GraphSystem's online
-  /// repair and return its cost breakdown. The driver's sessions are
-  /// resynced whenever protocol or topology state changed.
+  /// Executes one fault event. Transient, channel-wipe and garbage-flood
+  /// events are followed -- when the system runs the epoch-cut rung
+  /// (Features::epoch_cut) and the fault left the token population
+  /// illegitimate -- by the batched epoch-cut recovery drain (the O(1)
+  /// census detects the fault the moment it is injected; the drain models
+  /// the management plane reacting to that detection). Topology kinds
+  /// (kLinkChurn / kNodeCrash) run the live GraphSystem's online repair
+  /// and return its cost breakdown; kChaosBurst opens the adversarial
+  /// episode (on the epoch-cut rung the cut is deferred to burst end).
+  /// The driver's sessions are resynced whenever protocol or topology
+  /// state changed. No-op for FaultKind::kNone.
   TopologyFaultResult apply_fault_event(const FaultEvent& event,
                                         support::Rng& rng);
 };
@@ -141,8 +134,11 @@ class SystemBuilder {
 
   // -- workload / fault plan (build_session only) ------------------------------
   SystemBuilder& workload(proto::WorkloadSpec spec);
+  /// The single post-measurement fault (transient, channel wipe or
+  /// garbage flood): build_session folds it into a one-event fault plan
+  /// at offset 0 (Session::fault_plan).
   SystemBuilder& fault(FaultKind kind);
-  /// Garbage messages per channel for the planned fault (see Session).
+  /// Garbage messages per channel for fault() (FaultEvent::garbage).
   SystemBuilder& fault_garbage(int per_channel);
   /// Staged schedule of timed fault events (generalizes the single
   /// post-measurement fault(); the two are mutually exclusive). A plan

@@ -90,7 +90,7 @@ struct FaultEvent {
   bool restore = false;
 
   /// kTransient / kGarbageFlood: garbage messages per channel
-  /// (-1 = the kind's default, as in Session::fault_garbage).
+  /// (-1 = the kind's default, as in SystemBuilder::fault_garbage).
   int garbage = -1;
 
   /// kChaosBurst: the episode's adversarial-channel intensity and its

@@ -369,6 +369,7 @@ bool SystemBase::epoch_cut_recover() {
   // builds (tree, spanning-tree overlay, ring).
   const bool restarted = participants_[0]->epoch_restart();
   KLEX_CHECK(restarted, "participant 0 must be the root (epoch_restart)");
+  ++epoch_cuts_;
   return true;
 }
 

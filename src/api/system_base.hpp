@@ -170,6 +170,10 @@ class SystemBase : public proto::RequestPort {
   /// Virtual: a fleet recovers only the tenants whose census is incorrect.
   virtual bool epoch_cut_recover();
 
+  /// Drains the base epoch_cut_recover() performed (a fleet counts its
+  /// drains per tenant: FleetSystem::tenant_recovery_events).
+  std::int64_t epoch_cuts() const { return epoch_cuts_; }
+
   /// Applies a topology fault (FaultKind::kLinkChurn / kNodeCrash) and
   /// runs the online spanning-tree repair: rebuild the overlay over the
   /// surviving graph, migrate per-node state, drain orphaned tokens and
@@ -278,6 +282,7 @@ class SystemBase : public proto::RequestPort {
   MisusePolicy misuse_policy_ = MisusePolicy::kCheck;
   proto::AdmissionPolicy admission_policy_;  // default: admit everything
   std::unique_ptr<ClientPool> clients_;  // lazily created by clients()
+  std::int64_t epoch_cuts_ = 0;
 };
 
 }  // namespace klex

@@ -4,8 +4,9 @@
 // A campaign samples `cases` one-point scenarios -- topology × (k,ℓ) ×
 // run seed × one kChaosBurst event whose intensity (drop / duplicate /
 // reorder / jitter probabilities, burst length) is drawn from the
-// campaign rng -- and executes each through the stock
-// ExperimentRunner::run_point pipeline with continuous invariant
+// campaign rng -- and executes each through ExperimentRunner::run_point,
+// the phase pipeline every grid point runs (stabilize, warm up, measure,
+// the fault plan's loop, monitor totals), with continuous invariant
 // monitoring on. A case FAILS when the burst either breaks the paper's
 // safety property (the SafetyMonitor timestamps a k-out-of-ℓ violation
 // inside the fault phase -- e.g. a duplicated resource token minting an

@@ -5,12 +5,10 @@
 #include <chrono>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <thread>
 #include <tuple>
 
 #include "api/fleet.hpp"
-#include "proto/trace.hpp"
 #include "stats/waiting_time.hpp"
 #include "support/check.hpp"
 #include "support/histogram.hpp"
@@ -18,47 +16,6 @@
 #include "verify/safety_monitor.hpp"
 
 namespace klex::exp {
-
-namespace {
-
-RunResult run_fleet_shared(const ScenarioSpec& spec, const RunPoint& point);
-RunResult run_fleet_separate(const ScenarioSpec& spec,
-                             const RunPoint& point);
-
-/// The grid point's policy variant (null when the scenario has no
-/// policy axis).
-const ScenarioSpec::PolicyVariant* variant_of(const ScenarioSpec& spec,
-                                              const RunPoint& point) {
-  if (point.policy < 0) return nullptr;
-  KLEX_CHECK(static_cast<std::size_t>(point.policy) < spec.policies.size(),
-             "policy index out of range");
-  return &spec.policies[static_cast<std::size_t>(point.policy)];
-}
-
-/// The chaos config a grid point actually runs under (a variant may
-/// override the scenario-level config).
-const sim::ChaosConfig& chaos_of(const ScenarioSpec& spec,
-                                 const ScenarioSpec::PolicyVariant* variant) {
-  return variant != nullptr && variant->override_chaos ? variant->chaos
-                                                       : spec.chaos;
-}
-
-/// Fills the run-level grant-latency percentiles from the driver's
-/// per-node histograms (per-class slices are filled where the class
-/// cells are built).
-void collect_latency(const WorkloadDriver& driver, int n, RunResult& result) {
-  support::Histogram latency;
-  for (proto::NodeId node = 0; node < n; ++node) {
-    latency.merge(driver.grant_latency(node));
-  }
-  if (latency.count() == 0) return;
-  result.latency_count = static_cast<std::int64_t>(latency.count());
-  result.latency_p50 = latency.quantile(0.5);
-  result.latency_p99 = latency.quantile(0.99);
-  result.latency_p999 = latency.quantile(0.999);
-}
-
-}  // namespace
 
 ExperimentRunner::ExperimentRunner(int threads) : threads_(threads) {
   KLEX_REQUIRE(threads >= 0, "negative thread count");
@@ -85,12 +42,6 @@ std::vector<RunPoint> ExperimentRunner::expand(const ScenarioSpec& spec) {
   const int policy_count =
       spec.policies.empty() ? 1 : static_cast<int>(spec.policies.size());
   std::vector<RunPoint> points;
-  points.reserve(spec.topologies.size() * spec.features.size() *
-                 spec.kl.size() * spec.fault_garbage.size() *
-                 spec.threads.size() * spec.fleet.size() *
-                 static_cast<std::size_t>(policy_count) *
-                 static_cast<std::size_t>(spec.seeds) *
-                 (spec.fleet_compare_separate ? 2 : 1));
   for (const TopologySpec& topology : spec.topologies) {
     for (const proto::Features& features : spec.features) {
       for (const auto& [k, l] : spec.kl) {
@@ -129,25 +80,56 @@ std::vector<RunPoint> ExperimentRunner::expand(const ScenarioSpec& spec) {
   return points;
 }
 
-RunResult ExperimentRunner::run_point(const ScenarioSpec& spec,
-                                      const RunPoint& point) {
-  if (point.fleet > 1) {
-    return point.fleet_separate ? run_fleet_separate(spec, point)
-                                : run_fleet_shared(spec, point);
-  }
-  RunResult result;
-  result.topology = point.topology.name();
-  result.features = point.features.name();
-  result.k = point.k;
-  result.l = point.l;
-  result.fault_garbage = point.fault_garbage;
-  result.threads = point.threads;
-  result.seed = point.seed;
-  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
-  if (variant != nullptr) result.policy = variant->label;
+namespace {
 
-  // Every grid point is one declarative construction: topology × params
-  // × workload × fault plan through the one SystemBuilder path.
+/// The grid point's policy variant (null when the scenario has no
+/// policy axis).
+const ScenarioSpec::PolicyVariant* variant_of(const ScenarioSpec& spec,
+                                              const RunPoint& point) {
+  if (point.policy < 0) return nullptr;
+  KLEX_CHECK(static_cast<std::size_t>(point.policy) < spec.policies.size(),
+             "policy index out of range");
+  return &spec.policies[static_cast<std::size_t>(point.policy)];
+}
+
+// Fleet grid points support the single post-measurement transient fault
+// only (targeted at tenant 0). Staged fault plans imply live-topology
+// graph systems; fleets are tree-tenant only.
+void require_fleet_fault_supported(const ScenarioSpec& spec) {
+  KLEX_REQUIRE(spec.fault_plan.events.empty(),
+               "fleet grid points do not support staged fault plans");
+  KLEX_REQUIRE(spec.fault == ScenarioSpec::FaultKind::kNone ||
+                   spec.fault == ScenarioSpec::FaultKind::kTransient,
+               "fleet grid points support only none/transient faults");
+}
+
+/// What one session's pass through the phase pipeline measured: the
+/// counters in `result`, plus the distributions a separate-fleet batch
+/// merges before finish() reads quantiles off them. `result.classes`
+/// holds every class in order and a trailing "base" cell, and
+/// `class_latency` runs parallel to it.
+struct SessionRun {
+  RunResult result;
+  support::Histogram waits;
+  support::Histogram latency;
+  std::vector<support::Histogram> class_latency;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The phase pipeline every grid point runs through, once per session:
+/// build, stabilize + warm up, measured window, fault phase, monitor
+/// totals. A fleet point (point.fleet > 1) builds one FleetSystem; its
+/// only fleet-specific steps are the per-tenant readout and aiming the
+/// fault at tenant 0. Any other session reads out as one tenant. With
+/// `faulted` false the session skips the fault phase.
+SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
+                       bool faulted) {
+  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
   SystemBuilder builder;
   builder.topology(point.topology)
       .kl(point.k, point.l)
@@ -161,222 +143,210 @@ RunResult ExperimentRunner::run_point(const ScenarioSpec& spec,
       .spanning_tree_deadline(spec.spanning_tree_deadline)
       .threads(point.threads)
       .workload(spec.workload)
-      .fault(spec.fault)
-      .fault_garbage(point.fault_garbage)
-      .fault_plan(spec.fault_plan)
-      .chaos(chaos_of(spec, variant));
+      .chaos(variant != nullptr && variant->override_chaos ? variant->chaos
+                                                           : spec.chaos);
+  if (point.fleet > 1) builder.fleet(point.fleet);
+  if (faulted) {
+    builder.fault(spec.fault)
+        .fault_garbage(point.fault_garbage)
+        .fault_plan(spec.fault_plan);
+  }
   if (variant != nullptr) {
     builder.retry_policy(variant->retry).admission_policy(variant->admission);
   }
   Session session = builder.build_session();
   SystemBase& system = *session.system;
+  WorkloadDriver& driver = *session.driver;
+  SessionRun run;
+  RunResult& result = run.result;
   result.n = system.n();
+  auto* fleet = dynamic_cast<FleetSystem*>(session.system.get());
+  const int tenants = fleet != nullptr ? fleet->tenant_count() : 1;
+  // Tenant t owns nodes [node_begin(t), node_end(t)); a plain system is
+  // one tenant.
+  auto node_begin = [&](int t) { return fleet ? fleet->node_begin(t) : 0; };
+  auto node_end = [&](int t) { return fleet ? fleet->node_end(t) : result.n; };
 
   // The wall clock starts after construction so events_per_sec measures
   // the exclusion engine only (GraphSystem's constructor simulates a
   // whole spanning-tree engine that is invisible to engine().stats()).
   auto wall_start = std::chrono::steady_clock::now();
 
-  stats::WaitingTimeTracker waits(result.n);
-  verify::SafetyMonitor safety(result.n, point.k, point.l);
+  // Each tenant is its own waiting-time scope: a wait counts the CS
+  // entries of the requester's own protocol instance only.
+  std::vector<int> scope_of_node(static_cast<std::size_t>(result.n));
+  for (int t = 0; t < tenants; ++t) {
+    for (NodeId node = node_begin(t); node < node_end(t); ++node) {
+      scope_of_node[static_cast<std::size_t>(node)] = t;
+    }
+  }
+  stats::WaitingTimeTracker waits(std::move(scope_of_node));
+  // Fleet-wide bounds: k is the max per-node need, l the sum of the
+  // tenants' populations (SystemBase accessors aggregate for fleets).
+  verify::SafetyMonitor safety(result.n, system.k(), system.l());
   system.add_listener(&waits);
   system.add_listener(&safety);
   if (spec.stall_threshold > 0) {
-    // Continuous liveness watchdog: the monitor rides the engine as an
-    // observer so stalls are timestamped as they happen. The monitor is
-    // window-safe (lane-local buffers merged at the barrier), so this
-    // no longer forces the parallel engine into merged-serial.
+    // Continuous liveness watchdog: the window-safe monitor rides the
+    // engine as an observer, so stalls are timestamped as they happen.
     safety.set_stall_threshold(spec.stall_threshold);
     safety.watch(system.engine());
   }
-  // Message-overhead accounting reads the engine's inline per-type send
-  // counters (window deltas) instead of attaching a per-send observer, so
-  // the measured window runs with an empty observer list.
-  auto sent_of = [&system](proto::TokenType type) {
+  // Message overhead: window deltas of the engine's inline per-type send
+  // counters (no per-send observer in the measured window).
+  using proto::TokenType;
+  auto sent_of = [&system](TokenType type) {
     return system.engine().sent_of_type(static_cast<std::int32_t>(type));
   };
 
-  // Phase 1: stabilize, then settle through the warmup window. The
-  // legitimacy predicate is rung-aware, so reduced rungs (seeded token
-  // population, no controller) stabilize at t ~ 0.
-  sim::SimTime stabilized = system.run_until_stabilized(
-      spec.stabilize_deadline);
+  // Phase 1: stabilize (a fleet's predicate is the AND of the per-tenant
+  // O(1) predicates), then settle through the warmup window.
+  sim::SimTime stabilized =
+      system.run_until_stabilized(spec.stabilize_deadline);
   result.stabilized = stabilized != sim::kTimeInfinity;
   result.stabilization_time = stabilized;
   system.run_until(system.engine().now() + spec.warmup);
 
   // Phase 2: closed-loop workload over the measurement window.
-  WorkloadDriver& driver = *session.driver;
   session.begin_workload();
-
   waits.reset_samples();
-  const std::uint64_t resource_before = sent_of(proto::TokenType::kResource);
-  const std::uint64_t pusher_before = sent_of(proto::TokenType::kPusher);
-  const std::uint64_t priority_before = sent_of(proto::TokenType::kPriority);
-  const std::uint64_t control_before = sent_of(proto::TokenType::kControl);
+  const std::uint64_t resource_before = sent_of(TokenType::kResource);
+  const std::uint64_t pusher_before = sent_of(TokenType::kPusher);
+  const std::uint64_t priority_before = sent_of(TokenType::kPriority);
+  const std::uint64_t control_before = sent_of(TokenType::kControl);
   sim::SimTime window_start = system.engine().now();
   std::uint64_t events_before = system.engine().events_executed();
   system.run_until(window_start + spec.horizon);
 
   result.grants = driver.total_grants();
   result.requests = driver.total_requests();
-  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
-                            static_cast<double>(spec.horizon);
   result.outstanding_at_end = driver.outstanding();
   result.quiescent_at_end =
       system.engine().next_event_time() == sim::kTimeInfinity;
   if (!spec.workload.classes.empty()) {
-    // Per-class slices, in class order plus a trailing "base" cell when
-    // any node fell through to the base behavior.
-    result.classes.resize(spec.workload.classes.size());
+    // Per-class slices in class order, then the "base" cell for nodes
+    // that fell through to the base behavior.
+    result.classes.resize(spec.workload.classes.size() + 1);
+    run.class_latency.resize(result.classes.size());
     for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
       result.classes[c].name = spec.workload.classes[c].name;
     }
-    ClassResult base_cell;
-    base_cell.name = "base";
-    // Class latency histograms, parallel to the cells (last = base).
-    std::vector<support::Histogram> class_latency(
-        spec.workload.classes.size() + 1);
-    for (proto::NodeId node = 0; node < result.n; ++node) {
-      int cls = session.workload.class_index[static_cast<std::size_t>(node)];
-      std::size_t slot = cls >= 0 ? static_cast<std::size_t>(cls)
-                                  : spec.workload.classes.size();
-      ClassResult& cell =
-          cls >= 0 ? result.classes[static_cast<std::size_t>(cls)]
-                   : base_cell;
-      ++cell.nodes;
-      cell.requests += driver.requests_issued(node);
-      cell.grants += driver.grants(node);
-      class_latency[slot].merge(driver.grant_latency(node));
-      if (system.state_of(node) == proto::AppState::kIn) ++cell.holding_at_end;
-    }
-    auto fill_latency = [](ClassResult& cell,
-                           const support::Histogram& latency) {
-      if (latency.count() == 0) return;
-      cell.latency_count = static_cast<std::int64_t>(latency.count());
-      cell.latency_p50 = latency.quantile(0.5);
-      cell.latency_p99 = latency.quantile(0.99);
-      cell.latency_p999 = latency.quantile(0.999);
-    };
-    for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
-      fill_latency(result.classes[c], class_latency[c]);
-    }
-    fill_latency(base_cell, class_latency.back());
-    if (base_cell.nodes > 0) result.classes.push_back(std::move(base_cell));
+    result.classes.back().name = "base";
   }
-  collect_latency(driver, result.n, result);
-  if (waits.waits().count() > 0) {
-    result.mean_wait_entries = waits.waits().mean();
-    result.max_wait_entries = waits.waits().max();
-    result.p99_wait_entries = waits.waits().p99();
+  for (NodeId node = 0; node < result.n; ++node) {
+    run.latency.merge(driver.grant_latency(node));
+    if (result.classes.empty()) continue;
+    int cls = session.workload.class_index[static_cast<std::size_t>(node)];
+    std::size_t slot = cls >= 0 ? static_cast<std::size_t>(cls)
+                                : spec.workload.classes.size();
+    ClassResult& cell = result.classes[slot];
+    ++cell.nodes;
+    cell.requests += driver.requests_issued(node);
+    cell.grants += driver.grants(node);
+    run.class_latency[slot].merge(driver.grant_latency(node));
+    if (system.state_of(node) == proto::AppState::kIn) ++cell.holding_at_end;
   }
-  result.control_messages = sent_of(proto::TokenType::kControl) -
-                            control_before;
-  result.resource_messages = sent_of(proto::TokenType::kResource) -
-                             resource_before;
-  result.pusher_messages = sent_of(proto::TokenType::kPusher) -
-                           pusher_before;
-  result.priority_messages = sent_of(proto::TokenType::kPriority) -
-                             priority_before;
-  if (result.grants > 0) {
-    result.messages_per_grant =
-        static_cast<double>(result.control_messages +
-                            result.resource_messages +
-                            result.pusher_messages +
-                            result.priority_messages) /
-        static_cast<double>(result.grants);
+  for (int t = 0; t < waits.scope_count(); ++t) {
+    run.waits.merge(waits.waits(t));
   }
-  // Snapshotted before any fault injection: self-stabilization only
-  // guarantees eventual safety, so transient violations while
-  // re-stabilizing are expected and must not read as regressions; the
-  // event count likewise covers the measurement window alone.
+  result.control_messages = sent_of(TokenType::kControl) - control_before;
+  result.resource_messages = sent_of(TokenType::kResource) - resource_before;
+  result.pusher_messages = sent_of(TokenType::kPusher) - pusher_before;
+  result.priority_messages = sent_of(TokenType::kPriority) - priority_before;
+  // Snapshotted before any fault: self-stabilization only guarantees
+  // eventual safety, so violations while re-stabilizing must not read as
+  // regressions; the event count likewise covers the window alone.
   result.safety_ok = !safety.any_violation();
   result.events_executed = system.engine().events_executed() - events_before;
   const std::int64_t violations_at_measure_end = safety.violation_count();
 
-  // Phase 3 (optional): fault + recovery. A staged plan generalizes the
-  // single post-measurement fault: the engine advances to each event's
-  // scheduled time (relative to the end of the measurement window),
-  // applies it, re-stabilizes, and records the materialized incident.
-  if (!spec.fault_plan.events.empty()) {
+  // Per-tenant slices of the window, read before the fault phase accrues
+  // more grants on the cumulative per-node driver counters.
+  result.tenants.resize(static_cast<std::size_t>(tenants));
+  for (int t = 0; t < tenants; ++t) {
+    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
+    cell.tenant = t;
+    cell.n = node_end(t) - node_begin(t);
+    sim::SimTime since = fleet ? fleet->tenant_stabilized_at(t) : stabilized;
+    cell.stabilized = since != sim::kTimeInfinity;
+    cell.stabilization_time = cell.stabilized ? since : 0;
+    for (NodeId node = node_begin(t); node < node_end(t); ++node) {
+      cell.requests += driver.requests_issued(node);
+      cell.grants += driver.grants(node);
+    }
+  }
+
+  // Phase 3 (optional): the fault phase. The staged plan and the single
+  // post-measurement fault (which the builder folds into a one-event plan
+  // at offset 0) share this loop: the engine advances to each event's
+  // time (relative to the end of the measurement window), applies it and
+  // re-stabilizes. Only staged events are recorded as fault_events.
+  if (!session.fault_plan.empty()) {
     result.fault_injected = true;
     auto recovery_start = std::chrono::steady_clock::now();
     const sim::SimTime phase_start = system.engine().now();
     support::Rng fault_rng(point.seed ^ 0xFA17ull);
     bool all_recovered = true;
-    for (const FaultEvent& event : spec.fault_plan.events) {
+    for (const FaultEvent& event : session.fault_plan.events) {
       system.run_until(phase_start + event.at);
       const sim::SimTime fault_at = system.engine().now();
       const std::uint64_t events_at_fault = system.engine().events_executed();
       const std::int64_t violations_at_event = safety.violation_count();
-      const sim::ChaosStats chaos_at_event = system.engine().chaos_stats();
-      TopologyFaultResult repair = session.apply_fault_event(event, fault_rng);
+      const sim::ChaosStats chaos_then = system.engine().chaos_stats();
+      FaultEventResult record;
+      if (fleet != nullptr) {
+        // A fleet's fault corrupts tenant 0 alone: the other tenants'
+        // slices exhibit fault isolation.
+        fleet->inject_transient_fault_tenant(0, fault_rng, event.garbage);
+        if (fleet->tenant_params(0).features.epoch_cut) {
+          fleet->epoch_cut_recover_tenant(0);  // no-op if the fault missed
+        }
+        driver.resync();
+      } else {
+        static_cast<TopologyFaultResult&>(record) =
+            session.apply_fault_event(event, fault_rng);
+      }
       const sim::SimTime recovered_at =
           system.run_until_stabilized(fault_at + spec.recovery_deadline);
-      FaultEventResult record;
       record.at = fault_at;
       record.kind = to_string(event.kind);
-      record.links_changed = repair.links_changed;
-      record.nodes_changed = repair.nodes_changed;
-      record.detached = repair.detached;
-      record.reattached = repair.reattached;
-      record.attached_nodes = repair.attached_nodes;
-      record.parent_changes = repair.parent_changes;
-      record.stree_events = repair.stree_events;
-      record.stree_time = repair.stree_time;
-      record.repair_seed = repair.repair_seed;
       record.recovered = recovered_at != sim::kTimeInfinity;
-      record.recovery_time =
-          record.recovered ? recovered_at - fault_at : 0;
+      // Elapsed since the fault (comparable across warmups and horizons).
+      record.recovery_time = record.recovered ? recovered_at - fault_at : 0;
       record.recovery_events =
           system.engine().events_executed() - events_at_fault;
       if (event.kind == FaultKind::kChaosBurst) {
-        // What the adversary actually did inside [injection,
-        // re-stabilization] and whether it managed to break safety.
+        // What the adversary did until re-stabilization, and its damage.
         const sim::ChaosStats chaos_now = system.engine().chaos_stats();
         record.chaos = true;
-        record.chaos_dropped = chaos_now.dropped - chaos_at_event.dropped;
-        record.chaos_duplicated =
-            chaos_now.duplicated - chaos_at_event.duplicated;
-        record.chaos_reordered =
-            chaos_now.reordered - chaos_at_event.reordered;
-        record.chaos_jittered = chaos_now.jittered - chaos_at_event.jittered;
+        record.chaos_dropped = chaos_now.dropped - chaos_then.dropped;
+        record.chaos_duplicated = chaos_now.duplicated - chaos_then.duplicated;
+        record.chaos_reordered = chaos_now.reordered - chaos_then.reordered;
+        record.chaos_jittered = chaos_now.jittered - chaos_then.jittered;
         record.violations = safety.violation_count() - violations_at_event;
       }
       all_recovered = all_recovered && record.recovered;
       result.recovery_time += record.recovery_time;
       result.recovery_events += record.recovery_events;
-      result.fault_events.push_back(std::move(record));
+      if (!spec.fault_plan.empty()) result.fault_events.push_back(record);
     }
     result.recovered = all_recovered;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
-  } else if (spec.fault != ScenarioSpec::FaultKind::kNone) {
-    result.fault_injected = true;
-    auto recovery_start = std::chrono::steady_clock::now();
-    sim::SimTime fault_at = system.engine().now();
-    std::uint64_t events_at_fault = system.engine().events_executed();
-    support::Rng fault_rng(point.seed ^ 0xFA17ull);
-    session.apply_planned_fault(fault_rng);
-    sim::SimTime recovered = system.run_until_stabilized(
-        fault_at + spec.recovery_deadline);
-    result.recovered = recovered != sim::kTimeInfinity;
-    // Elapsed since the fault, so runs with different warmups/horizons
-    // stay comparable.
-    result.recovery_time = result.recovered ? recovered - fault_at : 0;
-    result.recovery_events =
-        system.engine().events_executed() - events_at_fault;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
+    result.recovery_wall_seconds = seconds_since(recovery_start);
   }
 
-  // Continuous-monitoring totals: a final watchdog sweep catches stalls
-  // younger than the last delivery heartbeat, then the whole-run
-  // violation/stall totals are read off the monitor.
+  // Per-tenant end state: the isolation observables the artifact pins.
+  for (int t = 0; t < tenants; ++t) {
+    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
+    cell.events_executed = fleet ? fleet->tenant_events_executed(t)
+                                 : system.engine().events_executed();
+    cell.recovery_events =
+        fleet ? fleet->tenant_recovery_events(t) : system.epoch_cuts();
+    cell.correct_at_end =
+        fleet ? fleet->tenant_correct(t) : system.token_counts_correct();
+  }
+
+  // Monitor totals over the whole run, after a final watchdog sweep for
+  // stalls younger than the last delivery heartbeat.
   if (spec.stall_threshold > 0) safety.check_stalls(system.engine().now());
   result.safety_violations = safety.violation_count();
   result.last_violation_time = safety.last_violation_time();
@@ -385,39 +355,122 @@ RunResult ExperimentRunner::run_point(const ScenarioSpec& spec,
       safety.violation_count() - violations_at_measure_end;
 
   result.engine_stats = system.engine().stats();
+  result.wall_seconds = seconds_since(wall_start);
+  return run;
+}
 
-  auto wall_end = std::chrono::steady_clock::now();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+/// The batching baseline: the fleet's R tenants as R standalone serial
+/// systems seeded seed .. seed + R - 1 -- exactly the twins the shared
+/// run's tenants replay (tests/integration/fleet_differential_test.cpp)
+/// -- each through the same pipeline, session 0 alone taking the fault.
+/// The batch pays R engine boots, R calendars and R clocks. The merge
+/// sums the counters, takes the slowest stabilization and merges the
+/// distributions; every per-tenant window has length `horizon`, so the
+/// batch rates use the same denominator as the shared run's one window.
+SessionRun run_separate(const ScenarioSpec& spec, const RunPoint& point) {
+  SessionRun batch;
+  for (int t = 0; t < point.fleet; ++t) {
+    RunPoint tenant_point = point;
+    tenant_point.fleet = 1;
+    tenant_point.threads = 1;
+    tenant_point.seed = point.seed + static_cast<std::uint64_t>(t);
+    SessionRun run = run_session(spec, tenant_point, t == 0);
+    run.result.tenants.front().tenant = t;
+    if (t == 0) {
+      batch = std::move(run);  // also carries the fault phase's fields
+      continue;
+    }
+    RunResult& total = batch.result;
+    const RunResult& one = run.result;
+    total.n += one.n;
+    total.stabilized = total.stabilized && one.stabilized;
+    total.stabilization_time =
+        std::max(total.stabilization_time, one.stabilization_time);
+    total.grants += one.grants;
+    total.requests += one.requests;
+    total.outstanding_at_end += one.outstanding_at_end;
+    total.quiescent_at_end = total.quiescent_at_end && one.quiescent_at_end;
+    for (std::size_t c = 0; c < total.classes.size(); ++c) {
+      total.classes[c].nodes += one.classes[c].nodes;
+      total.classes[c].requests += one.classes[c].requests;
+      total.classes[c].grants += one.classes[c].grants;
+      total.classes[c].holding_at_end += one.classes[c].holding_at_end;
+      batch.class_latency[c].merge(run.class_latency[c]);
+    }
+    total.tenants.push_back(one.tenants.front());
+    batch.waits.merge(run.waits);
+    batch.latency.merge(run.latency);
+    total.control_messages += one.control_messages;
+    total.resource_messages += one.resource_messages;
+    total.pusher_messages += one.pusher_messages;
+    total.priority_messages += one.priority_messages;
+    total.safety_ok = total.safety_ok && one.safety_ok;
+    total.safety_violations += one.safety_violations;
+    total.last_violation_time =
+        std::max(total.last_violation_time, one.last_violation_time);
+    total.liveness_stalls += one.liveness_stalls;
+    total.fault_phase_violations += one.fault_phase_violations;
+    total.events_executed += one.events_executed;
+    total.engine_stats += one.engine_stats;
+    total.wall_seconds += one.wall_seconds;
+  }
+  return batch;
+}
+
+/// Reads the quantiles off the (merged) distributions, derives the
+/// window rates and drops an empty "base" class cell.
+RunResult finish(SessionRun run, sim::SimTime horizon) {
+  RunResult& result = run.result;
+  // A slice that recorded no grant leaves its percentiles unset.
+  auto fill_latency = [](auto& slice, const support::Histogram& latency) {
+    if (latency.count() == 0) return;
+    slice.latency_count = static_cast<std::int64_t>(latency.count());
+    slice.latency_p50 = latency.quantile(0.5);
+    slice.latency_p99 = latency.quantile(0.99);
+    slice.latency_p999 = latency.quantile(0.999);
+  };
+  fill_latency(result, run.latency);
+  for (std::size_t c = 0; c < result.classes.size(); ++c) {
+    fill_latency(result.classes[c], run.class_latency[c]);
+  }
+  if (!result.classes.empty() && result.classes.back().nodes == 0) {
+    result.classes.pop_back();
+  }
+  if (run.waits.count() > 0) {
+    result.mean_wait_entries = run.waits.mean();
+    result.max_wait_entries = run.waits.max();
+    result.p99_wait_entries = run.waits.p99();
+  }
+  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
+                            static_cast<double>(horizon);
+  if (result.grants > 0) {
+    result.messages_per_grant =
+        static_cast<double>(result.control_messages +
+                            result.resource_messages +
+                            result.pusher_messages +
+                            result.priority_messages) /
+        static_cast<double>(result.grants);
+  }
   if (result.wall_seconds > 0.0) {
     result.events_per_sec =
         static_cast<double>(result.engine_stats.events_executed) /
         result.wall_seconds;
   }
-  return result;
+  return std::move(run.result);
 }
 
-namespace {
+}  // namespace
 
-// Fleet grid points support the single post-measurement transient fault
-// only (targeted at tenant 0). Staged fault plans imply live-topology
-// graph systems; fleets are tree-tenant only.
-void require_fleet_fault_supported(const ScenarioSpec& spec) {
-  KLEX_REQUIRE(spec.fault_plan.events.empty(),
-               "fleet grid points do not support staged fault plans");
-  KLEX_REQUIRE(spec.fault == ScenarioSpec::FaultKind::kNone ||
-                   spec.fault == ScenarioSpec::FaultKind::kTransient,
-               "fleet grid points support only none/transient faults");
-}
-
-// One FleetSystem: `point.fleet` copies of the grid point's topology on
-// one shared engine, tenant t seeded point.seed + t. Mirrors run_point's
-// phases; the fault phase corrupts tenant 0 alone so the per-tenant
-// slices exhibit fault isolation (every other tenant's recovery_events
-// stays 0 and its census stays correct throughout).
-RunResult run_fleet_shared(const ScenarioSpec& spec, const RunPoint& point) {
-  require_fleet_fault_supported(spec);
-  RunResult result;
+RunResult ExperimentRunner::run_point(const ScenarioSpec& spec,
+                                      const RunPoint& point) {
+  const bool fleet = point.fleet > 1;
+  if (fleet) require_fleet_fault_supported(spec);
+  SessionRun run = fleet && point.fleet_separate
+                       ? run_separate(spec, point)
+                       : run_session(spec, point, /*faulted=*/true);
+  RunResult& result = run.result;
+  // A plain point has no tenant axis (its one-tenant readout is dropped).
+  if (!fleet) result.tenants.clear();
   result.topology = point.topology.name();
   result.features = point.features.name();
   result.k = point.k;
@@ -425,417 +478,13 @@ RunResult run_fleet_shared(const ScenarioSpec& spec, const RunPoint& point) {
   result.fault_garbage = point.fault_garbage;
   result.threads = point.threads;
   result.fleet = point.fleet;
-  result.fleet_mode = "shared";
+  if (fleet) result.fleet_mode = point.fleet_separate ? "separate" : "shared";
+  if (const auto* variant = variant_of(spec, point)) {
+    result.policy = variant->label;
+  }
   result.seed = point.seed;
-  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
-  if (variant != nullptr) result.policy = variant->label;
-
-  // The fault phase is applied by hand below (tenant-scoped), so the
-  // builder carries no fault of its own.
-  SystemBuilder builder;
-  builder.topology(point.topology)
-      .kl(point.k, point.l)
-      .features(point.features)
-      .cmax(spec.cmax)
-      .delays(spec.delays)
-      .seed(point.seed)
-      .seed_tokens(spec.seed_tokens)
-      .spread_tokens(spec.spread_tokens)
-      .threads(point.threads)
-      .fleet(point.fleet)
-      .workload(spec.workload)
-      .chaos(chaos_of(spec, variant));
-  if (variant != nullptr) {
-    builder.retry_policy(variant->retry).admission_policy(variant->admission);
-  }
-  Session session = builder.build_session();
-  auto* fleet = dynamic_cast<FleetSystem*>(session.system.get());
-  KLEX_CHECK(fleet != nullptr, "fleet(R > 1) must build a FleetSystem");
-  SystemBase& system = *session.system;
-  result.n = system.n();
-
-  auto wall_start = std::chrono::steady_clock::now();
-
-  stats::WaitingTimeTracker waits(result.n);
-  // Fleet-wide bounds: k is the max per-node need, l the sum of the
-  // tenants' populations (SystemBase accessors aggregate for fleets).
-  verify::SafetyMonitor safety(result.n, system.k(), system.l());
-  system.add_listener(&waits);
-  system.add_listener(&safety);
-  if (spec.stall_threshold > 0) {
-    safety.set_stall_threshold(spec.stall_threshold);
-    safety.watch(system.engine());
-  }
-  auto sent_of = [&system](proto::TokenType type) {
-    return system.engine().sent_of_type(static_cast<std::int32_t>(type));
-  };
-
-  // Phase 1: every tenant stabilizes (the fleet predicate is the AND of
-  // the per-tenant O(1) predicates), then the warmup window.
-  sim::SimTime stabilized =
-      system.run_until_stabilized(spec.stabilize_deadline);
-  result.stabilized = stabilized != sim::kTimeInfinity;
-  result.stabilization_time = stabilized;
-  system.run_until(system.engine().now() + spec.warmup);
-
-  // Phase 2: closed-loop workload, one driver spanning every tenant.
-  WorkloadDriver& driver = *session.driver;
-  session.begin_workload();
-
-  waits.reset_samples();
-  const std::uint64_t resource_before = sent_of(proto::TokenType::kResource);
-  const std::uint64_t pusher_before = sent_of(proto::TokenType::kPusher);
-  const std::uint64_t priority_before = sent_of(proto::TokenType::kPriority);
-  const std::uint64_t control_before = sent_of(proto::TokenType::kControl);
-  sim::SimTime window_start = system.engine().now();
-  std::uint64_t events_before = system.engine().events_executed();
-  system.run_until(window_start + spec.horizon);
-
-  result.grants = driver.total_grants();
-  result.requests = driver.total_requests();
-  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
-                            static_cast<double>(spec.horizon);
-  result.outstanding_at_end = driver.outstanding();
-  result.quiescent_at_end =
-      system.engine().next_event_time() == sim::kTimeInfinity;
-  if (!spec.workload.classes.empty()) {
-    result.classes.resize(spec.workload.classes.size());
-    for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
-      result.classes[c].name = spec.workload.classes[c].name;
-    }
-    ClassResult base_cell;
-    base_cell.name = "base";
-    for (proto::NodeId node = 0; node < result.n; ++node) {
-      int cls = session.workload.class_index[static_cast<std::size_t>(node)];
-      ClassResult& cell =
-          cls >= 0 ? result.classes[static_cast<std::size_t>(cls)]
-                   : base_cell;
-      ++cell.nodes;
-      cell.requests += driver.requests_issued(node);
-      cell.grants += driver.grants(node);
-      if (system.state_of(node) == proto::AppState::kIn) ++cell.holding_at_end;
-    }
-    if (base_cell.nodes > 0) result.classes.push_back(std::move(base_cell));
-  }
-  collect_latency(driver, result.n, result);
-  if (waits.waits().count() > 0) {
-    result.mean_wait_entries = waits.waits().mean();
-    result.max_wait_entries = waits.waits().max();
-    result.p99_wait_entries = waits.waits().p99();
-  }
-  result.control_messages = sent_of(proto::TokenType::kControl) -
-                            control_before;
-  result.resource_messages = sent_of(proto::TokenType::kResource) -
-                             resource_before;
-  result.pusher_messages = sent_of(proto::TokenType::kPusher) -
-                           pusher_before;
-  result.priority_messages = sent_of(proto::TokenType::kPriority) -
-                             priority_before;
-  if (result.grants > 0) {
-    result.messages_per_grant =
-        static_cast<double>(result.control_messages +
-                            result.resource_messages +
-                            result.pusher_messages +
-                            result.priority_messages) /
-        static_cast<double>(result.grants);
-  }
-  result.safety_ok = !safety.any_violation();
-  result.events_executed = system.engine().events_executed() - events_before;
-  const std::int64_t violations_at_measure_end = safety.violation_count();
-
-  // Per-tenant slices of the workload window (the per-node driver
-  // counters are cumulative, so they are read before the fault phase
-  // accrues more grants).
-  result.tenants.resize(static_cast<std::size_t>(point.fleet));
-  for (int t = 0; t < fleet->tenant_count(); ++t) {
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.tenant = t;
-    cell.n = fleet->tenant_n(t);
-    sim::SimTime since = fleet->tenant_stabilized_at(t);
-    cell.stabilized = since != sim::kTimeInfinity;
-    cell.stabilization_time = cell.stabilized ? since : 0;
-    for (proto::NodeId local = 0; local < fleet->tenant_n(t); ++local) {
-      proto::NodeId node = fleet->global_id(t, local);
-      cell.requests += driver.requests_issued(node);
-      cell.grants += driver.grants(node);
-    }
-  }
-
-  // Phase 3 (optional): transient fault into tenant 0 alone. Same rng
-  // formula as run_point; the other R-1 tenants keep circulating.
-  if (spec.fault == ScenarioSpec::FaultKind::kTransient) {
-    result.fault_injected = true;
-    auto recovery_start = std::chrono::steady_clock::now();
-    sim::SimTime fault_at = system.engine().now();
-    std::uint64_t events_at_fault = system.engine().events_executed();
-    support::Rng fault_rng(point.seed ^ 0xFA17ull);
-    fleet->inject_transient_fault_tenant(0, fault_rng, point.fault_garbage);
-    if (fleet->tenant_params(0).features.epoch_cut) {
-      fleet->epoch_cut_recover_tenant(0);  // no-op if the fault missed
-    }
-    driver.resync();
-    sim::SimTime recovered =
-        system.run_until_stabilized(fault_at + spec.recovery_deadline);
-    result.recovered = recovered != sim::kTimeInfinity;
-    result.recovery_time = result.recovered ? recovered - fault_at : 0;
-    result.recovery_events =
-        system.engine().events_executed() - events_at_fault;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
-  }
-
-  // Per-tenant end state: the isolation observables the artifact pins.
-  for (int t = 0; t < fleet->tenant_count(); ++t) {
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.events_executed = fleet->tenant_events_executed(t);
-    cell.recovery_events = fleet->tenant_recovery_events(t);
-    cell.correct_at_end = fleet->tenant_correct(t);
-  }
-
-  if (spec.stall_threshold > 0) safety.check_stalls(system.engine().now());
-  result.safety_violations = safety.violation_count();
-  result.last_violation_time = safety.last_violation_time();
-  result.liveness_stalls = safety.stall_count();
-  result.fault_phase_violations =
-      safety.violation_count() - violations_at_measure_end;
-
-  result.engine_stats = system.engine().stats();
-
-  auto wall_end = std::chrono::steady_clock::now();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  if (result.wall_seconds > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.engine_stats.events_executed) /
-        result.wall_seconds;
-  }
-  return result;
+  return finish(std::move(run), spec.horizon);
 }
-
-// The batching baseline: the same `point.fleet` tenants as that many
-// standalone serial systems -- seeds point.seed .. point.seed + R - 1,
-// exactly the twins the shared run's tenants replay
-// (tests/integration/fleet_differential_test.cpp) -- executed
-// sequentially on this worker. The batch pays R engine boots, R
-// calendars and R clocks; the wall clock spans the whole batch, so
-// events_per_sec is the rate bench_fleet compares the shared engine
-// against. Wait stats and class slices are not collected here (the
-// shared run carries them for the cell).
-RunResult run_fleet_separate(const ScenarioSpec& spec,
-                             const RunPoint& point) {
-  require_fleet_fault_supported(spec);
-  RunResult result;
-  result.topology = point.topology.name();
-  result.features = point.features.name();
-  result.k = point.k;
-  result.l = point.l;
-  result.fault_garbage = point.fault_garbage;
-  result.threads = point.threads;  // cell-key symmetry with the shared run
-  result.fleet = point.fleet;
-  result.fleet_mode = "separate";
-  result.seed = point.seed;
-  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
-  if (variant != nullptr) result.policy = variant->label;
-
-  std::vector<Session> sessions;
-  sessions.reserve(static_cast<std::size_t>(point.fleet));
-  for (int t = 0; t < point.fleet; ++t) {
-    SystemBuilder builder;
-    builder.topology(point.topology)
-        .kl(point.k, point.l)
-        .features(point.features)
-        .cmax(spec.cmax)
-        .delays(spec.delays)
-        .seed(point.seed + static_cast<std::uint64_t>(t))
-        .seed_tokens(spec.seed_tokens)
-        .spread_tokens(spec.spread_tokens)
-        .workload(spec.workload)
-        .chaos(chaos_of(spec, variant));
-    if (variant != nullptr) {
-      builder.retry_policy(variant->retry)
-          .admission_policy(variant->admission);
-    }
-    sessions.push_back(builder.build_session());
-    result.n += sessions.back().system->n();
-  }
-
-  auto wall_start = std::chrono::steady_clock::now();
-
-  result.tenants.resize(static_cast<std::size_t>(point.fleet));
-  std::vector<std::unique_ptr<verify::SafetyMonitor>> safety;
-  safety.reserve(static_cast<std::size_t>(point.fleet));
-  result.stabilized = true;
-  result.quiescent_at_end = true;
-
-  for (int t = 0; t < point.fleet; ++t) {
-    Session& session = sessions[static_cast<std::size_t>(t)];
-    SystemBase& system = *session.system;
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.tenant = t;
-    cell.n = system.n();
-    safety.push_back(std::make_unique<verify::SafetyMonitor>(
-        cell.n, system.k(), system.l()));
-    system.add_listener(safety.back().get());
-    if (spec.stall_threshold > 0) {
-      safety.back()->set_stall_threshold(spec.stall_threshold);
-      safety.back()->watch(system.engine());
-    }
-    auto sent_of = [&system](proto::TokenType type) {
-      return system.engine().sent_of_type(static_cast<std::int32_t>(type));
-    };
-
-    sim::SimTime stabilized =
-        system.run_until_stabilized(spec.stabilize_deadline);
-    cell.stabilized = stabilized != sim::kTimeInfinity;
-    cell.stabilization_time = cell.stabilized ? stabilized : 0;
-    result.stabilized = result.stabilized && cell.stabilized;
-    result.stabilization_time =
-        std::max(result.stabilization_time, stabilized);
-    system.run_until(system.engine().now() + spec.warmup);
-
-    WorkloadDriver& driver = *session.driver;
-    session.begin_workload();
-    const std::uint64_t resource_before =
-        sent_of(proto::TokenType::kResource);
-    const std::uint64_t pusher_before = sent_of(proto::TokenType::kPusher);
-    const std::uint64_t priority_before =
-        sent_of(proto::TokenType::kPriority);
-    const std::uint64_t control_before = sent_of(proto::TokenType::kControl);
-    sim::SimTime window_start = system.engine().now();
-    std::uint64_t events_before = system.engine().events_executed();
-    system.run_until(window_start + spec.horizon);
-
-    cell.requests = driver.total_requests();
-    cell.grants = driver.total_grants();
-    result.requests += cell.requests;
-    result.grants += cell.grants;
-    result.outstanding_at_end += driver.outstanding();
-    result.quiescent_at_end =
-        result.quiescent_at_end &&
-        system.engine().next_event_time() == sim::kTimeInfinity;
-    result.control_messages +=
-        sent_of(proto::TokenType::kControl) - control_before;
-    result.resource_messages +=
-        sent_of(proto::TokenType::kResource) - resource_before;
-    result.pusher_messages +=
-        sent_of(proto::TokenType::kPusher) - pusher_before;
-    result.priority_messages +=
-        sent_of(proto::TokenType::kPriority) - priority_before;
-    result.events_executed +=
-        system.engine().events_executed() - events_before;
-    result.safety_ok = result.safety_ok && !safety.back()->any_violation();
-  }
-  // Batch-wide grant latency across the R drivers (per-tenant windows
-  // are disjoint runs, so the merged distribution is the batch's).
-  {
-    support::Histogram latency;
-    for (Session& session : sessions) {
-      for (proto::NodeId node = 0; node < session.system->n(); ++node) {
-        latency.merge(session.driver->grant_latency(node));
-      }
-    }
-    if (latency.count() > 0) {
-      result.latency_count = static_cast<std::int64_t>(latency.count());
-      result.latency_p50 = latency.quantile(0.5);
-      result.latency_p99 = latency.quantile(0.99);
-      result.latency_p999 = latency.quantile(0.999);
-    }
-  }
-  // Per-tenant windows all have length `horizon`, so the batch rate uses
-  // the same denominator as the shared run's single window.
-  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
-                            static_cast<double>(spec.horizon);
-  if (result.grants > 0) {
-    result.messages_per_grant =
-        static_cast<double>(result.control_messages +
-                            result.resource_messages +
-                            result.pusher_messages +
-                            result.priority_messages) /
-        static_cast<double>(result.grants);
-  }
-
-  // Phase 3 (optional): fault into system 0 only -- the same rng seed and
-  // draw order as the shared run's tenant-0 fault, so the two modes of a
-  // cell recover through identical trajectories.
-  if (spec.fault == ScenarioSpec::FaultKind::kTransient) {
-    result.fault_injected = true;
-    auto recovery_start = std::chrono::steady_clock::now();
-    Session& session = sessions.front();
-    SystemBase& system = *session.system;
-    sim::SimTime fault_at = system.engine().now();
-    std::uint64_t events_at_fault = system.engine().events_executed();
-    support::Rng fault_rng(point.seed ^ 0xFA17ull);
-    system.inject_transient_fault(fault_rng, point.fault_garbage);
-    std::int64_t drains = 0;
-    if (point.features.epoch_cut && system.epoch_cut_recover()) drains = 1;
-    session.driver->resync();
-    sim::SimTime recovered =
-        system.run_until_stabilized(fault_at + spec.recovery_deadline);
-    result.recovered = recovered != sim::kTimeInfinity;
-    result.recovery_time = result.recovered ? recovered - fault_at : 0;
-    result.recovery_events =
-        system.engine().events_executed() - events_at_fault;
-    result.tenants.front().recovery_events = drains;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
-  }
-
-  // Per-system end state + batch engine stats (sums across the R
-  // engines; the calendar window is a configuration, so it reports max).
-  for (int t = 0; t < point.fleet; ++t) {
-    SystemBase& system = *sessions[static_cast<std::size_t>(t)].system;
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.events_executed = system.engine().events_executed();
-    cell.correct_at_end = system.token_counts_correct();
-    verify::SafetyMonitor& monitor = *safety[static_cast<std::size_t>(t)];
-    if (spec.stall_threshold > 0) {
-      monitor.check_stalls(system.engine().now());
-    }
-    result.safety_violations += monitor.violation_count();
-    result.last_violation_time =
-        std::max(result.last_violation_time, monitor.last_violation_time());
-    result.liveness_stalls += monitor.stall_count();
-    const sim::EngineStats stats = system.engine().stats();
-    result.engine_stats.events_executed += stats.events_executed;
-    result.engine_stats.messages_sent += stats.messages_sent;
-    result.engine_stats.messages_delivered += stats.messages_delivered;
-    result.engine_stats.callbacks_scheduled += stats.callbacks_scheduled;
-    result.engine_stats.callback_slots_created +=
-        stats.callback_slots_created;
-    result.engine_stats.max_heap_size += stats.max_heap_size;
-    result.engine_stats.in_flight_walks += stats.in_flight_walks;
-    result.engine_stats.chaos_dropped += stats.chaos_dropped;
-    result.engine_stats.chaos_duplicated += stats.chaos_duplicated;
-    result.engine_stats.chaos_reordered += stats.chaos_reordered;
-    result.engine_stats.chaos_jittered += stats.chaos_jittered;
-    result.engine_stats.bucket_window =
-        std::max(result.engine_stats.bucket_window, stats.bucket_window);
-    result.engine_stats.scheduler.bucket_inserts +=
-        stats.scheduler.bucket_inserts;
-    result.engine_stats.scheduler.bucket_scans +=
-        stats.scheduler.bucket_scans;
-    result.engine_stats.scheduler.overflow_pushes +=
-        stats.scheduler.overflow_pushes;
-    result.engine_stats.scheduler.overflow_pops +=
-        stats.scheduler.overflow_pops;
-  }
-
-  auto wall_end = std::chrono::steady_clock::now();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  if (result.wall_seconds > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.engine_stats.events_executed) /
-        result.wall_seconds;
-  }
-  return result;
-}
-
-}  // namespace
 
 std::vector<RunResult> ExperimentRunner::run(const ScenarioSpec& spec) const {
   std::vector<RunPoint> points = expand(spec);
@@ -945,30 +594,28 @@ std::vector<Aggregate> ExperimentRunner::aggregate(
       cell.mean_stabilization_time /= cell.stabilized_runs;
     }
     if (cell.recovered_runs > 0) {
-      cell.mean_recovery_time /= cell.recovered_runs;
-      cell.mean_recovery_events /= cell.recovered_runs;
-      cell.mean_recovery_wall_seconds /= cell.recovered_runs;
+      for (double* mean : {&cell.mean_recovery_time, &cell.mean_recovery_events,
+                           &cell.mean_recovery_wall_seconds}) {
+        *mean /= cell.recovered_runs;
+      }
     }
     if (cell.runs > 0) {
-      cell.mean_grants_per_mtick /= cell.runs;
-      cell.mean_wait_entries /= cell.runs;
-      cell.mean_messages_per_grant /= cell.runs;
-      cell.mean_outstanding_at_end /= cell.runs;
-      cell.mean_wall_seconds /= cell.runs;
-      cell.mean_fault_events /= cell.runs;
-      cell.mean_parent_changes /= cell.runs;
-      cell.mean_stree_events /= cell.runs;
-      cell.mean_chaos_dropped /= cell.runs;
-      cell.mean_chaos_duplicated /= cell.runs;
-      cell.mean_chaos_reordered /= cell.runs;
-      cell.mean_chaos_jittered /= cell.runs;
-      cell.mean_fault_phase_violations /= cell.runs;
-      cell.mean_liveness_stalls /= cell.runs;
+      for (double* mean :
+           {&cell.mean_grants_per_mtick, &cell.mean_wait_entries,
+            &cell.mean_messages_per_grant, &cell.mean_outstanding_at_end,
+            &cell.mean_wall_seconds, &cell.mean_fault_events,
+            &cell.mean_parent_changes, &cell.mean_stree_events,
+            &cell.mean_chaos_dropped, &cell.mean_chaos_duplicated,
+            &cell.mean_chaos_reordered, &cell.mean_chaos_jittered,
+            &cell.mean_fault_phase_violations, &cell.mean_liveness_stalls}) {
+        *mean /= cell.runs;
+      }
     }
     if (cell.latency_runs > 0) {
-      cell.mean_latency_p50 /= cell.latency_runs;
-      cell.mean_latency_p99 /= cell.latency_runs;
-      cell.mean_latency_p999 /= cell.latency_runs;
+      for (double* mean : {&cell.mean_latency_p50, &cell.mean_latency_p99,
+                           &cell.mean_latency_p999}) {
+        *mean /= cell.latency_runs;
+      }
     }
   }
   return cells;

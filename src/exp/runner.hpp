@@ -2,6 +2,24 @@
 // topology × rung × (k,ℓ) × seed grid across worker threads and
 // aggregates the results.
 //
+// One run pipeline: every grid point runs as one or more sessions
+// (klex::Session), and each session goes through the same phases --
+// build, stabilize + warm up, the measured workload window, the fault
+// phase, the monitor totals. A plain point is one session. A shared
+// fleet point is one session over a FleetSystem; its only fleet-specific
+// steps are the per-tenant readout (TenantResult) and aiming the fault
+// at tenant 0. A separate fleet point runs the pipeline R times, once
+// per standalone twin seeded seed + t, with the fault in session 0 only,
+// and merges the R sessions: counters and EngineStats summed, the
+// slowest stabilization, the latency and waiting-time distributions
+// merged. The fault phase is one loop over the session's fault plan; the
+// single post-measurement fault is its one-event case at offset 0.
+//
+// Waiting time is the paper's unit (Section 2): CS entries by the other
+// processes of the requester's own protocol instance between its request
+// and its grant. In a fleet each tenant is its own instance, so a shared
+// run's waits equal those of its standalone twins.
+//
 // Parallelism model: the engine is single-threaded by design; one engine
 // per thread parallelizes experiments trivially (sim/engine.hpp). Every
 // grid point therefore constructs its own SystemBase (own engine, own
@@ -35,9 +53,10 @@ struct RunPoint {
   int threads = 1;
   /// Tenants (1 = plain single system; > 1 = FleetSystem).
   int fleet = 1;
-  /// Fleet baseline mode: run the `fleet` tenants as separate engines
-  /// instead of one shared FleetSystem (ScenarioSpec::
-  /// fleet_compare_separate).
+  /// Fleet baseline mode: run the `fleet` tenants as separate serial
+  /// engines, one pipeline session per tenant seeded seed + t, instead
+  /// of one shared FleetSystem (ScenarioSpec::fleet_compare_separate).
+  /// Only session 0 takes the fault; the result merges the sessions.
   bool fleet_separate = false;
   /// Index into ScenarioSpec::policies (-1 = the scenario has no policy
   /// axis; default retry/admission, scenario-level chaos).
@@ -63,24 +82,15 @@ struct ClassResult {
   double latency_p999 = 0.0;
 };
 
-/// One staged fault event as it actually happened in one run: the
-/// materialized schedule (absolute injection time), what the fault
-/// changed, the repair cost and the re-stabilization cost. Together with
-/// the spec's fault_plan this makes every churn incident reproducible
-/// from the JSON artifact alone.
-struct FaultEventResult {
+/// One staged fault event as it actually happened in one run: what the
+/// fault changed and the repair cost (the TopologyFaultResult base, zero
+/// for non-topology kinds), the materialized schedule (absolute
+/// injection time) and the re-stabilization cost. Together with the
+/// spec's fault_plan this makes every churn incident reproducible from
+/// the JSON artifact alone.
+struct FaultEventResult : TopologyFaultResult {
   sim::SimTime at = 0;  // absolute simulated injection time
   std::string kind;     // to_string(FaultKind)
-  int links_changed = 0;
-  int nodes_changed = 0;
-  int detached = 0;
-  int reattached = 0;
-  int attached_nodes = 0;
-  int parent_changes = 0;
-  /// Online spanning-tree repair cost (its own engine).
-  std::uint64_t stree_events = 0;
-  sim::SimTime stree_time = 0;
-  std::uint64_t repair_seed = 0;
   /// Re-stabilization after this event.
   bool recovered = false;
   sim::SimTime recovery_time = 0;
@@ -171,7 +181,9 @@ struct RunResult {
   std::vector<ClassResult> classes;
   /// Per-tenant slices; empty for plain (fleet = 1) runs.
   std::vector<TenantResult> tenants;
-  double mean_wait_entries = 0.0;  // paper's waiting-time unit
+  /// Waiting time over the window's grants, in the paper's unit: CS
+  /// entries by the requester's own tenant between request and grant.
+  double mean_wait_entries = 0.0;
   double max_wait_entries = 0.0;
   double p99_wait_entries = 0.0;
   /// Whole-run grant-latency distribution (request issue -> grant,
@@ -273,8 +285,11 @@ class ExperimentRunner {
   /// plus, when fleet_compare_separate is set, a separate-engines one).
   static std::vector<RunPoint> expand(const ScenarioSpec& spec);
 
-  /// Executes one grid point (used by the workers; exposed for tests and
-  /// for benches that want a single run).
+  /// Executes one grid point through the run pipeline: one session for a
+  /// plain or shared-fleet point, R merged sessions for a separate-fleet
+  /// point (used by the workers; exposed for tests, the chaos fuzzer and
+  /// benches that want a single run). Fleet points accept only the
+  /// single transient fault.
   static RunResult run_point(const ScenarioSpec& spec,
                              const RunPoint& point);
 

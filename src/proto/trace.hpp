@@ -53,35 +53,4 @@ class TokenTrace : public sim::SimObserver {
   std::vector<Visit> visits_;
 };
 
-/// Counts sent messages by protocol type (message-overhead accounting).
-class MessageCounter : public sim::SimObserver {
- public:
-  void on_send(sim::SimTime, sim::NodeId, int,
-               const sim::Message& msg) override {
-    if (!is_protocol_message(msg)) return;
-    switch (type_of(msg)) {
-      case TokenType::kResource: ++resource_; break;
-      case TokenType::kPusher: ++pusher_; break;
-      case TokenType::kPriority: ++priority_; break;
-      case TokenType::kControl: ++control_; break;
-    }
-  }
-
-  std::uint64_t resource() const { return resource_; }
-  std::uint64_t pusher() const { return pusher_; }
-  std::uint64_t priority() const { return priority_; }
-  std::uint64_t control() const { return control_; }
-  std::uint64_t total() const {
-    return resource_ + pusher_ + priority_ + control_;
-  }
-
-  void reset() { resource_ = pusher_ = priority_ = control_ = 0; }
-
- private:
-  std::uint64_t resource_ = 0;
-  std::uint64_t pusher_ = 0;
-  std::uint64_t priority_ = 0;
-  std::uint64_t control_ = 0;
-};
-
 }  // namespace klex::proto

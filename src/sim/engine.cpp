@@ -722,6 +722,26 @@ std::uint64_t Engine::pending_callbacks() const {
   return total;
 }
 
+EngineStats& EngineStats::operator+=(const EngineStats& other) {
+  events_executed += other.events_executed;
+  messages_sent += other.messages_sent;
+  messages_delivered += other.messages_delivered;
+  callbacks_scheduled += other.callbacks_scheduled;
+  callback_slots_created += other.callback_slots_created;
+  max_heap_size += other.max_heap_size;
+  in_flight_walks += other.in_flight_walks;
+  bucket_window = std::max(bucket_window, other.bucket_window);
+  chaos_dropped += other.chaos_dropped;
+  chaos_duplicated += other.chaos_duplicated;
+  chaos_reordered += other.chaos_reordered;
+  chaos_jittered += other.chaos_jittered;
+  scheduler.bucket_inserts += other.scheduler.bucket_inserts;
+  scheduler.bucket_scans += other.scheduler.bucket_scans;
+  scheduler.overflow_pushes += other.scheduler.overflow_pushes;
+  scheduler.overflow_pops += other.scheduler.overflow_pops;
+  return *this;
+}
+
 EngineStats Engine::stats() const {
   EngineStats stats;
   for (const Lane& lane : lanes_) {

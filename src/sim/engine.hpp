@@ -238,6 +238,11 @@ struct EngineStats {
   /// gated invariant: overflow_pushes growing toward bucket_inserts means
   /// the heap fallback became the hot path again.
   SchedulerCounters scheduler{};
+
+  /// Adds another engine's counters (a batch of separate engines reports
+  /// their sum; the calendar window is a configuration, so it reports
+  /// the max).
+  EngineStats& operator+=(const EngineStats& other);
 };
 
 class Engine {

@@ -2,7 +2,8 @@
 //
 // Tracks critical-section entries, unit-time of resource usage (units ×
 // simulated time, the utilization integral), and exposes rates over a
-// measurement window. Combined with proto::MessageCounter it yields the
+// measurement window. Combined with window deltas of the engine's
+// per-type send counters (sim::Engine::sent_of_type) it yields the
 // messages-per-CS-entry overhead metric of bench_overhead.
 #pragma once
 

@@ -4,11 +4,15 @@
 //    can enter the critical section before some process p, starting from
 //    the moment p requests the critical section."
 //
-// WaitingTimeTracker keeps a global CS-entry counter; a request snapshots
-// it, and the grant records how many entries (by any process -- the
-// requester cannot enter meanwhile) happened in between. Theorem 2 bounds
-// this by ℓ(2n−3)² after stabilization; bench_thm2_waiting_time sweeps
-// the measured maximum against that bound.
+// WaitingTimeTracker keeps a CS-entry counter per scope; a request
+// snapshots its scope's counter, and the grant records how many entries
+// (by any process of that scope -- the requester cannot enter meanwhile)
+// happened in between. A plain system is one scope. A fleet of
+// independent protocol instances is one scope per tenant, so "all
+// processes" means the requester's own tenant and a tenant's samples
+// equal those of its standalone twin. Theorem 2 bounds this by ℓ(2n−3)²
+// after stabilization; bench_thm2_waiting_time sweeps the measured
+// maximum against that bound.
 #pragma once
 
 #include <cstdint>
@@ -21,26 +25,36 @@ namespace klex::stats {
 
 class WaitingTimeTracker : public proto::Listener {
  public:
+  /// One scope over nodes 0 .. n-1.
   explicit WaitingTimeTracker(int n);
+  /// Node v counts in scope scope_of_node[v]; scopes are 0 .. max.
+  explicit WaitingTimeTracker(std::vector<int> scope_of_node);
 
   void on_request(proto::NodeId node, int need, sim::SimTime at) override;
   void on_enter_cs(proto::NodeId node, int need, sim::SimTime at) override;
 
-  /// Waiting times in "CS entries by other processes" (the paper's unit).
-  const support::Histogram& waits() const { return waits_; }
+  int scope_count() const { return static_cast<int>(waits_.size()); }
+
+  /// Waiting times of the scope's requesters in "CS entries by other
+  /// processes of the scope" (the paper's unit).
+  const support::Histogram& waits(int scope = 0) const {
+    return waits_[static_cast<std::size_t>(scope)];
+  }
 
   /// Discards samples collected so far (e.g. from a warmup phase) but
-  /// keeps the entry counter and outstanding snapshots coherent.
+  /// keeps the entry counters and outstanding snapshots coherent.
   void reset_samples();
 
-  std::int64_t global_entries() const { return entries_; }
+  /// CS entries over all scopes.
+  std::int64_t global_entries() const;
 
  private:
   static constexpr std::int64_t kNone = -1;
 
-  std::int64_t entries_ = 0;
+  std::vector<int> scope_of_node_;
+  std::vector<std::int64_t> entries_;  // per scope
   std::vector<std::int64_t> snapshot_at_request_;
-  support::Histogram waits_;
+  std::vector<support::Histogram> waits_;  // per scope
 };
 
 /// Theorem 2's worst-case bound, ℓ(2n−3)².

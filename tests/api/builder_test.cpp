@@ -83,7 +83,8 @@ TEST(SystemBuilder, SessionMaterializesWorkloadClasses) {
                         .fault(FaultKind::kTransient)
                         .build_session();
   ASSERT_NE(session.driver, nullptr);
-  EXPECT_EQ(session.planned_fault, FaultKind::kTransient);
+  ASSERT_EQ(session.fault_plan.events.size(), 1u);
+  EXPECT_EQ(session.fault_plan.events.front().kind, FaultKind::kTransient);
   ASSERT_EQ(session.workload.behaviors.size(), 7u);
   int holders = 0;
   for (std::size_t v = 0; v < session.workload.behaviors.size(); ++v) {
@@ -102,7 +103,7 @@ TEST(SystemBuilder, SessionMaterializesWorkloadClasses) {
   EXPECT_GT(session.driver->total_grants(), 0);
   support::Rng fault_rng(10);
   sim::SimTime fault_at = session.system->engine().now();
-  session.apply_planned_fault(fault_rng);
+  session.apply_fault_event(session.fault_plan.events.front(), fault_rng);
   EXPECT_NE(session.system->run_until_stabilized(fault_at + 30'000'000),
             sim::kTimeInfinity);
 }

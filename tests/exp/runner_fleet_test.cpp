@@ -124,6 +124,11 @@ TEST(FleetGrid, SeparateBaselineReplaysTheSameTenants) {
         << "tenant " << t;
   }
   EXPECT_EQ(separate.grants, shared.grants);
+  // Both modes measure the paper's waiting time, per tenant.
+  EXPECT_GT(shared.mean_wait_entries, 0.0);
+  EXPECT_GT(separate.mean_wait_entries, 0.0);
+  EXPECT_EQ(separate.mean_wait_entries, shared.mean_wait_entries);
+  EXPECT_EQ(separate.max_wait_entries, shared.max_wait_entries);
 
   // The two modes land in distinct aggregate cells.
   std::vector<Aggregate> cells =
@@ -132,6 +137,45 @@ TEST(FleetGrid, SeparateBaselineReplaysTheSameTenants) {
   EXPECT_EQ(cells[0].fleet, 3);
   EXPECT_EQ(cells[0].fleet_mode, "shared");
   EXPECT_EQ(cells[1].fleet_mode, "separate");
+}
+
+TEST(FleetGrid, SeparateBaselineCarriesTheSharedRunsClassSlices) {
+  ScenarioSpec spec = fleet_scenario();
+  spec.fleet_compare_separate = true;
+  spec.workload.classes.push_back(proto::BehaviorClass::relays("relays", 0.3));
+  spec.workload.classes.push_back(
+      proto::BehaviorClass::budgeted("oneshot", 1, 1, 3));
+  std::vector<RunPoint> points = ExperimentRunner::expand(spec);
+  ASSERT_EQ(points.size(), 2u);
+  RunResult shared = ExperimentRunner::run_point(spec, points[0]);
+  RunResult separate = ExperimentRunner::run_point(spec, points[1]);
+
+  ASSERT_FALSE(shared.classes.empty());
+  ASSERT_EQ(separate.classes.size(), shared.classes.size());
+  for (const RunResult* run : {&shared, &separate}) {
+    std::int64_t requests = 0;
+    std::int64_t grants = 0;
+    int nodes = 0;
+    for (const ClassResult& cell : run->classes) {
+      requests += cell.requests;
+      grants += cell.grants;
+      nodes += cell.nodes;
+    }
+    EXPECT_EQ(requests, run->requests) << run->fleet_mode;
+    EXPECT_EQ(grants, run->grants) << run->fleet_mode;
+    EXPECT_EQ(nodes, run->n) << run->fleet_mode;
+  }
+  // Tenant t materializes the class membership of its standalone twin,
+  // so both modes slice the same nodes into the same cells. (The counts
+  // inside a cell may differ at the window edges: a separate system
+  // opens its window at its own stabilization, the shared fleet at the
+  // last tenant's.)
+  for (std::size_t c = 0; c < shared.classes.size(); ++c) {
+    EXPECT_EQ(separate.classes[c].name, shared.classes[c].name);
+    EXPECT_EQ(separate.classes[c].nodes, shared.classes[c].nodes)
+        << shared.classes[c].name;
+    EXPECT_GT(separate.classes[c].nodes, 0) << shared.classes[c].name;
+  }
 }
 
 TEST(FleetGrid, JsonCarriesFleetAxisOnlyForFleetScenarios) {

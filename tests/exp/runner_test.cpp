@@ -2,7 +2,9 @@
 // aggregation, and the JSON artifact shape.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
+#include <string>
 
 #include "exp/runner.hpp"
 
@@ -151,6 +153,60 @@ TEST(ExperimentRunner, GraphTopologyRunsThroughRunner) {
   EXPECT_TRUE(results[0].stabilized);
   EXPECT_GT(results[0].grants, 0);
 }
+
+// The single post-measurement fault is the one-event case of the staged
+// fault plan (offset 0): both spellings run through the same fault loop
+// and must give the same run on the same seed.
+struct FoldCase {
+  const char* name;
+  FaultKind kind;
+  int garbage;  // -1 = the kind's default
+};
+
+// Keeps the printed parameter (and so the listed test name) stable.
+void PrintTo(const FoldCase& param, std::ostream* out) { *out << param.name; }
+
+class FaultPathFold : public ::testing::TestWithParam<FoldCase> {};
+
+TEST_P(FaultPathFold, SingleFaultEqualsOneEventPlan) {
+  const FoldCase& param = GetParam();
+  ScenarioSpec single = small_scenario();
+  single.topologies = {TopologySpec::tree_line(5)};
+  single.seeds = 1;
+  ScenarioSpec planned = single;
+  single.fault = param.kind;
+  single.fault_garbage = {param.garbage};
+  FaultEvent event;
+  event.kind = param.kind;
+  event.garbage = param.garbage;
+  planned.fault_plan.events = {event};
+
+  RunResult a = ExperimentRunner::run_point(
+      single, ExperimentRunner::expand(single).front());
+  RunResult b = ExperimentRunner::run_point(
+      planned, ExperimentRunner::expand(planned).front());
+  ASSERT_TRUE(a.fault_injected);
+  ASSERT_TRUE(b.fault_injected);
+  EXPECT_TRUE(a.recovered);
+  EXPECT_TRUE(b.recovered);
+  EXPECT_EQ(a.grants, b.grants);
+  EXPECT_EQ(a.recovery_time, b.recovery_time);
+  EXPECT_EQ(a.recovery_events, b.recovery_events);
+  EXPECT_EQ(a.safety_violations, b.safety_violations);
+  // Only the staged spelling records its event.
+  EXPECT_TRUE(a.fault_events.empty());
+  ASSERT_EQ(b.fault_events.size(), 1u);
+  EXPECT_EQ(b.fault_events.front().recovery_events, b.recovery_events);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, FaultPathFold,
+    ::testing::Values(FoldCase{"transient", FaultKind::kTransient, -1},
+                      FoldCase{"channel_wipe", FaultKind::kChannelWipe, -1},
+                      FoldCase{"garbage_flood", FaultKind::kGarbageFlood, 6}),
+    [](const ::testing::TestParamInfo<FoldCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace klex::exp

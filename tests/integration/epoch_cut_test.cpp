@@ -6,7 +6,7 @@
 // incremental census stays exact), the root re-minted -- after which the
 // system confirms stabilization quickly instead of circulating garbage
 // for Θ(n) ticks. Also pins that the rung is strictly opt-in: without
-// Features::epoch_cut the call refuses, and Session::apply_planned_fault
+// Features::epoch_cut the call refuses, and Session::apply_fault_event
 // only cuts on cut-enabled systems.
 #include <gtest/gtest.h>
 
@@ -149,8 +149,8 @@ TEST(EpochCut, SessionAppliesCutOnPlannedFault) {
   session.system->run_until(session.system->engine().now() + 100'000);
 
   support::Rng rng(0xFA17u);
-  session.apply_planned_fault(rng);
-  // The cut ran inside apply_planned_fault: population legitimate with
+  session.apply_fault_event(session.fault_plan.events.front(), rng);
+  // The cut ran inside apply_fault_event: population legitimate with
   // zero recovery simulation, and the driver was resynced (post-fault
   // workload keeps making progress).
   EXPECT_TRUE(session.system->token_counts_correct());

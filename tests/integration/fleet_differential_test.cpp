@@ -12,7 +12,9 @@
 //      through a transient fault injected into ONE tenant only -- the
 //      faulted tenant tracks its (equally faulted) twin and the others
 //      never notice;
-//   3. the worker-lane count changes nothing per tenant (serial vs
+//   3. each tenant's waiting-time samples (the paper's metric, scoped to
+//      the tenant) equal its standalone twin's;
+//   4. the worker-lane count changes nothing per tenant (serial vs
 //      windowed parallel execution), and each tenant still matches its
 //      standalone twin's counters.
 //
@@ -24,11 +26,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/builder.hpp"
 #include "api/fleet.hpp"
 #include "proto/messages.hpp"
+#include "stats/waiting_time.hpp"
 
 namespace klex {
 namespace {
@@ -267,6 +271,56 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
         << "tenant " << t;
     // Nobody ran an epoch-cut recovery (the rung is not enabled here).
     EXPECT_EQ(fleet_system->tenant_recovery_events(t), 0);
+  }
+}
+
+TEST(FleetDifferentialTest, EachTenantsWaitSamplesMatchItsStandaloneTwin) {
+  // The paper's waiting time counts CS entries by "all processes" of the
+  // requester's protocol instance. In a fleet that is the requester's own
+  // tenant: a tracker scoped per tenant must record, for every tenant,
+  // exactly the wait samples a tracker on its standalone twin records.
+  const std::uint64_t seed = 515;
+  const int kTenants = 4;
+
+  SystemBuilder fleet_builder = base_builder(seed);
+  fleet_builder.workload(contention_spec()).fleet(kTenants);
+  Session fleet = fleet_builder.build_session();
+  auto* fleet_system = dynamic_cast<FleetSystem*>(fleet.system.get());
+  ASSERT_NE(fleet_system, nullptr);
+  std::vector<int> scope_of_node(static_cast<std::size_t>(fleet.system->n()));
+  for (int t = 0; t < kTenants; ++t) {
+    for (NodeId local = 0; local < fleet_system->tenant_n(t); ++local) {
+      scope_of_node[static_cast<std::size_t>(
+          fleet_system->global_id(t, local))] = t;
+    }
+  }
+  stats::WaitingTimeTracker fleet_waits(std::move(scope_of_node));
+  ASSERT_EQ(fleet_waits.scope_count(), kTenants);
+  fleet.system->add_listener(&fleet_waits);
+
+  std::vector<Session> singles;
+  std::vector<std::unique_ptr<stats::WaitingTimeTracker>> single_waits;
+  for (int t = 0; t < kTenants; ++t) {
+    SystemBuilder builder = base_builder(seed + static_cast<std::uint64_t>(t));
+    builder.workload(contention_spec());
+    singles.push_back(builder.build_session());
+    single_waits.push_back(std::make_unique<stats::WaitingTimeTracker>(
+        singles.back().system->n()));
+    singles.back().system->add_listener(single_waits.back().get());
+  }
+
+  fleet.begin_workload();
+  for (Session& s : singles) s.begin_workload();
+  const sim::SimTime kHorizon = 300'000;
+  fleet.system->run_until(kHorizon);
+  for (Session& s : singles) s.system->run_until(kHorizon);
+
+  for (int t = 0; t < kTenants; ++t) {
+    const support::Histogram& twin =
+        single_waits[static_cast<std::size_t>(t)]->waits();
+    ASSERT_GT(twin.count(), 100u) << "tenant " << t;
+    EXPECT_EQ(fleet_waits.waits(t).samples(), twin.samples())
+        << "tenant " << t;
   }
 }
 

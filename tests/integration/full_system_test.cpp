@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "api/system.hpp"
-#include "proto/trace.hpp"
 #include "api/workload_driver.hpp"
 #include "proto/workload.hpp"
 #include "verify/fairness_monitor.hpp"
@@ -117,8 +116,6 @@ TEST(FullSystem, MessageOverheadIsBoundedPerGrant) {
   config.l = 3;
   config.seed = 19;
   System system(config);
-  proto::MessageCounter counter;
-  system.add_observer(&counter);
   ASSERT_NE(system.run_until_stabilized(4'000'000), sim::kTimeInfinity);
 
   proto::NodeBehavior behavior;
@@ -129,18 +126,29 @@ TEST(FullSystem, MessageOverheadIsBoundedPerGrant) {
                                proto::uniform_behaviors(system.n(), behavior),
                                support::Rng(20));
   driver.begin();
-  counter.reset();
+  // Window deltas of the engine's inline per-type send counters.
+  using proto::TokenType;
+  auto sent_of = [&system](TokenType type) {
+    return system.engine().sent_of_type(static_cast<std::int32_t>(type));
+  };
+  auto total_sent = [&sent_of] {
+    return sent_of(TokenType::kResource) + sent_of(TokenType::kPusher) +
+           sent_of(TokenType::kPriority) + sent_of(TokenType::kControl);
+  };
+  const std::uint64_t total_before = total_sent();
+  const std::uint64_t control_before = sent_of(TokenType::kControl);
+  const std::uint64_t resource_before = sent_of(TokenType::kResource);
   system.run_until(system.engine().now() + 2'000'000);
 
   ASSERT_GT(driver.total_grants(), 0);
   double messages_per_grant =
-      static_cast<double>(counter.total()) /
+      static_cast<double>(total_sent() - total_before) /
       static_cast<double>(driver.total_grants());
   // The steady-state cost per grant is bounded (tokens + controller keep
   // circulating; the check is a regression guard, not a tight bound).
   EXPECT_LT(messages_per_grant, 2000.0);
-  EXPECT_GT(counter.control(), 0u);
-  EXPECT_GT(counter.resource(), 0u);
+  EXPECT_GT(sent_of(TokenType::kControl) - control_before, 0u);
+  EXPECT_GT(sent_of(TokenType::kResource) - resource_before, 0u);
 }
 
 }  // namespace

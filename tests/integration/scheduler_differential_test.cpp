@@ -104,8 +104,9 @@ TEST_P(SchedulerDifferentialTest, CalendarMatchesHeapBitForBit) {
   support::Rng calendar_rng(0xFA17u);
   support::Rng heap_rng(0xFA17u);
   sim::SimTime calendar_fault_at = calendar.system->engine().now();
-  calendar.apply_planned_fault(calendar_rng);
-  heap.apply_planned_fault(heap_rng);
+  calendar.apply_fault_event(calendar.fault_plan.events.front(),
+                             calendar_rng);
+  heap.apply_fault_event(heap.fault_plan.events.front(), heap_rng);
   sim::SimTime calendar_rec = calendar.system->run_until_stabilized(
       calendar_fault_at + 80'000'000);
   sim::SimTime heap_rec = heap.system->run_until_stabilized(

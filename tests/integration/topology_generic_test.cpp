@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "api/workload_driver.hpp"
@@ -47,10 +48,20 @@ std::unique_ptr<SystemBase> make_graph_system(std::uint64_t seed) {
 
 using SystemFactory = std::unique_ptr<SystemBase> (*)(std::uint64_t);
 
-class TopologyGeneric : public ::testing::TestWithParam<SystemFactory> {};
+// The topology's name is what gtest prints for the parameter, so the test
+// lists (and CTest's discovered names) are stable across runs instead of
+// carrying a load-address-dependent function pointer.
+struct TopologyCase {
+  const char* name;
+  SystemFactory make;
+};
+
+void PrintTo(const TopologyCase& c, std::ostream* os) { *os << c.name; }
+
+class TopologyGeneric : public ::testing::TestWithParam<TopologyCase> {};
 
 TEST_P(TopologyGeneric, StabilizesServesAndSurvivesFaults) {
-  std::unique_ptr<SystemBase> system = GetParam()(21);
+  std::unique_ptr<SystemBase> system = GetParam().make(21);
   int n = system->n();
 
   // Phase 1: bootstrap to the legitimate token population.
@@ -86,9 +97,10 @@ TEST_P(TopologyGeneric, StabilizesServesAndSurvivesFaults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyGeneric,
-                         ::testing::Values(&make_tree_system,
-                                           &make_ring_system,
-                                           &make_graph_system));
+                         ::testing::Values(
+                             TopologyCase{"tree", &make_tree_system},
+                             TopologyCase{"ring", &make_ring_system},
+                             TopologyCase{"graph", &make_graph_system}));
 
 TEST(GraphSystem, ComposesSpanningTreeWithExclusion) {
   GraphSystemConfig config;

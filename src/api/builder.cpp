@@ -429,9 +429,9 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
 void SystemBuilder::attach_chaos(SystemBase& system) const {
   // Attach only when something will actually use the model: a non-trivial
   // steady config, or a plan that schedules bursts (which may ride on an
-  // all-zero steady config -- the model still has to exist from t=0 so
-  // its sequencing governs the whole trajectory, not just the burst).
-  // Builds that mention neither keep the stock engine paths bit for bit.
+  // all-zero steady config; the model must exist before start). A
+  // zero-config model changes no trajectory -- it only adds the decision
+  // checks to every send -- so builds that mention neither skip it.
   if (!chaos_.enabled() && !fault_plan_.has_chaos_events()) return;
   system.engine().configure_chaos(chaos_);
 }

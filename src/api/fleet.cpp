@@ -49,8 +49,8 @@ FleetSystem::FleetSystem(FleetConfig config)
   // One protocol instance per tenant, appended contiguously. Each tenant
   // finalizes its own params (timeout derived from its own size) exactly
   // like a standalone System would -- that is half of the standalone-
-  // equivalence argument; the other half is the per-stream sequencing
-  // configured below.
+  // equivalence argument; the other half is the stream keying configured
+  // below.
   for (int t = 0; t < tenants; ++t) {
     const TenantSpec& spec = tenant_spec(t);
     core::Params params;
@@ -116,7 +116,7 @@ FleetSystem::FleetSystem(FleetConfig config)
   engine().configure_streams(node_stream, stream_seeds);
 
   // Token placement draws delays, so it must follow configure_streams:
-  // the injections are the first draws from each tenant's stream rng,
+  // the injections are the first draws from each tenant's channel rngs,
   // exactly as they are the first draws of a standalone spread system.
   if (config_.spread_tokens) {
     for (int t = 0; t < tenants; ++t) spread_seed_tokens(t);

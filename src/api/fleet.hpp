@@ -13,9 +13,11 @@
 //   * channels and timers: wired strictly inside a tenant's range, so no
 //     message or timeout ever crosses tenants.
 //   * sequencing: tenant t is engine stream t (sim::Engine streams). Its
-//     delay draws come from Rng(seed + t) and its event seqs stripe as
-//     stream_seq * R + t -- byte-identical sub-order to a standalone
-//     System built with seed + t, whatever the other tenants do. That is
+//     channels draw delays from rngs keyed by seed + t and the
+//     tenant-relative channel index, and its per-channel, per-node and
+//     callback seq slots keep their relative order -- byte-identical
+//     sub-order to a standalone System built with seed + t, whatever the
+//     other tenants do. That is
 //     the differential anchor: fleet(1) == System(seed) bit for bit, and
 //     every tenant of fleet(R) replays its standalone trace.
 //   * census: proto::CensusTracker grows a tenant axis -- per-tenant

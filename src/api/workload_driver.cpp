@@ -81,9 +81,9 @@ void WorkloadDriver::schedule_cycle(proto::NodeId node,
   node_state.cycle_scheduled = true;
   sim::SimTime delay =
       node_state.behavior.think.sample(rng_for(node)) + extra_delay;
-  // Sequence the callback in the node's own stream: engines without
-  // explicit streams ignore the hint (identical to schedule()), fleets
-  // keep each tenant's callback sub-order independent of its neighbors.
+  // Sequence the callback in the node's own stream (the only stream on a
+  // plain engine): fleets keep each tenant's callback sub-order
+  // independent of its neighbors.
   engine_.schedule_in_stream(engine_.stream_of(node), delay,
                              [this, node] { start_acquire(node); });
 }

@@ -121,14 +121,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The phase pipeline every grid point runs through, once per session:
-/// build, stabilize + warm up, measured window, fault phase, monitor
-/// totals. A fleet point (point.fleet > 1) builds one FleetSystem; its
-/// only fleet-specific steps are the per-tenant readout and aiming the
-/// fault at tenant 0. Any other session reads out as one tenant. With
-/// `faulted` false the session skips the fault phase.
-SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
-                       bool faulted) {
+/// The builder of one session of `point` (with its fault when `faulted`).
+SystemBuilder point_builder(const ScenarioSpec& spec, const RunPoint& point,
+                            bool faulted) {
   const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
   SystemBuilder builder;
   builder.topology(point.topology)
@@ -154,7 +149,20 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   if (variant != nullptr) {
     builder.retry_policy(variant->retry).admission_policy(variant->admission);
   }
-  Session session = builder.build_session();
+  return builder;
+}
+
+/// The phase pipeline every grid point runs through, once per session:
+/// build, stabilize + warm up, measured window, fault phase, monitor
+/// totals. A fleet point (point.fleet > 1) builds one FleetSystem; its
+/// only fleet-specific steps are the per-tenant readout and aiming the
+/// fault at tenant 0. Any other session reads out as one tenant. With
+/// `faulted` false the session skips the fault phase. The warmup starts
+/// where stabilization detection left the clock or at `settle_from`,
+/// whichever is later.
+SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
+                       bool faulted, sim::SimTime settle_from = 0) {
+  Session session = point_builder(spec, point, faulted).build_session();
   SystemBase& system = *session.system;
   WorkloadDriver& driver = *session.driver;
   SessionRun run;
@@ -205,7 +213,8 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
       system.run_until_stabilized(spec.stabilize_deadline);
   result.stabilized = stabilized != sim::kTimeInfinity;
   result.stabilization_time = stabilized;
-  system.run_until(system.engine().now() + spec.warmup);
+  system.run_until(std::max(system.engine().now(), settle_from) +
+                   spec.warmup);
 
   // Phase 2: closed-loop workload over the measurement window.
   session.begin_workload();
@@ -363,18 +372,32 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
 /// systems seeded seed .. seed + R - 1 -- exactly the twins the shared
 /// run's tenants replay (tests/integration/fleet_differential_test.cpp)
 /// -- each through the same pipeline, session 0 alone taking the fault.
-/// The batch pays R engine boots, R calendars and R clocks. The merge
-/// sums the counters, takes the slowest stabilization and merges the
-/// distributions; every per-tenant window has length `horizon`, so the
-/// batch rates use the same denominator as the shared run's one window.
+/// A shared fleet warms up from where its slowest tenant's stabilization
+/// left the clock, so a probe pass first stabilizes every twin and each
+/// session then warms up from that same instant. The batch pays R engine
+/// boots, R calendars and R clocks. The merge sums the counters, takes
+/// the slowest stabilization and merges the distributions; every
+/// per-tenant window has length `horizon`, so the batch rates use the
+/// same denominator as the shared run's one window.
 SessionRun run_separate(const ScenarioSpec& spec, const RunPoint& point) {
+  auto tenant_point = [&point](int t) {
+    RunPoint one = point;
+    one.fleet = 1;
+    one.threads = 1;
+    one.seed = point.seed + static_cast<std::uint64_t>(t);
+    return one;
+  };
+  sim::SimTime fleet_settled = 0;
+  for (int t = 0; t < point.fleet; ++t) {
+    std::unique_ptr<SystemBase> probe =
+        point_builder(spec, tenant_point(t), false).build();
+    probe->run_until_stabilized(spec.stabilize_deadline);
+    fleet_settled = std::max(fleet_settled, probe->engine().now());
+  }
   SessionRun batch;
   for (int t = 0; t < point.fleet; ++t) {
-    RunPoint tenant_point = point;
-    tenant_point.fleet = 1;
-    tenant_point.threads = 1;
-    tenant_point.seed = point.seed + static_cast<std::uint64_t>(t);
-    SessionRun run = run_session(spec, tenant_point, t == 0);
+    SessionRun run =
+        run_session(spec, tenant_point(t), t == 0, fleet_settled);
     run.result.tenants.front().tenant = t;
     if (t == 0) {
       batch = std::move(run);  // also carries the fault phase's fields

@@ -6,12 +6,6 @@
 
 namespace klex::sim {
 
-namespace {
-// Salt for the per-link decision rngs; distinct from kLaneRngSalt so
-// chaos draws never correlate with lane delay streams.
-constexpr std::uint64_t kChaosRngSalt = 0xCA0510AD5EEDF00Dull;
-}  // namespace
-
 void validate_chaos(const ChaosConfig& config) {
   KLEX_REQUIRE(config.drop_p >= 0.0 && config.drop_p <= 1.0,
                "drop_p must be in [0, 1]");
@@ -24,23 +18,11 @@ void validate_chaos(const ChaosConfig& config) {
                "reorder_flush_delay must be >= 1");
 }
 
-ChaosModel::ChaosModel(std::uint64_t engine_seed, int channel_count,
-                       int process_count, const ChaosConfig& steady)
+ChaosModel::ChaosModel(int channel_count, const ChaosConfig& steady)
     : steady_(steady),
-      stride_(static_cast<std::uint64_t>(channel_count) +
-              static_cast<std::uint64_t>(process_count) + 1),
-      channel_count_(channel_count),
-      process_count_(process_count) {
+      links_(static_cast<std::size_t>(channel_count)),
+      channel_count_(channel_count) {
   validate_chaos(steady_);
-  // Channel indices are assigned at wiring time, before lanes exist, so
-  // this keying is what makes chaos draws lane-count-independent.
-  support::Rng root(engine_seed ^ kChaosRngSalt);
-  links_.resize(static_cast<std::size_t>(channel_count));
-  for (int c = 0; c < channel_count; ++c) {
-    links_[static_cast<std::size_t>(c)].rng =
-        root.split(static_cast<std::uint64_t>(c));
-  }
-  node_seq_.assign(static_cast<std::size_t>(process_count), 0);
 }
 
 void ChaosModel::begin_burst(const ChaosConfig& config, SimTime until) {

@@ -19,28 +19,22 @@
 //   * jitter      -- up to `jitter` extra ticks on top of the drawn
 //                    delay (then the usual FIFO clamp).
 //
-// Every decision draws from a per-link rng seeded from
-// (engine seed ^ kChaosRngSalt) split by channel index. Channel indices
-// are assigned at wiring time, before lanes are configured, so chaos
-// draws are independent of the lane count: a chaos run is reproducible
-// from (seed, config) alone and identical at every thread count P. To
-// extend that to the *whole* trajectory, an engine with an attached
-// chaos model (and no explicit streams) switches from per-lane to
-// per-entity sequencing -- per-channel seq counters for deliveries,
-// per-node counters for timers, one engine counter for callbacks, all
-// striped over a lane-count-independent stride (see seq helpers below).
-// Fleet engines (explicit streams) keep their per-stream sequencing and
-// only the chaos *decisions* come from the per-link rngs.
+// Every decision draws from the channel's own rng -- the same one its
+// delays come from, keyed by stream seed and channel index (engine.hpp)
+// -- and a hold's flush event takes the channel's next seq. The model
+// itself holds no rng and no sequencing state, so a chaos run is
+// reproducible from (seed, config) alone and identical at every thread
+// count P, and a fleet tenant under chaos replays its standalone twin.
 //
 // Burst episodes: begin_burst() overrides the steady config on all (or
 // a subset of) links until a deadline -- FaultKind::kChaosBurst applies
 // one from a FaultPlan. Expiry is lazy (each decision checks the
 // deadline), so bursts add no events of their own.
 //
-// Single-writer contract (mirrors the engine's): a link's rng, seq
-// counter, hold buffer and counters are only touched by the channel's
-// source lane (sends, and the flush events queued on that lane). Burst
-// state is written only between windows and read-only inside them.
+// Single-writer contract (mirrors the engine's): a link's hold buffer
+// and counters are only touched by the channel's source lane (sends, and
+// the flush events queued on that lane). Burst state is written only
+// between windows and read-only inside them.
 #pragma once
 
 #include <cstdint>
@@ -48,15 +42,14 @@
 
 #include "sim/message.hpp"
 #include "sim/time.hpp"
-#include "support/rng.hpp"
 
 namespace klex::sim {
 
 /// Per-link adversarial behavior knobs. All probabilities in [0, 1];
-/// the zero config (enabled() == false) means "reliable FIFO", and the
+/// the zero config (enabled() == false) means "reliable FIFO": it draws
+/// nothing, so a run under it equals the run without a model. The
 /// builder only attaches a ChaosModel when a config is enabled or a
-/// fault plan schedules bursts -- engines without one take the stock
-/// code paths bit for bit.
+/// fault plan schedules bursts.
 struct ChaosConfig {
   double drop_p = 0.0;
   double dup_p = 0.0;
@@ -104,16 +97,12 @@ class ChaosModel {
   };
 
   struct Link {
-    support::Rng rng{0};
-    /// Per-channel event seq counter (chaos sequencing mode).
-    std::uint64_t next_seq = 0;
     std::uint64_t next_hold_id = 1;
     std::vector<Held> held;
     ChaosStats stats;
   };
 
-  ChaosModel(std::uint64_t engine_seed, int channel_count,
-             int process_count, const ChaosConfig& steady);
+  ChaosModel(int channel_count, const ChaosConfig& steady);
 
   const ChaosConfig& steady() const { return steady_; }
 
@@ -152,29 +141,6 @@ class ChaosModel {
   SimTime burst_until() const { return burst_until_; }
   const ChaosConfig& burst_config() const { return burst_; }
 
-  // -- chaos sequencing (engines without explicit streams) -------------------
-  //
-  // seq = counter * stride + slot, with stride and slots independent of
-  // the lane count: deliveries/flushes of channel c use slot c, timers
-  // of node v slot C + v, callbacks slot C + N. The (at, seq) order --
-  // hence the whole trajectory -- is the same at every P.
-
-  std::uint64_t delivery_seq(int channel) {
-    Link& l = link(channel);
-    return l.next_seq++ * stride_ + static_cast<std::uint64_t>(channel);
-  }
-  std::uint64_t timer_seq(int node) {
-    return node_seq_[static_cast<std::size_t>(node)]++ * stride_ +
-           static_cast<std::uint64_t>(channel_count_ + node);
-  }
-  /// One engine-wide callback counter. Callbacks are never scheduled
-  /// from inside a parallel window (pending callbacks force the
-  /// merged-serial loop), so the counter stays single-writer.
-  std::uint64_t callback_seq() {
-    return callback_seq_++ * stride_ +
-           static_cast<std::uint64_t>(channel_count_ + process_count_);
-  }
-
   /// Messages currently held back across all links.
   std::uint64_t held_messages() const;
 
@@ -191,11 +157,7 @@ class ChaosModel {
   std::vector<char> burst_member_;  // empty = every link
 
   std::vector<Link> links_;
-  std::vector<std::uint64_t> node_seq_;
-  std::uint64_t callback_seq_ = 0;
-  std::uint64_t stride_;
   int channel_count_;
-  int process_count_;
 };
 
 }  // namespace klex::sim

@@ -9,9 +9,9 @@
 namespace klex::sim {
 
 namespace {
-// Salt for deriving the rng streams of lanes >= 1 from the engine seed;
-// lane 0 keeps the plain seed so one lane == the serial engine.
-constexpr std::uint64_t kLaneRngSalt = 0xC3D19A447E0155EDull;
+// Salt of the channel rngs: channel c of a stream seeded s draws from
+// Rng(s ^ kChannelRngSalt).split(c). Every trajectory depends on it.
+constexpr std::uint64_t kChannelRngSalt = 0xCA0510AD5EEDF00Dull;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -44,22 +44,36 @@ SimTime Process::now() const {
 
 Engine::Engine(DelayModel delays, std::uint64_t seed,
                SchedulerKind scheduler)
-    : delays_(delays), seed_(seed), scheduler_kind_(scheduler) {
+    : delays_(delays),
+      scheduler_kind_(scheduler),
+      streams_(1),
+      channel_rngs_(seed ^ kChannelRngSalt) {
   KLEX_REQUIRE(delays_.min_delay >= 1, "min_delay must be >= 1");
   KLEX_REQUIRE(delays_.max_delay >= delays_.min_delay,
                "max_delay must be >= min_delay");
-  lanes_.emplace_back(scheduler_kind_, support::Rng(seed_));
+  lanes_.emplace_back(scheduler_kind_);
+}
+
+void Engine::require_unsequenced(const char* what) const {
+  KLEX_REQUIRE(!started_, "cannot ", what, " after start");
+  for (const Lane& lane : lanes_) {
+    KLEX_REQUIRE(lane.queue.empty(), "cannot ", what,
+                 " with pending events");
+  }
 }
 
 NodeId Engine::add_process(std::unique_ptr<Process> process) {
   KLEX_REQUIRE(process != nullptr, "null process");
-  KLEX_REQUIRE(!started_, "cannot add processes after start");
+  require_unsequenced("add processes");
   NodeId id = static_cast<NodeId>(processes_.size());
   process->engine_ = this;
   process->id_ = id;
   processes_.push_back(std::move(process));
   channel_lookup_.emplace_back();
   timer_generations_.resize(timer_generations_.size() + kMaxTimers, 0);
+  timer_seqs_.push_back(0);
+  node_stream_.push_back(0);
+  ++seq_stride_;
   return id;
 }
 
@@ -69,6 +83,8 @@ void Engine::connect(NodeId from, int from_channel, NodeId to,
   KLEX_REQUIRE(to >= 0 && to < process_count(), "bad to node");
   KLEX_REQUIRE(from_channel >= 0, "bad from channel");
   KLEX_REQUIRE(to_channel >= 0, "bad to channel");
+  KLEX_REQUIRE(!streams_explicit_, "wire channels before configure_streams");
+  require_unsequenced("connect channels");
 
   auto& lookup = channel_lookup_[static_cast<std::size_t>(from)];
   if (static_cast<int>(lookup.size()) <= from_channel) {
@@ -81,9 +97,11 @@ void Engine::connect(NodeId from, int from_channel, NodeId to,
   channel.info = ChannelInfo{from, from_channel, to, to_channel};
   channel.src_lane = lane_of(from);
   channel.dst_lane = lane_of(to);
+  channel.rng = channel_rngs_.split(channels_.size());
   lookup[static_cast<std::size_t>(from_channel)] =
       static_cast<int>(channels_.size());
   channels_.push_back(std::move(channel));
+  ++seq_stride_;
 }
 
 void Engine::configure_lanes(const std::vector<int>& node_lane,
@@ -104,17 +122,9 @@ void Engine::configure_lanes(const std::vector<int>& node_lane,
     KLEX_REQUIRE(lane >= 0 && lane < lane_count, "lane out of range");
   }
 
-  // Rebuild the lane set from scratch: lane 0 restarts on the engine
-  // seed (nothing has drawn from it before start), lanes >= 1 get
-  // independent salted streams.
   lanes_.clear();
   lanes_.reserve(static_cast<std::size_t>(lane_count));
-  lanes_.emplace_back(scheduler_kind_, support::Rng(seed_));
-  support::Rng lane_streams(seed_ ^ kLaneRngSalt);
-  for (int i = 1; i < lane_count; ++i) {
-    lanes_.emplace_back(scheduler_kind_,
-                        lane_streams.split(static_cast<std::uint64_t>(i)));
-  }
+  for (int i = 0; i < lane_count; ++i) lanes_.emplace_back(scheduler_kind_);
 
   for (DirectedChannel& dc : channels_) {
     dc.src_lane = lane_of(dc.info.from);
@@ -124,25 +134,18 @@ void Engine::configure_lanes(const std::vector<int>& node_lane,
 
 void Engine::configure_streams(const std::vector<int>& node_stream,
                                const std::vector<std::uint64_t>& stream_seeds) {
-  KLEX_REQUIRE(!started_, "cannot re-stream a started engine");
   KLEX_REQUIRE(!streams_explicit_, "configure_streams runs once");
   KLEX_REQUIRE(!stream_seeds.empty(), "need at least one stream");
   KLEX_REQUIRE(static_cast<int>(node_stream.size()) == process_count(),
                "one stream per node required");
-  for (const Lane& lane : lanes_) {
-    KLEX_REQUIRE(lane.queue.empty(), "cannot re-stream with pending events");
-  }
+  require_unsequenced("re-stream");
 
   const int count = static_cast<int>(stream_seeds.size());
-  streams_.clear();
-  streams_.reserve(stream_seeds.size());
-  for (std::uint64_t seed : stream_seeds) {
-    streams_.emplace_back(support::Rng(seed));
-  }
+  streams_.assign(stream_seeds.size(), Stream{});
   node_stream_.assign(node_stream.begin(), node_stream.end());
 
   // Every stream nests inside exactly one lane: that lane's thread is the
-  // single writer of the stream's rng, seq counter and census cells.
+  // single writer of the stream's census cells.
   std::vector<std::int32_t> home(stream_seeds.size(), -1);
   for (NodeId v = 0; v < process_count(); ++v) {
     std::int32_t s = node_stream_[static_cast<std::size_t>(v)];
@@ -158,13 +161,25 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
     streams_[s].home_lane = home[s] == -1 ? 0 : home[s];
   }
 
+  // Re-key every channel rng from its stream's seed and its index among
+  // the stream's channels (splits taken in wiring order, as a standalone
+  // engine seeded with the stream seed takes them).
+  std::vector<support::Rng> roots;
+  roots.reserve(stream_seeds.size());
+  for (std::uint64_t seed : stream_seeds) {
+    roots.emplace_back(seed ^ kChannelRngSalt);
+  }
+  std::vector<std::uint64_t> rank(stream_seeds.size(), 0);
   for (DirectedChannel& dc : channels_) {
     std::int32_t src = node_stream_[static_cast<std::size_t>(dc.info.from)];
     std::int32_t dst = node_stream_[static_cast<std::size_t>(dc.info.to)];
     KLEX_REQUIRE(src == dst, "channel ", dc.info.from, "->", dc.info.to,
                  " crosses streams (tenants must be channel-independent)");
     dc.stream = src;
+    dc.rng = roots[static_cast<std::size_t>(src)].split(
+        rank[static_cast<std::size_t>(src)]++);
   }
+  seq_stride_ = channels_.size() + processes_.size() + streams_.size();
   streams_explicit_ = true;
 }
 
@@ -205,17 +220,13 @@ void Engine::boot() {
   started_ = true;
   size_ring_windows();
   for (auto& process : processes_) {
-    // Fleet mode: any participant delta fired from on_start must land in
-    // the node's own stream cell (boot runs outside event execution, so
-    // the TLS stream would otherwise stay 0). Default engines skip this
-    // -- their deltas aggregate over lanes and boot runs on lane 0.
-    if (streams_explicit_) {
-      detail::t_current_stream =
-          node_stream_[static_cast<std::size_t>(process->id())];
-    }
+    // Any participant delta fired from on_start must land in the node's
+    // own stream cell (boot runs outside event execution, so the TLS
+    // stream would otherwise stay 0).
+    detail::t_current_stream = stream_of(process->id());
     process->on_start();
   }
-  if (streams_explicit_) detail::t_current_stream = 0;
+  detail::t_current_stream = 0;
 }
 
 int Engine::channel_index_of(NodeId from, int from_channel) const {
@@ -228,35 +239,40 @@ int Engine::channel_index_of(NodeId from, int from_channel) const {
   return lookup[static_cast<std::size_t>(from_channel)];
 }
 
+std::array<std::uint64_t, Engine::kTrackedMessageTypes>&
+Engine::in_flight_cells(const DirectedChannel& dc) {
+  return streams_explicit_
+             ? streams_[static_cast<std::size_t>(dc.stream)].in_flight_by_type
+             : lanes_[static_cast<std::size_t>(dc.src_lane)]
+                   .in_flight_by_type;
+}
+
 void Engine::schedule_delivery(int channel_index, const Message& msg) {
   if (chaos_) {
     chaos_send(channel_index, msg);
-    return;
+  } else {
+    enqueue_delivery(channel_index, msg, 0, true);
   }
+}
+
+void Engine::enqueue_delivery(int channel_index, const Message& msg,
+                              SimTime jitter, bool fresh) {
   DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
   Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
-  SimTime delay;
-  std::uint64_t seq;
-  if (streams_explicit_) {
-    // Stream sequencing: the channel's stream draws the delay and stripes
-    // the seq, so a tenant's sub-trajectory is independent of every other
-    // tenant sharing the engine.
-    Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-    delay = delays_.min_delay +
-            static_cast<SimTime>(stream.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
-    seq = stream.next_seq++ * streams_.size() +
-          static_cast<std::uint64_t>(dc.stream);
-    ++stream.in_flight_by_type[type_bucket(msg.type)];
+  SimTime delay = delays_.min_delay +
+                  static_cast<SimTime>(dc.rng.next_below(
+                      delays_.max_delay - delays_.min_delay + 1));
+  if (fresh) {
     ++src.in_flight;
-  } else {
-    delay = delays_.min_delay +
-            static_cast<SimTime>(src.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
-    seq = src.next_seq++ * lanes_.size() +
-          static_cast<std::uint64_t>(dc.src_lane);
-    ++src.in_flight;
-    ++src.in_flight_by_type[type_bucket(msg.type)];
+    ++in_flight_cells(dc)[type_bucket(msg.type)];
+    if (jitter > 0) {
+      SimTime extra = static_cast<SimTime>(
+          dc.rng.next_below(static_cast<std::uint64_t>(jitter) + 1));
+      if (extra > 0) {
+        delay += extra;
+        ++chaos_->link(channel_index).stats.jittered;
+      }
+    }
   }
   // FIFO: the delivery may not overtake earlier traffic on this channel.
   SimTime deliver_at = std::max(src.now + delay, dc.last_scheduled);
@@ -264,7 +280,7 @@ void Engine::schedule_delivery(int channel_index, const Message& msg) {
 
   Event event;
   event.at = deliver_at;
-  event.seq = seq;
+  event.seq = next_seq(dc.next_seq, static_cast<std::uint64_t>(channel_index));
   event.kind = EventKind::kDelivery;
   event.target = channel_index;
   event.payload = dc.epoch;
@@ -283,8 +299,7 @@ void Engine::schedule_delivery(int channel_index, const Message& msg) {
 void Engine::configure_chaos(const ChaosConfig& config) {
   KLEX_REQUIRE(!started_, "configure chaos before start");
   KLEX_REQUIRE(chaos_ == nullptr, "configure_chaos runs once");
-  chaos_ = std::make_unique<ChaosModel>(seed_, channel_count(),
-                                        process_count(), config);
+  chaos_ = std::make_unique<ChaosModel>(channel_count(), config);
 }
 
 void Engine::chaos_burst(const ChaosConfig& config, SimTime duration) {
@@ -328,28 +343,23 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
   // hold created by this very send does not age itself.
   const std::uint64_t mature_below = link.next_hold_id;
 
-  if (cfg.drop_p > 0.0 && link.rng.next_bool(cfg.drop_p)) {
+  if (cfg.drop_p > 0.0 && dc.rng.next_bool(cfg.drop_p)) {
     // Lost at send time: no ring entry, no event, no census increment.
     // The sender already gave the token up, so the census goes short --
     // real in-model damage the root timeout must repair.
     ++link.stats.dropped;
-  } else if (cfg.dup_p > 0.0 && link.rng.next_bool(cfg.dup_p)) {
+  } else if (cfg.dup_p > 0.0 && dc.rng.next_bool(cfg.dup_p)) {
     ++link.stats.duplicated;
-    chaos_schedule_copy(channel_index, msg, cfg, true);
-    chaos_schedule_copy(channel_index, msg, cfg, true);
-  } else if (cfg.reorder_p > 0.0 && link.rng.next_bool(cfg.reorder_p)) {
+    enqueue_delivery(channel_index, msg, cfg.jitter, true);
+    enqueue_delivery(channel_index, msg, cfg.jitter, true);
+  } else if (cfg.reorder_p > 0.0 && dc.rng.next_bool(cfg.reorder_p)) {
     ++link.stats.reordered;
     // Held back: stays in the in-flight census (released without
     // re-counting), overtaken by up to reorder_window later sends.
     ++src.in_flight;
-    if (streams_explicit_) {
-      ++streams_[static_cast<std::size_t>(dc.stream)]
-            .in_flight_by_type[type_bucket(msg.type)];
-    } else {
-      ++src.in_flight_by_type[type_bucket(msg.type)];
-    }
+    ++in_flight_cells(dc)[type_bucket(msg.type)];
     const std::uint64_t id = link.next_hold_id++;
-    const int release_after = 1 + static_cast<int>(link.rng.next_below(
+    const int release_after = 1 + static_cast<int>(dc.rng.next_below(
         static_cast<std::uint64_t>(cfg.reorder_window)));
     link.held.push_back(ChaosModel::Held{msg, release_after, id});
     // Guaranteed release on a quiet channel: a flush event on the source
@@ -357,91 +367,31 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
     // channel clear find an empty hold buffer (ids never reset).
     Event flush;
     flush.at = src.now + cfg.reorder_flush_delay;
-    if (streams_explicit_) {
-      Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-      flush.seq = stream.next_seq++ * streams_.size() +
-                  static_cast<std::uint64_t>(dc.stream);
-    } else {
-      flush.seq = chaos_->delivery_seq(channel_index);
-    }
+    flush.seq =
+        next_seq(dc.next_seq, static_cast<std::uint64_t>(channel_index));
     flush.kind = EventKind::kChaosFlush;
     flush.target = channel_index;
     flush.payload = id;
     src.queue.push(flush);
   } else {
-    chaos_schedule_copy(channel_index, msg, cfg, true);
+    enqueue_delivery(channel_index, msg, cfg.jitter, true);
   }
 
-  chaos_mature_holds(channel_index, mature_below);
+  chaos_release(channel_index, mature_below, /*flush=*/false);
 }
 
-void Engine::chaos_schedule_copy(int channel_index, const Message& msg,
-                                 const ChaosConfig& cfg, bool fresh) {
-  DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
-  Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
-  ChaosModel::Link& link = chaos_->link(channel_index);
-  SimTime delay;
-  std::uint64_t seq;
-  if (streams_explicit_) {
-    // Fleet engines keep their stream sequencing; only the chaos
-    // decisions and jitter come from the link rng.
-    Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-    delay = delays_.min_delay +
-            static_cast<SimTime>(stream.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
-    seq = stream.next_seq++ * streams_.size() +
-          static_cast<std::uint64_t>(dc.stream);
-    if (fresh) {
-      ++stream.in_flight_by_type[type_bucket(msg.type)];
-      ++src.in_flight;
-    }
-  } else {
-    // Chaos sequencing: delay and seq from the per-channel state, so the
-    // trajectory is identical at every lane count.
-    delay = delays_.min_delay +
-            static_cast<SimTime>(link.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
-    seq = chaos_->delivery_seq(channel_index);
-    if (fresh) {
-      ++src.in_flight;
-      ++src.in_flight_by_type[type_bucket(msg.type)];
-    }
-  }
-  if (fresh && cfg.jitter > 0) {
-    SimTime extra = static_cast<SimTime>(link.rng.next_below(
-        static_cast<std::uint64_t>(cfg.jitter) + 1));
-    if (extra > 0) {
-      delay += extra;
-      ++link.stats.jittered;
-    }
-  }
-  SimTime deliver_at = std::max(src.now + delay, dc.last_scheduled);
-  dc.last_scheduled = deliver_at;
-
-  Event event;
-  event.at = deliver_at;
-  event.seq = seq;
-  event.kind = EventKind::kDelivery;
-  event.target = channel_index;
-  event.payload = dc.epoch;
-  if (in_window_ && dc.dst_lane != dc.src_lane) {
-    src.outbox.push_back(Outbound{channel_index, event, msg});
-  } else {
-    dc.in_flight.push_back(msg);
-    lanes_[static_cast<std::size_t>(dc.dst_lane)].queue.push(event);
-  }
-}
-
-void Engine::chaos_mature_holds(int channel_index, std::uint64_t below) {
+void Engine::chaos_release(int channel_index, std::uint64_t bound,
+                           bool flush) {
   ChaosModel::Link& link = chaos_->link(channel_index);
   if (link.held.empty()) return;
   // Collect the due holds first, then schedule: the release path draws
-  // from the link rng and must not interleave with the compaction.
+  // from the channel rng and must not interleave with the compaction.
   std::vector<ChaosModel::Held> due;
   std::size_t out = 0;
   for (std::size_t i = 0; i < link.held.size(); ++i) {
     ChaosModel::Held& held = link.held[i];
-    if (held.id < below && --held.release_after <= 0) {
+    if (flush ? held.id <= bound
+              : held.id < bound && --held.release_after <= 0) {
       due.push_back(held);
     } else {
       if (out != i) link.held[out] = std::move(held);
@@ -449,38 +399,8 @@ void Engine::chaos_mature_holds(int channel_index, std::uint64_t below) {
     }
   }
   link.held.resize(out);
-  const ChaosConfig& cfg = chaos_->effective(
-      channel_index,
-      lanes_[static_cast<std::size_t>(
-                 channels_[static_cast<std::size_t>(channel_index)].src_lane)]
-          .now);
   for (const ChaosModel::Held& held : due) {
-    chaos_schedule_copy(channel_index, held.msg, cfg, false);
-  }
-}
-
-void Engine::chaos_flush(int channel_index, std::uint64_t up_to) {
-  ChaosModel::Link& link = chaos_->link(channel_index);
-  if (link.held.empty() || link.held.front().id > up_to) return;
-  std::vector<ChaosModel::Held> due;
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < link.held.size(); ++i) {
-    ChaosModel::Held& held = link.held[i];
-    if (held.id <= up_to) {
-      due.push_back(held);
-    } else {
-      if (out != i) link.held[out] = std::move(held);
-      ++out;
-    }
-  }
-  link.held.resize(out);
-  const ChaosConfig& cfg = chaos_->effective(
-      channel_index,
-      lanes_[static_cast<std::size_t>(
-                 channels_[static_cast<std::size_t>(channel_index)].src_lane)]
-          .now);
-  for (const ChaosModel::Held& held : due) {
-    chaos_schedule_copy(channel_index, held.msg, cfg, false);
+    enqueue_delivery(channel_index, held.msg, 0, false);
   }
 }
 
@@ -520,23 +440,11 @@ void Engine::set_timer_for(NodeId node, int timer_id, SimTime delay) {
                          static_cast<std::size_t>(timer_id)];
   ++generation;  // invalidates any pending firing of this timer
 
-  int lane_index = lane_of(node);
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
+  Lane& lane = lanes_[static_cast<std::size_t>(lane_of(node))];
   Event event;
   event.at = lane.now + delay;
-  if (streams_explicit_) {
-    std::int32_t s = node_stream_[static_cast<std::size_t>(node)];
-    event.seq = streams_[static_cast<std::size_t>(s)].next_seq++ *
-                    streams_.size() +
-                static_cast<std::uint64_t>(s);
-  } else if (chaos_) {
-    // Chaos sequencing: per-node timer counters keep the (at, seq)
-    // order lane-count-independent (see chaos.hpp).
-    event.seq = chaos_->timer_seq(node);
-  } else {
-    event.seq = lane.next_seq++ * lanes_.size() +
-                static_cast<std::uint64_t>(lane_index);
-  }
+  event.seq = next_seq(timer_seqs_[static_cast<std::size_t>(node)],
+                       channels_.size() + static_cast<std::size_t>(node));
   event.kind = EventKind::kTimer;
   event.target = node;
   event.timer_id = static_cast<std::uint8_t>(timer_id);
@@ -553,59 +461,48 @@ void Engine::cancel_timer_for(NodeId node, int timer_id) {
 }
 
 void Engine::schedule(SimTime delay, std::function<void()> fn) {
-  int lane_index = detail::t_current_lane;
-  // Inside an event handler the executing stream is ambient (dispatch
-  // maintains it); without explicit streams the stream slot is the lane.
-  int stream = streams_explicit_ ? detail::t_current_stream : lane_index;
-  schedule_callback(stream, lane_index, delay, std::move(fn));
+  // Inside an event handler the executing stream and lane are ambient
+  // (run_event maintains them).
+  schedule_callback(detail::t_current_stream, detail::t_current_lane, delay,
+                    std::move(fn));
 }
 
 void Engine::schedule_in_stream(int stream, SimTime delay,
                                 std::function<void()> fn) {
-  if (!streams_explicit_) {
-    // The default engine sequences per lane; the caller's stream hint is
-    // the lane hint it would have gotten ambiently anyway.
-    schedule(delay, std::move(fn));
-    return;
-  }
-  KLEX_REQUIRE(stream >= 0 && stream < static_cast<int>(streams_.size()),
-               "bad stream ", stream);
-  schedule_callback(stream,
-                    streams_[static_cast<std::size_t>(stream)].home_lane,
-                    delay, std::move(fn));
+  schedule_callback(stream, stream_at(stream).home_lane, delay,
+                    std::move(fn));
 }
 
 void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
                                std::function<void()> fn) {
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
+  // Callback seq counters and the slab are shared across lanes; the
+  // parallel engine stops opening windows once any callback exists, so
+  // a call from inside one is a protocol error.
+  KLEX_CHECK(!in_window_, "callbacks cannot be scheduled inside a window");
   std::uint32_t slot;
-  if (!lane.callback_free_slots.empty()) {
-    slot = lane.callback_free_slots.back();
-    lane.callback_free_slots.pop_back();
-    lane.callback_slab[slot] = std::move(fn);
+  if (!callback_free_slots_.empty()) {
+    slot = callback_free_slots_.back();
+    callback_free_slots_.pop_back();
+    callback_slab_[slot] = std::move(fn);
   } else {
-    slot = static_cast<std::uint32_t>(lane.callback_slab.size());
-    lane.callback_slab.push_back(std::move(fn));
-    ++lane.callback_slots_created;
+    slot = static_cast<std::uint32_t>(callback_slab_.size());
+    callback_slab_.push_back(std::move(fn));
+    ++callback_slots_created_;
   }
 
+  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   Event event;
   event.at = lane.now + delay;
-  if (streams_explicit_) {
-    event.seq = streams_[static_cast<std::size_t>(stream)].next_seq++ *
-                    streams_.size() +
-                static_cast<std::uint64_t>(stream);
-  } else if (chaos_) {
-    event.seq = chaos_->callback_seq();
-  } else {
-    event.seq = lane.next_seq++ * lanes_.size() +
-                static_cast<std::uint64_t>(lane_index);
-  }
+  event.seq = next_seq(streams_[static_cast<std::size_t>(stream)]
+                           .next_callback_seq,
+                       channels_.size() + processes_.size() +
+                           static_cast<std::size_t>(stream));
   event.kind = EventKind::kCallback;
+  event.target = stream;
   event.payload = slot;
   lane.queue.push(event);
-  ++lane.pending_callbacks;
-  ++lane.callbacks_scheduled;
+  ++pending_callbacks_;
+  ++callbacks_scheduled_;
 }
 
 void Engine::inject_message(NodeId from, int from_channel,
@@ -716,12 +613,6 @@ std::uint64_t Engine::in_flight_messages() const {
   return total;
 }
 
-std::uint64_t Engine::pending_callbacks() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.pending_callbacks;
-  return total;
-}
-
 EngineStats& EngineStats::operator+=(const EngineStats& other) {
   events_executed += other.events_executed;
   messages_sent += other.messages_sent;
@@ -748,8 +639,6 @@ EngineStats Engine::stats() const {
     stats.events_executed += lane.events_executed;
     stats.messages_sent += lane.messages_sent;
     stats.messages_delivered += lane.messages_delivered;
-    stats.callbacks_scheduled += lane.callbacks_scheduled;
-    stats.callback_slots_created += lane.callback_slots_created;
     stats.max_heap_size += static_cast<std::uint64_t>(lane.queue.max_size());
     const SchedulerCounters& c = lane.queue.counters();
     stats.scheduler.bucket_inserts += c.bucket_inserts;
@@ -757,6 +646,8 @@ EngineStats Engine::stats() const {
     stats.scheduler.overflow_pushes += c.overflow_pushes;
     stats.scheduler.overflow_pops += c.overflow_pops;
   }
+  stats.callbacks_scheduled = callbacks_scheduled_;
+  stats.callback_slots_created = callback_slots_created_;
   stats.in_flight_walks = in_flight_walks_;
   stats.bucket_window =
       static_cast<std::uint64_t>(lanes_[0].queue.bucket_window());
@@ -817,21 +708,51 @@ void Engine::dispatch(Lane& lane, const Event& event) {
       return;
     }
     case EventKind::kCallback: {
-      --lane.pending_callbacks;
+      --pending_callbacks_;
       std::uint32_t slot = static_cast<std::uint32_t>(event.payload);
-      std::function<void()> fn = std::move(lane.callback_slab[slot]);
-      lane.callback_slab[slot] = nullptr;
-      lane.callback_free_slots.push_back(slot);
+      std::function<void()> fn = std::move(callback_slab_[slot]);
+      callback_slab_[slot] = nullptr;
+      callback_free_slots_.push_back(slot);
       fn();
       return;
     }
     case EventKind::kChaosFlush: {
       // Runs on the channel's source lane (the queue the hold pushed
       // it to), so the hold buffer stays single-writer.
-      chaos_flush(event.target, event.payload);
+      chaos_release(event.target, event.payload, /*flush=*/true);
       return;
     }
   }
+}
+
+int Engine::run_event(Lane& lane, int lane_index, const Event& event) {
+  // The executing stream is the owner of the event's sequencing slot.
+  int stream;
+  switch (event.kind) {
+    case EventKind::kTimer:
+      stream = node_stream_[static_cast<std::size_t>(event.target)];
+      break;
+    case EventKind::kCallback:
+      stream = event.target;
+      break;
+    default:
+      stream = channels_[static_cast<std::size_t>(event.target)].stream;
+      break;
+  }
+  ++lane.events_executed;
+  // Explicit streams nest in lanes, so this cell is single-writer; the
+  // plain engine's one stream reads the lane totals instead.
+  if (streams_explicit_) {
+    ++streams_[static_cast<std::size_t>(stream)].events_executed;
+  }
+  detail::t_current_stream = stream;
+  detail::t_current_lane = lane_index;
+  detail::t_current_event_seq = event.seq;
+  dispatch(lane, event);
+  detail::t_current_event_seq = 0;
+  detail::t_current_lane = 0;
+  detail::t_current_stream = 0;
+  return stream;
 }
 
 void Engine::execute(Lane& lane, int lane_index, const Event& event) {
@@ -845,31 +766,16 @@ void Engine::execute(Lane& lane, int lane_index, const Event& event) {
       l.queue.advance_to(event.at);
     }
   }
-  ++lane.events_executed;
-  if (streams_explicit_) {
-    // seq striping makes the executing stream recoverable from any event:
-    // seq = stream_seq * stream_count + stream.
-    int stream = static_cast<int>(event.seq % streams_.size());
-    ++streams_[static_cast<std::size_t>(stream)].events_executed;
-    last_stream_ = stream;
-    detail::t_current_stream = stream;
-    detail::t_current_lane = lane_index;
-    detail::t_current_event_seq = event.seq;
+  if (lanes_.size() == 1 && !streams_explicit_) {
+    // The serial plain engine needs no thread-local context: lane and
+    // stream are 0, and observers read the event seq only while they
+    // buffer inside a window. This loop is the hot path of every P = 1
+    // run, so it skips the six thread-local writes.
+    ++lane.events_executed;
     dispatch(lane, event);
-    detail::t_current_event_seq = 0;
-    detail::t_current_lane = 0;
-    detail::t_current_stream = 0;
     return;
   }
-  if (lanes_.size() > 1) {
-    detail::t_current_lane = lane_index;
-    detail::t_current_event_seq = event.seq;
-    dispatch(lane, event);
-    detail::t_current_event_seq = 0;
-    detail::t_current_lane = 0;
-  } else {
-    dispatch(lane, event);
-  }
+  last_stream_ = run_event(lane, lane_index, event);
 }
 
 bool Engine::pop_next(SimTime t, Event* out, int* lane_out) {
@@ -878,9 +784,10 @@ bool Engine::pop_next(SimTime t, Event* out, int* lane_out) {
     *lane_out = 0;
     return true;
   }
-  // Merged-serial order: the global (at, seq) minimum across lanes. seq
-  // striping makes the key unique, so this order is identical whatever
-  // queue an event sits in -- and identical to the windowed execution.
+  // Merged-serial order: the global (at, seq) minimum across lanes. The
+  // per-entity slots make the key unique, so this order is identical
+  // whatever queue an event sits in -- and identical to the windowed
+  // execution.
   int best = -1;
   Event best_event;
   for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
@@ -968,30 +875,16 @@ void Engine::begin_window(SimTime start) {
 
 void Engine::run_lane_window(int lane_index, SimTime t) {
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
-  detail::t_current_lane = lane_index;
-  const bool streams = streams_explicit_;
   Event event;
   while (lane.queue.pop_min_until(t, &event)) {
     if (event.at != lane.now) {
       lane.now = event.at;
       lane.queue.advance_to(event.at);
     }
-    ++lane.events_executed;
-    if (streams) {
-      // Safe concurrently: this lane's events only carry streams homed on
-      // this lane (streams nest in lanes), so the stream cell and the TLS
-      // slot are single-writer. last_stream_ is deliberately not updated
-      // here -- it serves the merged-serial stabilization loop only.
-      int stream = static_cast<int>(event.seq % streams_.size());
-      ++streams_[static_cast<std::size_t>(stream)].events_executed;
-      detail::t_current_stream = stream;
-    }
-    detail::t_current_event_seq = event.seq;
-    dispatch(lane, event);
+    // last_stream_ is deliberately not updated here -- it serves the
+    // merged-serial stabilization loop only.
+    run_event(lane, lane_index, event);
   }
-  detail::t_current_event_seq = 0;
-  detail::t_current_lane = 0;
-  detail::t_current_stream = 0;
 }
 
 void Engine::end_window() {

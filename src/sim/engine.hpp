@@ -17,38 +17,48 @@
 //     channel with up to CMAX arbitrary messages (see inject_garbage()).
 //
 // Lanes. The engine is organized as `lane_count()` partitions ("lanes"),
-// each owning an EventQueue, an Rng stream, a clock, per-type census
-// counters and a callback slab. The default engine has exactly one lane
-// and runs the classic serial loop; configure_lanes() splits the node
-// set across lanes (sim::ParallelEngine then executes conservative
-// min_delay-wide time windows with one worker thread per lane). Every
-// event's seq is striped as `lane_seq * lane_count + lane`, which keeps
-// the (at, seq) total order globally unique and independent of which
-// lane queue holds the event -- with one lane this reduces to the plain
-// insertion counter, so the serial engine is bit-identical to before.
+// each owning an EventQueue, a clock and per-type census counters. The
+// default engine has exactly one lane and runs the classic serial loop;
+// configure_lanes() splits the node set across lanes (sim::ParallelEngine
+// then executes conservative min_delay-wide time windows with one worker
+// thread per lane).
+//
+// Sequencing. Events are ordered by (at, seq), and every delay draw and
+// seq comes from per-entity state that knows nothing of lanes:
+//   * channel c owns its delay rng and a seq counter (slot c) shared by
+//     its deliveries and chaos flushes;
+//   * node v owns a timer seq counter (slot C + v);
+//   * stream s owns a callback seq counter (slot C + N + s);
+// with seq = counter * (C + N + S) + slot for C channels, N nodes and S
+// streams. The (at, seq) order is globally unique, and a run is the same
+// execution at every lane count P.
+//
+// Streams (multi-tenant fleets). A plain engine is one stream seeded with
+// the engine seed: channel c draws from Rng(seed ^ salt).split(c).
+// configure_streams() partitions the engine into independently seeded
+// streams instead: stream s keys its channels' rngs from its own seed and
+// the stream-relative channel index, and explicit streams also own
+// per-type census cells. The fleet layer (api/fleet.hpp) maps one
+// protocol instance ("tenant") to one stream; its slots keep their
+// relative order, so a tenant's delay draws and (at, seq) sub-order are
+// byte-identical to a standalone engine running that tenant alone with
+// the stream's seed -- whatever the other tenants do. Explicit streams
+// must nest inside lanes (every node of a stream on one lane, channels
+// never crossing streams), which keeps their census cells single-writer.
 //
 // Parallel-safety contract (all of it single-writer, no locks):
-//   * a channel's FIFO ring, last_scheduled clamp and rng draws belong to
-//     the channel's source lane; cross-lane deliveries created inside a
-//     window park in the source lane's outbox and are merged into the
-//     destination queue at the window barrier (single-threaded);
+//   * a channel's FIFO ring, last_scheduled clamp, rng and seq counter
+//     belong to the channel's source lane; cross-lane deliveries created
+//     inside a window park in the source lane's outbox and are merged
+//     into the destination queue at the window barrier (single-threaded);
+//   * a node's timer counter belongs to the node's lane;
+//   * callbacks belong to the calling thread outside windows: the
+//     parallel engine opens no window once any callback was scheduled,
+//     and schedule() inside a window fails a check;
 //   * per-lane counters may individually wrap (a lane delivers messages
 //     another lane sent) but their mod-2^64 sums are exact, and they are
 //     only summed between windows;
 //   * channel epochs and clear_channels() are barrier-only operations.
-//
-// Streams (multi-tenant fleets). configure_streams() overlays an
-// independent *sequencing* axis on top of the lanes: each stream owns its
-// own rng, seq counter and per-type census cells, seeded independently of
-// the engine seed. The fleet layer (api/fleet.hpp) maps one protocol
-// instance ("tenant") to one stream, so a tenant's delay draws and its
-// (at, seq) sub-order are byte-identical to a standalone engine running
-// that tenant alone with the stream's seed -- whatever the other tenants
-// do. Streams must nest inside lanes (every node of a stream on one lane,
-// channels never crossing streams), which preserves the single-writer
-// contract above verbatim. Engines that never call configure_streams()
-// take none of these paths: the default mode is the pre-stream engine,
-// bit for bit.
 #pragma once
 
 #include <array>
@@ -63,6 +73,7 @@
 #include "sim/message.hpp"
 #include "sim/message_ring.hpp"
 #include "sim/time.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace klex::sim {
@@ -78,10 +89,10 @@ namespace detail {
 // Engine::current_lane() inlines to a single TLS load on the per-delta
 // census path.
 inline thread_local int t_current_lane = 0;
-// Stream (tenant) of the event executing on this thread. Only maintained
-// by engines with explicit streams (configure_streams); 0 everywhere
-// else. Same inlining rationale as t_current_lane: the tenant-axis
-// census routes every participant delta through Engine::current_stream().
+// Stream (tenant) of the event executing on this thread; 0 outside event
+// dispatch and on engines without explicit streams. Same inlining
+// rationale as t_current_lane: the tenant-axis census routes every
+// participant delta through Engine::current_stream().
 inline thread_local int t_current_stream = 0;
 // Global (at, seq) sequence number of the event executing on this
 // thread, 0 outside event dispatch. Window-safe observers stamp their
@@ -273,8 +284,8 @@ class Engine {
 
   /// Splits the node set into `lane_count` lanes: node v belongs to lane
   /// `node_lane[v]`. Must be called after wiring and before start();
-  /// resets all lane-local state (queues must be empty). Lane 0 keeps the
-  /// engine's seed stream, so a 1-lane configuration is the serial engine.
+  /// resets all lane-local state (queues must be empty). The partition
+  /// changes who executes an event, never which execution runs.
   void configure_lanes(const std::vector<int>& node_lane, int lane_count);
 
   int lane_count() const { return static_cast<int>(lanes_.size()); }
@@ -298,34 +309,30 @@ class Engine {
 
   // -- streams (multi-tenant sequencing; see the file comment) ---------------
 
-  /// Overlays explicit streams on the engine: node v belongs to stream
-  /// `node_stream[v]`, and stream s draws delays from its own
-  /// Rng(stream_seeds[s]) and stripes its event seqs as
-  /// `stream_seq * stream_count + s`. Must be called after wiring (and
-  /// after configure_lanes, if any) and before start(). Every stream must
-  /// nest inside one lane and no channel may cross streams -- that is what
-  /// keeps stream state single-writer and tenants causally independent.
+  /// Replaces the engine's single stream with explicit ones: node v
+  /// belongs to stream `node_stream[v]`, and stream s keys its channels'
+  /// delay rngs from stream_seeds[s] and the stream-relative channel
+  /// index. Must be called after wiring (and after configure_lanes, if
+  /// any) and before any event is scheduled. Every stream must nest
+  /// inside one lane and no channel may cross streams -- that is what
+  /// keeps stream census cells single-writer and tenants causally
+  /// independent.
   void configure_streams(const std::vector<int>& node_stream,
                          const std::vector<std::uint64_t>& stream_seeds);
 
-  /// Number of explicit streams (lane_count() when none were configured:
-  /// the default engine sequences per lane).
-  int stream_count() const {
-    return streams_explicit_ ? static_cast<int>(streams_.size())
-                             : lane_count();
-  }
+  /// Number of streams (1 unless configure_streams ran).
+  int stream_count() const { return static_cast<int>(streams_.size()); }
 
   bool has_explicit_streams() const { return streams_explicit_; }
 
-  /// Stream of `node` (the node's lane for engines without explicit
-  /// streams).
+  /// Stream of `node` (0 on engines without explicit streams).
   int stream_of(NodeId node) const {
     return streams_explicit_ ? node_stream_[static_cast<std::size_t>(node)]
-                             : lane_of(node);
+                             : 0;
   }
 
-  /// Stream of the event executing on the calling thread (0 unless the
-  /// engine has explicit streams). The tenant-axis census routes its
+  /// Stream of the event executing on the calling thread (0 outside
+  /// event dispatch). The tenant-axis census routes its
   /// per-tenant accumulators through this on every participant delta, so
   /// the read must inline (one TLS load, no cross-TU call).
   static int current_stream() { return detail::t_current_stream; }
@@ -380,18 +387,22 @@ class Engine {
   /// Number of in-flight (sent, not yet delivered) messages.
   std::uint64_t in_flight_messages() const;
 
-  /// Number of scheduled-but-unfired callbacks across all lanes. The
-  /// parallel engine refuses to run windows while any are pending
-  /// (workload callbacks may touch any node) and falls back to the
-  /// merged-serial loop, which is trajectory-identical.
-  std::uint64_t pending_callbacks() const;
+  /// Number of scheduled-but-unfired callbacks.
+  std::uint64_t pending_callbacks() const { return pending_callbacks_; }
+
+  /// Callbacks scheduled over the run. Once it is nonzero the parallel
+  /// engine opens no more windows (callbacks may touch any node, and the
+  /// callback seq counters are written outside windows only) and runs
+  /// the trajectory-identical merged-serial loop instead.
+  std::uint64_t callbacks_scheduled() const { return callbacks_scheduled_; }
 
   // -- window protocol (driven by sim::ParallelEngine) -----------------------
   //
   // begin_window(W) -> concurrent run_lane_window(lane, end) per lane ->
   // end_window() -> repeat; finish with sync_lanes_to(t). Between
   // begin_window and end_window only run_lane_window may touch the
-  // engine, each lane index from at most one thread.
+  // engine, each lane index from at most one thread (schedule() there
+  // fails a check).
 
   /// Opens a window starting at `start` (>= every lane clock): advances
   /// all lane clocks and ring windows, and flips sends into deferred
@@ -440,12 +451,9 @@ class Engine {
 
   // -- chaos (adversarial channels; see sim/chaos.hpp) -----------------------
 
-  /// Attaches a ChaosModel over all channels. Must run after wiring
-  /// (and configure_lanes/configure_streams, if any) and before start();
-  /// runs once. Engines without explicit streams switch to the chaos
-  /// sequencing described in chaos.hpp, which makes the whole trajectory
-  /// lane-count-independent; engines that never call this take the stock
-  /// code paths bit for bit.
+  /// Attaches a ChaosModel over all channels. Must run after wiring and
+  /// before start(); runs once. Chaos decisions draw from the channels'
+  /// own rngs, so a chaos run is as lane-count-independent as any other.
   void configure_chaos(const ChaosConfig& config);
 
   bool has_chaos() const { return chaos_ != nullptr; }
@@ -498,14 +506,15 @@ class Engine {
   void declare_timer_span(SimTime span);
 
   /// Schedules `fn` to run at now() + delay as a standalone event (used by
-  /// workloads / applications to model request arrivals and CS completion).
+  /// workloads / applications to model request arrivals and CS
+  /// completion), sequenced in the executing event's stream. Fails a
+  /// check inside a parallel window.
   void schedule(SimTime delay, std::function<void()> fn);
 
   /// schedule() with an explicit sequencing stream, for callers outside
   /// any event context (a workload driver arming a tenant's first think
-  /// timer from the main thread). Engines without explicit streams ignore
-  /// `stream` and behave exactly like schedule(); with streams, the
-  /// callback is sequenced in `stream` and queued on its home lane.
+  /// timer from the main thread): the callback is sequenced in `stream`
+  /// and queued on its home lane.
   void schedule_in_stream(int stream, SimTime delay,
                           std::function<void()> fn);
 
@@ -573,10 +582,12 @@ class Engine {
   /// merely sum-exact): with explicit streams the increment, the delivery
   /// decrement and the range-clear decrement all land in the channel's
   /// stream cell, so a tenant's census reads one cell in O(1) without
-  /// scanning the other tenants. Requires explicit streams.
+  /// scanning the other tenants. On a plain engine stream 0 is the whole
+  /// engine.
   std::uint64_t in_flight_of_type_in(int stream, std::int32_t type) const {
-    return streams_[static_cast<std::size_t>(stream)]
-        .in_flight_by_type[type_bucket(type)];
+    const Stream& s = stream_at(stream);
+    return streams_explicit_ ? s.in_flight_by_type[type_bucket(type)]
+                             : in_flight_of_type(type);
   }
 
   /// Per-type counters are exact for types in [0, kTrackedMessageTypes).
@@ -599,24 +610,24 @@ class Engine {
   }
 
   /// sent_of_type restricted to one stream (per-tenant message-overhead
-  /// accounting). Requires explicit streams.
+  /// accounting).
   std::uint64_t sent_of_type_in(int stream, std::int32_t type) const {
-    return streams_[static_cast<std::size_t>(stream)]
-        .sent_by_type[type_bucket(type)];
+    const Stream& s = stream_at(stream);
+    return streams_explicit_ ? s.sent_by_type[type_bucket(type)]
+                             : sent_of_type(type);
   }
 
   /// Events executed on behalf of one stream (per-tenant recovery-cost
-  /// accounting). Requires explicit streams.
+  /// accounting).
   std::uint64_t events_executed_in(int stream) const {
-    return streams_[static_cast<std::size_t>(stream)].events_executed;
+    const Stream& s = stream_at(stream);
+    return streams_explicit_ ? s.events_executed : events_executed();
   }
 
   /// Per-channel in-flight count for (from, from_channel).
   int channel_backlog(NodeId from, int from_channel) const;
 
   void add_observer(SimObserver* observer) { observers_.push_back(observer); }
-
-  support::Rng& rng() { return lanes_[0].rng; }
 
   /// Event-core counters (see EngineStats).
   EngineStats stats() const;
@@ -636,8 +647,12 @@ class Engine {
     std::int32_t src_lane = 0;
     std::int32_t dst_lane = 0;
     // Sequencing stream (== src stream == dst stream: channels may not
-    // cross streams). 0 until configure_streams, unused before it.
+    // cross streams).
     std::int32_t stream = 0;
+    // Delay (and chaos decision) draws, and the seq counter of the
+    // channel's deliveries and chaos flushes (see the file comment).
+    support::Rng rng{0};
+    std::uint64_t next_seq = 0;
     MessageRing in_flight;
   };
 
@@ -649,43 +664,28 @@ class Engine {
     Message msg;
   };
 
-  /// One partition: queue, rng stream, clock, counters, callback slab.
+  /// One partition: queue, clock, counters, outbox.
   struct Lane {
-    Lane(SchedulerKind kind, support::Rng lane_rng)
-        : queue(kind), rng(lane_rng) {}
+    explicit Lane(SchedulerKind kind) : queue(kind) {}
 
     EventQueue queue;
-    support::Rng rng;
     SimTime now = 0;
-    std::uint64_t next_seq = 0;
 
     std::uint64_t messages_sent = 0;
     std::uint64_t messages_delivered = 0;
     std::uint64_t events_executed = 0;
     std::uint64_t in_flight = 0;  // may wrap per lane; sums are exact
-    std::uint64_t pending_callbacks = 0;
-    std::uint64_t callbacks_scheduled = 0;
-    std::uint64_t callback_slots_created = 0;
     std::array<std::uint64_t, kTrackedMessageTypes> in_flight_by_type{};
     std::array<std::uint64_t, kTrackedMessageTypes> sent_by_type{};
-
-    // Callback slab: slots are recycled through a free list, so
-    // steady-state scheduling constructs no new slots (the
-    // std::function's own capture allocation, if any, is the caller's).
-    std::vector<std::function<void()>> callback_slab;
-    std::vector<std::uint32_t> callback_free_slots;
 
     std::vector<Outbound> outbox;
   };
 
-  /// One explicit stream (tenant): its own rng, seq counter and per-type
-  /// census cells. Single writer: all of a stream's nodes live on one
-  /// lane, so only that lane's thread ever touches the stream.
+  /// One stream: its callback seq counter and, with explicit streams,
+  /// its per-type census cells (single writer: all of an explicit
+  /// stream's nodes live on one lane).
   struct Stream {
-    explicit Stream(support::Rng stream_rng) : rng(stream_rng) {}
-
-    support::Rng rng;
-    std::uint64_t next_seq = 0;
+    std::uint64_t next_callback_seq = 0;
     std::uint64_t events_executed = 0;
     std::int32_t home_lane = 0;
     std::array<std::uint64_t, kTrackedMessageTypes> in_flight_by_type{};
@@ -700,30 +700,54 @@ class Engine {
     return t < static_cast<std::uint32_t>(kTrackedMessageTypes) ? t : 0u;
   }
 
+  const Stream& stream_at(int stream) const {
+    KLEX_REQUIRE(stream >= 0 && stream < stream_count(), "bad stream ",
+                 stream);
+    return streams_[static_cast<std::size_t>(stream)];
+  }
+
+  /// seq = counter * (C + N + S) + slot (see the file comment).
+  std::uint64_t next_seq(std::uint64_t& counter, std::uint64_t slot) const {
+    return counter++ * seq_stride_ + slot;
+  }
+  /// Per-type in-flight cells a send on `dc` counts into: the channel's
+  /// stream with explicit streams, its source lane otherwise.
+  std::array<std::uint64_t, kTrackedMessageTypes>& in_flight_cells(
+      const DirectedChannel& dc);
+
   int channel_index_of(NodeId from, int from_channel) const;
+  /// Rejects wiring changes once seqs may have been handed out (the
+  /// stride and the channel rng keys would move under them).
+  void require_unsequenced(const char* what) const;
   void boot();  // out-of-line once-only part of start()
   void size_ring_windows();
   void dispatch(Lane& lane, const Event& event);
-  /// Advances the clocks to `event.at` and dispatches on `lane`.
+  /// Runs one event on `lane` (clocks already advanced) in the event's
+  /// stream, with the thread-local context set for the handler; returns
+  /// that stream.
+  int run_event(Lane& lane, int lane_index, const Event& event);
+  /// Advances the clocks to `event.at` and runs it (merged-serial loop).
   void execute(Lane& lane, int lane_index, const Event& event);
   /// Pops the global (at, seq) minimum with at <= t across all lanes.
   bool pop_next(SimTime t, Event* out, int* lane_out);
-  void push_event(Event event, int seq_lane, int queue_lane);
+  /// Sends on the channel: through the chaos model if one is attached,
+  /// else straight to enqueue_delivery.
   void schedule_delivery(int channel_index, const Message& msg);
-  // Chaos send path (schedule_delivery with an attached ChaosModel):
-  // decide drop/duplicate/hold/jitter from the link rng, then mature the
-  // channel's older holds (the new send is the overtaking traffic).
+  /// The one delivery body: draws the delay (plus up to `jitter` extra
+  /// ticks) from the channel rng, clamps it for FIFO and queues the
+  /// delivery (or parks it in the outbox mid-window). `fresh` marks a
+  /// first-time send, counted into the in-flight census; releases of
+  /// held messages pass false (counted at hold time, no jitter).
+  void enqueue_delivery(int channel_index, const Message& msg,
+                        SimTime jitter, bool fresh);
+  // Chaos send path: decide drop/duplicate/hold/jitter from the channel
+  // rng, then mature the channel's older holds (the new send is the
+  // overtaking traffic).
   void chaos_send(int channel_index, const Message& msg);
-  /// Schedules one delivery under chaos sequencing. `fresh` marks a
-  /// first-time send (census increment + jitter draw); releases of held
-  /// messages pass false (counted at hold time, no second jitter).
-  void chaos_schedule_copy(int channel_index, const Message& msg,
-                           const ChaosConfig& cfg, bool fresh);
-  /// Ages holds with id < `below` by one send; releases the due ones in
-  /// hold order.
-  void chaos_mature_holds(int channel_index, std::uint64_t below);
-  /// kChaosFlush dispatch: force-releases holds with id <= `up_to`.
-  void chaos_flush(int channel_index, std::uint64_t up_to);
+  /// Releases holds in hold order: on a flush, those with id <= `bound`;
+  /// otherwise those with id < `bound` whose remaining overtake count
+  /// (decremented here) reaches zero.
+  void chaos_release(int channel_index, std::uint64_t bound, bool flush);
   void schedule_callback(int stream, int lane_index, SimTime delay,
                          std::function<void()> fn);
   // Observer fan-out, out of line: the hot send/deliver paths only test
@@ -733,7 +757,6 @@ class Engine {
   void notify_deliver(NodeId to, int channel, const Message& msg);
 
   DelayModel delays_;
-  std::uint64_t seed_;
   SchedulerKind scheduler_kind_;
   bool started_ = false;
   bool in_window_ = false;
@@ -742,11 +765,15 @@ class Engine {
   std::vector<Lane> lanes_;        // >= 1; lanes_[0] is the serial lane
   std::vector<std::int32_t> node_lane_;  // empty until configure_lanes
 
-  // Explicit streams (empty / false until configure_streams).
+  // Streams: one (seeded with the engine seed) until configure_streams.
   bool streams_explicit_ = false;
   std::vector<Stream> streams_;
-  std::vector<std::int32_t> node_stream_;
+  std::vector<std::int32_t> node_stream_;  // one entry per node
   int last_stream_ = 0;
+  // Splits the single stream's channel rngs in wiring order.
+  support::Rng channel_rngs_;
+  // C + N + S, kept current by add_process / connect / configure_streams.
+  std::uint64_t seq_stride_ = 1;
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<DirectedChannel> channels_;
@@ -756,6 +783,18 @@ class Engine {
   // processes, so the staleness check in dispatch is one indexed load.
   // Only ever touched by the owning node's lane.
   std::vector<std::uint64_t> timer_generations_;
+  // Per-node timer seq counters (node's lane only).
+  std::vector<std::uint64_t> timer_seqs_;
+
+  // Callback slab: slots are recycled through a free list, so
+  // steady-state scheduling constructs no new slots (the std::function's
+  // own capture allocation, if any, is the caller's). Callbacks never
+  // run or get scheduled inside a window, so this is single-threaded.
+  std::vector<std::function<void()>> callback_slab_;
+  std::vector<std::uint32_t> callback_free_slots_;
+  std::uint64_t pending_callbacks_ = 0;
+  std::uint64_t callbacks_scheduled_ = 0;
+  std::uint64_t callback_slots_created_ = 0;
 
   mutable std::uint64_t in_flight_walks_ = 0;
 

@@ -1,6 +1,7 @@
 #include "sim/parallel_engine.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "support/check.hpp"
 
@@ -35,9 +36,15 @@ void ParallelEngine::worker_main(int lane) {
       seen = generation_;
       last = window_last_;
     }
-    engine_.run_lane_window(lane, last);
+    std::exception_ptr error;
+    try {
+      engine_.run_lane_window(lane, last);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (error && !worker_error_) worker_error_ = error;
       if (--outstanding_ == 0) window_done_.notify_one();
     }
   }
@@ -50,12 +57,14 @@ void ParallelEngine::run_until(SimTime t) {
   bool observers_block =
       engine_.lane_count() > 1 && engine_.has_blocking_observers();
   for (;;) {
-    if (observers_block || engine_.pending_callbacks() > 0) {
-      // Callbacks may touch any node and blocking observers share state
-      // across lanes; neither is window-safe. (Window-safe observers --
-      // lane-local buffers merged at the barrier -- do not force this
-      // path.) The merged-serial loop executes the exact same (at, seq)
-      // trajectory, just on one thread.
+    if (observers_block || engine_.callbacks_scheduled() > 0) {
+      // Callbacks may touch any node, and a handler may schedule the
+      // next one, whose seq counter is shared across lanes: once an
+      // engine has scheduled any callback, no window opens again.
+      // Blocking observers share state across lanes. (Window-safe
+      // observers -- lane-local buffers merged at the barrier -- do not
+      // force this path.) The merged-serial loop executes the exact same
+      // (at, seq) trajectory, just on one thread.
       ++stats_.merged_fallbacks;
       engine_.run_until(t);
       return;
@@ -77,13 +86,23 @@ void ParallelEngine::run_until(SimTime t) {
       ++generation_;
     }
     work_ready_.notify_all();
-    engine_.run_lane_window(0, window_last);
+    std::exception_ptr error;
+    try {
+      engine_.run_lane_window(0, window_last);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::unique_lock<std::mutex> lock(mu_);
       window_done_.wait(lock, [&] { return outstanding_ == 0; });
+      if (!error) error = worker_error_;
+      worker_error_ = nullptr;
     }
     engine_.end_window();
     ++stats_.windows;
+    // A lane's failure (e.g. a handler scheduling a callback inside the
+    // window) surfaces on the caller once every lane has stopped.
+    if (error) std::rethrow_exception(error);
   }
   engine_.sync_lanes_to(t);
 }

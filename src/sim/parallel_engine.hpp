@@ -17,18 +17,21 @@
 // inside the very window that created it -- each lane's [W, end) slice
 // is causally closed and the merge at the barrier cannot be late.
 //
-// Determinism: per (seed, lane partition) the trajectory is a pure
-// function -- each lane executes its own events in (at, seq) order with
-// its own rng stream, and cross-lane interaction is FIFO per channel --
-// and it equals the merged-serial trajectory Engine::run_until produces
-// for the same partition. With one lane the loop degenerates to the
-// serial engine, bit for bit (pinned by parallel_differential_test).
+// Determinism: the trajectory is a pure function of the seed. Every
+// delay draw and event seq comes from per-channel, per-node or
+// per-stream state (engine.hpp), so it does not depend on which lane an
+// event sits in; each lane executes its own events in (at, seq) order,
+// and cross-lane interaction is FIFO per channel. Any lane count P
+// therefore produces the P = 1 (serial) trajectory, and the windowed
+// loop equals the merged-serial loop Engine::run_until runs (both pinned
+// by parallel_differential_test).
 //
 // The window loop requires causal closure within a lane, which workload
 // callbacks (free-function events that may touch any node) and
 // *blocking* observers (shared mutable state) break; run_until falls
-// back to the trajectory-identical merged-serial loop while any are
-// present. Observers that declare themselves window_safe() -- lane-local
+// back to the trajectory-identical merged-serial loop once the engine
+// has scheduled any callback, and while blocking observers are
+// attached. Observers that declare themselves window_safe() -- lane-local
 // record buffers merged at the window barrier, like the buffered
 // SafetyMonitor -- ride the windowed executor (they get
 // on_window_merge() after Engine::end_window).
@@ -36,6 +39,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -58,17 +62,19 @@ class ParallelEngine {
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   /// Runs until simulated time exceeds `t` (events at exactly `t` are
-  /// still executed) or the queues empty; windowed while no callbacks
-  /// are pending and (for multi-lane engines) no *blocking* observers
-  /// are attached (window-safe observers ride the windows),
-  /// merged-serial otherwise. `t` must be finite.
+  /// still executed) or the queues empty; windowed until the engine
+  /// schedules its first callback and while (for multi-lane engines) no
+  /// *blocking* observers are attached (window-safe observers ride the
+  /// windows), merged-serial otherwise. `t` must be finite. An exception
+  /// thrown on any lane is rethrown here after the window closes.
   void run_until(SimTime t);
 
   struct WindowStats {
     /// Windows executed (== barriers crossed).
     std::uint64_t windows = 0;
     /// run_until calls (or tails of calls) that fell back to the
-    /// merged-serial loop because callbacks or observers were live.
+    /// merged-serial loop because callbacks existed or blocking
+    /// observers were attached.
     std::uint64_t merged_fallbacks = 0;
   };
 
@@ -90,6 +96,7 @@ class ParallelEngine {
   SimTime window_last_ = 0;  // inclusive end of the open window
   int outstanding_ = 0;
   bool shutdown_ = false;
+  std::exception_ptr worker_error_;  // first worker exception this window
 
   std::vector<std::thread> workers_;  // lanes 1..P-1
 };

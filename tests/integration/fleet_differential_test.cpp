@@ -11,7 +11,9 @@
 //   2. every tenant of fleet(3) replays its standalone twin, including
 //      through a transient fault injected into ONE tenant only -- the
 //      faulted tenant tracks its (equally faulted) twin and the others
-//      never notice;
+//      never notice -- and every tenant of a fleet(4) under steady chaos
+//      replays its equally chaotic twin (chaos draws come from the
+//      tenant's own channel rngs);
 //   3. each tenant's waiting-time samples (the paper's metric, scoped to
 //      the tenant) equal its standalone twin's;
 //   4. the worker-lane count changes nothing per tenant (serial vs
@@ -32,6 +34,8 @@
 #include "api/builder.hpp"
 #include "api/fleet.hpp"
 #include "proto/messages.hpp"
+#include "sim/chaos.hpp"
+#include "sim/engine.hpp"
 #include "stats/waiting_time.hpp"
 
 namespace klex {
@@ -271,6 +275,75 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
         << "tenant " << t;
     // Nobody ran an epoch-cut recovery (the rung is not enabled here).
     EXPECT_EQ(fleet_system->tenant_recovery_events(t), 0);
+  }
+
+  // Steady chaos: a fleet(4) whose every link drops and jitters, against
+  // twins built with seed + t and the same config.
+  sim::ChaosConfig chaos;
+  chaos.drop_p = 0.01;
+  chaos.jitter = 12;
+  const int kChaosTenants = 4;
+  SystemBuilder chaos_builder = base_builder(seed);
+  chaos_builder.workload(contention_spec()).chaos(chaos).fleet(kChaosTenants);
+  Session chaos_fleet = chaos_builder.build_session();
+  auto* chaos_system = dynamic_cast<FleetSystem*>(chaos_fleet.system.get());
+  ASSERT_NE(chaos_system, nullptr);
+  std::vector<Session> chaos_twins;
+  for (int t = 0; t < kChaosTenants; ++t) {
+    SystemBuilder builder = base_builder(seed + static_cast<std::uint64_t>(t));
+    builder.workload(contention_spec()).chaos(chaos);
+    chaos_twins.push_back(builder.build_session());
+  }
+  chaos_fleet.begin_workload();
+  for (Session& s : chaos_twins) s.begin_workload();
+  chaos_fleet.system->run_until(kT2);
+  for (Session& s : chaos_twins) s.system->run_until(kT2);
+
+  const sim::Engine& chaos_engine = chaos_fleet.system->engine();
+  const sim::ChaosModel* model = chaos_engine.chaos_model();
+  ASSERT_NE(model, nullptr);
+  // Homogeneous tenants own equal, contiguous channel ranges.
+  const int channels = chaos_engine.channel_count() / kChaosTenants;
+  for (int t = 0; t < kChaosTenants; ++t) {
+    const sim::Engine& twin = chaos_twins[static_cast<std::size_t>(t)]
+                                  .system->engine();
+    ASSERT_EQ(twin.channel_count(), channels);
+    sim::ChaosStats tenant_chaos;
+    for (int c = t * channels; c < (t + 1) * channels; ++c) {
+      const sim::ChaosStats& link = model->link(c).stats;
+      tenant_chaos.dropped += link.dropped;
+      tenant_chaos.duplicated += link.duplicated;
+      tenant_chaos.reordered += link.reordered;
+      tenant_chaos.jittered += link.jittered;
+    }
+    const sim::ChaosStats want = twin.chaos_stats();
+    EXPECT_GT(want.dropped, 0u) << "tenant " << t;
+    EXPECT_GT(want.jittered, 0u) << "tenant " << t;
+    EXPECT_EQ(tenant_chaos.dropped, want.dropped) << "tenant " << t;
+    EXPECT_EQ(tenant_chaos.duplicated, want.duplicated) << "tenant " << t;
+    EXPECT_EQ(tenant_chaos.reordered, want.reordered) << "tenant " << t;
+    EXPECT_EQ(tenant_chaos.jittered, want.jittered) << "tenant " << t;
+    EXPECT_EQ(chaos_system->tenant_events_executed(t), twin.events_executed())
+        << "tenant " << t;
+    for (std::int32_t type = 0; type < sim::Engine::kTrackedMessageTypes;
+         ++type) {
+      EXPECT_EQ(chaos_system->tenant_sent_of_type(t, type),
+                twin.sent_of_type(type))
+          << "tenant " << t << " type " << type;
+    }
+    EXPECT_EQ(chaos_system->tenant_correct(t),
+              chaos_twins[static_cast<std::size_t>(t)]
+                  .system->token_counts_correct())
+        << "tenant " << t;
+    const SystemBase& twin_system =
+        *chaos_twins[static_cast<std::size_t>(t)].system;
+    for (NodeId local = 0; local < chaos_system->tenant_n(t); ++local) {
+      const NodeId global = chaos_system->global_id(t, local);
+      EXPECT_EQ(chaos_system->state_of(global), twin_system.state_of(local))
+          << "tenant " << t << " node " << local;
+      EXPECT_EQ(chaos_system->need_of(global), twin_system.need_of(local))
+          << "tenant " << t << " node " << local;
+    }
   }
 }
 

@@ -13,8 +13,8 @@
 //   * burst episodes override the steady config, expire lazily on their
 //     own, and can be scoped to channel subsets;
 //   * chaos trajectories are a pure function of (seed, config):
-//     bit-identical across rebuilds and across lane counts P (the
-//     per-link rng + chaos sequencing contract from chaos.hpp).
+//     bit-identical across rebuilds and across lane counts P (chaos
+//     decisions draw from the channel rngs of engine.hpp's sequencing).
 #include "sim/chaos.hpp"
 
 #include <gtest/gtest.h>

@@ -296,5 +296,41 @@ TEST(Engine, TimeAdvancesMonotonically) {
   }
 }
 
+TEST(Engine, StreamZeroIsTheWholePlainEngine) {
+  Pair net;
+  net.engine.start();
+  ASSERT_EQ(net.engine.stream_count(), 1);
+  ASSERT_FALSE(net.engine.has_explicit_streams());
+  for (int i = 0; i < 6; ++i) net.a->send(0, tagged(i));
+  net.b->send(0, tagged(9));
+  net.engine.run_events(3);
+  ASSERT_GT(net.engine.in_flight_messages(), 0u);
+  for (std::int32_t type = 0; type < Engine::kTrackedMessageTypes; ++type) {
+    EXPECT_EQ(net.engine.in_flight_of_type_in(0, type),
+              net.engine.in_flight_of_type(type))
+        << "type " << type;
+    EXPECT_EQ(net.engine.sent_of_type_in(0, type),
+              net.engine.sent_of_type(type))
+        << "type " << type;
+  }
+  EXPECT_EQ(net.engine.sent_of_type_in(0, 1), 7u);
+  EXPECT_EQ(net.engine.events_executed_in(0), net.engine.events_executed());
+  EXPECT_EQ(net.engine.events_executed_in(0), 3u);
+}
+
+TEST(Engine, OutOfRangeStreamReadoutsThrow) {
+  Pair net;
+  for (int stream : {-1, 1}) {
+    EXPECT_THROW(net.engine.in_flight_of_type_in(stream, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(net.engine.sent_of_type_in(stream, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(net.engine.events_executed_in(stream),
+                 std::invalid_argument);
+    EXPECT_THROW(net.engine.schedule_in_stream(stream, 1, [] {}),
+                 std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace klex::sim

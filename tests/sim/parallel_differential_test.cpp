@@ -8,6 +8,10 @@
 //     (Engine::run_until over the same partition) event for event --
 //     checked through final process snapshots, token census, clocks and
 //     message counters at several cut points;
+//   * the lane count picks no execution: sequencing is per channel, node
+//     and stream, so any P replays the serial (P = 1) run;
+//   * callbacks never run or get scheduled inside a window: once one was
+//     scheduled the parallel engine stays on the merged-serial loop;
 //   * that equality survives transient faults and garbage floods on
 //     every topology family (tree, ring, spanning-tree composition),
 //     and both executions re-stabilize to the legitimate population.
@@ -31,13 +35,17 @@
 #include <vector>
 
 #include "api/builder.hpp"
+#include "api/client.hpp"
 #include "api/system.hpp"
 #include "api/system_base.hpp"
 #include "api/topology.hpp"
+#include "api/workload_driver.hpp"
 #include "proto/app.hpp"
 #include "proto/census.hpp"
+#include "proto/workload.hpp"
 #include "sim/chaos.hpp"
 #include "sim/engine.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "tree/tree.hpp"
 #include "verify/safety_monitor.hpp"
@@ -126,7 +134,11 @@ void expect_same_snapshots(const System& a, const System& b) {
 
 // -- one lane: bit-identical to the serial engine ----------------------------
 
-TEST(ParallelDifferential, OneLaneWindowedIsBitIdenticalToSerial) {
+/// Parameterized by the lane count P of the system compared against the
+/// serial run.
+class ParallelDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_F(ParallelDifferential, OneLaneWindowedIsBitIdenticalToSerial) {
   System serial(tree_config(/*threads=*/1));
   System windowed(tree_config(/*threads=*/1));
   ASSERT_EQ(windowed.parallel_engine(), nullptr);  // 1 lane: serial system
@@ -154,6 +166,58 @@ TEST(ParallelDifferential, OneLaneWindowedIsBitIdenticalToSerial) {
   expect_same_snapshots(serial, windowed);
   expect_same_census(serial.census(), windowed.census());
 }
+
+// -- any P replays the serial run --------------------------------------------
+
+TEST_P(ParallelDifferential, AnyLaneCountReplaysTheSerialRun) {
+  const int lanes = GetParam();
+  System serial(tree_config(/*threads=*/1));
+  System parallel(tree_config(lanes));
+  ASSERT_EQ(parallel.threads(), lanes);
+  ASSERT_NE(parallel.parallel_engine(), nullptr);
+
+  auto expect_same_run = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    expect_same_clocks_and_counters(serial.engine(), parallel.engine());
+    expect_same_snapshots(serial, parallel);
+    expect_same_census(serial.census(), parallel.census());
+  };
+
+  // Stabilization (merged-serial on the parallel system), then a steady
+  // stretch on the windowed loop.
+  const sim::SimTime stab_serial = serial.run_until_stabilized(10'000'000);
+  const sim::SimTime stab_parallel = parallel.run_until_stabilized(10'000'000);
+  ASSERT_NE(stab_serial, sim::kTimeInfinity);
+  EXPECT_EQ(stab_parallel, stab_serial);
+  sim::SimTime t = serial.engine().now() + 60'000;
+  serial.run_until(t);
+  parallel.run_until(t);
+  expect_same_run("stabilized");
+
+  // The same transient fault from the same rng stream, then recovery.
+  support::Rng fault_serial(99);
+  support::Rng fault_parallel(99);
+  serial.inject_transient_fault(fault_serial);
+  parallel.inject_transient_fault(fault_parallel);
+  const sim::SimTime fault_at = serial.engine().now();
+  const sim::SimTime rec_serial =
+      serial.run_until_stabilized(fault_at + 40'000'000);
+  const sim::SimTime rec_parallel =
+      parallel.run_until_stabilized(fault_at + 40'000'000);
+  ASSERT_NE(rec_serial, sim::kTimeInfinity);
+  EXPECT_EQ(rec_parallel, rec_serial);
+  t = serial.engine().now() + 60'000;
+  serial.run_until(t);
+  parallel.run_until(t);
+  expect_same_run("recovered");
+  EXPECT_TRUE(parallel.token_counts_correct());
+  EXPECT_GT(parallel.parallel_engine()->window_stats().windows, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(, ParallelDifferential, ::testing::Values(2, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param);
+                         });
 
 // -- P lanes: windowed == merged-serial --------------------------------------
 
@@ -372,9 +436,9 @@ struct MonitoredOutcome {
 
 /// Runs a monitored chaos run at `lanes` threads: steady drop/dup chaos,
 /// a watching SafetyMonitor with the stall watchdog armed, and more
-/// requested units than l so some requests stall forever. Chaos engines
-/// use per-entity sequencing, so the trajectory -- and therefore the
-/// monitor's observation stream -- must be identical at every P.
+/// requested units than l so some requests stall forever. Sequencing is
+/// per entity, so the trajectory -- and therefore the monitor's
+/// observation stream -- must be identical at every P.
 MonitoredOutcome run_monitored(int lanes) {
   // dup_p well below drop_p: the in-flight population multiplies by
   // ~(1 + dup_p - drop_p) per hop, so dup-dominant configs explode
@@ -457,6 +521,105 @@ TEST(MonitoredWindowed, ChaosRunBitIdenticalAcrossLaneCounts) {
     MonitoredOutcome windowed = run_monitored(lanes);
     expect_same_outcome(direct, windowed, lanes);
   }
+}
+
+// -- callbacks and windows ----------------------------------------------------
+
+/// A closed-loop workload with a single resource unit: while every active
+/// node waits for the one token in transit, no callback is pending --
+/// exactly the stretches in which a window could open and a grant
+/// handler could then schedule the CS release from a lane thread.
+struct CallbackRun {
+  Session session;
+  sim::ParallelEngine::WindowStats before_workload{};
+  bool saw_no_pending_callback = false;
+};
+
+CallbackRun run_closed_loop(int lanes) {
+  proto::WorkloadSpec workload;
+  workload.base.think = proto::Dist::exponential(40);
+  workload.base.cs_duration = proto::Dist::exponential(20);
+  CallbackRun run;
+  run.session = SystemBuilder()
+                    .topology(TopologySpec::tree_random(16, 3))
+                    .kl(1, 1)
+                    .seed(23)
+                    .threads(lanes)
+                    .workload(workload)
+                    .build_session();
+  SystemBase& system = *run.session.system;
+  system.run_until(20'000);  // no callback yet: windows may run
+  if (const sim::ParallelEngine* parallel = system.parallel_engine()) {
+    run.before_workload = parallel->window_stats();
+  }
+  run.session.begin_workload();
+  for (sim::SimTime t = 20'000; t < 200'000; t += 500) {
+    system.run_until(t);
+    if (system.engine().pending_callbacks() == 0) {
+      run.saw_no_pending_callback = true;
+    }
+  }
+  return run;
+}
+
+TEST(ParallelCallbacks, NoWindowOpensOnceACallbackWasScheduled) {
+  CallbackRun serial = run_closed_loop(1);
+  CallbackRun parallel = run_closed_loop(4);
+  SystemBase& a = *serial.session.system;
+  SystemBase& b = *parallel.session.system;
+  ASSERT_EQ(b.threads(), 4);
+  ASSERT_NE(b.parallel_engine(), nullptr);
+  EXPECT_TRUE(parallel.saw_no_pending_callback)
+      << "the workload never left the callback-free stretches this test "
+         "is about";
+
+  // Windows ran before the first callback, none after it.
+  const sim::ParallelEngine::WindowStats& after =
+      b.parallel_engine()->window_stats();
+  EXPECT_GT(parallel.before_workload.windows, 0u);
+  EXPECT_EQ(after.windows, parallel.before_workload.windows);
+  EXPECT_GT(after.merged_fallbacks, parallel.before_workload.merged_fallbacks);
+
+  // And the run is the serial one.
+  EXPECT_GT(serial.session.driver->total_grants(), 0);
+  EXPECT_EQ(parallel.session.driver->total_grants(),
+            serial.session.driver->total_grants());
+  EXPECT_EQ(parallel.session.driver->total_requests(),
+            serial.session.driver->total_requests());
+  expect_same_clocks_and_counters(a.engine(), b.engine());
+  expect_same_census(a.census(), b.census());
+  for (NodeId v = 0; v < a.n(); ++v) {
+    EXPECT_EQ(a.state_of(v), b.state_of(v)) << "node " << v;
+    EXPECT_EQ(a.need_of(v), b.need_of(v)) << "node " << v;
+  }
+}
+
+TEST(ParallelCallbacks, ScheduleInsideAWindowThrows) {
+  System system(tree_config(/*threads=*/2));
+  sim::Engine& engine = system.engine();
+  engine.start();
+  engine.begin_window(engine.next_event_time());
+  EXPECT_THROW(engine.schedule(1, [] {}), support::CheckFailure);
+  EXPECT_THROW(engine.schedule_in_stream(0, 1, [] {}), support::CheckFailure);
+  engine.end_window();
+  EXPECT_EQ(engine.callbacks_scheduled(), 0u);
+  EXPECT_EQ(engine.pending_callbacks(), 0u);
+}
+
+TEST(ParallelCallbacks, HandlerSchedulingInsideAWindowThrowsOnTheCaller) {
+  System system(tree_config(/*threads=*/2));
+  ASSERT_NE(system.parallel_engine(), nullptr);
+  ASSERT_NE(system.run_until_stabilized(10'000'000), sim::kTimeInfinity);
+  // The grant lands inside a window, on whichever lane owns the node; its
+  // handler's schedule() fails there and the failure reaches run_until.
+  Client& client = system.clients().at(30);
+  client.on_granted([&system](Lease) { system.engine().schedule(1, [] {}); });
+  client.acquire(1);
+  ASSERT_TRUE(client.waiting());
+  EXPECT_THROW(system.run_until(system.engine().now() + 200'000),
+               support::CheckFailure);
+  EXPECT_EQ(system.engine().callbacks_scheduled(), 0u);
+  EXPECT_FALSE(system.engine().in_window());
 }
 
 // -- calendar ring auto-sizing (scheduler satellite) -------------------------

@@ -1,16 +1,19 @@
 // Shared helpers for the experiment benchmarks.
 //
 // Every bench binary regenerates one artifact of the paper (a figure, a
-// theorem, or a design-ablation table listed in DESIGN.md §4): it prints
-// the experiment table to stdout, runs its google-benchmark timing
-// section, and -- for the benches ported to exp::ExperimentRunner --
-// writes the machine-readable BENCH_<scenario>.json artifact that tracks
-// the perf trajectory across PRs. Absolute numbers are
-// simulator-dependent; the tables are about the paper's *shape* claims
-// (who wins, by what factor, where the crossovers are).
+// theorem, or a design-ablation table): it prints the experiment table
+// to stdout and writes the machine-readable BENCH_<scenario>.json
+// artifact from exp::ExperimentRunner results (most through
+// run_scenario below). CI gates every artifact against
+// bench/baselines/BENCH_<scenario>.json with tools/bench_diff.py.
+// Absolute numbers are simulator-dependent; the tables are about the
+// paper's *shape* claims (who wins, by what factor, where the crossovers
+// are).
 //
-// All measurement goes through exp::ExperimentRunner::run_point -- the
-// benches declare scenarios; none of them hand-rolls a driver loop.
+// Not everything is a scenario: fig1 prints its Euler tours and thm2 its
+// waiting-time bound from hand-driven systems, and the google-benchmark
+// sections time single systems in a loop. That output is console-only
+// and never reaches an artifact.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -24,15 +27,10 @@
 #include "api/builder.hpp"
 #include "api/system.hpp"
 #include "api/system_base.hpp"
-#include "api/workload_driver.hpp"
 #include "exp/runner.hpp"
-#include "proto/trace.hpp"
 #include "proto/workload.hpp"
-#include "stats/throughput.hpp"
 #include "stats/waiting_time.hpp"
 #include "support/table.hpp"
-#include "verify/fairness_monitor.hpp"
-#include "verify/safety_monitor.hpp"
 
 namespace klex::bench {
 

@@ -1,72 +1,33 @@
-// E11 -- steady-state message overhead per CS grant, by ladder rung and
-// token type. Quantifies the price of each mechanism: the pusher and
-// priority tokens circulate permanently, and the controller adds a
-// continuous census stream.
-#include "api/workload_driver.hpp"
+// E10 / E11 -- steady-state message overhead per CS grant, by ladder rung,
+// tree shape and token type.
+//
+// E11 prices each mechanism: the pusher and priority tokens circulate
+// permanently, and the controller adds a continuous census stream. E10
+// holds n = 15 fixed and varies the shape: the virtual ring is 2(n−1)
+// hops for every tree, so shape shifts who waits (height changes
+// request-to-root distances), not the ring length. One scenario covers
+// both: every rung runs on every shape, and every run record carries the
+// per-token-type message counts (resource, pusher, priority, control).
+// The naive rung is not on the axis: it deadlocks under contention (E2).
 #include "bench_common.hpp"
 
 namespace klex {
 namespace {
 
-exp::RunResult run_rung(proto::Features features, std::uint64_t seed) {
-  exp::ScenarioSpec spec;
-  spec.name = "overhead_rung";  // table-only; no JSON for single rungs
-  spec.topologies = {exp::TopologySpec::tree_balanced(2, 3)};  // n = 15
-  spec.kl = {{2, 3}};
-  spec.features = {features};
-  spec.workload.base.think = proto::Dist::exponential(64);
-  spec.workload.base.cs_duration = proto::Dist::exponential(32);
-  spec.workload.base.need = proto::Dist::uniform(1, 2);
-  spec.warmup = features.controller ? 50'000 : 10'000;
-  spec.horizon = 2'000'000;
-  exp::RunPoint point;
-  point.topology = spec.topologies[0];
-  point.k = 2;
-  point.l = 3;
-  point.seed = seed;
-  return exp::ExperimentRunner::run_point(spec, point);
-}
-
-void print_overhead_table() {
-  bench::print_header(
-      "E11: steady-state message overhead by ladder rung (n=15, k=2, l=3)",
-      "per mechanism cost: resource tokens do the work; pusher/priority "
-      "add constant background circulation; the controller adds the "
-      "census stream that buys self-stabilization");
-
-  support::Table table({"rung", "grants", "msgs/grant", "ResT", "PushT",
-                        "PrioT", "ctrl", "safety"});
-  const proto::Features rungs[] = {
-      proto::Features::with_pusher(),
-      proto::Features::with_priority(),
-      proto::Features::full(),
-  };
-  for (const proto::Features& features : rungs) {
-    exp::RunResult run = run_rung(features, 9000);
-    table.add_row(
-        {features.name(), support::Table::cell(run.grants),
-         support::Table::cell(run.messages_per_grant, 1),
-         support::Table::cell(run.resource_messages),
-         support::Table::cell(run.pusher_messages),
-         support::Table::cell(run.priority_messages),
-         support::Table::cell(run.control_messages),
-         run.safety_ok ? "ok" : "VIOLATED"});
-  }
-  table.print(std::cout, "message volume over a 2Mtick loaded window");
-  std::cout << "\n(the naive rung is omitted: it deadlocks under "
-               "contention, see E2)\n";
-}
-
-// Machine-readable artifact: the full-protocol overhead across tree
-// shapes and (k,l) operating points, including per-token-type message
-// counts in every run record.
-void emit_overhead_scenario() {
+exp::ScenarioSpec overhead_scenario() {
   exp::ScenarioSpec spec;
   spec.name = "overhead";
   spec.topologies = {
       exp::TopologySpec::tree_balanced(2, 3),
       exp::TopologySpec::tree_line(15),
       exp::TopologySpec::tree_star(15),
+      exp::TopologySpec::tree_caterpillar(5, 2),
+      exp::TopologySpec::tree_random(15, 41),
+  };
+  spec.features = {
+      proto::Features::with_pusher(),
+      proto::Features::with_priority(),
+      proto::Features::full(),
   };
   spec.kl = {{2, 3}, {2, 5}};
   spec.workload.base.think = proto::Dist::exponential(64);
@@ -76,42 +37,18 @@ void emit_overhead_scenario() {
   spec.horizon = 2'000'000;
   spec.seeds = 3;
   spec.base_seed = 9000;
-  bench::run_scenario(spec);
+  return spec;
 }
-
-void BM_SteadyStateSimulation(benchmark::State& state) {
-  SystemConfig config;
-  config.tree = tree::balanced(2, 3);
-  config.k = 2;
-  config.l = 3;
-  config.seed = 9100;
-  System system(config);
-  system.run_until_stabilized(10'000'000);
-  proto::NodeBehavior behavior;
-  behavior.think = proto::Dist::exponential(64);
-  behavior.cs_duration = proto::Dist::exponential(32);
-  WorkloadDriver driver(system.engine(), system.clients(),
-                               proto::uniform_behaviors(15, behavior),
-                               support::Rng(9101));
-  driver.begin();
-  std::uint64_t delivered = 0;
-  for (auto _ : state) {
-    std::uint64_t before = system.engine().messages_delivered();
-    system.run_until(system.engine().now() + 10'000);
-    delivered += system.engine().messages_delivered() - before;
-  }
-  state.counters["msgs/s"] = benchmark::Counter(
-      static_cast<double>(delivered), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SteadyStateSimulation);
 
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
-  klex::print_overhead_table();
-  klex::emit_overhead_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  klex::bench::print_header(
+      "E10 / E11: message overhead by ladder rung and tree shape (n = 15)",
+      "resource tokens do the work; pusher/priority add constant "
+      "background circulation; the controller adds the census stream that "
+      "buys self-stabilization; shape shifts waits, not the ring length");
+  klex::bench::run_scenario(klex::overhead_scenario());
   return 0;
 }

@@ -25,17 +25,6 @@ bool looks_numeric(const std::string& s) {
   return true;
 }
 
-std::string escape_csv(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
 }  // namespace
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -86,20 +75,6 @@ std::string Table::to_string() const {
   }
   out << "\n";
   for (const auto& row : rows_) emit_row(row);
-  return out.str();
-}
-
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out << ",";
-      out << escape_csv(row[c]);
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
   return out.str();
 }
 

@@ -33,9 +33,6 @@ class Table {
   /// Renders with a header rule and right-aligned numeric-looking cells.
   std::string to_string() const;
 
-  /// Renders as CSV (no alignment), for machine consumption.
-  std::string to_csv() const;
-
   /// Prints `to_string()` to the stream, preceded by `title` if non-empty.
   void print(std::ostream& out, const std::string& title = "") const;
 

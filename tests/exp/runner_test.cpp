@@ -79,6 +79,39 @@ TEST(ExperimentRunner, ParallelMatchesSerialBitForBit) {
   }
 }
 
+TEST(ExperimentRunner, RungAxisReachesEveryRun) {
+  // Every run must execute its own rung: a pusher-only run that sends a
+  // priority or control token ran the full protocol instead.
+  ScenarioSpec spec = small_scenario();
+  spec.topologies = {TopologySpec::tree_balanced(2, 2)};
+  spec.features = {proto::Features::with_pusher(),
+                   proto::Features::with_priority(),
+                   proto::Features::full()};
+  std::vector<RunResult> results = ExperimentRunner(1).run(spec);
+  ASSERT_EQ(results.size(), 3u * 2u);  // rungs x seeds
+  int pusher = 0, priority = 0, full = 0;
+  for (const RunResult& run : results) {
+    SCOPED_TRACE(run.features + " seed " + std::to_string(run.seed));
+    EXPECT_TRUE(run.safety_ok);
+    if (run.features == "pusher") {
+      ++pusher;
+      EXPECT_EQ(run.control_messages, 0u);
+      EXPECT_EQ(run.priority_messages, 0u);
+    } else if (run.features == "pusher+priority") {
+      ++priority;
+      EXPECT_EQ(run.control_messages, 0u);
+      EXPECT_GT(run.priority_messages, 0u);
+    } else {
+      ASSERT_EQ(run.features, "full");
+      ++full;
+      EXPECT_GT(run.control_messages, 0u);
+    }
+  }
+  EXPECT_EQ(pusher, 2);
+  EXPECT_EQ(priority, 2);
+  EXPECT_EQ(full, 2);
+}
+
 TEST(ExperimentRunner, FaultPhaseRecovers) {
   ScenarioSpec spec = small_scenario();
   spec.topologies = {TopologySpec::tree_line(5)};

@@ -1,7 +1,9 @@
 // Robustness scenarios beyond the paper's explicit claims: conservation
-// on the ring baseline, CMAX violations, faults during recovery, and
-// saturated contention.
+// on the ring baseline, CMAX violations, faults during recovery,
+// saturated contention, and the root timeout period's trade-off.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "api/system.hpp"
 #include "proto/messages.hpp"
@@ -121,6 +123,79 @@ TEST(Robustness, SaturatedContentionStaysSafeAndLive) {
   // must still get served (fairness under saturation).
   for (proto::NodeId v = 0; v < system.n(); ++v) {
     EXPECT_GT(driver.grants(v), 10) << "node " << v << " starved";
+  }
+}
+
+struct TimeoutRun {
+  double control_per_grant = 0.0;
+  sim::SimTime recovery = sim::kTimeInfinity;
+  bool safe = false;
+};
+
+// The E9 ablation at one root timeout period (0 = the derived default):
+// control messages per grant over a loaded 2 Mtick window on the n = 15
+// balanced tree, then the time to re-stabilize after clear_channels()
+// kills every in-flight message, controller included. `recovery` stays
+// infinite when either stabilization misses its deadline.
+TimeoutRun run_with_timeout(sim::SimTime period) {
+  SystemConfig config;
+  config.tree = tree::balanced(2, 3);
+  config.k = 2;
+  config.l = 3;
+  config.timeout_period = period;
+  config.seed = 7000;
+  System system(config);
+  verify::SafetyMonitor safety(system.n(), config.k, config.l);
+  system.add_listener(&safety);
+  TimeoutRun run;
+  if (system.run_until_stabilized(20'000'000) == sim::kTimeInfinity) {
+    return run;
+  }
+
+  proto::NodeBehavior behavior;
+  behavior.think = proto::Dist::exponential(64);
+  behavior.cs_duration = proto::Dist::exponential(32);
+  behavior.need = proto::Dist::uniform(1, 2);
+  WorkloadDriver driver(system.engine(), system.clients(),
+                        proto::uniform_behaviors(system.n(), behavior),
+                        support::Rng(7001));
+  const auto control_sent = [&system] {
+    return system.engine().sent_of_type(
+        static_cast<std::int32_t>(proto::TokenType::kControl));
+  };
+  driver.begin();
+  const std::uint64_t control_before = control_sent();
+  system.run_until(system.engine().now() + 2'000'000);
+  run.control_per_grant =
+      static_cast<double>(control_sent() - control_before) /
+      static_cast<double>(std::max<std::int64_t>(driver.total_grants(), 1));
+
+  system.engine().clear_channels();
+  const sim::SimTime lost_at = system.engine().now();
+  const sim::SimTime recovered =
+      system.run_until_stabilized(lost_at + 200'000'000);
+  if (recovered != sim::kTimeInfinity) run.recovery = recovered - lost_at;
+  run.safe = !safety.any_violation();
+  return run;
+}
+
+TEST(Robustness, TimeoutPeriodTradesControlTrafficForRecovery) {
+  // The paper only asks the timeout to be "sufficiently large to prevent
+  // congestion". Too short floods the tree with duplicate controllers;
+  // too long stalls recovery once the controller is lost.
+  TimeoutRun short_period = run_with_timeout(16);
+  TimeoutRun default_period = run_with_timeout(0);
+  EXPECT_GE(short_period.control_per_grant,
+            2.0 * default_period.control_per_grant);
+
+  TimeoutRun fast = run_with_timeout(200);
+  TimeoutRun slow = run_with_timeout(51'200);
+  EXPECT_GT(slow.recovery, fast.recovery);
+
+  for (const TimeoutRun* run :
+       {&short_period, &default_period, &fast, &slow}) {
+    EXPECT_NE(run->recovery, sim::kTimeInfinity);
+    EXPECT_TRUE(run->safe);
   }
 }
 

@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
-
-#include "support/csv.hpp"
 
 namespace klex::support {
 namespace {
@@ -39,53 +35,12 @@ TEST(Table, NumericCellFormatting) {
   EXPECT_EQ(Table::cell(3.14159, 4), "3.1416");
 }
 
-TEST(Table, CsvEscapesSpecials) {
-  Table t({"x"});
-  t.add_row({"a,b"});
-  t.add_row({"say \"hi\""});
-  std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
 TEST(Table, PrintIncludesTitle) {
   Table t({"c"});
   t.add_row({"v"});
   std::ostringstream out;
   t.print(out, "My Table");
   EXPECT_NE(out.str().find("My Table"), std::string::npos);
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  std::string path = ::testing::TempDir() + "/klex_csv_test.csv";
-  {
-    CsvWriter writer(path, {"a", "b"});
-    writer.add_row({"1", "2"});
-    writer.add_row({"x,y", "3"});
-    writer.flush();
-    EXPECT_EQ(writer.rows_written(), 2u);
-  }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "a,b");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "1,2");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "\"x,y\",3");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, RejectsWrongArity) {
-  std::string path = ::testing::TempDir() + "/klex_csv_arity.csv";
-  CsvWriter writer(path, {"a"});
-  EXPECT_THROW(writer.add_row({"1", "2"}), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, UnopenablePathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}),
-               std::runtime_error);
 }
 
 }  // namespace

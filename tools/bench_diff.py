@@ -59,9 +59,10 @@ regressions"). --allow-missing-cells SCENARIO[=MAXN] waives exactly the
 cells a capped smoke sweep cannot produce: with =MAXN only cells whose
 network size exceeds MAXN are waived (CI passes the KLEX_SCALE_MAX_N cap
 here); without =MAXN the whole scenario's missing cells are waived.
-Scenarios present on one side only are reported; a baseline scenario
-absent from the current side fails unless --scenario restricts the
-comparison or --allow-missing-cells covers it. A baseline run that
+A baseline scenario absent from the current side fails unless
+--scenario restricts the comparison or --allow-missing-cells covers it;
+a current scenario without a baseline fails unless --scenario excludes
+it (a bench must not ship ungated). A baseline run that
 recovered from its fault must still recover (a missing or false
 "recovered" in the current run is a REGRESSION). Exit status: 0 = clean,
 1 = at least one regression or coverage failure, 2 = usage or data
@@ -311,7 +312,15 @@ def main():
                 f"--allow-missing-cells)"
             )
     for name in sorted(set(current) - set(baseline)):
-        print(f"note: scenario '{name}' only in current; skipped")
+        if args.scenario and name not in set(args.scenario):
+            continue
+        # A bench that ships without a committed baseline is ungated.
+        failures += 1
+        print(
+            f"FAILURE: scenario '{name}' only in current, no baseline "
+            f"(commit bench/baselines/BENCH_{name}.json or exclude it "
+            f"with --scenario)"
+        )
     if not names:
         print("error: no scenario present on both sides", file=sys.stderr)
         sys.exit(2)

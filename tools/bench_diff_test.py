@@ -65,7 +65,9 @@ def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
     return {"scenario": "unit", "aggregates": [cell], "runs": [run]}
 
 
-def run_diff(base, cur, *extra):
+def run_diff(base, cur, *extra, current_only=None):
+    """Runs bench_diff on BENCH_unit.json pairs; current_only maps extra
+    scenario names to artifacts written on the current side alone."""
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp) / "base"
         cur_dir = Path(tmp) / "cur"
@@ -73,6 +75,8 @@ def run_diff(base, cur, *extra):
         cur_dir.mkdir()
         (base_dir / "BENCH_unit.json").write_text(json.dumps(base))
         (cur_dir / "BENCH_unit.json").write_text(json.dumps(cur))
+        for name, data in (current_only or {}).items():
+            (cur_dir / f"BENCH_{name}.json").write_text(json.dumps(data))
         return subprocess.run(
             [sys.executable, str(BENCH_DIFF), str(base_dir), str(cur_dir),
              *extra],
@@ -132,6 +136,25 @@ class BenchDiffTest(unittest.TestCase):
         result = run_diff(artifact(), cur)
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("missing from current", result.stdout)
+
+    def test_scenario_only_in_current_fails(self):
+        # A new bench whose artifact has no committed baseline is ungated;
+        # the gate must say so instead of skipping it.
+        extra = artifact()
+        extra["scenario"] = "fresh"
+        result = run_diff(artifact(), artifact(),
+                          current_only={"fresh": extra})
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("FAILURE: scenario 'fresh' only in current",
+                      result.stdout)
+
+    def test_scenario_only_in_current_excluded_by_scenario_passes(self):
+        extra = artifact()
+        extra["scenario"] = "fresh"
+        result = run_diff(artifact(), artifact(), "--scenario", "unit",
+                          current_only={"fresh": extra})
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertNotIn("fresh", result.stdout)
 
     def test_lost_recovery_fails(self):
         result = run_diff(artifact(recovered=True),

@@ -172,46 +172,10 @@ void emit_chaos_scenario() {
   std::cout << "wrote " << path << "\n";
 }
 
-// Timing section: one live system per size with a chaos model attached;
-// each iteration fires a severe burst and runs until re-stabilized --
-// the steady-state cost of one chaos round-trip with the per-link rng,
-// the hold-back buffers and the census walks on the measured path.
-void BM_ChaosBurstRoundTrip(benchmark::State& state) {
-  int h = static_cast<int>(state.range(0));
-  int n = (1 << (h + 1)) - 1;
-  std::unique_ptr<SystemBase> system =
-      SystemBuilder()
-          .tree(tree::balanced(2, h))
-          .kl(2, 3)
-          .features(proto::Features::full().with_epoch_cut())
-          .seed(37)
-          .chaos(mild_chaos())
-          .build();
-  sim::SimTime stabilized = system->run_until_stabilized(2'000'000'000);
-  KLEX_CHECK(stabilized != sim::kTimeInfinity, "bench system must boot");
-  for (auto _ : state) {
-    system->engine().chaos_burst(severe_chaos(), 4'000);
-    sim::SimTime recovered = system->run_until_stabilized(
-        system->engine().now() + 2'000'000'000);
-    KLEX_CHECK(recovered != sim::kTimeInfinity, "burst must re-stabilize");
-    benchmark::DoNotOptimize(recovered);
-  }
-  state.counters["time_per_node"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-void chaos_bm_args(benchmark::internal::Benchmark* bench) {
-  for (int h : chaos_sweep_heights()) bench->Arg(h);
-}
-BENCHMARK(BM_ChaosBurstRoundTrip)->Apply(chaos_bm_args);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::emit_chaos_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

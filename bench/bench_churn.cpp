@@ -21,9 +21,7 @@
 
 #include <utility>
 
-#include "api/graph_system.hpp"
 #include "exp/scenario.hpp"
-#include "stree/graph.hpp"
 
 namespace klex {
 namespace {
@@ -136,62 +134,10 @@ void emit_churn_scenario() {
   std::cout << "wrote " << path << "\n";
 }
 
-// Timing section: one live system per size; each iteration fails a link,
-// repairs, re-stabilizes, then restores it and re-stabilizes again --
-// the steady-state cost of one churn round-trip, with the spanning-tree
-// reconstruction and the state migration on the measured path.
-void BM_ChurnRoundTrip(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  int h = 8;
-  while (2 * h * h < n) h *= 2;
-  std::unique_ptr<SystemBase> system =
-      SystemBuilder()
-          .graph(stree::grid(2 * h, h))
-          .kl(2, 4)
-          .features(proto::Features::full().with_epoch_cut())
-          .seed(37)
-          .beacon_period(8'192)
-          .spanning_tree_deadline(100'000'000)
-          .live_topology()
-          .build();
-  sim::SimTime stabilized = system->run_until_stabilized(2'000'000'000);
-  KLEX_CHECK(stabilized != sim::kTimeInfinity, "bench system must boot");
-  support::Rng rng(0xC4024u);
-  FaultEvent fail;
-  fail.kind = FaultKind::kLinkChurn;
-  fail.count = 1;
-  FaultEvent restore = fail;
-  restore.restore = true;
-  for (auto _ : state) {
-    for (const FaultEvent& event : {fail, restore}) {
-      system->apply_topology_fault(event, rng);
-      sim::SimTime recovered = system->run_until_stabilized(
-          system->engine().now() + 2'000'000'000);
-      KLEX_CHECK(recovered != sim::kTimeInfinity, "repair must re-stabilize");
-      benchmark::DoNotOptimize(recovered);
-    }
-  }
-  state.counters["time_per_node"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-void churn_bm_args(benchmark::internal::Benchmark* bench) {
-  bool any = false;
-  for (int n : scale_sweep_sizes(8192)) {
-    bench->Arg(n);
-    any = true;
-  }
-  if (!any) bench->Arg(128);
-}
-BENCHMARK(BM_ChurnRoundTrip)->Apply(churn_bm_args);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::emit_churn_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -74,33 +74,10 @@ void print_cmax_table() {
                "only crafted adversarial garbage can exploit G > CMAX)\n";
 }
 
-void BM_GarbageRecovery(benchmark::State& state) {
-  int garbage = static_cast<int>(state.range(0));
-  std::uint64_t trial = 0;
-  for (auto _ : state) {
-    auto system = SystemBuilder()
-                      .topology(exp::TopologySpec::tree_line(8))
-                      .kl(2, 3)
-                      .cmax(2)
-                      .seed(6000 + trial++)
-                      .build();
-    system->run_until_stabilized(20'000'000);
-    support::Rng rng(trial * 131);
-    system->flood_channels(rng, garbage);
-    sim::SimTime recovered = system->run_until_stabilized(
-        system->engine().now() + 100'000'000);
-    benchmark::DoNotOptimize(recovered);
-  }
-}
-BENCHMARK(BM_GarbageRecovery)->Arg(2)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::print_cmax_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

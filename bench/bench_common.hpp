@@ -11,12 +11,10 @@
 // are).
 //
 // Not everything is a scenario: fig1 prints its Euler tours and thm2 its
-// waiting-time bound from hand-driven systems, and the google-benchmark
-// sections time single systems in a loop. That output is console-only
-// and never reaches an artifact.
+// waiting-time bound from hand-driven systems. That output is
+// console-only and never reaches an artifact; timing claims are the
+// gated events/s and wall-clock fields of the artifacts themselves.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdlib>

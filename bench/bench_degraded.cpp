@@ -190,52 +190,10 @@ void emit_degraded_scenario() {
   std::cout << "wrote " << path << "\n";
 }
 
-// Timing section: one live session per size under sustained drop-0.5%
-// channels with the resilient policy armed; each iteration advances one
-// steady-state slice of the closed loop -- the measured path includes
-// the per-link chaos rng, the driver's deadline timers and jittered
-// backoff, and the admission scan on every request.
-void BM_DegradedSteadyWindow(benchmark::State& state) {
-  int h = static_cast<int>(state.range(0));
-  int n = (1 << (h + 1)) - 1;
-  Session session = SystemBuilder()
-                        .tree(tree::balanced(2, h))
-                        .kl(2, 3)
-                        .features(proto::Features::full().with_epoch_cut())
-                        .seed(37)
-                        .chaos(drop05_channels())
-                        .retry_policy(resilient_retry())
-                        .admission_policy(resilient_admission())
-                        .workload(proto::WorkloadSpec{})
-                        .build_session();
-  SystemBase& system = *session.system;
-  system.run_until_stabilized(300'000);
-  session.begin_workload();
-  system.run_until(system.engine().now() + 2'000);
-  std::int64_t grants_before = session.driver->total_grants();
-  for (auto _ : state) {
-    system.run_until(system.engine().now() + 8'000);
-    benchmark::DoNotOptimize(system.engine().now());
-  }
-  std::int64_t grants = session.driver->total_grants() - grants_before;
-  state.counters["grants_per_slice"] =
-      static_cast<double>(grants) / static_cast<double>(state.iterations());
-  state.counters["time_per_node"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-void degraded_bm_args(benchmark::internal::Benchmark* bench) {
-  for (int h : degraded_sweep_heights()) bench->Arg(h);
-}
-BENCHMARK(BM_DegradedSteadyWindow)->Apply(degraded_bm_args);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::emit_degraded_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

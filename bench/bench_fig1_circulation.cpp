@@ -3,7 +3,8 @@
 // Regenerates the figure as the Euler-tour visit sequence of the paper's
 // 8-node example, checks a simulated token follows it exactly, and sweeps
 // tree shapes for the circulation-length law (2(n−1) hops per loop). The
-// timing section measures simulator throughput while circulating tokens.
+// scenario's artifact records simulator throughput while circulating
+// tokens.
 #include "bench_common.hpp"
 #include "proto/trace.hpp"
 #include "tree/virtual_ring.hpp"
@@ -104,34 +105,11 @@ void emit_circulation_scenario() {
   bench::run_scenario(spec);
 }
 
-void BM_TokenCirculation(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  SystemConfig config;
-  config.tree = tree::line(n);
-  config.k = 1;
-  config.l = 4;
-  config.features = proto::Features::naive();
-  config.seed = 13;
-  System system(config);
-  system.run_until(1);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    std::uint64_t before = system.engine().events_executed();
-    system.run_until(system.engine().now() + 10'000);
-    events += system.engine().events_executed() - before;
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_TokenCirculation)->Arg(8)->Arg(32)->Arg(128);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::print_figure1_table();
   klex::emit_circulation_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -114,33 +114,10 @@ void print_fig2_table() {
   cycle.print(std::cout, "requests released after each CS (6 seeds)");
 }
 
-void BM_DeadlockDetection(benchmark::State& state) {
-  // Time until the naive rung visibly wedges (message quiescence) from
-  // the paper's held-forever state.
-  for (auto _ : state) {
-    std::unique_ptr<SystemBase> system =
-        SystemBuilder()
-            .topology(TopologySpec::tree_figure1())
-            .kl(3, 5)
-            .features(proto::Features::naive())
-            .seed(41)
-            .build();
-    system->request(1, 3);
-    system->request(2, 2);
-    system->request(3, 2);
-    system->request(4, 2);
-    bool quiescent = system->run_until_message_quiescence(2'000'000);
-    benchmark::DoNotOptimize(quiescent);
-  }
-}
-BENCHMARK(BM_DeadlockDetection);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::print_fig2_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

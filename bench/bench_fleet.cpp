@@ -20,10 +20,8 @@
 #include "bench_common.hpp"
 
 #include <map>
-#include <memory>
 #include <utility>
 
-#include "api/fleet.hpp"
 #include "exp/scenario.hpp"
 
 namespace klex {
@@ -194,75 +192,10 @@ void emit_fleet_scenario() {
   std::cout << "wrote " << path << "\n";
 }
 
-// Timing section: one steady-state circulation window, shared fleet vs
-// separate engines, no workload observers -- the pure event-loop cost the
-// crossover comes from.
-void BM_FleetSharedWindow(benchmark::State& state) {
-  int fleet = static_cast<int>(state.range(0));
-  Session session = SystemBuilder()
-                        .topology(TopologySpec::tree_balanced(2, 3))
-                        .kl(2, 4)
-                        .seed(101)
-                        .fleet(fleet)
-                        .workload(fleet_workload())
-                        .build_session();
-  sim::SimTime stabilized = session.system->run_until_stabilized(10'000'000);
-  KLEX_CHECK(stabilized != sim::kTimeInfinity, "fleet must stabilize");
-  session.begin_workload();
-  for (auto _ : state) {
-    session.system->run_until(session.system->engine().now() + 5'000);
-    benchmark::DoNotOptimize(session.system->engine().events_executed());
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(session.system->engine().events_executed()),
-      benchmark::Counter::kIsRate);
-}
-
-void BM_FleetSeparateWindow(benchmark::State& state) {
-  int fleet = static_cast<int>(state.range(0));
-  std::vector<Session> sessions;
-  sessions.reserve(static_cast<std::size_t>(fleet));
-  std::uint64_t events = 0;
-  for (int t = 0; t < fleet; ++t) {
-    sessions.push_back(SystemBuilder()
-                           .topology(TopologySpec::tree_balanced(2, 3))
-                           .kl(2, 4)
-                           .seed(101 + static_cast<std::uint64_t>(t))
-                           .workload(fleet_workload())
-                           .build_session());
-    sim::SimTime stabilized =
-        sessions.back().system->run_until_stabilized(10'000'000);
-    KLEX_CHECK(stabilized != sim::kTimeInfinity, "system must stabilize");
-    sessions.back().begin_workload();
-  }
-  for (auto _ : state) {
-    for (Session& session : sessions) {
-      session.system->run_until(session.system->engine().now() + 5'000);
-    }
-    events = 0;
-    for (Session& session : sessions) {
-      events += session.system->engine().events_executed();
-    }
-    benchmark::DoNotOptimize(events);
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-
-void fleet_bm_args(benchmark::internal::Benchmark* bench) {
-  for (int fleet : fleet_sizes()) {
-    if (fleet <= 256) bench->Arg(fleet);
-  }
-}
-BENCHMARK(BM_FleetSharedWindow)->Apply(fleet_bm_args);
-BENCHMARK(BM_FleetSeparateWindow)->Apply(fleet_bm_args);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::emit_fleet_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -111,25 +111,11 @@ void emit_klliveness_scenario() {
   bench::run_scenario(spec);
 }
 
-void BM_ResidualGrantLatency(benchmark::State& state) {
-  int alpha = static_cast<int>(state.range(0));
-  std::uint64_t trial = 0;
-  for (auto _ : state) {
-    exp::RunResult run =
-        run_alpha_point(alpha_spec(alpha, kL - alpha, 950 + trial++));
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_ResidualGrantLatency)->Arg(0)->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::print_klliveness_table();
   klex::emit_klliveness_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

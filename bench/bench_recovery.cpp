@@ -107,82 +107,10 @@ void emit_recovery_scenario() {
               "epoch-cut drain; the plain rung grows linearly per node)");
 }
 
-// Timing sections: repeated fault -> recover cycles on one system.
-// BM_EpochCutRecovery is the batched drain (detection is O(1), the cut
-// O(n), re-stabilization O(n) deliveries); BM_ProtocolRecovery is the
-// paper's own drain (garbage circulates until a reset circulation), kept
-// to n <= 2048 because each cycle is ~n^2 deliveries.
-void BM_EpochCutRecovery(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  auto system = SystemBuilder()
-                    .topology(exp::TopologySpec::tree_random(n, 5))
-                    .kl(2, 4)
-                    .features(proto::Features::full().with_epoch_cut())
-                    .seed(37)
-                    .build();
-  KLEX_CHECK(system->run_until_stabilized(2'000'000'000) !=
-                 sim::kTimeInfinity,
-             "bench system must boot");
-  support::Rng rng(41);
-  for (auto _ : state) {
-    system->inject_transient_fault(rng);
-    system->epoch_cut_recover();
-    sim::SimTime recovered = system->run_until_stabilized(
-        system->engine().now() + 2'000'000'000);
-    KLEX_CHECK(recovered != sim::kTimeInfinity, "recovery must succeed");
-    benchmark::DoNotOptimize(recovered);
-  }
-  state.counters["time_per_node"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-void BM_ProtocolRecovery(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  auto system = SystemBuilder()
-                    .topology(exp::TopologySpec::tree_random(n, 5))
-                    .kl(2, 4)
-                    .seed(37)
-                    .build();
-  KLEX_CHECK(system->run_until_stabilized(2'000'000'000) !=
-                 sim::kTimeInfinity,
-             "bench system must boot");
-  support::Rng rng(41);
-  for (auto _ : state) {
-    system->inject_transient_fault(rng);
-    sim::SimTime recovered = system->run_until_stabilized(
-        system->engine().now() + 2'000'000'000);
-    KLEX_CHECK(recovered != sim::kTimeInfinity, "recovery must succeed");
-    benchmark::DoNotOptimize(recovered);
-  }
-  state.counters["time_per_node"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-void cut_bm_args(benchmark::internal::Benchmark* bench) {
-  std::vector<int> sizes = scale_sweep_sizes(8192);
-  if (sizes.empty()) sizes.push_back(128);
-  for (int n : sizes) bench->Arg(n);
-}
-
-void protocol_bm_args(benchmark::internal::Benchmark* bench) {
-  std::vector<int> sizes = scale_sweep_sizes(2048);
-  if (sizes.empty()) sizes.push_back(128);
-  for (int n : sizes) bench->Arg(n);
-}
-
-BENCHMARK(BM_EpochCutRecovery)->Apply(cut_bm_args)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ProtocolRecovery)->Apply(protocol_bm_args)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::emit_recovery_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

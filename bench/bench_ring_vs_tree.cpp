@@ -14,7 +14,6 @@
 // All three topology kinds run through the same SystemBase path in the
 // experiment runner; there is no per-topology driver code here.
 #include "bench_common.hpp"
-#include "ring/ring_system.hpp"
 
 namespace klex {
 namespace {
@@ -52,40 +51,10 @@ void print_ring_vs_tree_table() {
   bench::run_scenario(ring_vs_tree_scenario());
 }
 
-void BM_TreeStep(benchmark::State& state) {
-  SystemConfig config;
-  config.tree = tree::line(16);
-  config.k = 2;
-  config.l = 3;
-  config.seed = 1;
-  System system(config);
-  system.run_until_stabilized(10'000'000);
-  for (auto _ : state) {
-    system.run_until(system.engine().now() + 10'000);
-  }
-}
-BENCHMARK(BM_TreeStep);
-
-void BM_RingStep(benchmark::State& state) {
-  ring::RingConfig config;
-  config.n = 16;
-  config.k = 2;
-  config.l = 3;
-  config.seed = 1;
-  ring::RingSystem system(config);
-  system.run_until_stabilized(10'000'000);
-  for (auto _ : state) {
-    system.run_until(system.engine().now() + 10'000);
-  }
-}
-BENCHMARK(BM_RingStep);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::print_ring_vs_tree_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -185,51 +185,10 @@ void emit_scale_scenario() {
   std::cout << "wrote " << path << "\n";
 }
 
-// Timing section: repeated wipe -> re-stabilize cycles on one system, the
-// pure detection path (no workload, no garbage). Wall time per cycle is
-// O(events in one recovery) with the incremental census; the poll loop
-// made it O(n * recovery-sim-time / poll).
-void BM_WipeRecoveryDetection(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  std::unique_ptr<SystemBase> system = exp::make_system(
-      exp::TopologySpec::tree_random(n, 5), 2, 4, proto::Features::full(),
-      4, sim::DelayModel{}, 21);
-  sim::SimTime stabilized = system->run_until_stabilized(2'000'000'000);
-  KLEX_CHECK(stabilized != sim::kTimeInfinity, "bench system must boot");
-  for (auto _ : state) {
-    system->engine().clear_channels();
-    sim::SimTime recovered = system->run_until_stabilized(
-        system->engine().now() + 2'000'000'000);
-    benchmark::DoNotOptimize(recovered);
-    KLEX_CHECK(recovered != sim::kTimeInfinity, "recovery must succeed");
-  }
-  // kIsRate|kInvert reports elapsed seconds per node-iteration; the SI
-  // prefix in the output supplies the scale (expect a few hundred nano).
-  state.counters["time_per_node"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-// KLEX_SCALE_MAX_N caps the timing section too, so smoke runs never build
-// the large systems at all.
-void scale_bm_args(benchmark::internal::Benchmark* bench) {
-  bool any = false;
-  for (int n : scale_sweep_sizes()) {
-    if (n <= 8192) {
-      bench->Arg(n);
-      any = true;
-    }
-  }
-  if (!any) bench->Arg(128);
-}
-BENCHMARK(BM_WipeRecoveryDetection)->Apply(scale_bm_args);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::emit_scale_scenario();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

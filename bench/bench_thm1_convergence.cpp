@@ -72,31 +72,10 @@ void print_thm1_tables() {
   table.print(std::cout, "convergence time after a transient fault");
 }
 
-void BM_FaultRecovery(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  std::uint64_t trial = 0;
-  for (auto _ : state) {
-    auto system = SystemBuilder()
-                      .topology(exp::TopologySpec::tree_line(n))
-                      .kl(2, 3)
-                      .seed(6000 + trial++)
-                      .build();
-    system->run_until_stabilized(20'000'000);
-    support::Rng fault_rng(trial * 31);
-    system->inject_transient_fault(fault_rng);
-    sim::SimTime recovered = system->run_until_stabilized(
-        system->engine().now() + 80'000'000);
-    benchmark::DoNotOptimize(recovered);
-  }
-}
-BENCHMARK(BM_FaultRecovery)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::print_thm1_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -122,36 +122,10 @@ void print_thm2_table() {
   shapes.print(std::cout, "same n, different shapes (bound is shape-free)");
 }
 
-void BM_GreedyWorkloadStep(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  SystemConfig config;
-  config.tree = tree::line(n);
-  config.k = 2;
-  config.l = 4;
-  config.seed = 31;
-  System system(config);
-  system.run_until_stabilized(10'000'000);
-  proto::NodeBehavior behavior;
-  behavior.think = proto::Dist::fixed(1);
-  behavior.cs_duration = proto::Dist::fixed(8);
-  WorkloadDriver driver(system.engine(), system.clients(),
-                               proto::uniform_behaviors(n, behavior),
-                               support::Rng(32));
-  driver.begin();
-  for (auto _ : state) {
-    system.run_until(system.engine().now() + 10'000);
-  }
-  state.counters["grants"] =
-      benchmark::Counter(static_cast<double>(driver.total_grants()));
-}
-BENCHMARK(BM_GreedyWorkloadStep)->Arg(7)->Arg(31);
-
 }  // namespace
 }  // namespace klex
 
-int main(int argc, char** argv) {
+int main() {
   klex::print_thm2_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

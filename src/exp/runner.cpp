@@ -1,12 +1,14 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 
 #include "api/fleet.hpp"
 #include "stats/waiting_time.hpp"
@@ -101,6 +103,473 @@ void require_fleet_fault_supported(const ScenarioSpec& spec) {
   KLEX_REQUIRE(spec.fault == ScenarioSpec::FaultKind::kNone ||
                    spec.fault == ScenarioSpec::FaultKind::kTransient,
                "fleet grid points support only none/transient faults");
+}
+
+// True when any run of the scenario can exercise a ChaosModel or the
+// liveness watchdog -- gates the chaos/monitoring fields so pre-chaos
+// artifacts stay byte-identical.
+bool is_monitored_spec(const ScenarioSpec& spec) {
+  if (spec.chaos.enabled() || spec.fault_plan.has_chaos_events() ||
+      spec.stall_threshold > 0) {
+    return true;
+  }
+  for (const ScenarioSpec::PolicyVariant& variant : spec.policies) {
+    if (variant.override_chaos && variant.chaos.enabled()) return true;
+  }
+  return false;
+}
+
+// The artifact schema: one field list per record type (fields_of). An
+// entry holds the JSON name, the member it reads (a member pointer, or a
+// getter), how the field combines and when it is emitted. write_value
+// emits a record's list in order (list order is key order), run_separate
+// merges a batch's sessions by the merge rules and aggregate() folds runs
+// into cells by the Aggregate list's reductions.
+template <class Member, class Rule, class When>
+struct Field {
+  const char* name;
+  Member member;
+  Rule rule;
+  When when;
+};
+
+/// Emit conditions: (record, monitored) -> emitted, where `monitored` is
+/// is_monitored_spec() of the artifact's scenario.
+constexpr auto always = [](const auto&, bool) { return true; };
+constexpr auto never = [](const auto&, bool) { return false; };
+constexpr auto if_monitored = [](const auto&, bool on) { return on; };
+constexpr auto if_fleet = [](const auto& r, bool) { return r.fleet > 1; };
+template <auto M>
+constexpr auto if_true = [](const auto& r, bool) { return r.*M; };
+template <auto M>
+constexpr auto if_positive = [](const auto& r, bool) { return r.*M > 0; };
+template <auto M>  // -1 = unset
+constexpr auto if_set = [](const auto& r, bool) { return r.*M >= 0; };
+template <auto M, auto V>
+constexpr auto if_equal = [](const auto& r, bool) { return r.*M == V; };
+template <auto M>
+constexpr auto if_nonempty = [](const auto& r, bool) {
+  return !(r.*M).empty();
+};
+
+/// Separate-fleet merge rules: fold one session's value into the batch's.
+/// A field with none keeps session 0's value, or finish() derives it.
+struct NoRule {};
+constexpr NoRule none;
+constexpr auto sum = [](auto& to, const auto& x) { to += x; };
+constexpr auto max_of = [](auto& to, const auto& x) { to = std::max(to, x); };
+constexpr auto all_of = [](bool& to, bool x) { to = to && x; };
+constexpr auto append = [](auto& to, const auto& x) {
+  to.insert(to.end(), x.begin(), x.end());
+};
+template <class Record>
+void merge(Record& total, const Record& one);
+// Parallel record arrays (a batch's class slices) merge slot by slot.
+constexpr auto each = [](auto& to, const auto& x) {
+  for (std::size_t i = 0; i < to.size(); ++i) merge(to[i], x[i]);
+};
+
+/// Cross-seed reductions of `source` over the runs `over` selects. kKey
+/// fields group the runs into cells; kKey and kFirst fields are copied
+/// from a cell's first run; a kMean divides by the runs it folded.
+enum class Op { kKey, kFirst, kSum, kMean, kMax };
+template <class Source, class Over>
+struct Reduce {
+  Op op;
+  Source source;
+  Over over;
+};
+template <class S>
+constexpr Reduce<S, decltype(always)> key(S s) { return {Op::kKey, s, always}; }
+template <class S>
+constexpr Reduce<S, decltype(always)> first(S s) {
+  return {Op::kFirst, s, always};
+}
+template <class S, class O = decltype(always)>
+constexpr Reduce<S, O> total(S s, O o = always) { return {Op::kSum, s, o}; }
+template <class S, class O = decltype(always)>
+constexpr Reduce<S, O> mean(S s, O o = always) { return {Op::kMean, s, o}; }
+template <class S, class O = decltype(always)>
+constexpr Reduce<S, O> peak(S s, O o = always) { return {Op::kMax, s, o}; }
+template <class O>
+constexpr auto count(O o) {
+  return total([](const RunResult&) { return 1; }, o);
+}
+
+template <class Member, class Rule = NoRule, class When = decltype(always)>
+constexpr Field<Member, Rule, When> field(const char* name, Member member,
+                                          Rule rule = {}, When when = always) {
+  return {name, member, rule, when};
+}
+// A field whose JSON name is its member's name.
+#define KLEX_FIELD(Record, member, ...) \
+  field(#member, &Record::member __VA_OPT__(, ) __VA_ARGS__)
+
+template <class Fields, class Visit>
+void for_each_field(const Fields& fields, Visit visit) {
+  std::apply([&visit](const auto&... f) { (visit(f), ...); }, fields);
+}
+
+// Getter of a nested member: path<&A::b, &B::c>(a) is a.b.c.
+template <auto... Ms>
+constexpr auto path = [](const auto& r) { return (r .* ... .* Ms); };
+template <auto M>
+constexpr auto per_event_sum = [](const RunResult& run) {
+  double total = 0.0;
+  for (const FaultEventResult& event : run.fault_events) {
+    total += static_cast<double>(event.*M);
+  }
+  return total;
+};
+template <auto M>
+constexpr auto names_of = [](const ScenarioSpec& spec) {
+  std::vector<std::string> names;
+  for (const auto& item : spec.*M) names.push_back(item.name());
+  return names;
+};
+
+// A run's "engine" object.
+constexpr auto fields_of(const sim::EngineStats&) {
+  using E = sim::EngineStats;
+  using S = sim::SchedulerCounters;
+  return std::tuple{
+      KLEX_FIELD(E, callbacks_scheduled), KLEX_FIELD(E, callback_slots_created),
+      KLEX_FIELD(E, max_heap_size), KLEX_FIELD(E, in_flight_walks),
+      KLEX_FIELD(E, chaos_dropped, none, if_monitored),
+      KLEX_FIELD(E, chaos_duplicated, none, if_monitored),
+      KLEX_FIELD(E, chaos_reordered, none, if_monitored),
+      KLEX_FIELD(E, chaos_jittered, none, if_monitored),
+      field("bucket_inserts", path<&E::scheduler, &S::bucket_inserts>),
+      field("bucket_scans", path<&E::scheduler, &S::bucket_scans>),
+      field("overflow_pushes", path<&E::scheduler, &S::overflow_pushes>),
+      field("overflow_pops", path<&E::scheduler, &S::overflow_pops>),
+      KLEX_FIELD(E, bucket_window)};
+}
+
+constexpr auto fields_of(const FaultEventResult&) {
+  using E = FaultEventResult;
+  constexpr auto if_chaos = if_true<&E::chaos>;
+  return std::tuple{
+      KLEX_FIELD(E, at), KLEX_FIELD(E, kind), KLEX_FIELD(E, links_changed),
+      KLEX_FIELD(E, nodes_changed), KLEX_FIELD(E, detached),
+      KLEX_FIELD(E, reattached), KLEX_FIELD(E, attached_nodes),
+      KLEX_FIELD(E, parent_changes), KLEX_FIELD(E, stree_events),
+      KLEX_FIELD(E, stree_time), KLEX_FIELD(E, repair_seed),
+      KLEX_FIELD(E, recovered), KLEX_FIELD(E, recovery_time),
+      KLEX_FIELD(E, recovery_events),
+      KLEX_FIELD(E, chaos_dropped, none, if_chaos),
+      KLEX_FIELD(E, chaos_duplicated, none, if_chaos),
+      KLEX_FIELD(E, chaos_reordered, none, if_chaos),
+      KLEX_FIELD(E, chaos_jittered, none, if_chaos),
+      KLEX_FIELD(E, violations, none, if_chaos)};
+}
+
+constexpr auto fields_of(const ClassResult&) {
+  using C = ClassResult;
+  constexpr auto if_latency = if_positive<&C::latency_count>;
+  return std::tuple{
+      KLEX_FIELD(C, name), KLEX_FIELD(C, nodes, sum),
+      KLEX_FIELD(C, requests, sum), KLEX_FIELD(C, grants, sum),
+      KLEX_FIELD(C, holding_at_end, sum),
+      KLEX_FIELD(C, latency_count, none, if_latency),
+      field("grant_latency_p50", &C::latency_p50, none, if_latency),
+      field("grant_latency_p99", &C::latency_p99, none, if_latency),
+      field("grant_latency_p999", &C::latency_p999, none, if_latency)};
+}
+
+constexpr auto fields_of(const TenantResult&) {
+  using T = TenantResult;
+  return std::tuple{
+      KLEX_FIELD(T, tenant), KLEX_FIELD(T, n), KLEX_FIELD(T, stabilized),
+      KLEX_FIELD(T, stabilization_time, none, if_true<&T::stabilized>),
+      KLEX_FIELD(T, requests), KLEX_FIELD(T, grants),
+      KLEX_FIELD(T, events_executed), KLEX_FIELD(T, recovery_events),
+      KLEX_FIELD(T, correct_at_end)};
+}
+
+constexpr auto fields_of(const RunResult&) {
+  using R = RunResult;
+  constexpr auto if_faulted = if_true<&R::fault_injected>;
+  constexpr auto if_garbage = [](const R& r, bool) {
+    return r.fault_injected && r.fault_garbage >= 0;
+  };
+  constexpr auto if_recovered = [](const R& r, bool) {
+    return r.fault_injected && r.recovered;
+  };
+  constexpr auto if_fault_events = [](const R& r, bool) {
+    return r.fault_injected && !r.fault_events.empty();
+  };
+  constexpr auto if_latency = if_positive<&R::latency_count>;
+  return std::tuple{
+      KLEX_FIELD(R, topology), KLEX_FIELD(R, features), KLEX_FIELD(R, n, sum),
+      KLEX_FIELD(R, k), KLEX_FIELD(R, l), KLEX_FIELD(R, threads),
+      KLEX_FIELD(R, fleet, none, if_fleet),
+      KLEX_FIELD(R, fleet_mode, none, if_fleet),
+      KLEX_FIELD(R, policy, none, if_nonempty<&R::policy>),
+      KLEX_FIELD(R, seed), KLEX_FIELD(R, stabilized, all_of),
+      KLEX_FIELD(R, stabilization_time, max_of, if_true<&R::stabilized>),
+      KLEX_FIELD(R, fault_garbage, none, if_garbage),
+      KLEX_FIELD(R, recovered, none, if_faulted),
+      KLEX_FIELD(R, recovery_time, none, if_recovered),
+      KLEX_FIELD(R, recovery_events, none, if_recovered),
+      KLEX_FIELD(R, recovery_wall_seconds, none, if_recovered),
+      KLEX_FIELD(R, fault_events, none, if_fault_events),
+      KLEX_FIELD(R, grants, sum), KLEX_FIELD(R, requests, sum),
+      KLEX_FIELD(R, grants_per_mtick), KLEX_FIELD(R, outstanding_at_end, sum),
+      KLEX_FIELD(R, quiescent_at_end, all_of),
+      KLEX_FIELD(R, classes, each, if_nonempty<&R::classes>),
+      KLEX_FIELD(R, tenants, append, if_nonempty<&R::tenants>),
+      KLEX_FIELD(R, mean_wait_entries), KLEX_FIELD(R, max_wait_entries),
+      KLEX_FIELD(R, p99_wait_entries),
+      KLEX_FIELD(R, latency_count, none, if_latency),
+      field("grant_latency_p50", &R::latency_p50, none, if_latency),
+      field("grant_latency_p99", &R::latency_p99, none, if_latency),
+      field("grant_latency_p999", &R::latency_p999, none, if_latency),
+      KLEX_FIELD(R, messages_per_grant), KLEX_FIELD(R, control_messages, sum),
+      KLEX_FIELD(R, resource_messages, sum),
+      KLEX_FIELD(R, pusher_messages, sum),
+      KLEX_FIELD(R, priority_messages, sum), KLEX_FIELD(R, safety_ok, all_of),
+      KLEX_FIELD(R, safety_violations, sum, if_monitored),
+      KLEX_FIELD(R, last_violation_time, max_of, if_monitored),
+      KLEX_FIELD(R, liveness_stalls, sum, if_monitored),
+      KLEX_FIELD(R, fault_phase_violations, sum, if_monitored),
+      KLEX_FIELD(R, events_executed, sum), KLEX_FIELD(R, wall_seconds, sum),
+      KLEX_FIELD(R, events_per_sec), field("engine", &R::engine_stats, sum)};
+}
+
+constexpr auto fields_of(const Aggregate&) {
+  using A = Aggregate;
+  using R = RunResult;
+  using F = FaultEventResult;
+  using S = sim::EngineStats;
+  constexpr auto stabilized = if_true<&R::stabilized>;
+  constexpr auto recovered = if_true<&R::recovered>;
+  constexpr auto has_latency = if_positive<&R::latency_count>;
+  constexpr auto fault_events = [](const R& r) {
+    return r.fault_events.size();
+  };
+  constexpr auto if_latency = if_positive<&A::latency_runs>;
+  constexpr auto if_fault_events = if_positive<&A::mean_fault_events>;
+  return std::tuple{
+      KLEX_FIELD(A, topology, key(&R::topology)),
+      KLEX_FIELD(A, features, key(&R::features)),
+      KLEX_FIELD(A, k, key(&R::k)), KLEX_FIELD(A, l, key(&R::l)),
+      KLEX_FIELD(A, fault_garbage, key(&R::fault_garbage),
+                 if_set<&A::fault_garbage>),
+      KLEX_FIELD(A, threads, key(&R::threads)),
+      KLEX_FIELD(A, fleet, key(&R::fleet), if_fleet),
+      KLEX_FIELD(A, fleet_mode, key(&R::fleet_mode), if_fleet),
+      KLEX_FIELD(A, policy, key(&R::policy), if_nonempty<&A::policy>),
+      KLEX_FIELD(A, n, first(&R::n)), KLEX_FIELD(A, runs, count(always)),
+      KLEX_FIELD(A, stabilized_runs, count(stabilized)),
+      KLEX_FIELD(A, safe_runs, total(&R::safety_ok)),
+      KLEX_FIELD(A, recovered_runs, count(recovered)),
+      KLEX_FIELD(A, latency_runs, count(has_latency), never),
+      KLEX_FIELD(A, mean_stabilization_time,
+                 mean(&R::stabilization_time, stabilized)),
+      KLEX_FIELD(A, max_stabilization_time,
+                 peak(&R::stabilization_time, stabilized)),
+      KLEX_FIELD(A, mean_recovery_time, mean(&R::recovery_time, recovered)),
+      KLEX_FIELD(A, max_recovery_time, peak(&R::recovery_time, recovered)),
+      KLEX_FIELD(A, mean_recovery_events, mean(&R::recovery_events, recovered)),
+      KLEX_FIELD(A, mean_recovery_wall_seconds,
+                 mean(&R::recovery_wall_seconds, recovered)),
+      KLEX_FIELD(A, mean_wall_seconds, mean(&R::wall_seconds)),
+      KLEX_FIELD(A, mean_grants_per_mtick, mean(&R::grants_per_mtick)),
+      KLEX_FIELD(A, mean_wait_entries, mean(&R::mean_wait_entries)),
+      KLEX_FIELD(A, max_wait_entries, peak(&R::max_wait_entries)),
+      field("mean_grant_latency_p50", &A::mean_latency_p50,
+            mean(&R::latency_p50, has_latency), if_latency),
+      field("mean_grant_latency_p99", &A::mean_latency_p99,
+            mean(&R::latency_p99, has_latency), if_latency),
+      field("mean_grant_latency_p999", &A::mean_latency_p999,
+            mean(&R::latency_p999, has_latency), if_latency),
+      KLEX_FIELD(A, mean_messages_per_grant, mean(&R::messages_per_grant)),
+      KLEX_FIELD(A, mean_outstanding_at_end, mean(&R::outstanding_at_end)),
+      KLEX_FIELD(A, total_events_per_sec, total(&R::events_per_sec)),
+      KLEX_FIELD(A, mean_fault_events, mean(fault_events), if_fault_events),
+      KLEX_FIELD(A, mean_parent_changes,
+                 mean(per_event_sum<&F::parent_changes>), if_fault_events),
+      KLEX_FIELD(A, mean_stree_events, mean(per_event_sum<&F::stree_events>),
+                 if_fault_events),
+      KLEX_FIELD(A, mean_chaos_dropped,
+                 mean(path<&R::engine_stats, &S::chaos_dropped>), if_monitored),
+      KLEX_FIELD(A, mean_chaos_duplicated,
+                 mean(path<&R::engine_stats, &S::chaos_duplicated>),
+                 if_monitored),
+      KLEX_FIELD(A, mean_chaos_reordered,
+                 mean(path<&R::engine_stats, &S::chaos_reordered>),
+                 if_monitored),
+      KLEX_FIELD(A, mean_chaos_jittered,
+                 mean(path<&R::engine_stats, &S::chaos_jittered>),
+                 if_monitored),
+      KLEX_FIELD(A, mean_fault_phase_violations,
+                 mean(&R::fault_phase_violations), if_monitored),
+      KLEX_FIELD(A, mean_liveness_stalls, mean(&R::liveness_stalls),
+                 if_monitored)};
+}
+
+// The "spec" object: the scenario as run, replayable from the artifact.
+constexpr auto fields_of(const ScenarioSpec&) {
+  using S = ScenarioSpec;
+  // The fleet axis only when the scenario sweeps it.
+  constexpr auto if_fleet_grid = [](const S& s, bool) {
+    return s.fleet != std::vector<int>{1} || s.fleet_compare_separate;
+  };
+  constexpr auto fault = [](const S& s) { return to_string(s.fault); };
+  constexpr auto fault_plan = [](const S& s) -> const auto& {
+    return s.fault_plan.events;
+  };
+  return std::tuple{
+      KLEX_FIELD(S, note, none, if_nonempty<&S::note>),
+      field("topologies", names_of<&S::topologies>),
+      field("features", names_of<&S::features>), KLEX_FIELD(S, kl),
+      KLEX_FIELD(S, cmax), KLEX_FIELD(S, delays), KLEX_FIELD(S, threads),
+      KLEX_FIELD(S, fleet, none, if_fleet_grid),
+      KLEX_FIELD(S, fleet_compare_separate, none, if_fleet_grid),
+      KLEX_FIELD(S, seed_tokens), KLEX_FIELD(S, spread_tokens),
+      KLEX_FIELD(S, workload), KLEX_FIELD(S, warmup), KLEX_FIELD(S, horizon),
+      KLEX_FIELD(S, stabilize_deadline), KLEX_FIELD(S, beacon_period),
+      field("fault", fault),
+      field("fault_plan", fault_plan, none, if_nonempty<&S::fault_plan>),
+      KLEX_FIELD(S, chaos, none, if_monitored),
+      KLEX_FIELD(S, stall_threshold, none, if_monitored),
+      KLEX_FIELD(S, policies, none, if_nonempty<&S::policies>),
+      KLEX_FIELD(S, fault_garbage), KLEX_FIELD(S, seeds),
+      KLEX_FIELD(S, base_seed)};
+}
+
+// One (k, l) pair of the spec's "kl" axis.
+constexpr auto fields_of(const std::pair<int, int>&) {
+  using P = std::pair<int, int>;
+  return std::tuple{field("k", &P::first), field("l", &P::second)};
+}
+
+constexpr auto fields_of(const sim::DelayModel&) {
+  using D = sim::DelayModel;
+  return std::tuple{field("min", &D::min_delay), field("max", &D::max_delay)};
+}
+
+constexpr auto fields_of(const proto::WorkloadSpec&) {
+  using W = proto::WorkloadSpec;
+  return std::tuple{KLEX_FIELD(W, base), KLEX_FIELD(W, classes)};
+}
+
+constexpr auto fields_of(const proto::BehaviorClass&) {
+  using C = proto::BehaviorClass;
+  // Explicit nodes win over a count, a count over a fraction.
+  constexpr auto if_count = [](const C& c, bool) {
+    return c.nodes.empty() && c.count >= 0;
+  };
+  constexpr auto if_fraction = [](const C& c, bool) {
+    return c.nodes.empty() && c.count < 0;
+  };
+  return std::tuple{KLEX_FIELD(C, name),
+                    KLEX_FIELD(C, nodes, none, if_nonempty<&C::nodes>),
+                    KLEX_FIELD(C, count, none, if_count),
+                    KLEX_FIELD(C, fraction, none, if_fraction),
+                    KLEX_FIELD(C, behavior)};
+}
+
+constexpr auto fields_of(const proto::NodeBehavior&) {
+  using B = proto::NodeBehavior;
+  return std::tuple{
+      KLEX_FIELD(B, active), KLEX_FIELD(B, hold_forever), KLEX_FIELD(B, think),
+      KLEX_FIELD(B, cs_duration), KLEX_FIELD(B, need),
+      KLEX_FIELD(B, max_requests, none, if_set<&B::max_requests>)};
+}
+
+constexpr auto fields_of(const proto::Dist&) {
+  using D = proto::Dist;
+  using enum D::Kind;
+  constexpr auto kind = [](const D& d) {
+    return d.kind == kFixed ? "fixed"
+           : d.kind == kUniform ? "uniform"
+                                : "exponential";
+  };
+  return std::tuple{
+      field("kind", kind),
+      field("value", &D::a, none, if_equal<&D::kind, kFixed>),
+      field("lo", &D::a, none, if_equal<&D::kind, kUniform>),
+      field("hi", &D::b, none, if_equal<&D::kind, kUniform>),
+      field("mean", &D::a, none, if_equal<&D::kind, kExponential>)};
+}
+
+constexpr auto fields_of(const FaultEvent&) {
+  using E = FaultEvent;
+  constexpr auto kind = [](const E& e) { return to_string(e.kind); };
+  constexpr auto links = [](const E& e) {
+    std::vector<std::array<int, 2>> pairs;
+    for (const auto& [a, b] : e.links) pairs.push_back({a, b});
+    return pairs;
+  };
+  constexpr auto if_burst = if_equal<&E::kind, FaultKind::kChaosBurst>;
+  return std::tuple{
+      KLEX_FIELD(E, at), field("kind", kind), KLEX_FIELD(E, count),
+      KLEX_FIELD(E, restore),
+      field("links", links, none, if_nonempty<&E::links>),
+      KLEX_FIELD(E, nodes, none, if_nonempty<&E::nodes>),
+      KLEX_FIELD(E, garbage, none, if_set<&E::garbage>),
+      KLEX_FIELD(E, duration, none, if_burst),
+      KLEX_FIELD(E, chaos, none, if_burst)};
+}
+
+constexpr auto fields_of(const sim::ChaosConfig&) {
+  using C = sim::ChaosConfig;
+  return std::tuple{
+      KLEX_FIELD(C, drop_p), KLEX_FIELD(C, dup_p), KLEX_FIELD(C, reorder_p),
+      KLEX_FIELD(C, reorder_window), KLEX_FIELD(C, reorder_flush_delay),
+      KLEX_FIELD(C, jitter)};
+}
+
+constexpr auto fields_of(const ScenarioSpec::PolicyVariant&) {
+  using P = ScenarioSpec::PolicyVariant;
+  return std::tuple{
+      KLEX_FIELD(P, label), KLEX_FIELD(P, retry), KLEX_FIELD(P, admission),
+      KLEX_FIELD(P, chaos, none, if_true<&P::override_chaos>)};
+}
+
+constexpr auto fields_of(const proto::RetryPolicy&) {
+  using P = proto::RetryPolicy;
+  return std::tuple{
+      KLEX_FIELD(P, backoff_base), KLEX_FIELD(P, backoff_cap_exponent),
+      KLEX_FIELD(P, jitter), KLEX_FIELD(P, max_attempts),
+      KLEX_FIELD(P, retry_budget), KLEX_FIELD(P, deadline)};
+}
+
+constexpr auto fields_of(const proto::AdmissionPolicy&) {
+  using P = proto::AdmissionPolicy;
+  return std::tuple{KLEX_FIELD(P, max_waiting),
+                    KLEX_FIELD(P, max_outstanding_need)};
+}
+#undef KLEX_FIELD
+
+template <class Record>
+void merge(Record& total, const Record& one) {
+  for_each_field(fields_of(total), [&](const auto& f) {
+    if constexpr (!std::is_same_v<std::decay_t<decltype(f.rule)>, NoRule>) {
+      f.rule(total.*f.member, one.*f.member);
+    }
+  });
+}
+
+/// Writes a scalar, an array, or a record through its field list.
+template <class T>
+void write_value(support::JsonWriter& json, const T& value, bool monitored) {
+  if constexpr (requires { json.value(value); }) {
+    json.value(value);
+  } else if constexpr (requires { value.begin(); }) {
+    json.begin_array();
+    for (const auto& item : value) write_value(json, item, monitored);
+    json.end_array();
+  } else {
+    json.begin_object();
+    for_each_field(fields_of(value), [&](const auto& f) {
+      if (!f.when(value, monitored)) return;
+      write_value(json.key(f.name), std::invoke(f.member, value), monitored);
+    });
+    json.end_object();
+  }
 }
 
 /// What one session's pass through the phase pipeline measured: the
@@ -403,39 +872,12 @@ SessionRun run_separate(const ScenarioSpec& spec, const RunPoint& point) {
       batch = std::move(run);  // also carries the fault phase's fields
       continue;
     }
-    RunResult& total = batch.result;
-    const RunResult& one = run.result;
-    total.n += one.n;
-    total.stabilized = total.stabilized && one.stabilized;
-    total.stabilization_time =
-        std::max(total.stabilization_time, one.stabilization_time);
-    total.grants += one.grants;
-    total.requests += one.requests;
-    total.outstanding_at_end += one.outstanding_at_end;
-    total.quiescent_at_end = total.quiescent_at_end && one.quiescent_at_end;
-    for (std::size_t c = 0; c < total.classes.size(); ++c) {
-      total.classes[c].nodes += one.classes[c].nodes;
-      total.classes[c].requests += one.classes[c].requests;
-      total.classes[c].grants += one.classes[c].grants;
-      total.classes[c].holding_at_end += one.classes[c].holding_at_end;
-      batch.class_latency[c].merge(run.class_latency[c]);
-    }
-    total.tenants.push_back(one.tenants.front());
+    merge(batch.result, run.result);
     batch.waits.merge(run.waits);
     batch.latency.merge(run.latency);
-    total.control_messages += one.control_messages;
-    total.resource_messages += one.resource_messages;
-    total.pusher_messages += one.pusher_messages;
-    total.priority_messages += one.priority_messages;
-    total.safety_ok = total.safety_ok && one.safety_ok;
-    total.safety_violations += one.safety_violations;
-    total.last_violation_time =
-        std::max(total.last_violation_time, one.last_violation_time);
-    total.liveness_stalls += one.liveness_stalls;
-    total.fault_phase_violations += one.fault_phase_violations;
-    total.events_executed += one.events_executed;
-    total.engine_stats += one.engine_stats;
-    total.wall_seconds += one.wall_seconds;
+    for (std::size_t c = 0; c < batch.class_latency.size(); ++c) {
+      batch.class_latency[c].merge(run.class_latency[c]);
+    }
   }
   return batch;
 }
@@ -538,327 +980,47 @@ std::vector<RunResult> ExperimentRunner::run(const ScenarioSpec& spec) const {
 
 std::vector<Aggregate> ExperimentRunner::aggregate(
     const std::vector<RunResult>& results) {
-  // Keyed by (topology, features, k, l, fault_garbage, threads, fleet,
-  // fleet_mode, policy), in first-appearance order.
-  std::map<std::tuple<std::string, std::string, int, int, int, int, int,
-                      std::string, std::string>,
-           std::size_t>
-      index;
-  std::vector<Aggregate> cells;
+  // Groups the runs by the key fields, in first-appearance order, then
+  // folds every field of a cell over its runs.
+  const auto fields = fields_of(Aggregate{});
+  std::vector<std::vector<const RunResult*>> cells;
   for (const RunResult& run : results) {
-    auto key = std::tuple{run.topology, run.features,  run.k,
-                          run.l,        run.fault_garbage, run.threads,
-                          run.fleet,    run.fleet_mode, run.policy};
-    auto [it, inserted] = index.try_emplace(key, cells.size());
-    if (inserted) {
-      Aggregate cell;
-      cell.topology = run.topology;
-      cell.features = run.features;
-      cell.k = run.k;
-      cell.l = run.l;
-      cell.fault_garbage = run.fault_garbage;
-      cell.threads = run.threads;
-      cell.fleet = run.fleet;
-      cell.fleet_mode = run.fleet_mode;
-      cell.policy = run.policy;
-      cell.n = run.n;
-      cells.push_back(cell);
-    }
-    Aggregate& cell = cells[it->second];
-    ++cell.runs;
-    if (run.stabilized) {
-      ++cell.stabilized_runs;
-      double t = static_cast<double>(run.stabilization_time);
-      cell.mean_stabilization_time += t;
-      cell.max_stabilization_time = std::max(cell.max_stabilization_time, t);
-    }
-    if (run.recovered) {
-      ++cell.recovered_runs;
-      double t = static_cast<double>(run.recovery_time);
-      cell.mean_recovery_time += t;
-      cell.max_recovery_time = std::max(cell.max_recovery_time, t);
-      cell.mean_recovery_events += static_cast<double>(run.recovery_events);
-      cell.mean_recovery_wall_seconds += run.recovery_wall_seconds;
-    }
-    if (run.safety_ok) ++cell.safe_runs;
-    cell.mean_grants_per_mtick += run.grants_per_mtick;
-    cell.mean_wait_entries += run.mean_wait_entries;
-    cell.max_wait_entries =
-        std::max(cell.max_wait_entries, run.max_wait_entries);
-    cell.mean_messages_per_grant += run.messages_per_grant;
-    cell.mean_outstanding_at_end += run.outstanding_at_end;
-    cell.mean_wall_seconds += run.wall_seconds;
-    cell.total_events_per_sec += run.events_per_sec;
-    cell.mean_fault_events += static_cast<double>(run.fault_events.size());
-    for (const FaultEventResult& event : run.fault_events) {
-      cell.mean_parent_changes += event.parent_changes;
-      cell.mean_stree_events += static_cast<double>(event.stree_events);
-    }
-    cell.mean_chaos_dropped +=
-        static_cast<double>(run.engine_stats.chaos_dropped);
-    cell.mean_chaos_duplicated +=
-        static_cast<double>(run.engine_stats.chaos_duplicated);
-    cell.mean_chaos_reordered +=
-        static_cast<double>(run.engine_stats.chaos_reordered);
-    cell.mean_chaos_jittered +=
-        static_cast<double>(run.engine_stats.chaos_jittered);
-    cell.mean_fault_phase_violations +=
-        static_cast<double>(run.fault_phase_violations);
-    cell.mean_liveness_stalls += static_cast<double>(run.liveness_stalls);
-    if (run.latency_count > 0) {
-      ++cell.latency_runs;
-      cell.mean_latency_p50 += run.latency_p50;
-      cell.mean_latency_p99 += run.latency_p99;
-      cell.mean_latency_p999 += run.latency_p999;
-    }
+    auto same_cell = [&](const std::vector<const RunResult*>& cell) {
+      bool same = true;
+      for_each_field(fields, [&](const auto& f) {
+        same = same && (f.rule.op != Op::kKey ||
+                        std::invoke(f.rule.source, *cell.front()) ==
+                            std::invoke(f.rule.source, run));
+      });
+      return same;
+    };
+    auto cell = std::find_if(cells.begin(), cells.end(), same_cell);
+    if (cell == cells.end()) cell = cells.emplace(cells.end());
+    cell->push_back(&run);
   }
-  for (Aggregate& cell : cells) {
-    if (cell.stabilized_runs > 0) {
-      cell.mean_stabilization_time /= cell.stabilized_runs;
-    }
-    if (cell.recovered_runs > 0) {
-      for (double* mean : {&cell.mean_recovery_time, &cell.mean_recovery_events,
-                           &cell.mean_recovery_wall_seconds}) {
-        *mean /= cell.recovered_runs;
-      }
-    }
-    if (cell.runs > 0) {
-      for (double* mean :
-           {&cell.mean_grants_per_mtick, &cell.mean_wait_entries,
-            &cell.mean_messages_per_grant, &cell.mean_outstanding_at_end,
-            &cell.mean_wall_seconds, &cell.mean_fault_events,
-            &cell.mean_parent_changes, &cell.mean_stree_events,
-            &cell.mean_chaos_dropped, &cell.mean_chaos_duplicated,
-            &cell.mean_chaos_reordered, &cell.mean_chaos_jittered,
-            &cell.mean_fault_phase_violations, &cell.mean_liveness_stalls}) {
-        *mean /= cell.runs;
-      }
-    }
-    if (cell.latency_runs > 0) {
-      for (double* mean : {&cell.mean_latency_p50, &cell.mean_latency_p99,
-                           &cell.mean_latency_p999}) {
-        *mean /= cell.latency_runs;
-      }
-    }
-  }
-  return cells;
-}
-
-namespace {
-
-void write_dist(support::JsonWriter& json, const proto::Dist& dist) {
-  json.begin_object();
-  switch (dist.kind) {
-    case proto::Dist::Kind::kFixed:
-      json.field("kind", "fixed").field("value", dist.a);
-      break;
-    case proto::Dist::Kind::kUniform:
-      json.field("kind", "uniform").field("lo", dist.a).field("hi", dist.b);
-      break;
-    case proto::Dist::Kind::kExponential:
-      json.field("kind", "exponential").field("mean", dist.a);
-      break;
-  }
-  json.end_object();
-}
-
-void write_chaos_config(support::JsonWriter& json,
-                        const sim::ChaosConfig& chaos) {
-  json.begin_object();
-  json.field("drop_p", chaos.drop_p);
-  json.field("dup_p", chaos.dup_p);
-  json.field("reorder_p", chaos.reorder_p);
-  json.field("reorder_window", chaos.reorder_window);
-  json.field("reorder_flush_delay", chaos.reorder_flush_delay);
-  json.field("jitter", chaos.jitter);
-  json.end_object();
-}
-
-void write_behavior(support::JsonWriter& json,
-                    const proto::NodeBehavior& behavior) {
-  json.begin_object();
-  json.field("active", behavior.active);
-  json.field("hold_forever", behavior.hold_forever);
-  json.key("think");
-  write_dist(json, behavior.think);
-  json.key("cs_duration");
-  write_dist(json, behavior.cs_duration);
-  json.key("need");
-  write_dist(json, behavior.need);
-  if (behavior.max_requests >= 0) {
-    json.field("max_requests", behavior.max_requests);
-  }
-  json.end_object();
-}
-
-// True when any run of the scenario can exercise a ChaosModel or the
-// liveness watchdog -- gates the chaos/monitoring fields so pre-chaos
-// artifacts stay byte-identical.
-bool is_monitored_spec(const ScenarioSpec& spec) {
-  if (spec.chaos.enabled() || spec.fault_plan.has_chaos_events() ||
-      spec.stall_threshold > 0) {
-    return true;
-  }
-  for (const ScenarioSpec::PolicyVariant& variant : spec.policies) {
-    if (variant.override_chaos && variant.chaos.enabled()) return true;
-  }
-  return false;
-}
-
-void write_retry_policy(support::JsonWriter& json,
-                        const proto::RetryPolicy& retry) {
-  json.begin_object();
-  json.field("backoff_base", retry.backoff_base);
-  json.field("backoff_cap_exponent", retry.backoff_cap_exponent);
-  json.field("jitter", retry.jitter);
-  json.field("max_attempts", retry.max_attempts);
-  json.field("retry_budget", retry.retry_budget);
-  json.field("deadline", retry.deadline);
-  json.end_object();
-}
-
-void write_admission_policy(support::JsonWriter& json,
-                            const proto::AdmissionPolicy& admission) {
-  json.begin_object();
-  json.field("max_waiting", admission.max_waiting);
-  json.field("max_outstanding_need", admission.max_outstanding_need);
-  json.end_object();
-}
-
-// The artifact's "spec" object -- factored out of write_json so the
-// chaos fuzzer can emit a minimized reproducer as standalone,
-// replayable scenario JSON (write_scenario_json).
-void write_spec_object(support::JsonWriter& json,
-                       const ScenarioSpec& spec) {
-  json.begin_object();
-  if (!spec.note.empty()) json.field("note", spec.note);
-  json.key("topologies").begin_array();
-  for (const TopologySpec& topology : spec.topologies) {
-    json.value(topology.name());
-  }
-  json.end_array();
-  json.key("features").begin_array();
-  for (const proto::Features& features : spec.features) {
-    json.value(features.name());
-  }
-  json.end_array();
-  json.key("kl").begin_array();
-  for (const auto& [k, l] : spec.kl) {
-    json.begin_object().field("k", k).field("l", l).end_object();
-  }
-  json.end_array();
-  json.field("cmax", spec.cmax);
-  json.key("delays").begin_object();
-  json.field("min", spec.delays.min_delay);
-  json.field("max", spec.delays.max_delay);
-  json.end_object();
-  json.key("threads").begin_array();
-  for (int threads : spec.threads) json.value(threads);
-  json.end_array();
-  // The fleet axis is emitted only when the scenario actually sweeps it,
-  // so pre-fleet artifacts stay byte-identical.
-  const bool fleet_grid = spec.fleet != std::vector<int>{1} ||
-                          spec.fleet_compare_separate;
-  if (fleet_grid) {
-    json.key("fleet").begin_array();
-    for (int fleet : spec.fleet) json.value(fleet);
-    json.end_array();
-    json.field("fleet_compare_separate", spec.fleet_compare_separate);
-  }
-  json.field("seed_tokens", spec.seed_tokens);
-  json.field("spread_tokens", spec.spread_tokens);
-  json.key("workload").begin_object();
-  json.key("base");
-  write_behavior(json, spec.workload.base);
-  json.key("classes").begin_array();
-  for (const proto::BehaviorClass& cls : spec.workload.classes) {
-    json.begin_object();
-    json.field("name", cls.name);
-    if (!cls.nodes.empty()) {
-      json.key("nodes").begin_array();
-      for (proto::NodeId node : cls.nodes) json.value(node);
-      json.end_array();
-    } else if (cls.count >= 0) {
-      json.field("count", cls.count);
-    } else {
-      json.field("fraction", cls.fraction);
-    }
-    json.key("behavior");
-    write_behavior(json, cls.behavior);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();  // workload
-  json.field("warmup", spec.warmup);
-  json.field("horizon", spec.horizon);
-  json.field("stabilize_deadline", spec.stabilize_deadline);
-  json.field("beacon_period", spec.beacon_period);
-  json.field("fault", to_string(spec.fault));
-  if (!spec.fault_plan.events.empty()) {
-    json.key("fault_plan").begin_array();
-    for (const FaultEvent& event : spec.fault_plan.events) {
-      json.begin_object();
-      json.field("at", event.at);
-      json.field("kind", to_string(event.kind));
-      json.field("count", event.count);
-      json.field("restore", event.restore);
-      if (!event.links.empty()) {
-        json.key("links").begin_array();
-        for (const auto& [a, b] : event.links) {
-          json.begin_array().value(a).value(b).end_array();
+  std::vector<Aggregate> aggregates(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for_each_field(fields, [&](const auto& f) {
+      auto& value = aggregates[c].*f.member;
+      using T = std::decay_t<decltype(value)>;
+      int folded = 0;
+      for (const RunResult* run : cells[c]) {
+        if (!f.rule.over(*run, false)) continue;
+        const T x = static_cast<T>(std::invoke(f.rule.source, *run));
+        switch (f.rule.op) {
+          case Op::kMax: value = std::max(value, x); break;
+          case Op::kSum: case Op::kMean: value += x; break;
+          default: if (folded == 0) value = x;  // kKey, kFirst
         }
-        json.end_array();
+        ++folded;
       }
-      if (!event.nodes.empty()) {
-        json.key("nodes").begin_array();
-        for (int node : event.nodes) json.value(node);
-        json.end_array();
+      if constexpr (std::is_floating_point_v<T>) {
+        if (f.rule.op == Op::kMean && folded > 0) value /= folded;
       }
-      if (event.garbage >= 0) json.field("garbage", event.garbage);
-      if (event.kind == FaultKind::kChaosBurst) {
-        json.field("duration", event.duration);
-        json.key("chaos");
-        write_chaos_config(json, event.chaos);
-      }
-      json.end_object();
-    }
-    json.end_array();
+    });
   }
-  // Chaos / watchdog spec knobs, emitted only for scenarios that use
-  // them so every pre-chaos artifact stays byte-identical.
-  if (is_monitored_spec(spec)) {
-    json.key("chaos");
-    write_chaos_config(json, spec.chaos);
-    json.field("stall_threshold", spec.stall_threshold);
-  }
-  // Policy axis, emitted only when the scenario sweeps one (pre-policy
-  // artifacts stay byte-identical).
-  if (!spec.policies.empty()) {
-    json.key("policies").begin_array();
-    for (const ScenarioSpec::PolicyVariant& variant : spec.policies) {
-      json.begin_object();
-      json.field("label", variant.label);
-      json.key("retry");
-      write_retry_policy(json, variant.retry);
-      json.key("admission");
-      write_admission_policy(json, variant.admission);
-      if (variant.override_chaos) {
-        json.key("chaos");
-        write_chaos_config(json, variant.chaos);
-      }
-      json.end_object();
-    }
-    json.end_array();
-  }
-  json.key("fault_garbage").begin_array();
-  for (int garbage : spec.fault_garbage) json.value(garbage);
-  json.end_array();
-  json.field("seeds", spec.seeds);
-  json.field("base_seed", spec.base_seed);
-  json.end_object();  // spec
+  return aggregates;
 }
-
-}  // namespace
 
 void write_json(std::ostream& out, const ScenarioSpec& spec,
                 const std::vector<RunResult>& results) {
@@ -868,224 +1030,13 @@ void write_json(std::ostream& out, const ScenarioSpec& spec,
 void write_json(std::ostream& out, const ScenarioSpec& spec,
                 const std::vector<RunResult>& results,
                 const std::vector<Aggregate>& aggregates) {
+  const bool monitored = is_monitored_spec(spec);
   support::JsonWriter json(out);
   json.begin_object();
   json.field("scenario", spec.name);
-
-  json.key("spec");
-  write_spec_object(json, spec);
-  const bool monitored_spec = is_monitored_spec(spec);
-
-  json.key("runs").begin_array();
-  for (const RunResult& run : results) {
-    json.begin_object();
-    json.field("topology", run.topology);
-    json.field("features", run.features);
-    json.field("n", run.n);
-    json.field("k", run.k);
-    json.field("l", run.l);
-    json.field("threads", run.threads);
-    if (run.fleet > 1) {
-      json.field("fleet", run.fleet);
-      json.field("fleet_mode", run.fleet_mode);
-    }
-    if (!run.policy.empty()) json.field("policy", run.policy);
-    json.field("seed", run.seed);
-    json.field("stabilized", run.stabilized);
-    if (run.stabilized) {
-      json.field("stabilization_time", run.stabilization_time);
-    }
-    if (run.fault_injected) {
-      if (run.fault_garbage >= 0) {
-        json.field("fault_garbage", run.fault_garbage);
-      }
-      json.field("recovered", run.recovered);
-      if (run.recovered) {
-        json.field("recovery_time", run.recovery_time);
-        json.field("recovery_events", run.recovery_events);
-        json.field("recovery_wall_seconds", run.recovery_wall_seconds);
-      }
-      if (!run.fault_events.empty()) {
-        json.key("fault_events").begin_array();
-        for (const FaultEventResult& event : run.fault_events) {
-          json.begin_object();
-          json.field("at", event.at);
-          json.field("kind", event.kind);
-          json.field("links_changed", event.links_changed);
-          json.field("nodes_changed", event.nodes_changed);
-          json.field("detached", event.detached);
-          json.field("reattached", event.reattached);
-          json.field("attached_nodes", event.attached_nodes);
-          json.field("parent_changes", event.parent_changes);
-          json.field("stree_events", event.stree_events);
-          json.field("stree_time", event.stree_time);
-          json.field("repair_seed", event.repair_seed);
-          json.field("recovered", event.recovered);
-          json.field("recovery_time", event.recovery_time);
-          json.field("recovery_events", event.recovery_events);
-          if (event.chaos) {
-            json.field("chaos_dropped", event.chaos_dropped);
-            json.field("chaos_duplicated", event.chaos_duplicated);
-            json.field("chaos_reordered", event.chaos_reordered);
-            json.field("chaos_jittered", event.chaos_jittered);
-            json.field("violations", event.violations);
-          }
-          json.end_object();
-        }
-        json.end_array();
-      }
-    }
-    json.field("grants", run.grants);
-    json.field("requests", run.requests);
-    json.field("grants_per_mtick", run.grants_per_mtick);
-    json.field("outstanding_at_end", run.outstanding_at_end);
-    json.field("quiescent_at_end", run.quiescent_at_end);
-    if (!run.classes.empty()) {
-      json.key("classes").begin_array();
-      for (const ClassResult& cls : run.classes) {
-        json.begin_object();
-        json.field("name", cls.name);
-        json.field("nodes", cls.nodes);
-        json.field("requests", cls.requests);
-        json.field("grants", cls.grants);
-        json.field("holding_at_end", cls.holding_at_end);
-        if (cls.latency_count > 0) {
-          json.field("latency_count", cls.latency_count);
-          json.field("grant_latency_p50", cls.latency_p50);
-          json.field("grant_latency_p99", cls.latency_p99);
-          json.field("grant_latency_p999", cls.latency_p999);
-        }
-        json.end_object();
-      }
-      json.end_array();
-    }
-    if (!run.tenants.empty()) {
-      json.key("tenants").begin_array();
-      for (const TenantResult& cell : run.tenants) {
-        json.begin_object();
-        json.field("tenant", cell.tenant);
-        json.field("n", cell.n);
-        json.field("stabilized", cell.stabilized);
-        if (cell.stabilized) {
-          json.field("stabilization_time", cell.stabilization_time);
-        }
-        json.field("requests", cell.requests);
-        json.field("grants", cell.grants);
-        json.field("events_executed", cell.events_executed);
-        json.field("recovery_events", cell.recovery_events);
-        json.field("correct_at_end", cell.correct_at_end);
-        json.end_object();
-      }
-      json.end_array();
-    }
-    json.field("mean_wait_entries", run.mean_wait_entries);
-    json.field("max_wait_entries", run.max_wait_entries);
-    json.field("p99_wait_entries", run.p99_wait_entries);
-    // Grant-latency percentiles, only when the run recorded any grants
-    // (bench_diff treats a percentile present in the baseline but
-    // missing here as a loud failure).
-    if (run.latency_count > 0) {
-      json.field("latency_count", run.latency_count);
-      json.field("grant_latency_p50", run.latency_p50);
-      json.field("grant_latency_p99", run.latency_p99);
-      json.field("grant_latency_p999", run.latency_p999);
-    }
-    json.field("messages_per_grant", run.messages_per_grant);
-    json.field("control_messages", run.control_messages);
-    json.field("resource_messages", run.resource_messages);
-    json.field("pusher_messages", run.pusher_messages);
-    json.field("priority_messages", run.priority_messages);
-    json.field("safety_ok", run.safety_ok);
-    if (monitored_spec) {
-      json.field("safety_violations", run.safety_violations);
-      json.field("last_violation_time", run.last_violation_time);
-      json.field("liveness_stalls", run.liveness_stalls);
-      json.field("fault_phase_violations", run.fault_phase_violations);
-    }
-    json.field("events_executed", run.events_executed);
-    json.field("wall_seconds", run.wall_seconds);
-    json.field("events_per_sec", run.events_per_sec);
-    json.key("engine").begin_object();
-    json.field("callbacks_scheduled", run.engine_stats.callbacks_scheduled);
-    json.field("callback_slots_created",
-               run.engine_stats.callback_slots_created);
-    json.field("max_heap_size", run.engine_stats.max_heap_size);
-    json.field("in_flight_walks", run.engine_stats.in_flight_walks);
-    if (monitored_spec) {
-      json.field("chaos_dropped", run.engine_stats.chaos_dropped);
-      json.field("chaos_duplicated", run.engine_stats.chaos_duplicated);
-      json.field("chaos_reordered", run.engine_stats.chaos_reordered);
-      json.field("chaos_jittered", run.engine_stats.chaos_jittered);
-    }
-    json.field("bucket_inserts", run.engine_stats.scheduler.bucket_inserts);
-    json.field("bucket_scans", run.engine_stats.scheduler.bucket_scans);
-    json.field("overflow_pushes",
-               run.engine_stats.scheduler.overflow_pushes);
-    json.field("overflow_pops", run.engine_stats.scheduler.overflow_pops);
-    json.field("bucket_window", run.engine_stats.bucket_window);
-    json.end_object();
-    json.end_object();
-  }
-  json.end_array();  // runs
-
-  json.key("aggregates").begin_array();
-  for (const Aggregate& cell : aggregates) {
-    json.begin_object();
-    json.field("topology", cell.topology);
-    json.field("features", cell.features);
-    json.field("k", cell.k);
-    json.field("l", cell.l);
-    if (cell.fault_garbage >= 0) {
-      json.field("fault_garbage", cell.fault_garbage);
-    }
-    json.field("threads", cell.threads);
-    if (cell.fleet > 1) {
-      json.field("fleet", cell.fleet);
-      json.field("fleet_mode", cell.fleet_mode);
-    }
-    if (!cell.policy.empty()) json.field("policy", cell.policy);
-    json.field("n", cell.n);
-    json.field("runs", cell.runs);
-    json.field("stabilized_runs", cell.stabilized_runs);
-    json.field("safe_runs", cell.safe_runs);
-    json.field("recovered_runs", cell.recovered_runs);
-    json.field("mean_stabilization_time", cell.mean_stabilization_time);
-    json.field("max_stabilization_time", cell.max_stabilization_time);
-    json.field("mean_recovery_time", cell.mean_recovery_time);
-    json.field("max_recovery_time", cell.max_recovery_time);
-    json.field("mean_recovery_events", cell.mean_recovery_events);
-    json.field("mean_recovery_wall_seconds",
-               cell.mean_recovery_wall_seconds);
-    json.field("mean_wall_seconds", cell.mean_wall_seconds);
-    json.field("mean_grants_per_mtick", cell.mean_grants_per_mtick);
-    json.field("mean_wait_entries", cell.mean_wait_entries);
-    json.field("max_wait_entries", cell.max_wait_entries);
-    if (cell.latency_runs > 0) {
-      json.field("mean_grant_latency_p50", cell.mean_latency_p50);
-      json.field("mean_grant_latency_p99", cell.mean_latency_p99);
-      json.field("mean_grant_latency_p999", cell.mean_latency_p999);
-    }
-    json.field("mean_messages_per_grant", cell.mean_messages_per_grant);
-    json.field("mean_outstanding_at_end", cell.mean_outstanding_at_end);
-    json.field("total_events_per_sec", cell.total_events_per_sec);
-    if (cell.mean_fault_events > 0.0) {
-      json.field("mean_fault_events", cell.mean_fault_events);
-      json.field("mean_parent_changes", cell.mean_parent_changes);
-      json.field("mean_stree_events", cell.mean_stree_events);
-    }
-    if (monitored_spec) {
-      json.field("mean_chaos_dropped", cell.mean_chaos_dropped);
-      json.field("mean_chaos_duplicated", cell.mean_chaos_duplicated);
-      json.field("mean_chaos_reordered", cell.mean_chaos_reordered);
-      json.field("mean_chaos_jittered", cell.mean_chaos_jittered);
-      json.field("mean_fault_phase_violations",
-                 cell.mean_fault_phase_violations);
-      json.field("mean_liveness_stalls", cell.mean_liveness_stalls);
-    }
-    json.end_object();
-  }
-  json.end_array();  // aggregates
-
+  write_value(json.key("spec"), spec, monitored);
+  write_value(json.key("runs"), results, monitored);
+  write_value(json.key("aggregates"), aggregates, monitored);
   json.end_object();
   out << '\n';
 }
@@ -1094,8 +1045,7 @@ void write_scenario_json(std::ostream& out, const ScenarioSpec& spec) {
   support::JsonWriter json(out);
   json.begin_object();
   json.field("scenario", spec.name);
-  json.key("spec");
-  write_spec_object(json, spec);
+  write_value(json.key("spec"), spec, is_monitored_spec(spec));
   json.end_object();
   out << '\n';
 }

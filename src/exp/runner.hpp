@@ -20,16 +20,19 @@
 // and its grant. In a fleet each tenant is its own instance, so a shared
 // run's waits equal those of its standalone twins.
 //
-// Parallelism model: the engine is single-threaded by design; one engine
-// per thread parallelizes experiments trivially (sim/engine.hpp). Every
-// grid point therefore constructs its own SystemBase (own engine, own
-// rng) through klex::SystemBuilder inside the worker, so runs are
-// bit-identical regardless of thread count or scheduling -- only
-// wall-clock fields vary.
+// Parallelism model: the worker pool runs grid points concurrently, each
+// constructing its own SystemBase (own engine, own rng) through
+// klex::SystemBuilder inside its worker; a point with threads = P > 1
+// runs its engine as a P-lane sim::ParallelEngine inside that worker.
+// Event sequencing is per channel, node and stream, never per lane, so
+// runs are bit-identical regardless of pool size, lane count or
+// scheduling -- only wall-clock fields vary.
 //
 // Output: run() returns per-point results; write_json() /
 // write_json_file() emit the machine-readable artifact
-// (BENCH_<scenario>.json) that tracks the perf trajectory across PRs.
+// (BENCH_<scenario>.json). Its schema is one field list per record type
+// (runner.cpp), which also drives the separate-fleet merge and
+// aggregate().
 #pragma once
 
 #include <cstdint>
@@ -217,7 +220,8 @@ struct RunResult {
   sim::EngineStats engine_stats{};
 };
 
-/// Cross-seed aggregate for one (topology, features, k, l, threads) cell.
+/// Cross-seed aggregate for one (topology, features, k, l, fault_garbage,
+/// threads, fleet, fleet_mode, policy) cell.
 struct Aggregate {
   std::string topology;
   std::string features;
@@ -280,9 +284,10 @@ class ExperimentRunner {
   int threads() const { return threads_; }
 
   /// Expands the grid (topologies × features × kl × fault_garbage ×
-  /// threads × fleet × seeds, seed-major last so neighboring points
-  /// differ only in seed; fleet entries > 1 fan out into a shared point
-  /// plus, when fleet_compare_separate is set, a separate-engines one).
+  /// threads × fleet × policies × seeds, seed-major last so neighboring
+  /// points differ only in seed; fleet entries > 1 fan out into a shared
+  /// point plus, when fleet_compare_separate is set, a separate-engines
+  /// one; an empty policy list is one implicit default variant).
   static std::vector<RunPoint> expand(const ScenarioSpec& spec);
 
   /// Executes one grid point through the run pipeline: one session for a

@@ -2,9 +2,11 @@
 // aggregation, and the JSON artifact shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/runner.hpp"
 
@@ -156,6 +158,31 @@ TEST(ExperimentRunner, AggregatesAcrossSeeds) {
   }
 }
 
+// The keys of the JSON object whose '{' is the first one at or after
+// `from`, in order (the keys of nested objects are skipped).
+std::vector<std::string> object_keys(const std::string& text,
+                                     std::size_t from) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = text.find('{', from); i < text.size(); ++i) {
+    if (text[i] == '"') {
+      std::size_t end = i + 1;
+      while (text[end] != '"') end += text[end] == '\\' ? 2 : 1;
+      if (depth == 1 && text[end + 1] == ':') {
+        keys.push_back(text.substr(i + 1, end - i - 1));
+      }
+      i = end;
+    } else if (text[i] == '{' || text[i] == '[') {
+      ++depth;
+    } else if ((text[i] == '}' || text[i] == ']') && --depth == 0) {
+      break;
+    }
+  }
+  return keys;
+}
+
+using Keys = std::vector<std::string>;
+
 TEST(ExperimentRunner, JsonArtifactIsWellFormed) {
   ScenarioSpec spec = small_scenario();
   spec.topologies = {TopologySpec::tree_line(5)};
@@ -165,15 +192,155 @@ TEST(ExperimentRunner, JsonArtifactIsWellFormed) {
   write_json(out, spec, results);
   std::string text = out.str();
   EXPECT_NE(text.find("\"scenario\": \"test_scenario\""), std::string::npos);
-  EXPECT_NE(text.find("\"runs\": ["), std::string::npos);
-  EXPECT_NE(text.find("\"events_per_sec\""), std::string::npos);
-  EXPECT_NE(text.find("\"callback_slots_created\""), std::string::npos);
-  EXPECT_NE(text.find("\"aggregates\""), std::string::npos);
   // Balanced braces/brackets (cheap well-formedness check).
   EXPECT_EQ(std::count(text.begin(), text.end(), '{'),
             std::count(text.begin(), text.end(), '}'));
   EXPECT_EQ(std::count(text.begin(), text.end(), '['),
             std::count(text.begin(), text.end(), ']'));
+  // The emitted key order is the artifact schema: every conditional block
+  // of a plain fault-free run stays out.
+  EXPECT_EQ(object_keys(text, 0), (Keys{"scenario", "spec", "runs",
+                                        "aggregates"}));
+  const std::size_t runs = text.find("\"runs\": [");
+  ASSERT_NE(runs, std::string::npos);
+  EXPECT_EQ(object_keys(text, runs),
+            (Keys{"topology", "features", "n", "k", "l", "threads", "seed",
+                  "stabilized", "stabilization_time", "grants", "requests",
+                  "grants_per_mtick", "outstanding_at_end", "quiescent_at_end",
+                  "mean_wait_entries", "max_wait_entries", "p99_wait_entries",
+                  "latency_count", "grant_latency_p50", "grant_latency_p99",
+                  "grant_latency_p999", "messages_per_grant",
+                  "control_messages", "resource_messages", "pusher_messages",
+                  "priority_messages", "safety_ok", "events_executed",
+                  "wall_seconds", "events_per_sec", "engine"}));
+  EXPECT_EQ(object_keys(text, text.find("\"engine\": {", runs)),
+            (Keys{"callbacks_scheduled", "callback_slots_created",
+                  "max_heap_size", "in_flight_walks", "bucket_inserts",
+                  "bucket_scans", "overflow_pushes", "overflow_pops",
+                  "bucket_window"}));
+  const std::size_t aggregates = text.find("\"aggregates\": [");
+  ASSERT_NE(aggregates, std::string::npos);
+  EXPECT_EQ(
+      object_keys(text, aggregates),
+      (Keys{"topology", "features", "k", "l", "threads", "n", "runs",
+            "stabilized_runs", "safe_runs", "recovered_runs",
+            "mean_stabilization_time", "max_stabilization_time",
+            "mean_recovery_time", "max_recovery_time", "mean_recovery_events",
+            "mean_recovery_wall_seconds", "mean_wall_seconds",
+            "mean_grants_per_mtick", "mean_wait_entries", "max_wait_entries",
+            "mean_grant_latency_p50", "mean_grant_latency_p99",
+            "mean_grant_latency_p999", "mean_messages_per_grant",
+            "mean_outstanding_at_end", "total_events_per_sec"}));
+}
+
+// Scenarios that turn on every conditional block: a staged plan with a
+// chaos burst (fault, per-event and chaos fields), the liveness watchdog
+// (monitored fields), a policy axis and a workload class; then a fleet
+// point (fleets take no staged plan).
+TEST(ExperimentRunner, JsonArtifactEmitsEveryConditionalBlock) {
+  ScenarioSpec spec = small_scenario();
+  spec.topologies = {TopologySpec::tree_line(5)};
+  spec.seeds = 1;
+  spec.fault_garbage = {2};
+  FaultEvent burst;
+  burst.kind = FaultKind::kChaosBurst;
+  burst.duration = 2'000;
+  burst.chaos.drop_p = 0.05;
+  spec.fault_plan.events = {burst};
+  spec.stall_threshold = 200'000;
+  ScenarioSpec::PolicyVariant variant;
+  variant.label = "default";
+  spec.policies = {variant};
+  proto::BehaviorClass busy;
+  busy.name = "busy";
+  busy.count = 2;
+  busy.behavior = spec.workload.base;
+  spec.workload.classes = {busy};
+  std::vector<RunResult> results = ExperimentRunner(1).run(spec);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].recovered);
+  std::ostringstream out;
+  write_json(out, spec, results);
+  std::string text = out.str();
+
+  const std::size_t runs = text.find("\"runs\": [");
+  ASSERT_NE(runs, std::string::npos);
+  EXPECT_EQ(
+      object_keys(text, runs),
+      (Keys{"topology", "features", "n", "k", "l", "threads", "policy",
+            "seed", "stabilized", "stabilization_time", "fault_garbage",
+            "recovered", "recovery_time", "recovery_events",
+            "recovery_wall_seconds", "fault_events", "grants", "requests",
+            "grants_per_mtick", "outstanding_at_end", "quiescent_at_end",
+            "classes", "mean_wait_entries", "max_wait_entries",
+            "p99_wait_entries", "latency_count", "grant_latency_p50",
+            "grant_latency_p99", "grant_latency_p999", "messages_per_grant",
+            "control_messages", "resource_messages", "pusher_messages",
+            "priority_messages", "safety_ok", "safety_violations",
+            "last_violation_time", "liveness_stalls",
+            "fault_phase_violations", "events_executed", "wall_seconds",
+            "events_per_sec", "engine"}));
+  EXPECT_EQ(object_keys(text, text.find("\"fault_events\": [", runs)),
+            (Keys{"at", "kind", "links_changed", "nodes_changed", "detached",
+                  "reattached", "attached_nodes", "parent_changes",
+                  "stree_events", "stree_time", "repair_seed", "recovered",
+                  "recovery_time", "recovery_events", "chaos_dropped",
+                  "chaos_duplicated", "chaos_reordered", "chaos_jittered",
+                  "violations"}));
+  EXPECT_EQ(object_keys(text, text.find("\"classes\": [", runs)),
+            (Keys{"name", "nodes", "requests", "grants", "holding_at_end",
+                  "latency_count", "grant_latency_p50", "grant_latency_p99",
+                  "grant_latency_p999"}));
+  EXPECT_EQ(object_keys(text, text.find("\"engine\": {", runs)),
+            (Keys{"callbacks_scheduled", "callback_slots_created",
+                  "max_heap_size", "in_flight_walks", "chaos_dropped",
+                  "chaos_duplicated", "chaos_reordered", "chaos_jittered",
+                  "bucket_inserts", "bucket_scans", "overflow_pushes",
+                  "overflow_pops", "bucket_window"}));
+  const std::size_t aggregates = text.find("\"aggregates\": [");
+  ASSERT_NE(aggregates, std::string::npos);
+  EXPECT_EQ(
+      object_keys(text, aggregates),
+      (Keys{"topology", "features", "k", "l", "fault_garbage", "threads",
+            "policy", "n", "runs", "stabilized_runs", "safe_runs",
+            "recovered_runs", "mean_stabilization_time",
+            "max_stabilization_time", "mean_recovery_time",
+            "max_recovery_time", "mean_recovery_events",
+            "mean_recovery_wall_seconds", "mean_wall_seconds",
+            "mean_grants_per_mtick", "mean_wait_entries", "max_wait_entries",
+            "mean_grant_latency_p50", "mean_grant_latency_p99",
+            "mean_grant_latency_p999", "mean_messages_per_grant",
+            "mean_outstanding_at_end", "total_events_per_sec",
+            "mean_fault_events", "mean_parent_changes", "mean_stree_events",
+            "mean_chaos_dropped", "mean_chaos_duplicated",
+            "mean_chaos_reordered", "mean_chaos_jittered",
+            "mean_fault_phase_violations", "mean_liveness_stalls"}));
+
+  // The fleet block: tenant count and mode in both records, per-tenant
+  // slices in the run.
+  ScenarioSpec fleet = small_scenario();
+  fleet.topologies = {TopologySpec::tree_line(5)};
+  fleet.seeds = 1;
+  fleet.fleet = {2};
+  std::ostringstream fleet_out;
+  write_json(fleet_out, fleet, ExperimentRunner(1).run(fleet));
+  text = fleet_out.str();
+  const std::size_t fleet_runs = text.find("\"runs\": [");
+  ASSERT_NE(fleet_runs, std::string::npos);
+  Keys run_keys = object_keys(text, fleet_runs);
+  ASSERT_GE(run_keys.size(), 9u);
+  EXPECT_EQ(Keys(run_keys.begin() + 5, run_keys.begin() + 9),
+            (Keys{"threads", "fleet", "fleet_mode", "seed"}));
+  EXPECT_NE(std::find(run_keys.begin(), run_keys.end(), "tenants"),
+            run_keys.end());
+  EXPECT_EQ(object_keys(text, text.find("\"tenants\": [", fleet_runs)),
+            (Keys{"tenant", "n", "stabilized", "stabilization_time",
+                  "requests", "grants", "events_executed", "recovery_events",
+                  "correct_at_end"}));
+  Keys cell_keys = object_keys(text, text.find("\"aggregates\": ["));
+  ASSERT_GE(cell_keys.size(), 8u);
+  EXPECT_EQ(Keys(cell_keys.begin() + 4, cell_keys.begin() + 8),
+            (Keys{"threads", "fleet", "fleet_mode", "n"}));
 }
 
 TEST(ExperimentRunner, GraphTopologyRunsThroughRunner) {

@@ -11,24 +11,22 @@ present on both sides the tool compares:
 
   * throughput: per-aggregate-cell total_events_per_sec (keyed by
     topology, features, k, l, fault_garbage, threads, fleet, fleet_mode,
-    policy -- "features" names the protocol rung and defaults to "full"
-    for artifacts that predate the rung grid; fault_garbage defaults to
-    -1; threads is the engine's worker-lane count and defaults to 1 for
-    pre-parallel artifacts; fleet is the tenant count (default 1) and
-    fleet_mode distinguishes a shared-engine fleet cell from its
-    separate-engines baseline for pre-fleet artifacts and plain cells it
-    is empty; policy is the resilience-policy variant label of the
-    degraded-mode sweeps and is empty for scenarios without a policy
-    axis). A record missing one of the schema-mandatory keys
-    (topology, k, l, seed) aborts the comparison loudly instead of
-    keying onto a default. A
-    baseline n x threads cell missing from the current artifact fails
-    like any other dropped cell, so a partition count cannot silently
-    vanish from the sweep. A drop of more than
+    policy -- "features" names the protocol rung and threads the engine's
+    worker-lane count; fault_garbage defaults to -1; fleet is the tenant
+    count (default 1) and fleet_mode distinguishes a shared-engine fleet
+    cell from its separate-engines baseline (empty for plain cells);
+    policy is the resilience-policy variant label of the degraded-mode
+    sweeps and is empty for scenarios without a policy axis; the writer
+    leaves those four out by rule when they hold their default). A record
+    missing one of the schema-mandatory keys (topology, features, k, l,
+    threads, n; seed for runs) aborts the comparison loudly instead of
+    keying onto a default. A baseline n x threads cell missing from the
+    current artifact fails like any other dropped cell, so a partition
+    count cannot silently vanish from the sweep. A drop of more than
     --rate-tolerance is a REGRESSION. Wall-clock rates vary between
     machines, so CI calls this with a generous tolerance while
-    same-machine commit-to-commit runs use the strict default. Cells
-    carrying mean_wall_seconds and n also report wall-time per node.
+    same-machine commit-to-commit runs use the strict default. Every cell
+    also reports its wall-time per node (mean_wall_seconds / n).
   * deterministic counters: per-run engine.callback_slots_created,
     engine.in_flight_walks, engine.overflow_pushes and the run-level
     recovery_events (keyed by topology, features, k, l, fault_garbage,
@@ -72,7 +70,6 @@ error.
 import argparse
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -119,32 +116,36 @@ def load_benches(directory):
     return benches
 
 
+# Keys every run and aggregate record carries; a record without one is
+# not a BENCH artifact (or its schema changed under us).
+REQUIRED_KEYS = ("topology", "features", "k", "l", "threads", "n")
+
+
 def cell_key(cell):
-    """Identity of one aggregate cell / run. topology, k and l are part of
-    every artifact schema ever written; their absence means the file is not
-    a BENCH artifact (or the schema changed under us), which must fail
-    loudly rather than key every record onto a default.
+    """Identity of one aggregate cell / run. A missing required key must
+    fail loudly rather than key every record onto a default; n is required
+    but not part of the identity (the topology and fleet fix it).
     """
-    try:
-        return (
-            cell["topology"],
-            cell.get("features", "full"),
-            cell["k"],
-            cell["l"],
-            cell.get("fault_garbage", -1),
-            cell.get("threads", 1),
-            cell.get("fleet", 1),
-            cell.get("fleet_mode", ""),
-            cell.get("policy", ""),
-        )
-    except KeyError as err:
-        print(
-            f"error: record is missing required key {err} -- not a BENCH "
-            f"artifact (or its key schema changed); refusing to compare: "
-            f"{json.dumps(cell)[:200]}",
-            file=sys.stderr,
-        )
-        sys.exit(2)
+    for key in REQUIRED_KEYS:
+        if key not in cell:
+            print(
+                f"error: record is missing required key '{key}' -- not a "
+                f"BENCH artifact (or its key schema changed); refusing to "
+                f"compare: {json.dumps(cell)[:200]}",
+                file=sys.stderr,
+            )
+            sys.exit(2)
+    return (
+        cell["topology"],
+        cell["features"],
+        cell["k"],
+        cell["l"],
+        cell.get("fault_garbage", -1),
+        cell["threads"],
+        cell.get("fleet", 1),
+        cell.get("fleet_mode", ""),
+        cell.get("policy", ""),
+    )
 
 
 def aggregate_cells(data):
@@ -181,16 +182,6 @@ def fmt_key(key):
     return base
 
 
-def cell_n(topology, record=None):
-    """Network size of a cell: the explicit n field, else parsed from the
-    topology name (older artifacts embed it, e.g. "tree:random(n=8192,...)").
-    """
-    if record and record.get("n"):
-        return record["n"]
-    match = re.search(r"n=(\d+)", topology)
-    return int(match.group(1)) if match else None
-
-
 def checked_number(label, where, value):
     """Validates a gated metric value. None passes through (the caller
     decides what absence means); anything non-numeric or NaN is a data
@@ -213,12 +204,8 @@ def checked_number(label, where, value):
 
 
 def fmt_wall_per_node(cell):
-    """Wall-time per node in us, or None for artifacts predating the fields."""
-    wall = cell.get("mean_wall_seconds")
-    n = cell.get("n")
-    if not wall or not n:
-        return None
-    return wall * 1e6 / n
+    """Wall-time per node in us."""
+    return cell["mean_wall_seconds"] * 1e6 / cell["n"]
 
 
 def main():
@@ -285,15 +272,12 @@ def main():
         name, _, cap = entry.partition("=")
         allow_missing[name] = int(cap) if cap else None
 
-    def missing_waived(name, topology, record):
+    def missing_waived(name, record):
         if name not in allow_missing:
             return False
         cap = allow_missing[name]
-        if cap is None:
-            return True
-        n = cell_n(topology, record)
-        # Unknown size: waive (conservative; named-size sweeps always parse).
-        return n is None or n > cap
+        return cap is None or record["n"] > cap
+
     names = sorted(set(baseline) & set(current))
     if args.scenario:
         names = [n for n in names if n in set(args.scenario)]
@@ -330,7 +314,7 @@ def main():
         cur_cells = aggregate_cells(current[name])
         shared = sorted(set(base_cells) & set(cur_cells))
         for key in sorted(set(base_cells) - set(cur_cells)):
-            if missing_waived(name, key[0], base_cells[key]):
+            if missing_waived(name, base_cells[key]):
                 print(f"note: [{name}] {fmt_key(key)} missing from current; "
                       f"allowed (capped sweep)")
             else:
@@ -354,18 +338,11 @@ def main():
                     else:
                         status = "REGRESSION"
                         failures += 1
-                wall = ""
-                base_wpn = fmt_wall_per_node(base_cells[key])
-                cur_wpn = fmt_wall_per_node(cur_cells[key])
-                if cur_wpn is not None:
-                    wall = f", wall/node {cur_wpn:.3f}us"
-                    if base_wpn is not None:
-                        wall = (f", wall/node {base_wpn:.3f} -> "
-                                f"{cur_wpn:.3f}us")
                 print(
                     f"  {status:>10}  {fmt_key(key)}: events/s "
-                    f"{base_rate:,.0f} -> {cur_rate:,.0f} ({change:+.1%})"
-                    f"{wall}"
+                    f"{base_rate:,.0f} -> {cur_rate:,.0f} ({change:+.1%}), "
+                    f"wall/node {fmt_wall_per_node(base_cells[key]):.3f} -> "
+                    f"{fmt_wall_per_node(cur_cells[key]):.3f}us"
                 )
             # Aggregate grant-latency tail: deterministic means over the
             # cell's seeds, gated like the counters (growth = worse tail).
@@ -401,7 +378,7 @@ def main():
         for key in sorted(set(base_runs) - set(cur_runs)):
             # Run-level coverage: a baseline seed silently vanishing from a
             # still-present cell must not pass as "nothing to compare".
-            if missing_waived(name, key[0], base_runs[key]):
+            if missing_waived(name, base_runs[key]):
                 continue  # the cell-level note already covers capped sweeps
             failures += 1
             print(f"FAILURE: [{name}] {fmt_key(key)} run in baseline but "

@@ -33,6 +33,7 @@ def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
         "features": "full",
         "k": 1,
         "l": 2,
+        "threads": 1,
         "n": 8,
         "total_events_per_sec": rate,
         "mean_wall_seconds": 0.001,
@@ -42,6 +43,8 @@ def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
         "features": "full",
         "k": 1,
         "l": 2,
+        "threads": 1,
+        "n": 8,
         "seed": 1,
         "recovered": recovered,
         "recovery_events": recovery,
@@ -155,6 +158,23 @@ class BenchDiffTest(unittest.TestCase):
                           current_only={"fresh": extra})
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
         self.assertNotIn("fresh", result.stdout)
+
+    def test_record_without_features_is_a_data_error(self):
+        cur = artifact()
+        del cur["runs"][0]["features"]
+        result = run_diff(artifact(), cur)
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertIn("missing required key 'features'", result.stderr)
+
+    def test_record_without_threads_or_n_is_a_data_error(self):
+        for key in ("threads", "n"):
+            with self.subTest(key=key):
+                cur = artifact()
+                del cur["aggregates"][0][key]
+                result = run_diff(artifact(), cur)
+                self.assertEqual(result.returncode, 2,
+                                 result.stdout + result.stderr)
+                self.assertIn(f"missing required key '{key}'", result.stderr)
 
     def test_lost_recovery_fails(self):
         result = run_diff(artifact(recovered=True),

@@ -5,16 +5,22 @@ Usage:
     tools/check_thread_twins.py BENCH_scale.json
 
 The engine's event sequencing knows nothing of lanes, so a run with
-threads = P must replay the threads = 1 run with the same n and seed. For
-every run with threads > 1 this compares the deterministic fields below
-against its threads = 1 twin; wall-clock fields are ignored. A field
-absent on both sides is equal; absent on one side only is a mismatch.
-Exit status 1 on any mismatch or on a threads > 1 run without a twin,
-0 otherwise.
+threads = P must replay its threads = 1 twin: the run of the same cell
+(bench_diff.cell_key with threads set to 1) and seed. For every run with
+threads > 1 this compares the deterministic fields below against that
+twin; wall-clock fields are ignored. A field absent on both sides is
+equal; absent on one side only is a mismatch. Exit status 1 on any
+mismatch, on a threads > 1 run without a twin or on two runs of the same
+cell and seed, 2 on a record missing a key of the cell identity, 0
+otherwise.
 """
 
 import json
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import bench_diff  # noqa: E402  (cell identity shared with the gate)
 
 FIELDS = (
     "grants",
@@ -41,21 +47,34 @@ def compared_fields(run):
     return FIELDS + tuple(recovery)
 
 
+def run_key(run, threads=None):
+    """The run's cell identity plus its seed; `threads` overrides the
+    run's own lane count (1 gives the key of its threads = 1 twin)."""
+    if threads is not None:
+        run = dict(run, threads=threads)
+    return bench_diff.cell_key(run) + (run["seed"],)
+
+
 def check(runs):
-    """Returns the list of mismatch descriptions (empty when all agree)."""
+    """Returns the mismatch descriptions (empty when all agree) and the
+    number of threads > 1 runs checked."""
+    problems = []
+    seen = set()
     twins = {}
     for run in runs:
-        if run.get("threads", 1) == 1:
-            twins[(run["n"], run["seed"])] = run
-    problems = []
+        key = run_key(run)
+        if key in seen:
+            problems.append("%s: two runs of this cell and seed"
+                            % bench_diff.fmt_key(key))
+        seen.add(key)
+        if run["threads"] == 1:
+            twins[key] = run
     checked = 0
     for run in runs:
-        threads = run.get("threads", 1)
-        if threads == 1:
+        if run["threads"] == 1:
             continue
-        key = (run["n"], run["seed"])
-        twin = twins.get(key)
-        label = "n=%d seed=%d threads=%d" % (key[0], key[1], threads)
+        label = bench_diff.fmt_key(run_key(run))
+        twin = twins.get(run_key(run, threads=1))
         if twin is None:
             problems.append("%s: no threads=1 twin" % label)
             continue

@@ -193,18 +193,13 @@ const Process& Engine::process(NodeId id) const {
   return *processes_[static_cast<std::size_t>(id)];
 }
 
-void Engine::declare_timer_span(SimTime span) {
-  KLEX_REQUIRE(!started_, "declare timer spans before start");
-  declared_timer_span_ = std::max(declared_timer_span_, span);
-}
-
 void Engine::size_ring_windows() {
   if (scheduler_kind_ != SchedulerKind::kCalendar) return;
   // The ring can hold an event at now + span only if the window exceeds
   // the span. Grow (never shrink, and only up to the bitmap cap) so the
-  // longest delivery delay and every declared timer span stay on the
-  // O(1) ring instead of falling through to the overflow heap.
-  SimTime span = std::max(delays_.max_delay, declared_timer_span_);
+  // longest delivery delay stays on the O(1) ring instead of falling
+  // through to the overflow heap.
+  SimTime span = delays_.max_delay;
   std::uint32_t log2 = EventQueue::kLogBucketCount;
   while (log2 < EventQueue::kMaxLogBucketCount &&
          static_cast<SimTime>(std::size_t{1} << log2) <= span) {
@@ -630,6 +625,8 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
   scheduler.bucket_scans += other.scheduler.bucket_scans;
   scheduler.overflow_pushes += other.scheduler.overflow_pushes;
   scheduler.overflow_pops += other.scheduler.overflow_pops;
+  scheduler.bucket_sorts += other.scheduler.bucket_sorts;
+  scheduler.sorted_events += other.scheduler.sorted_events;
   return *this;
 }
 
@@ -645,6 +642,8 @@ EngineStats Engine::stats() const {
     stats.scheduler.bucket_scans += c.bucket_scans;
     stats.scheduler.overflow_pushes += c.overflow_pushes;
     stats.scheduler.overflow_pops += c.overflow_pops;
+    stats.scheduler.bucket_sorts += c.bucket_sorts;
+    stats.scheduler.sorted_events += c.sorted_events;
   }
   stats.callbacks_scheduled = callbacks_scheduled_;
   stats.callback_slots_created = callback_slots_created_;
@@ -791,7 +790,7 @@ bool Engine::pop_next(SimTime t, Event* out, int* lane_out) {
   int best = -1;
   Event best_event;
   for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
-    const EventQueue& queue = lanes_[static_cast<std::size_t>(i)].queue;
+    EventQueue& queue = lanes_[static_cast<std::size_t>(i)].queue;
     if (queue.empty()) continue;
     const Event& candidate = queue.top();
     if (best < 0 || candidate.before(best_event)) {

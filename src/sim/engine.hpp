@@ -232,8 +232,8 @@ struct EngineStats {
   /// creep back into a hot loop.
   std::uint64_t in_flight_walks = 0;
   /// Calendar ring window chosen at boot (satellite of the scheduler
-  /// auto-tune): 1024 unless the delay model or a declared timer span
-  /// outranged the default window.
+  /// auto-tune): 1024 unless the delay model outranged the default
+  /// window.
   std::uint64_t bucket_window = 0;
   /// Chaos decision counters (zero unless a ChaosModel is attached);
   /// deterministic per (seed, config), so they ride in the BENCH_*.json
@@ -247,7 +247,9 @@ struct EngineStats {
   /// traffic. Pinned by tests/sim/event_core_test and carried in the
   /// BENCH_*.json trajectory, so "schedule/pop are O(1) amortized" is a
   /// gated invariant: overflow_pushes growing toward bucket_inserts means
-  /// the heap fallback became the hot path again.
+  /// the heap fallback became the hot path again. bucket_sorts and
+  /// sorted_events (the tick sorts) are pinned by tests only; no
+  /// artifact emits them.
   SchedulerCounters scheduler{};
 
   /// Adds another engine's counters (a batch of separate engines reports
@@ -499,11 +501,6 @@ class Engine {
   void send_from(NodeId from, int channel, const Message& msg);
   void set_timer_for(NodeId node, int timer_id, SimTime delay);
   void cancel_timer_for(NodeId node, int timer_id);
-
-  /// Declares that timers up to `span` ticks out will be armed; boot()
-  /// grows the calendar ring window (up to its cap) so such timers do
-  /// not fall through to the overflow heap.
-  void declare_timer_span(SimTime span);
 
   /// Schedules `fn` to run at now() + delay as a standalone event (used by
   /// workloads / applications to model request arrivals and CS
@@ -760,7 +757,6 @@ class Engine {
   SchedulerKind scheduler_kind_;
   bool started_ = false;
   bool in_window_ = false;
-  SimTime declared_timer_span_ = 0;
 
   std::vector<Lane> lanes_;        // >= 1; lanes_[0] is the serial lane
   std::vector<std::int32_t> node_lane_;  // empty until configure_lanes

@@ -7,6 +7,12 @@
 
 namespace klex::sim {
 
+namespace {
+
+bool seq_less(const Event& a, const Event& b) { return a.seq < b.seq; }
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // EventHeap
 // ---------------------------------------------------------------------------
@@ -70,15 +76,6 @@ void EventQueue::set_log_bucket_count(std::uint32_t log2) {
   window_end_ = now_ + bucket_count_;
 }
 
-void EventQueue::maybe_sort(Bucket& bucket) const {
-  if (!bucket.unsorted) return;
-  // One tick per bucket position, so every event here shares `at` and
-  // seq alone restores the total order.
-  std::sort(bucket.events.begin() + bucket.head, bucket.events.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
-  bucket.unsorted = false;
-}
-
 std::size_t EventQueue::scan_from(std::size_t from) const {
   ++counters_.bucket_scans;
   // Word containing `from`, bits at and after it.
@@ -108,34 +105,140 @@ std::size_t EventQueue::min_bucket() const {
   return static_cast<std::size_t>(cached_min_bucket_);
 }
 
-const Event& EventQueue::ring_top() const {
-  Bucket& bucket = buckets_[min_bucket()];
-  maybe_sort(bucket);
-  return bucket.events[bucket.head];
+void EventQueue::link(std::size_t index, const Event& event) {
+  std::uint32_t slot = free_;
+  if (slot != kNoSlot) {
+    free_ = next_[slot];
+    pool_[slot] = event;
+  } else {
+    KLEX_CHECK(pool_.size() < kNoSlot, "calendar event pool overflow");
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(event);
+    next_.push_back(kNoSlot);
+  }
+  Bucket& bucket = buckets_[index];
+  if (bucket.count == 0) {
+    bits_[index >> 6] |= std::uint64_t{1} << (index & 63);
+    summary_ |= std::uint64_t{1} << (index >> 6);
+  }
+  next_[slot] = bucket.head;
+  bucket.head = slot;
+  ++bucket.count;
 }
 
-void EventQueue::ring_pop() {
-  Bucket& bucket = buckets_[min_bucket()];
-  maybe_sort(bucket);
-  if (++bucket.head == bucket.events.size()) {
-    std::size_t index = static_cast<std::size_t>(cached_min_bucket_);
-    bucket.events.clear();  // keeps capacity: steady state reallocates nothing
-    bucket.head = 0;
-    std::uint64_t& word = bits_[index >> 6];
-    word &= ~(std::uint64_t{1} << (index & 63));
-    if (word == 0) summary_ &= ~(std::uint64_t{1} << (index >> 6));
+void EventQueue::empty_bucket(std::size_t index) {
+  buckets_[index] = Bucket{};
+  std::uint64_t& word = bits_[index >> 6];
+  word &= ~(std::uint64_t{1} << (index & 63));
+  if (word == 0) summary_ &= ~(std::uint64_t{1} << (index >> 6));
+}
+
+void EventQueue::gather(std::size_t index) {
+  Bucket& bucket = buckets_[index];
+  // The list runs newest first: fill the drain back to front so it holds
+  // push order, noting whether that is already seq order (one channel's
+  // deliveries are; several entities' interleaved pushes usually not).
+  if (drain_.size() < bucket.count) drain_.resize(bucket.count);
+  drain_head_ = 0;
+  drain_end_ = bucket.count;
+  bool in_order = true;
+  std::uint64_t later_seq = ~std::uint64_t{0};
+  Event* pos = drain_.data() + drain_end_;
+  for (std::uint32_t slot = bucket.head; slot != kNoSlot;) {
+    const Event& event = pool_[slot];
+    *--pos = event;
+    in_order &= event.seq < later_seq;
+    later_seq = event.seq;
+    std::uint32_t next = next_[slot];
+    release(slot);
+    slot = next;
+  }
+  empty_bucket(index);
+  if (!in_order) {
+    // One tick per bucket position, so every event here shares `at` and
+    // seq alone restores the total order.
+    std::sort(drain_.data(), drain_.data() + drain_end_, seq_less);
+    ++counters_.bucket_sorts;
+    counters_.sorted_events += drain_end_;
+  }
+}
+
+void EventQueue::insert_drained(const Event& event) {
+  Event* first = drain_.data() + drain_head_;
+  Event* last = drain_.data() + drain_end_;
+  Event* at = std::upper_bound(first, last, event, seq_less);
+  if (drain_head_ > 0 && at - first < last - at) {
+    // Shorter to shift the unconsumed prefix into the slot just consumed.
+    std::move(first, at, first - 1);
+    --drain_head_;
+    *(at - 1) = event;
+    return;
+  }
+  std::size_t offset = static_cast<std::size_t>(at - drain_.data());
+  if (drain_end_ == drain_.size()) drain_.emplace_back();
+  at = drain_.data() + offset;
+  std::move_backward(at, drain_.data() + drain_end_,
+                     drain_.data() + drain_end_ + 1);
+  *at = event;
+  ++drain_end_;
+}
+
+void EventQueue::undrain() {
+  std::size_t index = static_cast<std::size_t>(cached_min_bucket_);
+  // Linking in drain order leaves the list newest first, so the next
+  // gather reads the remainder back in seq order without a sort.
+  for (std::size_t i = drain_head_; i < drain_end_; ++i) {
+    link(index, drain_[i]);
+  }
+  drain_head_ = drain_end_ = 0;
+}
+
+const Event& EventQueue::ring_top() {
+  if (!draining()) {
+    // Sparse traffic leaves one event per tick: it needs no drain.
+    std::size_t index = min_bucket();
+    if (buckets_[index].count == 1) return pool_[buckets_[index].head];
+    gather(index);
+  }
+  return drain_[drain_head_];
+}
+
+void EventQueue::ring_take(Event* out) {
+  --ring_count_;
+  if (!draining()) {
+    std::size_t index = min_bucket();
+    Bucket& bucket = buckets_[index];
+    if (bucket.count == 1) {
+      *out = pool_[bucket.head];
+      release(bucket.head);
+      empty_bucket(index);
+      cached_min_bucket_ = -1;
+      return;
+    }
+    gather(index);
+  }
+  *out = drain_[drain_head_];
+  if (++drain_head_ == drain_end_) {
+    drain_head_ = drain_end_ = 0;
     cached_min_bucket_ = -1;
   }
-  --ring_count_;
 }
 
-const Event& EventQueue::top() const {
+bool EventQueue::ring_leads() {
+  // Decided by tick where possible: the earliest tick is gathered only
+  // when it must be read, so a peek past a run's horizon leaves it in
+  // its bucket.
+  min_bucket();
+  if (overflow_.empty()) return true;
+  SimTime heap_at = overflow_.top().at;
+  if (cached_min_tick_ != heap_at) return cached_min_tick_ < heap_at;
+  return ring_top().before(overflow_.top());
+}
+
+const Event& EventQueue::top() {
   KLEX_CHECK(size_ > 0, "top on an empty event queue");
-  if (ring_count_ == 0) return overflow_.top();
-  if (overflow_.empty()) return ring_top();
-  const Event& heap_min = overflow_.top();
-  const Event& ring_min = ring_top();
-  return heap_min.before(ring_min) ? heap_min : ring_min;
+  if (ring_count_ > 0 && ring_leads()) return ring_top();
+  return overflow_.top();
 }
 
 SimTime EventQueue::top_time() const {
@@ -150,15 +253,11 @@ SimTime EventQueue::top_time() const {
 
 bool EventQueue::pop_min_until(SimTime t, Event* out) {
   if (size_ == 0) return false;
-  if (ring_count_ > 0) {
-    const Event& ring_min = ring_top();
-    if (overflow_.empty() || ring_min.before(overflow_.top())) {
-      if (ring_min.at > t) return false;
-      *out = ring_min;
-      --size_;
-      ring_pop();
-      return true;
-    }
+  if (ring_count_ > 0 && ring_leads()) {
+    if (cached_min_tick_ > t) return false;
+    --size_;
+    ring_take(out);
+    return true;
   }
   const Event& heap_min = overflow_.top();
   if (heap_min.at > t) return false;
@@ -172,9 +271,9 @@ bool EventQueue::pop_min_until(SimTime t, Event* out) {
 void EventQueue::pop() {
   KLEX_CHECK(size_ > 0, "pop on an empty event queue");
   --size_;
-  if (ring_count_ > 0 &&
-      (overflow_.empty() || ring_top().before(overflow_.top()))) {
-    ring_pop();
+  if (ring_count_ > 0 && ring_leads()) {
+    Event taken;
+    ring_take(&taken);
     return;
   }
   overflow_.pop();
@@ -196,17 +295,19 @@ void EventQueue::push(const Event& event) {
     return;
   }
   ++size_;
-  std::size_t index = tick_position(event.at);
-  Bucket& bucket = buckets_[index];
-  if (bucket.events.empty()) {
-    bits_[index >> 6] |= std::uint64_t{1} << (index & 63);
-    summary_ |= std::uint64_t{1} << (index >> 6);
-  } else if (event.seq < bucket.events.back().seq) {
-    bucket.unsorted = true;  // cross-lane barrier merge; sorted lazily
-  }
-  bucket.events.push_back(event);
   ++ring_count_;
   ++counters_.bucket_inserts;
+  if (draining()) {
+    // Delay-0 callbacks and barrier merges land on the drained tick.
+    if (event.at == cached_min_tick_) {
+      insert_drained(event);
+      return;
+    }
+    // The drained tick was only peeked; an earlier tick now leads.
+    if (event.at < cached_min_tick_) undrain();
+  }
+  std::size_t index = tick_position(event.at);
+  link(index, event);
   if (cached_min_bucket_ >= 0 && event.at < cached_min_tick_) {
     cached_min_bucket_ = static_cast<std::int64_t>(index);
     cached_min_tick_ = event.at;

@@ -26,10 +26,17 @@
 //
 // Ordering contract (both schedulers, pinned by the differential tests):
 // events pop in strictly increasing (at, seq). The calendar preserves it
-// because (a) within one bucket events are appended in push order, which
-// is seq order; (b) buckets are consumed in tick order; and (c) the heap
+// because (a) the earliest non-empty tick is gathered once into a drain
+// array and sorted by seq there, and later pushes into that tick insert
+// in seq order; (b) buckets are consumed in tick order; and (c) the heap
 // side is an exact min-heap on (at, seq) and pop() takes whichever
 // structure holds the smaller key.
+//
+// Memory follows the pending events: every bucket threads its events
+// through one free-listed pool of 32-byte slots (the next-index links
+// live in a parallel array), a bucket header is 8 bytes, and the drain
+// array is the only per-tick buffer. The pool never holds more slots
+// than the queue's pending high-water (max_size()).
 #pragma once
 
 #include <array>
@@ -89,6 +96,10 @@ struct SchedulerCounters {
   std::uint64_t overflow_pushes = 0;
   /// Events popped off the heap side.
   std::uint64_t overflow_pops = 0;
+  /// Gathered ticks whose events were not already in seq order, and the
+  /// events those sorts covered (ticks gathered in order cost no sort).
+  std::uint64_t bucket_sorts = 0;
+  std::uint64_t sorted_events = 0;
 };
 
 /// Min-heap on (at, seq) over a flat vector. Versus std::priority_queue:
@@ -118,10 +129,10 @@ class EventQueue {
   /// eligible for the ring, one tick per bucket. 1024 ticks cover every
   /// delivery the stock delay models can schedule and most workload
   /// timers while keeping the bucket headers L1-resident. Engines with
-  /// exotic delay models or declared far timer spans may grow the window
-  /// (set_log_bucket_count) up to kMaxLogBucketCount so overflow_pushes
-  /// stays at zero; the window never shrinks below the default, keeping
-  /// the routing counters of default-configured queues bit-identical.
+  /// exotic delay models may grow the window (set_log_bucket_count) up
+  /// to kMaxLogBucketCount so overflow_pushes stays at zero; the window
+  /// never shrinks below the default, keeping the routing counters of
+  /// default-configured queues bit-identical.
   static constexpr std::uint32_t kLogBucketCount = 10;
   /// Hard cap: 4096 buckets = 64 group words under one summary word.
   static constexpr std::uint32_t kMaxLogBucketCount = 12;
@@ -141,7 +152,9 @@ class EventQueue {
   std::size_t max_size() const { return max_size_; }
 
   /// The minimum pending event by (at, seq). Queue must be non-empty.
-  const Event& top() const;
+  /// Gathers the earliest ring tick into the drain array if needed; the
+  /// reference is invalidated by the next push or pop.
+  const Event& top();
   /// Timestamp of top(), or kTimeInfinity when empty -- O(1).
   SimTime top_time() const;
   /// Removes top(); the reference obtained from top() is invalidated.
@@ -162,26 +175,34 @@ class EventQueue {
 
   /// Grows the ring window to 2^log2 ticks (at most kMaxLogBucketCount).
   /// Only legal while the queue is empty; the engine calls it at boot
-  /// when the delay model or a declared timer span outranges the default
-  /// window. Values below the default are clamped up -- the window never
-  /// shrinks, so default-configuration routing stays bit-identical.
+  /// when the delay model outranges the default window. Values below the
+  /// default are clamped up -- the window never shrinks, so
+  /// default-configuration routing stays bit-identical.
   void set_log_bucket_count(std::uint32_t log2);
 
   /// Current ring window width in ticks.
   std::size_t bucket_window() const { return bucket_count_; }
 
+  /// Event slots the pool has created: its high-water of ring-resident
+  /// events, never more than max_size().
+  std::size_t pool_slots() const { return pool_.size(); }
+  /// Capacity of the drain array: the largest tick ever gathered, plus
+  /// the pushes that tick received while it drained.
+  std::size_t drain_slots() const { return drain_.capacity(); }
+
   SchedulerKind scheduler() const { return scheduler_; }
   const SchedulerCounters& counters() const { return counters_; }
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// A tick's pending events: a singly linked list through the pool,
+  /// newest first.
   struct Bucket {
-    std::vector<Event> events;  // seq-ordered; consumed from `head`
-    std::uint32_t head = 0;
-    // Barrier merges from several partition lanes may append out of seq
-    // order; the bucket is sorted lazily on first read. Single-lane
-    // traffic pushes in seq order and never sets this.
-    bool unsorted = false;
+    std::uint32_t head = kNoSlot;
+    std::uint32_t count = 0;
   };
+  static_assert(sizeof(Bucket) == 8, "bucket headers stay 8 bytes");
 
   static constexpr std::size_t kMaxGroupCount =
       (std::size_t{1} << kMaxLogBucketCount) / 64;
@@ -195,15 +216,36 @@ class EventQueue {
     return now_ + ((bucket - tick_position(now_)) & mask_);
   }
 
-  /// Head event of the earliest non-empty bucket (ring_count_ > 0).
-  const Event& ring_top() const;
-  void ring_pop();
-  /// Index of the earliest non-empty bucket (ring_count_ must be > 0).
+  bool draining() const { return drain_head_ < drain_end_; }
+
+  /// Minimum ring event (ring_count_ > 0): the drain head, gathering
+  /// the earliest tick first when nothing is being drained, or the
+  /// earliest tick's only event.
+  const Event& ring_top();
+  /// Pops the minimum ring event into *out (ring_count_ > 0).
+  void ring_take(Event* out);
+  /// True when the ring holds the minimum event (ring_count_ > 0).
+  bool ring_leads();
+  /// Index of the earliest non-empty bucket, or of the drained tick's
+  /// bucket while draining (ring_count_ must be > 0).
   std::size_t min_bucket() const;
   /// Circular two-level bitmap scan starting at bucket position `from`.
   std::size_t scan_from(std::size_t from) const;
-  /// Restores seq order in `bucket` if cross-lane merges broke it.
-  void maybe_sort(Bucket& bucket) const;
+  /// Puts `event` into a pool slot on the list of bucket `index`.
+  void link(std::size_t index, const Event& event);
+  void release(std::uint32_t slot) {
+    next_[slot] = free_;
+    free_ = slot;
+  }
+  /// Resets bucket `index` and clears its bitmap bit.
+  void empty_bucket(std::size_t index);
+  /// Moves bucket `index` (the earliest) into the drain array, sorted
+  /// by seq.
+  void gather(std::size_t index);
+  /// Inserts a push for the drained tick at its seq position.
+  void insert_drained(const Event& event);
+  /// Returns the drained remainder to its bucket (a push landed earlier).
+  void undrain();
 
   SchedulerKind scheduler_;
   SimTime now_ = 0;
@@ -213,9 +255,20 @@ class EventQueue {
   std::size_t mask_ = kBucketCount - 1;
   std::size_t group_count_ = kBucketCount / 64;
 
-  mutable std::vector<Bucket> buckets_;     // bucket_count_ entries
+  std::vector<Bucket> buckets_;  // bucket_count_ entries
   std::array<std::uint64_t, kMaxGroupCount> bits_{};
   std::uint64_t summary_ = 0;
+
+  std::vector<Event> pool_;           // ring-resident events
+  std::vector<std::uint32_t> next_;   // pool_[i]'s successor on its list
+  std::uint32_t free_ = kNoSlot;      // free-slot list through next_
+
+  // The tick being drained: drain_[drain_head_, drain_end_), sorted by
+  // seq. The array only grows; while draining, the find-min cache names
+  // that tick.
+  std::vector<Event> drain_;
+  std::size_t drain_head_ = 0;
+  std::size_t drain_end_ = 0;
 
   EventHeap overflow_;
   std::size_t ring_count_ = 0;
@@ -223,8 +276,8 @@ class EventQueue {
   std::size_t max_size_ = 0;
 
   // Find-min cache: valid when cached_min_bucket_ >= 0; maintained by
-  // push (a smaller tick steals it) and invalidated when the min bucket
-  // empties. Mutable: top()/top_time() are logically const.
+  // push (a smaller tick steals it) and invalidated when the drained
+  // tick empties. Mutable: top_time() is logically const.
   mutable std::int64_t cached_min_bucket_ = -1;
   mutable SimTime cached_min_tick_ = 0;
   mutable SchedulerCounters counters_;

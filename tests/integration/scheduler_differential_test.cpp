@@ -132,8 +132,13 @@ TEST_P(SchedulerDifferentialTest, CalendarMatchesHeapBitForBit) {
   // this run are far past the sparse threshold).
   EXPECT_EQ(heap_stats.scheduler.bucket_inserts, 0u);
   EXPECT_EQ(heap_stats.scheduler.bucket_scans, 0u);
+  EXPECT_EQ(heap_stats.scheduler.bucket_sorts, 0u);
+  EXPECT_EQ(heap_stats.scheduler.sorted_events, 0u);
   EXPECT_GT(heap_stats.scheduler.overflow_pushes, 0u);
   EXPECT_GT(calendar_stats.scheduler.bucket_inserts, 0u);
+  // A sort covers at least the two events it reorders.
+  EXPECT_GE(calendar_stats.scheduler.sorted_events,
+            2 * calendar_stats.scheduler.bucket_sorts);
 }
 
 INSTANTIATE_TEST_SUITE_P(

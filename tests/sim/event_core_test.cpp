@@ -1,12 +1,14 @@
 // The rewritten event core: callback-slab recycling, timer-generation
-// invalidation through the flat table, heap ordering under stress, and
-// the EngineStats counters the benchmark JSON reports.
+// invalidation through the flat table, heap ordering under stress, the
+// EngineStats counters the benchmark JSON reports, and the calendar
+// queue itself against the binary heap.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "support/rng.hpp"
 
 namespace klex::sim {
 namespace {
@@ -266,6 +268,231 @@ TEST(EventCore, StatsCountersAreCoherent) {
   EXPECT_EQ(stats.events_executed, net.engine.events_executed());
   EXPECT_EQ(stats.callbacks_scheduled, 1u);
   EXPECT_GE(stats.max_heap_size, 20u);  // the burst was all pending at once
+}
+
+TEST(EventCore, InterleavedChannelsSortTheirTickOnce) {
+  // Two channels fill tick 4: all of a's sends, then all of b's. Per
+  // channel seqs rise, but b's seqs interleave a's, so the tick's push
+  // order is not seq order and its one gather sorts every ring event.
+  Net net(DelayModel{4, 4}, 5);
+  net.engine.start();
+  for (int i = 0; i < 100; ++i) net.a->send(0, Message{1, i, 0, 0, 0});
+  for (int i = 0; i < 100; ++i) net.b->send(0, Message{1, i, 0, 0, 0});
+  net.engine.run_until(10);
+  EngineStats stats = net.engine.stats();
+  EXPECT_EQ(stats.scheduler.overflow_pushes, 8u);
+  EXPECT_EQ(stats.scheduler.bucket_inserts, 192u);
+  EXPECT_EQ(stats.scheduler.bucket_sorts, 1u);
+  EXPECT_EQ(stats.scheduler.sorted_events, 192u);
+  EXPECT_EQ(net.a->deliveries + net.b->deliveries, 200);
+  // Separate engines report the sum (EngineStats::operator+=).
+  EngineStats twice = stats;
+  twice += stats;
+  EXPECT_EQ(twice.scheduler.bucket_sorts, 2u);
+  EXPECT_EQ(twice.scheduler.sorted_events, 384u);
+}
+
+TEST(EventCore, SeqOrderedTicksCostNoSort) {
+  // One channel's deliveries reach every tick in seq order: no sorts.
+  Net net(DelayModel{1, 16}, 9);
+  net.engine.start();
+  for (int i = 0; i < 2000; ++i) net.a->send(0, Message{1, i, 0, 0, 0});
+  net.engine.run_until(100'000);
+  EngineStats stats = net.engine.stats();
+  EXPECT_EQ(net.b->deliveries, 2000);
+  EXPECT_GT(stats.scheduler.bucket_inserts, 1000u);
+  EXPECT_EQ(stats.scheduler.bucket_sorts, 0u);
+  EXPECT_EQ(stats.scheduler.sorted_events, 0u);
+}
+
+// -- calendar queue vs binary heap -------------------------------------------
+//
+// The same operations applied to a calendar queue and a kBinaryHeap
+// queue must pop the same events in the same order. Seqs are striped
+// per entity like the engine's (counter * stride + entity), so a tick's
+// pushes arrive out of seq order.
+
+class QueuePair {
+ public:
+  explicit QueuePair(std::uint64_t seed, std::uint32_t log_buckets = 0)
+      : rng_(seed), heap_(SchedulerKind::kBinaryHeap) {
+    if (log_buckets != 0) {
+      calendar_.set_log_bucket_count(log_buckets);
+      heap_.set_log_bucket_count(log_buckets);
+    }
+  }
+
+  SimTime now() const { return now_; }
+  EventQueue& calendar() { return calendar_; }
+  support::Rng& rng() { return rng_; }
+
+  void push(SimTime at) {
+    std::uint64_t entity = rng_.next_below(kEntities);
+    Event event;
+    event.at = at;
+    event.seq = counters_[entity]++ * kEntities + entity;
+    event.payload = pushed_++;
+    calendar_.push(event);
+    heap_.push(event);
+  }
+
+  /// Pops every event due by `t` from both queues, advancing the clock
+  /// as the engine does; returns the number popped.
+  int drain_until(SimTime t) {
+    int popped = 0;
+    for (;;) {
+      EXPECT_EQ(calendar_.top_time(), heap_.top_time());
+      Event a;
+      Event b;
+      bool got_a = calendar_.pop_min_until(t, &a);
+      bool got_b = heap_.pop_min_until(t, &b);
+      EXPECT_EQ(got_a, got_b);
+      if (!got_a || !got_b) break;
+      EXPECT_EQ(a.at, b.at);
+      EXPECT_EQ(a.seq, b.seq);
+      EXPECT_EQ(a.payload, b.payload);
+      if (a.at != b.at || a.seq != b.seq) return -1;
+      ++popped;
+      advance(a.at);
+      if (rng_.next_below(8) == 0) {
+        // A delay-0 push into the tick being drained.
+        push(now_);
+      }
+    }
+    EXPECT_EQ(calendar_.size(), heap_.size());
+    return popped;
+  }
+
+  /// Compares the two minima without consuming them (gathers the
+  /// calendar's earliest tick).
+  void peek() {
+    if (heap_.empty()) return;
+    const Event a = calendar_.top();
+    const Event b = heap_.top();
+    EXPECT_EQ(a.at, b.at);
+    EXPECT_EQ(a.seq, b.seq);
+  }
+
+  void advance(SimTime t) {
+    now_ = t;
+    calendar_.advance_to(t);
+    heap_.advance_to(t);
+  }
+
+ private:
+  static constexpr std::uint64_t kEntities = 37;
+  support::Rng rng_;
+  EventQueue calendar_;
+  EventQueue heap_;
+  std::vector<std::uint64_t> counters_ = std::vector<std::uint64_t>(kEntities);
+  std::uint64_t pushed_ = 0;
+  SimTime now_ = 0;
+};
+
+void run_random_differential(QueuePair& pair, int rounds) {
+  support::Rng& rng = pair.rng();
+  for (int round = 0; round < rounds; ++round) {
+    int pushes = static_cast<int>(rng.next_below(40));
+    for (int i = 0; i < pushes; ++i) {
+      std::uint64_t kind = rng.next_below(10);
+      SimTime at = pair.now();
+      if (kind < 6) {
+        at += static_cast<SimTime>(rng.next_below(24));  // near traffic
+      } else if (kind < 8) {
+        at += static_cast<SimTime>(rng.next_below(4096));  // crosses the window
+      } else if (kind < 9) {
+        at += 3;  // a hot tick
+      }
+      pair.push(at);
+    }
+    // Peek past the horizon, then push earlier than the peeked tick.
+    if (rng.next_below(4) == 0) {
+      pair.peek();
+      pair.push(pair.now() + static_cast<SimTime>(rng.next_below(2)));
+    }
+    SimTime horizon = pair.now() + static_cast<SimTime>(rng.next_below(12));
+    ASSERT_GE(pair.drain_until(horizon), 0) << "round " << round;
+    pair.advance(horizon);
+  }
+  ASSERT_GE(pair.drain_until(kTimeInfinity - 1), 0);
+  EXPECT_TRUE(pair.calendar().empty());
+}
+
+TEST(CalendarQueueDifferential, RandomTrafficPopsLikeTheHeap) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    QueuePair pair(seed);
+    run_random_differential(pair, 3000);
+    EXPECT_GT(pair.calendar().counters().bucket_sorts, 0u);
+  }
+}
+
+TEST(CalendarQueueDifferential, GrownWindowPopsLikeTheHeap) {
+  QueuePair pair(11, EventQueue::kMaxLogBucketCount);
+  EXPECT_EQ(pair.calendar().bucket_window(), 4096u);
+  run_random_differential(pair, 3000);
+  // With the grown window nearly every push stays on the ring.
+  EXPECT_GT(pair.calendar().counters().bucket_inserts,
+            10 * pair.calendar().counters().overflow_pushes);
+}
+
+TEST(CalendarQueueDifferential, PushEarlierThanAPeekedTickLeadsTheQueue) {
+  QueuePair pair(5);
+  for (int i = 0; i < 64; ++i) pair.push(10);
+  pair.peek();  // gathers tick 10 into the drain array and sorts it
+  EXPECT_EQ(pair.calendar().counters().bucket_sorts, 1u);
+  pair.push(4);
+  pair.push(4);
+  pair.peek();  // tick 4 now leads
+  EXPECT_EQ(pair.calendar().top().at, 4);
+  EXPECT_GE(pair.drain_until(9), 2);
+  // Tick 10's remainder went back to its bucket in seq order: gathering
+  // it again costs no second sort.
+  std::uint64_t sorts = pair.calendar().counters().bucket_sorts;
+  EXPECT_GE(pair.drain_until(10), 64);
+  EXPECT_TRUE(pair.calendar().empty());
+  EXPECT_EQ(pair.calendar().counters().bucket_sorts, sorts);
+}
+
+TEST(CalendarQueueDifferential, SingleTickStormDrainsInSeqOrder) {
+  QueuePair pair(3);
+  constexpr int kStorm = 10'000;
+  for (int i = 0; i < kStorm; ++i) pair.push(7);
+  // Drain part of the storm, inserting into the drained tick as it goes
+  // (drain_until pushes delay-0 events), then finish it.
+  pair.advance(7);
+  int popped = pair.drain_until(7);
+  EXPECT_GE(popped, kStorm);
+  EXPECT_TRUE(pair.calendar().empty());
+  EXPECT_EQ(pair.calendar().counters().bucket_sorts, 1u);
+  EXPECT_EQ(pair.calendar().counters().sorted_events,
+            static_cast<std::uint64_t>(kStorm - EventQueue::kSparseThreshold));
+}
+
+TEST(CalendarQueueMemory, RetainedSlotsFollowPendingEvents) {
+  // A one-tick storm, then long steady traffic over every bucket. The
+  // pool holds at most the pending high-water and the drain array at
+  // most the storm: no bucket keeps the storm's (or any tick's) peak.
+  QueuePair pair(17);
+  constexpr std::size_t kStorm = 10'000;
+  for (std::size_t i = 0; i < kStorm; ++i) pair.push(5);
+  ASSERT_GE(pair.drain_until(5), 0);
+  EventQueue& queue = pair.calendar();
+  std::size_t pool_after_storm = queue.pool_slots();
+  std::size_t drain_after_storm = queue.drain_slots();
+  EXPECT_LE(pool_after_storm, queue.max_size());
+  EXPECT_LE(drain_after_storm, 2 * kStorm);
+
+  support::Rng& rng = pair.rng();
+  for (int round = 0; round < 4000; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      pair.push(pair.now() + 1 + static_cast<SimTime>(rng.next_below(64)));
+    }
+    ASSERT_GE(pair.drain_until(pair.now() + 1), 0);
+  }
+  EXPECT_GT(pair.now(), static_cast<SimTime>(3 * EventQueue::kBucketCount));
+  EXPECT_LE(queue.pool_slots() + queue.drain_slots(),
+            queue.max_size() + drain_after_storm);
+  EXPECT_EQ(queue.pool_slots(), pool_after_storm);
 }
 
 }  // namespace

@@ -17,9 +17,8 @@
 //     and both executions re-stabilize to the legitimate population.
 //
 // Also pinned here, as satellites of the same PR: the calendar ring's
-// auto-sized bucket window (delay models or declared timer spans beyond
-// the 1024-tick default grow the window instead of spilling events to
-// the overflow heap) and the 64-bit width of every per-event counter
+// auto-sized bucket window (delay models beyond the 1024-tick default
+// grow the window instead of spilling events to the overflow heap) and the 64-bit width of every per-event counter
 // (at n = 10^6 a run executes ~10^9+ events; a 32-bit accumulator would
 // wrap silently).
 #include "sim/parallel_engine.hpp"
@@ -693,17 +692,6 @@ TEST(CalendarAutoSize, WideDelayModelGrowsTheWindow) {
   EXPECT_LE(stats.scheduler.overflow_pushes, 32u);
 }
 
-TEST(CalendarAutoSize, DeclaredTimerSpanGrowsTheWindow) {
-  EchoPair net;  // default delays would keep the 1024 window
-  net.engine.declare_timer_span(1500);
-  net.engine.start();
-  EXPECT_EQ(net.engine.stats().bucket_window, 2048u);
-
-  net.a->set_timer(0, 1500);
-  net.engine.run_until(5'000);
-  ASSERT_EQ(net.a->timer_fires.size(), 1u);
-}
-
 // -- counter widths (overflow satellite) -------------------------------------
 
 TEST(EngineStatsWidth, PerEventCountersAreSixtyFourBit) {
@@ -736,6 +724,10 @@ TEST(EngineStatsWidth, PerEventCountersAreSixtyFourBit) {
   static_assert(std::is_same_v<decltype(SchedulerCounters::overflow_pushes),
                                std::uint64_t>);
   static_assert(std::is_same_v<decltype(SchedulerCounters::overflow_pops),
+                               std::uint64_t>);
+  static_assert(std::is_same_v<decltype(SchedulerCounters::bucket_sorts),
+                               std::uint64_t>);
+  static_assert(std::is_same_v<decltype(SchedulerCounters::sorted_events),
                                std::uint64_t>);
   static_assert(
       std::is_same_v<decltype(sim::ParallelEngine::WindowStats::windows),

@@ -21,8 +21,11 @@ BENCH_DIFF = Path(__file__).resolve().parent / "bench_diff.py"
 
 
 def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
-             latency_p99=None, mean_latency_p99=None, policy=None):
+             latency_p99=None, mean_latency_p99=None, policy=None,
+             pending=50):
     """One minimal BENCH artifact with a single cell and a single run.
+
+    pending is the run's pending-event high-water (engine.max_heap_size).
 
     latency_p99 / mean_latency_p99 add the degraded-mode grant-latency
     percentile fields (run-level and aggregate-level); policy adds the
@@ -52,6 +55,7 @@ def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
             "callback_slots_created": counter,
             "in_flight_walks": counter,
             "overflow_pushes": 0,
+            "max_heap_size": pending,
         },
     }
     if latency_p99 is not None:
@@ -102,6 +106,12 @@ class BenchDiffTest(unittest.TestCase):
     def test_counter_growth_beyond_tolerance_fails(self):
         result = run_diff(artifact(counter=100), artifact(counter=200))
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("REGRESSION", result.stdout)
+
+    def test_pending_high_water_growth_fails(self):
+        result = run_diff(artifact(pending=1000), artifact(pending=2000))
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("engine.max_heap_size", result.stdout)
         self.assertIn("REGRESSION", result.stdout)
 
     def test_nan_rate_is_a_data_error(self):

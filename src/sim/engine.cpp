@@ -69,7 +69,8 @@ NodeId Engine::add_process(std::unique_ptr<Process> process) {
   process->engine_ = this;
   process->id_ = id;
   processes_.push_back(std::move(process));
-  channel_lookup_.emplace_back();
+  first_out_.push_back(-1);
+  lookup_stale_ = true;
   timer_generations_.resize(timer_generations_.size() + kMaxTimers, 0);
   timer_seqs_.push_back(0);
   node_stream_.push_back(0);
@@ -86,21 +87,25 @@ void Engine::connect(NodeId from, int from_channel, NodeId to,
   KLEX_REQUIRE(!streams_explicit_, "wire channels before configure_streams");
   require_unsequenced("connect channels");
 
-  auto& lookup = channel_lookup_[static_cast<std::size_t>(from)];
-  if (static_cast<int>(lookup.size()) <= from_channel) {
-    lookup.resize(static_cast<std::size_t>(from_channel) + 1, -1);
+  std::int32_t& first = first_out_[static_cast<std::size_t>(from)];
+  for (std::int32_t c = first; c != -1;
+       c = next_out_[static_cast<std::size_t>(c)]) {
+    KLEX_REQUIRE(
+        channel_info_[static_cast<std::size_t>(c)].from_channel !=
+            from_channel,
+        "channel (", from, ",", from_channel, ") already connected");
   }
-  KLEX_REQUIRE(lookup[static_cast<std::size_t>(from_channel)] == -1,
-               "channel (", from, ",", from_channel, ") already connected");
 
-  DirectedChannel channel;
-  channel.info = ChannelInfo{from, from_channel, to, to_channel};
-  channel.src_lane = lane_of(from);
-  channel.dst_lane = lane_of(to);
-  channel.rng = channel_rngs_.split(channels_.size());
-  lookup[static_cast<std::size_t>(from_channel)] =
-      static_cast<int>(channels_.size());
-  channels_.push_back(std::move(channel));
+  const std::size_t index = channels_.size();
+  Channel& channel = channels_.emplace_back();
+  channel.rng = channel_rngs_.split(index);
+  channel.to = to;
+  channel.to_channel = to_channel;
+  rings_.emplace_back();
+  channel_info_.push_back(ChannelInfo{from, from_channel, to, to_channel});
+  next_out_.push_back(first);
+  first = static_cast<std::int32_t>(index);
+  lookup_stale_ = true;
   ++seq_stride_;
 }
 
@@ -125,11 +130,6 @@ void Engine::configure_lanes(const std::vector<int>& node_lane,
   lanes_.clear();
   lanes_.reserve(static_cast<std::size_t>(lane_count));
   for (int i = 0; i < lane_count; ++i) lanes_.emplace_back(scheduler_kind_);
-
-  for (DirectedChannel& dc : channels_) {
-    dc.src_lane = lane_of(dc.info.from);
-    dc.dst_lane = lane_of(dc.info.to);
-  }
 }
 
 void Engine::configure_streams(const std::vector<int>& node_stream,
@@ -170,13 +170,14 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
     roots.emplace_back(seed ^ kChannelRngSalt);
   }
   std::vector<std::uint64_t> rank(stream_seeds.size(), 0);
-  for (DirectedChannel& dc : channels_) {
-    std::int32_t src = node_stream_[static_cast<std::size_t>(dc.info.from)];
-    std::int32_t dst = node_stream_[static_cast<std::size_t>(dc.info.to)];
-    KLEX_REQUIRE(src == dst, "channel ", dc.info.from, "->", dc.info.to,
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const ChannelInfo& info = channel_info_[c];
+    std::int32_t src = node_stream_[static_cast<std::size_t>(info.from)];
+    std::int32_t dst = node_stream_[static_cast<std::size_t>(info.to)];
+    KLEX_REQUIRE(src == dst, "channel ", info.from, "->", info.to,
                  " crosses streams (tenants must be channel-independent)");
-    dc.stream = src;
-    dc.rng = roots[static_cast<std::size_t>(src)].split(
+    channels_[c].stream = src;
+    channels_[c].rng = roots[static_cast<std::size_t>(src)].split(
         rank[static_cast<std::size_t>(src)]++);
   }
   seq_stride_ = channels_.size() + processes_.size() + streams_.size();
@@ -213,6 +214,8 @@ void Engine::size_ring_windows() {
 
 void Engine::boot() {
   started_ = true;
+  // Wiring is closed from here on: lanes only ever read the table.
+  if (lookup_stale_) rebuild_lookup();
   size_ring_windows();
   for (auto& process : processes_) {
     // Any participant delta fired from on_start must land in the node's
@@ -226,43 +229,71 @@ void Engine::boot() {
 
 int Engine::channel_index_of(NodeId from, int from_channel) const {
   KLEX_CHECK(from >= 0 && from < process_count(), "bad node ", from);
-  const auto& lookup = channel_lookup_[static_cast<std::size_t>(from)];
+  if (lookup_stale_) rebuild_lookup();
+  const std::uint32_t begin = lookup_offset_[static_cast<std::size_t>(from)];
+  const std::uint32_t width =
+      lookup_offset_[static_cast<std::size_t>(from) + 1] - begin;
   KLEX_CHECK(from_channel >= 0 &&
-                 from_channel < static_cast<int>(lookup.size()) &&
-                 lookup[static_cast<std::size_t>(from_channel)] != -1,
+                 static_cast<std::uint32_t>(from_channel) < width &&
+                 lookup_[begin + static_cast<std::size_t>(from_channel)] != -1,
              "channel (", from, ",", from_channel, ") is not connected");
-  return lookup[static_cast<std::size_t>(from_channel)];
+  return lookup_[begin + static_cast<std::size_t>(from_channel)];
+}
+
+void Engine::rebuild_lookup() const {
+  // Node v's row spans its local channels 0 .. (highest wired) + 1.
+  lookup_offset_.assign(processes_.size() + 1, 0);
+  for (const ChannelInfo& info : channel_info_) {
+    std::uint32_t& width =
+        lookup_offset_[static_cast<std::size_t>(info.from) + 1];
+    width = std::max(width, static_cast<std::uint32_t>(info.from_channel) + 1);
+  }
+  std::uint64_t total = 0;
+  for (std::size_t v = 1; v < lookup_offset_.size(); ++v) {
+    total += lookup_offset_[v];
+    KLEX_CHECK(total <= std::uint64_t{0xFFFFFFFF},
+               "channel lookup table overflow");
+    lookup_offset_[v] = static_cast<std::uint32_t>(total);
+  }
+  lookup_.assign(static_cast<std::size_t>(total), -1);
+  for (std::size_t c = 0; c < channel_info_.size(); ++c) {
+    const ChannelInfo& info = channel_info_[c];
+    lookup_[lookup_offset_[static_cast<std::size_t>(info.from)] +
+            static_cast<std::size_t>(info.from_channel)] =
+        static_cast<std::int32_t>(c);
+  }
+  lookup_stale_ = false;
 }
 
 std::array<std::uint64_t, Engine::kTrackedMessageTypes>&
-Engine::in_flight_cells(const DirectedChannel& dc) {
+Engine::in_flight_cells(Lane& src, std::int32_t stream) {
   return streams_explicit_
-             ? streams_[static_cast<std::size_t>(dc.stream)].in_flight_by_type
-             : lanes_[static_cast<std::size_t>(dc.src_lane)]
-                   .in_flight_by_type;
+             ? streams_[static_cast<std::size_t>(stream)].in_flight_by_type
+             : src.in_flight_by_type;
 }
 
-void Engine::schedule_delivery(int channel_index, const Message& msg) {
+void Engine::schedule_delivery(Lane& src, int channel_index,
+                               const Message& msg) {
   if (chaos_) {
-    chaos_send(channel_index, msg);
+    chaos_send(src, channel_index, msg);
   } else {
-    enqueue_delivery(channel_index, msg, 0, true);
+    enqueue_delivery(src, channel_index, msg, 0, true);
   }
 }
 
-void Engine::enqueue_delivery(int channel_index, const Message& msg,
-                              SimTime jitter, bool fresh) {
-  DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
-  Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
+void Engine::enqueue_delivery(Lane& src, int channel_index,
+                              const Message& msg, SimTime jitter,
+                              bool fresh) {
+  Channel& ch = channels_[static_cast<std::size_t>(channel_index)];
   SimTime delay = delays_.min_delay +
-                  static_cast<SimTime>(dc.rng.next_below(
+                  static_cast<SimTime>(ch.rng.next_below(
                       delays_.max_delay - delays_.min_delay + 1));
   if (fresh) {
     ++src.in_flight;
-    ++in_flight_cells(dc)[type_bucket(msg.type)];
+    ++in_flight_cells(src, ch.stream)[type_bucket(msg.type)];
     if (jitter > 0) {
       SimTime extra = static_cast<SimTime>(
-          dc.rng.next_below(static_cast<std::uint64_t>(jitter) + 1));
+          ch.rng.next_below(static_cast<std::uint64_t>(jitter) + 1));
       if (extra > 0) {
         delay += extra;
         ++chaos_->link(channel_index).stats.jittered;
@@ -270,24 +301,25 @@ void Engine::enqueue_delivery(int channel_index, const Message& msg,
     }
   }
   // FIFO: the delivery may not overtake earlier traffic on this channel.
-  SimTime deliver_at = std::max(src.now + delay, dc.last_scheduled);
-  dc.last_scheduled = deliver_at;
+  SimTime deliver_at = std::max(src.now + delay, ch.last_scheduled);
+  ch.last_scheduled = deliver_at;
 
   Event event;
   event.at = deliver_at;
-  event.seq = next_seq(dc.next_seq, static_cast<std::uint64_t>(channel_index));
+  event.seq = next_seq(ch.next_seq, static_cast<std::uint64_t>(channel_index));
   event.kind = EventKind::kDelivery;
   event.target = channel_index;
-  event.payload = dc.epoch;
-  if (in_window_ && dc.dst_lane != dc.src_lane) {
+  event.payload = ch.epoch;
+  Lane& dst = lanes_[static_cast<std::size_t>(lane_of(ch.to))];
+  if (in_window_ && &dst != &src) {
     // Inside a parallel window the destination queue and the channel
     // ring belong to another thread; park the delivery in the source
     // lane's outbox -- end_window() merges it at the barrier, which is
     // sound because the delivery time is >= the next window start.
     src.outbox.push_back(Outbound{channel_index, event, msg});
   } else {
-    dc.in_flight.push_back(msg);
-    lanes_[static_cast<std::size_t>(dc.dst_lane)].queue.push(event);
+    rings_[static_cast<std::size_t>(channel_index)].push_back(msg);
+    dst.queue.push(event);
   }
 }
 
@@ -312,9 +344,9 @@ void Engine::chaos_burst_channel_range(int begin, int end,
 void Engine::chaos_burst_links(const std::vector<std::pair<int, int>>& links,
                                const ChaosConfig& config, SimTime duration) {
   KLEX_REQUIRE(chaos_ != nullptr, "chaos_burst needs configure_chaos");
-  std::vector<char> member(channels_.size(), 0);
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const ChannelInfo& info = channels_[i].info;
+  std::vector<char> member(channel_info_.size(), 0);
+  for (std::size_t i = 0; i < channel_info_.size(); ++i) {
+    const ChannelInfo& info = channel_info_[i];
     for (const auto& [a, b] : links) {
       if ((info.from == a && info.to == b) ||
           (info.from == b && info.to == a)) {
@@ -327,9 +359,8 @@ void Engine::chaos_burst_links(const std::vector<std::pair<int, int>>& links,
                               lanes_[0].now + duration);
 }
 
-void Engine::chaos_send(int channel_index, const Message& msg) {
-  DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
-  Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
+void Engine::chaos_send(Lane& src, int channel_index, const Message& msg) {
+  Channel& ch = channels_[static_cast<std::size_t>(channel_index)];
   ChaosModel::Link& link = chaos_->link(channel_index);
   const ChaosConfig& cfg = chaos_->effective(channel_index, src.now);
 
@@ -338,23 +369,23 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
   // hold created by this very send does not age itself.
   const std::uint64_t mature_below = link.next_hold_id;
 
-  if (cfg.drop_p > 0.0 && dc.rng.next_bool(cfg.drop_p)) {
+  if (cfg.drop_p > 0.0 && ch.rng.next_bool(cfg.drop_p)) {
     // Lost at send time: no ring entry, no event, no census increment.
     // The sender already gave the token up, so the census goes short --
     // real in-model damage the root timeout must repair.
     ++link.stats.dropped;
-  } else if (cfg.dup_p > 0.0 && dc.rng.next_bool(cfg.dup_p)) {
+  } else if (cfg.dup_p > 0.0 && ch.rng.next_bool(cfg.dup_p)) {
     ++link.stats.duplicated;
-    enqueue_delivery(channel_index, msg, cfg.jitter, true);
-    enqueue_delivery(channel_index, msg, cfg.jitter, true);
-  } else if (cfg.reorder_p > 0.0 && dc.rng.next_bool(cfg.reorder_p)) {
+    enqueue_delivery(src, channel_index, msg, cfg.jitter, true);
+    enqueue_delivery(src, channel_index, msg, cfg.jitter, true);
+  } else if (cfg.reorder_p > 0.0 && ch.rng.next_bool(cfg.reorder_p)) {
     ++link.stats.reordered;
     // Held back: stays in the in-flight census (released without
     // re-counting), overtaken by up to reorder_window later sends.
     ++src.in_flight;
-    ++in_flight_cells(dc)[type_bucket(msg.type)];
+    ++in_flight_cells(src, ch.stream)[type_bucket(msg.type)];
     const std::uint64_t id = link.next_hold_id++;
-    const int release_after = 1 + static_cast<int>(dc.rng.next_below(
+    const int release_after = 1 + static_cast<int>(ch.rng.next_below(
         static_cast<std::uint64_t>(cfg.reorder_window)));
     link.held.push_back(ChaosModel::Held{msg, release_after, id});
     // Guaranteed release on a quiet channel: a flush event on the source
@@ -363,19 +394,19 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
     Event flush;
     flush.at = src.now + cfg.reorder_flush_delay;
     flush.seq =
-        next_seq(dc.next_seq, static_cast<std::uint64_t>(channel_index));
+        next_seq(ch.next_seq, static_cast<std::uint64_t>(channel_index));
     flush.kind = EventKind::kChaosFlush;
     flush.target = channel_index;
     flush.payload = id;
     src.queue.push(flush);
   } else {
-    enqueue_delivery(channel_index, msg, cfg.jitter, true);
+    enqueue_delivery(src, channel_index, msg, cfg.jitter, true);
   }
 
-  chaos_release(channel_index, mature_below, /*flush=*/false);
+  chaos_release(src, channel_index, mature_below, /*flush=*/false);
 }
 
-void Engine::chaos_release(int channel_index, std::uint64_t bound,
+void Engine::chaos_release(Lane& src, int channel_index, std::uint64_t bound,
                            bool flush) {
   ChaosModel::Link& link = chaos_->link(channel_index);
   if (link.held.empty()) return;
@@ -395,18 +426,18 @@ void Engine::chaos_release(int channel_index, std::uint64_t bound,
   }
   link.held.resize(out);
   for (const ChaosModel::Held& held : due) {
-    enqueue_delivery(channel_index, held.msg, 0, false);
+    enqueue_delivery(src, channel_index, held.msg, 0, false);
   }
 }
 
 void Engine::send_from(NodeId from, int channel, const Message& msg) {
   int index = channel_index_of(from, channel);
-  const DirectedChannel& dc = channels_[static_cast<std::size_t>(index)];
-  Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
-  schedule_delivery(index, msg);
+  Lane& src = lanes_[static_cast<std::size_t>(lane_of(from))];
+  schedule_delivery(src, index, msg);
   ++src.messages_sent;
   if (streams_explicit_) {
-    ++streams_[static_cast<std::size_t>(dc.stream)]
+    ++streams_[static_cast<std::size_t>(
+                   channels_[static_cast<std::size_t>(index)].stream)]
           .sent_by_type[type_bucket(msg.type)];
   } else {
     ++src.sent_by_type[type_bucket(msg.type)];
@@ -506,7 +537,8 @@ void Engine::inject_message(NodeId from, int from_channel,
   // protocol send: the message "was already in the channel" (arbitrary
   // initial content). It still obeys FIFO and delay bounds.
   int index = channel_index_of(from, from_channel);
-  schedule_delivery(index, msg);
+  schedule_delivery(lanes_[static_cast<std::size_t>(lane_of(from))], index,
+                    msg);
 }
 
 void Engine::clear_channels() {
@@ -515,10 +547,10 @@ void Engine::clear_channels() {
   // the reset, post-fault traffic would inherit pre-fault last_scheduled
   // clamps, and without the epoch a stale event would deliver post-fault
   // traffic earlier than its sampled delay.
-  for (DirectedChannel& dc : channels_) {
-    dc.in_flight.clear();
-    ++dc.epoch;
-    dc.last_scheduled = 0;
+  for (MessageRing& ring : rings_) ring.clear();
+  for (Channel& ch : channels_) {
+    ++ch.epoch;
+    ch.last_scheduled = 0;
   }
   // All channels are now empty: the per-lane in-flight and per-type
   // census counters reset as writes instead of a decrement per dropped
@@ -542,16 +574,18 @@ void Engine::clear_channel_range(int begin, int end) {
   KLEX_REQUIRE(begin >= 0 && begin <= end && end <= channel_count(),
                "bad channel range [", begin, ", ", end, ")");
   for (int i = begin; i < end; ++i) {
-    DirectedChannel& dc = channels_[static_cast<std::size_t>(i)];
-    Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-    Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
+    const std::size_t c = static_cast<std::size_t>(i);
+    Channel& ch = channels_[c];
+    Stream& stream = streams_[static_cast<std::size_t>(ch.stream)];
+    Lane& src =
+        lanes_[static_cast<std::size_t>(lane_of(channel_info_[c].from))];
     // Per-message decrements instead of clear_channels' reset-to-zero:
     // other tenants' in-flight counts must survive untouched.
-    dc.in_flight.for_each([&](const Message& msg) {
+    rings_[c].for_each([&](const Message& msg) {
       --stream.in_flight_by_type[type_bucket(msg.type)];
       --src.in_flight;
     });
-    dc.in_flight.clear();
+    rings_[c].clear();
     if (chaos_) {
       ChaosModel::Link& link = chaos_->link(i);
       for (const ChaosModel::Held& held : link.held) {
@@ -560,15 +594,14 @@ void Engine::clear_channel_range(int begin, int end) {
       }
       link.held.clear();
     }
-    ++dc.epoch;
-    dc.last_scheduled = 0;
+    ++ch.epoch;
+    ch.last_scheduled = 0;
   }
 }
 
 int Engine::channel_backlog(NodeId from, int from_channel) const {
   int index = channel_index_of(from, from_channel);
-  return static_cast<int>(
-      channels_[static_cast<std::size_t>(index)].in_flight.size());
+  return static_cast<int>(rings_[static_cast<std::size_t>(index)].size());
 }
 
 SimTime Engine::now() const {
@@ -663,31 +696,32 @@ EngineStats Engine::stats() const {
 void Engine::dispatch(Lane& lane, const Event& event) {
   switch (event.kind) {
     case EventKind::kDelivery: {
-      DirectedChannel& dc =
-          channels_[static_cast<std::size_t>(event.target)];
-      if (event.payload != dc.epoch) {
+      const std::size_t c = static_cast<std::size_t>(event.target);
+      const Channel& ch = channels_[c];
+      if (event.payload != ch.epoch) {
         // The channel was cleared by fault injection after this delivery
         // was scheduled; the message no longer exists.
         return;
       }
-      KLEX_CHECK(!dc.in_flight.empty(), "delivery event without a message");
-      // FIFO: the head of the deque is exactly this event's message
+      MessageRing& ring = rings_[c];
+      KLEX_CHECK(!ring.empty(), "delivery event without a message");
+      // FIFO: the head of the ring is exactly this event's message
       // (delivery times per channel are monotone, ties keep send order).
-      Message msg = dc.in_flight.front();
-      dc.in_flight.pop_front();
+      Message msg = ring.front();
+      ring.pop_front();
       if (streams_explicit_) {
         // The stream cell is exact (same cell as the increment); it is
         // also same-thread, because streams nest inside lanes and
         // channels never cross streams.
-        --streams_[static_cast<std::size_t>(dc.stream)]
+        --streams_[static_cast<std::size_t>(ch.stream)]
               .in_flight_by_type[type_bucket(msg.type)];
       } else {
         --lane.in_flight_by_type[type_bucket(msg.type)];
       }
       --lane.in_flight;
       ++lane.messages_delivered;
-      NodeId to = dc.info.to;
-      int channel = dc.info.to_channel;
+      NodeId to = ch.to;
+      int channel = ch.to_channel;
       processes_[static_cast<std::size_t>(to)]->on_message(channel, msg);
       // Observers run after the handler: they then see a consistent
       // configuration boundary (the message has been fully absorbed,
@@ -718,7 +752,7 @@ void Engine::dispatch(Lane& lane, const Event& event) {
     case EventKind::kChaosFlush: {
       // Runs on the channel's source lane (the queue the hold pushed
       // it to), so the hold buffer stays single-writer.
-      chaos_release(event.target, event.payload, /*flush=*/true);
+      chaos_release(lane, event.target, event.payload, /*flush=*/true);
       return;
     }
   }
@@ -894,10 +928,10 @@ void Engine::end_window() {
   // preserved; destination queues order by (at, seq) regardless.
   for (Lane& src : lanes_) {
     for (const Outbound& out : src.outbox) {
-      DirectedChannel& dc =
-          channels_[static_cast<std::size_t>(out.channel)];
-      dc.in_flight.push_back(out.msg);
-      lanes_[static_cast<std::size_t>(dc.dst_lane)].queue.push(out.event);
+      const std::size_t c = static_cast<std::size_t>(out.channel);
+      rings_[c].push_back(out.msg);
+      lanes_[static_cast<std::size_t>(lane_of(channels_[c].to))].queue.push(
+          out.event);
     }
     src.outbox.clear();
   }

@@ -46,11 +46,31 @@
 // must nest inside lanes (every node of a stream on one lane, channels
 // never crossing streams), which keeps their census cells single-writer.
 //
+// Channel layout. Channel c's state is split by how it is accessed,
+// into arrays indexed by c:
+//   * channels_[c] -- the 64-byte hot record, one cache line: the delay
+//     rng, the FIFO clamp (last_scheduled), the seq counter, the epoch,
+//     the stream and the destination endpoint -- all a send or a
+//     delivery reads;
+//   * rings_[c] -- the 24-byte header of the in-flight FIFO;
+//   * channel_info_[c] -- the wiring (both endpoints), read only by
+//     census walks, chaos burst scoping and clear_channel_range.
+// A send finds c through a flat table: node v's local channel i is
+// lookup_[lookup_offset_[v] + i]. The table is rebuilt after wiring
+// changes, on the first lookup or at start() (wiring is closed once the
+// engine starts).
+//
 // Parallel-safety contract (all of it single-writer, no locks):
-//   * a channel's FIFO ring, last_scheduled clamp, rng and seq counter
-//     belong to the channel's source lane; cross-lane deliveries created
-//     inside a window park in the source lane's outbox and are merged
-//     into the destination queue at the window barrier (single-threaded);
+//   * channels_[c] and rings_[c] belong to the channel's source lane
+//     (lane_of(from)): it draws the delays, clamps FIFO times, counts
+//     seqs and pushes the ring. The destination lane (lane_of(to))
+//     pops the ring at delivery; cross-lane deliveries created inside a
+//     window park in the source lane's outbox and are pushed into the
+//     destination queue and the ring at the window barrier
+//     (single-threaded), so the two lanes never touch a ring in the
+//     same window;
+//   * channel_info_ and the lookup table are read-only once the engine
+//     has started, so every lane reads them freely;
 //   * a node's timer counter belongs to the node's lane;
 //   * callbacks belong to the calling thread outside windows: the
 //     parallel engine opens no window once any callback was scheduled,
@@ -544,16 +564,16 @@ class Engine {
   template <typename Fn>
   void for_each_in_flight(Fn&& fn) const {
     ++in_flight_walks_;
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-      const DirectedChannel& dc = channels_[i];
-      dc.in_flight.for_each([&](const Message& msg) { fn(dc.info, msg); });
+    for (std::size_t i = 0; i < channel_info_.size(); ++i) {
+      const ChannelInfo& info = channel_info_[i];
+      rings_[i].for_each([&](const Message& msg) { fn(info, msg); });
       if (chaos_) {
         // Held-back messages are in flight (the census counted them at
         // hold time); walk them after the ring so oracle and tracker
         // agree under chaos.
         for (const ChaosModel::Held& held :
              chaos_->link(static_cast<int>(i)).held) {
-          fn(dc.info, held.msg);
+          fn(info, held.msg);
         }
       }
     }
@@ -633,25 +653,28 @@ class Engine {
   static constexpr int kMaxTimers = 16;
 
  private:
-  struct DirectedChannel {
-    ChannelInfo info;
+  /// What a send or a delivery on one channel touches, in one cache
+  /// line (see the file comment for the arrays beside it).
+  struct alignas(64) Channel {
+    // Delay (and chaos decision) draws.
+    support::Rng rng{0};
+    // FIFO clamp: the latest delivery time scheduled on the channel.
     SimTime last_scheduled = 0;
+    // Seq counter of the channel's deliveries and chaos flushes (see the
+    // file comment).
+    std::uint64_t next_seq = 0;
     // Bumped by clear_channels(); delivery events from older epochs are
-    // stale and dropped at dispatch.
-    std::uint64_t epoch = 0;
-    // Owning lanes: the source lane samples delays, clamps FIFO times
-    // and pushes the ring; the destination lane pops it at delivery.
-    std::int32_t src_lane = 0;
-    std::int32_t dst_lane = 0;
+    // stale and dropped at dispatch. 32 bits suffice: a stale event would
+    // have to stay pending across 2^32 clears to alias.
+    std::uint32_t epoch = 0;
     // Sequencing stream (== src stream == dst stream: channels may not
     // cross streams).
     std::int32_t stream = 0;
-    // Delay (and chaos decision) draws, and the seq counter of the
-    // channel's deliveries and chaos flushes (see the file comment).
-    support::Rng rng{0};
-    std::uint64_t next_seq = 0;
-    MessageRing in_flight;
+    NodeId to = -1;
+    std::int32_t to_channel = -1;
   };
+  static_assert(sizeof(Channel) == 64 && alignof(Channel) == 64,
+                "the hot channel record is one cache line");
 
   /// A cross-lane delivery created inside a window: the ring push and
   /// the destination queue push are deferred to the barrier.
@@ -707,12 +730,14 @@ class Engine {
   std::uint64_t next_seq(std::uint64_t& counter, std::uint64_t slot) const {
     return counter++ * seq_stride_ + slot;
   }
-  /// Per-type in-flight cells a send on `dc` counts into: the channel's
-  /// stream with explicit streams, its source lane otherwise.
+  /// Per-type in-flight cells a send from lane `src` in `stream` counts
+  /// into: the stream's with explicit streams, the lane's otherwise.
   std::array<std::uint64_t, kTrackedMessageTypes>& in_flight_cells(
-      const DirectedChannel& dc);
+      Lane& src, std::int32_t stream);
 
   int channel_index_of(NodeId from, int from_channel) const;
+  /// Rebuilds the flat channel lookup from channel_info_.
+  void rebuild_lookup() const;
   /// Rejects wiring changes once seqs may have been handed out (the
   /// stride and the channel rng keys would move under them).
   void require_unsequenced(const char* what) const;
@@ -727,24 +752,25 @@ class Engine {
   void execute(Lane& lane, int lane_index, const Event& event);
   /// Pops the global (at, seq) minimum with at <= t across all lanes.
   bool pop_next(SimTime t, Event* out, int* lane_out);
-  /// Sends on the channel: through the chaos model if one is attached,
-  /// else straight to enqueue_delivery.
-  void schedule_delivery(int channel_index, const Message& msg);
+  /// Sends on the channel from its source lane `src`: through the chaos
+  /// model if one is attached, else straight to enqueue_delivery.
+  void schedule_delivery(Lane& src, int channel_index, const Message& msg);
   /// The one delivery body: draws the delay (plus up to `jitter` extra
   /// ticks) from the channel rng, clamps it for FIFO and queues the
   /// delivery (or parks it in the outbox mid-window). `fresh` marks a
   /// first-time send, counted into the in-flight census; releases of
   /// held messages pass false (counted at hold time, no jitter).
-  void enqueue_delivery(int channel_index, const Message& msg,
+  void enqueue_delivery(Lane& src, int channel_index, const Message& msg,
                         SimTime jitter, bool fresh);
   // Chaos send path: decide drop/duplicate/hold/jitter from the channel
   // rng, then mature the channel's older holds (the new send is the
   // overtaking traffic).
-  void chaos_send(int channel_index, const Message& msg);
+  void chaos_send(Lane& src, int channel_index, const Message& msg);
   /// Releases holds in hold order: on a flush, those with id <= `bound`;
   /// otherwise those with id < `bound` whose remaining overtake count
   /// (decremented here) reaches zero.
-  void chaos_release(int channel_index, std::uint64_t bound, bool flush);
+  void chaos_release(Lane& src, int channel_index, std::uint64_t bound,
+                     bool flush);
   void schedule_callback(int stream, int lane_index, SimTime delay,
                          std::function<void()> fn);
   // Observer fan-out, out of line: the hot send/deliver paths only test
@@ -772,9 +798,23 @@ class Engine {
   std::uint64_t seq_stride_ = 1;
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<DirectedChannel> channels_;
-  // channel_lookup_[node][out_channel] -> index into channels_, or -1.
-  std::vector<std::vector<int>> channel_lookup_;
+  // Per-channel state, split by access (see the file comment).
+  std::vector<Channel> channels_;
+  std::vector<MessageRing> rings_;
+  std::vector<ChannelInfo> channel_info_;
+  // Flat lookup: node v's local channel i is channel
+  // lookup_[lookup_offset_[v] + i] for i < lookup_offset_[v + 1] -
+  // lookup_offset_[v], or -1 if unwired. Stale after add_process /
+  // connect until the next lookup or start() rebuilds it; never stale
+  // once started, so lanes only ever read it.
+  mutable std::vector<std::uint32_t> lookup_offset_;
+  mutable std::vector<std::int32_t> lookup_;
+  mutable bool lookup_stale_ = true;
+  // Each node's out-channels as a list (first_out_ per node, next_out_
+  // per channel, -1 ends it): connect's duplicate-endpoint check walks
+  // the source node's list instead of needing a current table.
+  std::vector<std::int32_t> first_out_;
+  std::vector<std::int32_t> next_out_;
   // Flat [node * kMaxTimers + timer_id] -> generation; sized with the
   // processes, so the staleness check in dispatch is one indexed load.
   // Only ever touched by the owning node's lane.

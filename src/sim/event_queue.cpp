@@ -7,12 +7,6 @@
 
 namespace klex::sim {
 
-namespace {
-
-bool seq_less(const Event& a, const Event& b) { return a.seq < b.seq; }
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // EventHeap
 // ---------------------------------------------------------------------------
@@ -105,7 +99,7 @@ std::size_t EventQueue::min_bucket() const {
   return static_cast<std::size_t>(cached_min_bucket_);
 }
 
-void EventQueue::link(std::size_t index, const Event& event) {
+std::uint32_t EventQueue::allocate(const Event& event) {
   std::uint32_t slot = free_;
   if (slot != kNoSlot) {
     free_ = next_[slot];
@@ -116,6 +110,10 @@ void EventQueue::link(std::size_t index, const Event& event) {
     pool_.push_back(event);
     next_.push_back(kNoSlot);
   }
+  return slot;
+}
+
+void EventQueue::link(std::size_t index, std::uint32_t slot) {
   Bucket& bucket = buckets_[index];
   if (bucket.count == 0) {
     bits_[index >> 6] |= std::uint64_t{1} << (index & 63);
@@ -138,40 +136,40 @@ void EventQueue::gather(std::size_t index) {
   // The list runs newest first: fill the drain back to front so it holds
   // push order, noting whether that is already seq order (one channel's
   // deliveries are; several entities' interleaved pushes usually not).
+  // The events stay in their pool slots until popped.
   if (drain_.size() < bucket.count) drain_.resize(bucket.count);
   drain_head_ = 0;
   drain_end_ = bucket.count;
   bool in_order = true;
   std::uint64_t later_seq = ~std::uint64_t{0};
-  Event* pos = drain_.data() + drain_end_;
-  for (std::uint32_t slot = bucket.head; slot != kNoSlot;) {
-    const Event& event = pool_[slot];
-    *--pos = event;
-    in_order &= event.seq < later_seq;
-    later_seq = event.seq;
-    std::uint32_t next = next_[slot];
-    release(slot);
-    slot = next;
+  DrainKey* pos = drain_.data() + drain_end_;
+  for (std::uint32_t slot = bucket.head; slot != kNoSlot;
+       slot = next_[slot]) {
+    const std::uint64_t seq = pool_[slot].seq;
+    *--pos = DrainKey{seq, slot};
+    in_order &= seq < later_seq;
+    later_seq = seq;
   }
   empty_bucket(index);
   if (!in_order) {
     // One tick per bucket position, so every event here shares `at` and
     // seq alone restores the total order.
-    std::sort(drain_.data(), drain_.data() + drain_end_, seq_less);
+    std::sort(drain_.data(), drain_.data() + drain_end_, SeqLess{});
     ++counters_.bucket_sorts;
     counters_.sorted_events += drain_end_;
   }
 }
 
 void EventQueue::insert_drained(const Event& event) {
-  Event* first = drain_.data() + drain_head_;
-  Event* last = drain_.data() + drain_end_;
-  Event* at = std::upper_bound(first, last, event, seq_less);
+  const DrainKey key{event.seq, allocate(event)};
+  DrainKey* first = drain_.data() + drain_head_;
+  DrainKey* last = drain_.data() + drain_end_;
+  DrainKey* at = std::upper_bound(first, last, key, SeqLess{});
   if (drain_head_ > 0 && at - first < last - at) {
     // Shorter to shift the unconsumed prefix into the slot just consumed.
     std::move(first, at, first - 1);
     --drain_head_;
-    *(at - 1) = event;
+    *(at - 1) = key;
     return;
   }
   std::size_t offset = static_cast<std::size_t>(at - drain_.data());
@@ -179,7 +177,7 @@ void EventQueue::insert_drained(const Event& event) {
   at = drain_.data() + offset;
   std::move_backward(at, drain_.data() + drain_end_,
                      drain_.data() + drain_end_ + 1);
-  *at = event;
+  *at = key;
   ++drain_end_;
 }
 
@@ -188,7 +186,7 @@ void EventQueue::undrain() {
   // Linking in drain order leaves the list newest first, so the next
   // gather reads the remainder back in seq order without a sort.
   for (std::size_t i = drain_head_; i < drain_end_; ++i) {
-    link(index, drain_[i]);
+    link(index, drain_[i].slot);
   }
   drain_head_ = drain_end_ = 0;
 }
@@ -200,7 +198,7 @@ const Event& EventQueue::ring_top() {
     if (buckets_[index].count == 1) return pool_[buckets_[index].head];
     gather(index);
   }
-  return drain_[drain_head_];
+  return pool_[drain_[drain_head_].slot];
 }
 
 void EventQueue::ring_take(Event* out) {
@@ -217,7 +215,9 @@ void EventQueue::ring_take(Event* out) {
     }
     gather(index);
   }
-  *out = drain_[drain_head_];
+  const std::uint32_t slot = drain_[drain_head_].slot;
+  *out = pool_[slot];
+  release(slot);
   if (++drain_head_ == drain_end_) {
     drain_head_ = drain_end_ = 0;
     cached_min_bucket_ = -1;
@@ -307,7 +307,7 @@ void EventQueue::push(const Event& event) {
     if (event.at < cached_min_tick_) undrain();
   }
   std::size_t index = tick_position(event.at);
-  link(index, event);
+  link(index, allocate(event));
   if (cached_min_bucket_ >= 0 && event.at < cached_min_tick_) {
     cached_min_bucket_ = static_cast<std::int64_t>(index);
     cached_min_tick_ = event.at;

@@ -27,16 +27,17 @@
 // Ordering contract (both schedulers, pinned by the differential tests):
 // events pop in strictly increasing (at, seq). The calendar preserves it
 // because (a) the earliest non-empty tick is gathered once into a drain
-// array and sorted by seq there, and later pushes into that tick insert
-// in seq order; (b) buckets are consumed in tick order; and (c) the heap
-// side is an exact min-heap on (at, seq) and pop() takes whichever
-// structure holds the smaller key.
+// array of (seq, pool slot) keys and sorted by seq there, and later
+// pushes into that tick insert in seq order; (b) buckets are consumed
+// in tick order; and (c) the heap side is an exact min-heap on
+// (at, seq) and pop() takes whichever structure holds the smaller key.
 //
 // Memory follows the pending events: every bucket threads its events
 // through one free-listed pool of 32-byte slots (the next-index links
 // live in a parallel array), a bucket header is 8 bytes, and the drain
-// array is the only per-tick buffer. The pool never holds more slots
-// than the queue's pending high-water (max_size()).
+// array of 16-byte keys is the only per-tick buffer. A gathered event
+// keeps its pool slot until it is popped, so the pool never holds more
+// slots than the queue's pending high-water (max_size()).
 #pragma once
 
 #include <array>
@@ -186,8 +187,8 @@ class EventQueue {
   /// Event slots the pool has created: its high-water of ring-resident
   /// events, never more than max_size().
   std::size_t pool_slots() const { return pool_.size(); }
-  /// Capacity of the drain array: the largest tick ever gathered, plus
-  /// the pushes that tick received while it drained.
+  /// Capacity of the drain array (in keys): the largest tick ever
+  /// gathered, plus the pushes that tick received while it drained.
   std::size_t drain_slots() const { return drain_.capacity(); }
 
   SchedulerKind scheduler() const { return scheduler_; }
@@ -203,6 +204,20 @@ class EventQueue {
     std::uint32_t count = 0;
   };
   static_assert(sizeof(Bucket) == 8, "bucket headers stay 8 bytes");
+
+  /// A gathered event's sort key: the tick sort moves these, not the
+  /// 32-byte events, which stay in their pool slots until popped.
+  struct DrainKey {
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(DrainKey) == 16, "drain keys stay 16 bytes");
+  /// The tick sort's comparator, a type so std::sort inlines it.
+  struct SeqLess {
+    bool operator()(const DrainKey& a, const DrainKey& b) const {
+      return a.seq < b.seq;
+    }
+  };
 
   static constexpr std::size_t kMaxGroupCount =
       (std::size_t{1} << kMaxLogBucketCount) / 64;
@@ -231,16 +246,18 @@ class EventQueue {
   std::size_t min_bucket() const;
   /// Circular two-level bitmap scan starting at bucket position `from`.
   std::size_t scan_from(std::size_t from) const;
-  /// Puts `event` into a pool slot on the list of bucket `index`.
-  void link(std::size_t index, const Event& event);
+  /// Stores `event` in a free pool slot and returns the slot.
+  std::uint32_t allocate(const Event& event);
+  /// Puts pool slot `slot` on the list of bucket `index`.
+  void link(std::size_t index, std::uint32_t slot);
   void release(std::uint32_t slot) {
     next_[slot] = free_;
     free_ = slot;
   }
   /// Resets bucket `index` and clears its bitmap bit.
   void empty_bucket(std::size_t index);
-  /// Moves bucket `index` (the earliest) into the drain array, sorted
-  /// by seq.
+  /// Moves bucket `index` (the earliest) into the drain array as keys
+  /// sorted by seq.
   void gather(std::size_t index);
   /// Inserts a push for the drained tick at its seq position.
   void insert_drained(const Event& event);
@@ -266,7 +283,7 @@ class EventQueue {
   // The tick being drained: drain_[drain_head_, drain_end_), sorted by
   // seq. The array only grows; while draining, the find-min cache names
   // that tick.
-  std::vector<Event> drain_;
+  std::vector<DrainKey> drain_;
   std::size_t drain_head_ = 0;
   std::size_t drain_end_ = 0;
 

@@ -1,16 +1,21 @@
 #include "sim/message_ring.hpp"
 
+#include <utility>
+
+#include "support/check.hpp"
+
 namespace klex::sim {
 
 void MessageRing::grow() {
-  std::size_t capacity = buf_.empty() ? 8 : buf_.size() * 2;
-  std::vector<Message> next(capacity);
-  std::size_t count = size();
-  for (std::size_t i = 0; i < count; ++i) {
-    next[i] = buf_[(head_ + i) & mask_];
+  KLEX_CHECK(capacity_ < (std::uint32_t{1} << 31), "message ring overflow");
+  std::uint32_t capacity = capacity_ == 0 ? 8 : capacity_ * 2;
+  auto next = std::make_unique<Message[]>(capacity);
+  std::uint32_t count = tail_ - head_;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    next[i] = buf_[(head_ + i) & (capacity_ - 1)];
   }
   buf_ = std::move(next);
-  mask_ = capacity - 1;
+  capacity_ = capacity;
   head_ = 0;
   tail_ = count;
 }

@@ -46,15 +46,19 @@ Rng::result_type Rng::operator()() {
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   KLEX_CHECK(bound > 0, "next_below requires a positive bound");
   // Lemire-style rejection: accept when the low 64 bits of the 128-bit
-  // product do not fall into the biased zone.
-  std::uint64_t threshold = (-bound) % bound;
-  while (true) {
-    std::uint64_t raw = (*this)();
-    __uint128_t product = static_cast<__uint128_t>(raw) * bound;
-    if (static_cast<std::uint64_t>(product) >= threshold) {
-      return static_cast<std::uint64_t>(product >> 64);
+  // product do not fall into the biased zone [0, 2^64 mod bound). That
+  // zone lies below `bound`, so a low part >= bound is accepted without
+  // computing it (the division runs on about bound / 2^64 of the draws).
+  std::uint64_t raw = (*this)();
+  __uint128_t product = static_cast<__uint128_t>(raw) * bound;
+  if (static_cast<std::uint64_t>(product) < bound) {
+    const std::uint64_t threshold = (-bound) % bound;
+    while (static_cast<std::uint64_t>(product) < threshold) {
+      raw = (*this)();
+      product = static_cast<__uint128_t>(raw) * bound;
     }
   }
+  return static_cast<std::uint64_t>(product >> 64);
 }
 
 std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {

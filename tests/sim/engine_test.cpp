@@ -280,6 +280,139 @@ TEST(Engine, ConnectValidation) {
   EXPECT_THROW(engine.connect(5, 0, 1, 0), std::invalid_argument);
 }
 
+/// Node 0 wires channels 0 and 2 (1 is a gap), nodes 1 and 2 wire
+/// channel 0 back to it, and node 3 wires nothing.
+struct Gapped {
+  Gapped() {
+    for (int i = 0; i < 4; ++i) {
+      engine.add_process(std::make_unique<Recorder>());
+    }
+    engine.connect(0, 0, 1, 0);
+    engine.connect(1, 0, 0, 0);
+    engine.connect(0, 2, 2, 0);
+    engine.connect(2, 0, 0, 2);
+  }
+  Engine engine;
+};
+
+TEST(EngineWiring, UnwiredLocalChannelsThrowOnEveryLookup) {
+  using support::CheckFailure;
+  Gapped net;
+  // Before start: the first lookups build the channel table.
+  for (int channel : {-1, 1, 3, 1000}) {
+    EXPECT_THROW(net.engine.inject_message(0, channel, tagged(1)),
+                 CheckFailure)
+        << "channel " << channel;
+    EXPECT_THROW(net.engine.channel_backlog(0, channel), CheckFailure)
+        << "channel " << channel;
+  }
+  EXPECT_THROW(net.engine.inject_message(1, 1, tagged(1)), CheckFailure);
+  EXPECT_THROW(net.engine.inject_message(3, 0, tagged(1)), CheckFailure);
+  net.engine.start();
+  for (int channel : {-1, 1, 3}) {
+    EXPECT_THROW(net.engine.send_from(0, channel, tagged(1)), CheckFailure)
+        << "channel " << channel;
+  }
+  EXPECT_THROW(net.engine.send_from(3, 0, tagged(1)), CheckFailure);
+  EXPECT_THROW(net.engine.send_from(2, 1, tagged(1)), CheckFailure);
+  // A rejected send leaves no trace.
+  EXPECT_EQ(net.engine.messages_sent(), 0u);
+  EXPECT_EQ(net.engine.in_flight_messages(), 0u);
+  EXPECT_TRUE(net.engine.run_until_message_quiescence(10));
+  // The wired channels still route to their own destinations.
+  net.engine.send_from(0, 0, tagged(10));
+  net.engine.send_from(0, 2, tagged(12));
+  net.engine.send_from(2, 0, tagged(20));
+  EXPECT_EQ(net.engine.channel_backlog(0, 0), 1);
+  EXPECT_EQ(net.engine.channel_backlog(0, 2), 1);
+  EXPECT_EQ(net.engine.channel_backlog(2, 0), 1);
+  EXPECT_EQ(net.engine.channel_backlog(1, 0), 0);
+  net.engine.run_until(1000);
+  auto& r1 = static_cast<Recorder&>(net.engine.process(1));
+  auto& r0 = static_cast<Recorder&>(net.engine.process(0));
+  ASSERT_EQ(r1.deliveries.size(), 1u);
+  EXPECT_EQ(r1.deliveries[0].msg.f0, 10);
+  ASSERT_EQ(r0.deliveries.size(), 1u);
+  EXPECT_EQ(r0.deliveries[0].msg.f0, 20);
+  EXPECT_EQ(r0.deliveries[0].channel, 2);
+}
+
+TEST(EngineWiring, OutOfRangeNodesThrow) {
+  using support::CheckFailure;
+  Gapped net;
+  for (NodeId node : {-1, 4, 1 << 20}) {
+    EXPECT_THROW(net.engine.inject_message(node, 0, tagged(1)),
+                 CheckFailure)
+        << "node " << node;
+    EXPECT_THROW(net.engine.channel_backlog(node, 0), CheckFailure)
+        << "node " << node;
+    EXPECT_THROW(net.engine.process(node), std::invalid_argument)
+        << "node " << node;
+    EXPECT_THROW(net.engine.connect(node, 5, 0, 5), std::invalid_argument)
+        << "node " << node;
+    EXPECT_THROW(net.engine.connect(0, 5, node, 5), std::invalid_argument)
+        << "node " << node;
+  }
+  net.engine.start();
+  for (NodeId node : {-1, 4}) {
+    EXPECT_THROW(net.engine.send_from(node, 0, tagged(1)), CheckFailure)
+        << "node " << node;
+  }
+  EXPECT_EQ(net.engine.channel_count(), 4);
+  EXPECT_EQ(net.engine.messages_sent(), 0u);
+}
+
+TEST(EngineWiring, SecondConnectOfAnEndpointThrows) {
+  Gapped net;
+  // Same (node, channel), whatever the destination; the gap and a new
+  // channel past the end stay free.
+  EXPECT_THROW(net.engine.connect(0, 0, 1, 0), std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(0, 0, 3, 0), std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(0, 2, 3, 0), std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(2, 0, 3, 0), std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(0, -1, 3, 0), std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(0, 1, 3, -1), std::invalid_argument);
+  EXPECT_EQ(net.engine.channel_count(), 4);
+  // A lookup builds the table; later wiring must still be seen, by the
+  // duplicate check and by the next lookup.
+  EXPECT_EQ(net.engine.channel_backlog(0, 0), 0);
+  net.engine.connect(0, 1, 3, 0);
+  net.engine.connect(3, 0, 0, 1);
+  net.engine.connect(0, 7, 3, 7);
+  EXPECT_THROW(net.engine.connect(0, 1, 2, 1), std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(0, 7, 1, 7), std::invalid_argument);
+  EXPECT_EQ(net.engine.channel_count(), 7);
+  net.engine.inject_message(0, 1, tagged(31));
+  net.engine.inject_message(0, 7, tagged(37));
+  EXPECT_EQ(net.engine.channel_backlog(0, 1), 1);
+  EXPECT_EQ(net.engine.channel_backlog(0, 7), 1);
+  EXPECT_THROW(net.engine.inject_message(0, 6, tagged(1)),
+               support::CheckFailure);
+  net.engine.run_until(1000);
+  auto& r3 = static_cast<Recorder&>(net.engine.process(3));
+  ASSERT_EQ(r3.deliveries.size(), 2u);
+  EXPECT_EQ(r3.deliveries[0].channel + r3.deliveries[1].channel, 7);
+}
+
+TEST(EngineWiring, WiringAfterStartOrWithPendingEventsThrows) {
+  {
+    Gapped net;
+    net.engine.inject_message(0, 0, tagged(1));
+    EXPECT_THROW(net.engine.connect(0, 1, 3, 0), std::invalid_argument);
+    EXPECT_THROW(net.engine.add_process(std::make_unique<Recorder>()),
+                 std::invalid_argument);
+  }
+  Gapped net;
+  net.engine.start();
+  EXPECT_THROW(net.engine.add_process(std::make_unique<Recorder>()),
+               std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(0, 1, 3, 0), std::invalid_argument);
+  EXPECT_THROW(net.engine.connect(3, 0, 0, 1), std::invalid_argument);
+  EXPECT_EQ(net.engine.process_count(), 4);
+  EXPECT_EQ(net.engine.channel_count(), 4);
+  EXPECT_THROW(net.engine.send_from(0, 1, tagged(1)), support::CheckFailure);
+}
+
 TEST(Engine, BadDelayModelRejected) {
   EXPECT_THROW(Engine(DelayModel{0, 5}), std::invalid_argument);
   EXPECT_THROW(Engine(DelayModel{6, 5}), std::invalid_argument);

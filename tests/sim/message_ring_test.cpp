@@ -1,7 +1,7 @@
 // MessageRing FIFO stress: wrap-around and growth under churn.
 //
 // The ring is the per-channel in-flight FIFO on the hot delivery path;
-// its head/tail are monotone 64-bit counters masked into a power-of-two
+// its head/tail are monotone 32-bit counters masked into a power-of-two
 // buffer, and growth re-packs the live range into a doubled buffer. The
 // failure modes worth pinning are exactly the masked-index corner cases:
 // a push that lands while the live range straddles the wrap point, a

@@ -208,6 +208,59 @@ bool FleetSystem::census_correct(bool resync_probe) {
   return incorrect_tenants_ == 0;
 }
 
+bool FleetSystem::stabilization_step(sim::SimTime deadline,
+                                     sim::SimTime window, bool* correct,
+                                     sim::SimTime* since) {
+  sim::Engine& engine = this->engine();
+  // The merged loop runs every event before `stop`: a correct stretch
+  // confirms at since + window at the earliest, and one that has not
+  // begun can begin no earlier than the next event (the loop only steps
+  // an incorrect fleet while next <= deadline, so this cannot overflow).
+  const sim::SimTime next = engine.next_event_time();
+  const sim::SimTime stop = *correct
+                                ? *since + window
+                                : next + std::min(window, deadline - next);
+  if (!engine.tenant_major() || next >= stop) {
+    return SystemBase::stabilization_step(deadline, window, correct, since);
+  }
+  // Each tenant runs through stop - 1 on its own; its per-event probe
+  // (census_correct's, O(1)) records the tenant's edges.
+  edges_.clear();
+  engine.run_streams_until(stop - 1, [this](int t, const sim::Event& e) {
+    const bool ok = census_tracker().correct_of(t);
+    char& flag = tenant_ok_[static_cast<std::size_t>(t)];
+    if (ok != (flag != 0)) {
+      flag = ok ? 1 : 0;
+      edges_.push_back(Edge{e.at, e.seq, t, ok});
+    }
+  });
+  // Replay the edges in the merged order to follow the fleet-wide
+  // predicate. Inside the round the merged loop can only give up: a
+  // stretch that begins here confirms beyond the round.
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  });
+  std::size_t applied = 0;
+  bool gave_up = false;
+  while (applied < edges_.size() && !gave_up) {
+    const Edge& edge = edges_[applied++];
+    incorrect_tenants_ += edge.correct ? -1 : 1;
+    correct_since_[static_cast<std::size_t>(edge.tenant)] =
+        edge.correct ? edge.at : sim::kTimeInfinity;
+    const bool now_correct = incorrect_tenants_ == 0;
+    if (now_correct && !*correct) *since = edge.at;
+    *correct = now_correct;
+    gave_up = *correct && *since + window > deadline;
+  }
+  // The merged loop probes nothing after giving up: undo the later edges'
+  // flags so the next resync probe starts from the same state.
+  for (std::size_t i = applied; i < edges_.size(); ++i) {
+    char& flag = tenant_ok_[static_cast<std::size_t>(edges_[i].tenant)];
+    flag = flag != 0 ? 0 : 1;
+  }
+  return gave_up;
+}
+
 void FleetSystem::on_clients_created(ClientPool& pool) {
   for (NodeId node = 0; node < pool.size(); ++node) {
     pool.at(node).set_tenant(tenant_of(node));

@@ -1,11 +1,12 @@
 // klex::FleetSystem -- R independent k-out-of-ℓ instances on one engine.
 //
 // A fleet runs R protocol instances ("tenants") on one shared
-// sim::Engine / ParallelEngine instead of R separate engines: one event
-// queue (calendar), one worker-lane pool, one census tracker -- but R
-// causally independent protocols. The sharing is what a multi-tenant
-// deployment buys (amortized scheduling, shared threads, one clock); the
-// independence is what the layering below guarantees:
+// sim::Engine / ParallelEngine instead of R separate engines: one clock,
+// one worker-lane pool, one census tracker -- but R causally independent
+// protocols, each with its own pending-event queue. The sharing is what
+// a multi-tenant deployment buys (shared threads, one clock, one
+// management plane); the independence is what the layering below
+// guarantees:
 //
 //   * node ids: tenant t owns the contiguous engine range
 //     [node_begin(t), node_begin(t) + tenant_n(t)); local tree ids map to
@@ -20,11 +21,19 @@
 //     other tenants do. That is
 //     the differential anchor: fleet(1) == System(seed) bit for bit, and
 //     every tenant of fleet(R) replays its standalone trace.
+//   * execution: each tenant's events sit in the tenant's own queue, and
+//     run_until runs the fleet tenant-major -- one tenant through the
+//     horizon, then the next -- so a span works on one tenant's queue
+//     and state at a time. Tenant events may only schedule into their
+//     own tenant (a checked engine contract). Observers and pending
+//     global callbacks switch spans to the merged (at, seq) order (see
+//     sim/engine.hpp).
 //   * census: proto::CensusTracker grows a tenant axis -- per-tenant
 //     expected populations, per-tenant O(1) legitimacy (correct_of reads
 //     one stream's counters, never scanning the other R-1 tenants), and a
-//     stabilization probe that re-checks only the tenant of the last
-//     executed event.
+//     stabilization probe that re-checks only the tenant of the event
+//     just executed. run_until_stabilized steps the tenants one at a time
+//     too, and returns exactly what the merged-order loop returns.
 //   * faults / recovery: inject_transient_fault_tenant corrupts exactly
 //     one tenant's processes and channel range;
 //     epoch_cut_recover_tenant drains and re-boots one tenant in
@@ -199,6 +208,18 @@ class FleetSystem : public SystemBase {
   /// O(1), never scanning the other tenants.
   bool census_correct(bool resync_probe) override;
 
+  /// run_until_stabilized's advance, stepping each tenant on its own: it
+  /// executes the same events and leaves the same time, clock and
+  /// tenant_stabilized_at values as the merged-order step. A round runs
+  /// the tenants tenant-major up to a horizon the merged loop is certain
+  /// to pass, records each tenant's correct/incorrect edges, and replays
+  /// them in (at, seq) order to follow the fleet-wide correct stretch.
+  /// The tick where the merged loop may stop after any single event (the
+  /// confirmation point or the deadline) is stepped in merged order, as
+  /// is everything while the engine runs merged (Engine::tenant_major).
+  bool stabilization_step(sim::SimTime deadline, sim::SimTime window,
+                          bool* correct, sim::SimTime* since) override;
+
   /// Stamps each session with its tenant (Lease::tenant routes grants
   /// back per tenant in cross-tenant applications).
   void on_clients_created(ClientPool& pool) override;
@@ -215,6 +236,14 @@ class FleetSystem : public SystemBase {
   proto::MessageDomains tenant_message_domains(int tenant) const;
   void spread_seed_tokens(int tenant);
 
+  /// One tenant's census edge seen by a stabilization round.
+  struct Edge {
+    sim::SimTime at = 0;
+    std::uint64_t seq = 0;
+    int tenant = -1;
+    bool correct = false;
+  };
+
   FleetConfig config_;
   std::vector<core::Params> tenant_params_;
   // Prefix-sum geometry: tenant t owns nodes [node_begin_[t],
@@ -230,6 +259,7 @@ class FleetSystem : public SystemBase {
   int incorrect_tenants_ = 0;
   std::vector<sim::SimTime> correct_since_;
   std::vector<std::int64_t> recoveries_;
+  std::vector<Edge> edges_;  // stabilization_step scratch
 };
 
 }  // namespace klex

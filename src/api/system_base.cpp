@@ -285,10 +285,7 @@ sim::SimTime SystemBase::run_until_stabilized(sim::SimTime deadline,
       break;  // queue drained (or idle) past the deadline, still incorrect
     }
     if (!correct && engine_.now() >= deadline) break;
-    engine_.step();
-    bool now_correct = census_correct(/*resync_probe=*/false);
-    if (now_correct && !correct) correct_since = engine_.now();
-    correct = now_correct;
+    if (stabilization_step(deadline, window, &correct, &correct_since)) break;
   }
   // Failure: leave the clock at the deadline like the poll loop did, so
   // callers that retry with a later deadline resume from a known point.
@@ -298,6 +295,16 @@ sim::SimTime SystemBase::run_until_stabilized(sim::SimTime deadline,
 
 bool SystemBase::census_correct(bool /*resync_probe*/) {
   return tracker_.correct();
+}
+
+bool SystemBase::stabilization_step(sim::SimTime /*deadline*/,
+                                    sim::SimTime /*window*/, bool* correct,
+                                    sim::SimTime* since) {
+  engine_.step();
+  const bool now_correct = census_correct(/*resync_probe=*/false);
+  if (now_correct && !*correct) *since = engine_.now();
+  *correct = now_correct;
+  return false;
 }
 
 proto::TokenCensus SystemBase::census() const { return tracker_.counts(); }

@@ -125,13 +125,12 @@ class SystemBase : public proto::RequestPort {
   ///
   /// The (poll, consecutive) pair is kept from the polling era so existing
   /// call sites confirm over the same ~poll*consecutive horizon they
-  /// always did; they no longer quantize the reported time.
-  /// Virtual so a fleet can keep the same control flow while swapping the
-  /// per-event census probe for its incremental per-tenant variant (see
-  /// census_correct).
-  virtual sim::SimTime run_until_stabilized(sim::SimTime deadline,
-                                            sim::SimTime poll = 64,
-                                            int consecutive = 3);
+  /// always did; they no longer quantize the reported time. A fleet keeps
+  /// this control flow and swaps its probe (census_correct) and its step
+  /// (stabilization_step).
+  sim::SimTime run_until_stabilized(sim::SimTime deadline,
+                                    sim::SimTime poll = 64,
+                                    int consecutive = 3);
 
   // -- observation / faults ------------------------------------------------------
   /// O(1): assembled from the incrementally maintained tracker.
@@ -251,6 +250,15 @@ class SystemBase : public proto::RequestPort {
   /// tracker predicate; the fleet re-scans all tenants on a resync probe
   /// and otherwise re-checks only the tenant of the last executed event.
   virtual bool census_correct(bool resync_probe);
+
+  /// One advance of run_until_stabilized's loop, taken once its stop tests
+  /// have passed: executes the next event and updates the loop's
+  /// `correct` / `since` from the per-event probe. Returns true when the
+  /// loop must give up (a correct stretch that began inside a multi-event
+  /// advance and cannot be confirmed by `deadline`); a single step never
+  /// does. A fleet advances a whole tenant-major round here when it can.
+  virtual bool stabilization_step(sim::SimTime deadline, sim::SimTime window,
+                                  bool* correct, sim::SimTime* since);
 
   /// Called once when the lazily created ClientPool comes up; a fleet
   /// stamps each client's TenantId here.

@@ -62,13 +62,21 @@ WorkloadDriver::~WorkloadDriver() {
 }
 
 void WorkloadDriver::begin() {
+  begun_ = true;
   for (proto::NodeId node = 0; node < clients_.size(); ++node) {
+    // A lease adopted before begin() (a corruption-induced grant) gets its
+    // release now, as resync() would give it.
+    if (clients_.at(node).holding()) schedule_release(node);
     if (state(node).behavior.active) schedule_cycle(node);
   }
 }
 
 void WorkloadDriver::schedule_cycle(proto::NodeId node,
                                     sim::SimTime extra_delay) {
+  // Nothing is scheduled before begin() (or resync()): handlers fired by
+  // earlier events may run inside a parallel window, where scheduling
+  // fails.
+  if (!begun_) return;
   NodeState& node_state = state(node);
   const Client& client = clients_.at(node);
   if (node_state.cycle_scheduled || client.waiting() || client.holding()) {
@@ -180,6 +188,7 @@ void WorkloadDriver::handle_revoked(proto::NodeId node) {
 }
 
 void WorkloadDriver::schedule_release(proto::NodeId node) {
+  if (!begun_) return;  // begin() schedules it (see schedule_cycle)
   NodeState& node_state = state(node);
   if (node_state.release_scheduled) return;
   if (node_state.behavior.hold_forever) return;  // the set I never releases
@@ -195,7 +204,9 @@ void WorkloadDriver::schedule_release(proto::NodeId node) {
 
 void WorkloadDriver::resync() {
   // Reconcile every session first (fires revocation / denial / adoption
-  // handlers), then restart the loop for whoever ended up idle.
+  // handlers), then restart the loop for whoever ended up idle. Like
+  // begin(), resync() is called between runs, so it may start the loop.
+  begun_ = true;
   clients_.resync();
   for (proto::NodeId node = 0; node < clients_.size(); ++node) {
     NodeState& node_state = state(node);

@@ -67,13 +67,19 @@ class WorkloadDriver {
   void set_retry_policy(const proto::RetryPolicy& policy) { retry_ = policy; }
   const proto::RetryPolicy& retry_policy() const { return retry_; }
 
-  /// Schedules the initial think time of every active node.
+  /// Schedules the initial think time of every active node, and the
+  /// release of any lease adopted before it. The driver schedules nothing
+  /// before begin() or resync(): grants, denials and revocations that
+  /// arrive earlier only update the sessions (a corruption-induced grant
+  /// before the workload is adopted and held until begin()), because
+  /// they may arrive inside a parallel window, where scheduling fails.
   void begin();
 
   /// After transient-fault injection the sessions' view may disagree with
   /// the corrupted protocol state; resync() reconciles every Client
   /// (revoking vanished grants, adopting phantom critical sections) and
-  /// restarts the closed loop for idle active nodes.
+  /// restarts the closed loop for idle active nodes (also before
+  /// begin(), which it then stands in for).
   void resync();
 
   std::int64_t requests_issued(proto::NodeId node) const;
@@ -147,6 +153,7 @@ class WorkloadDriver {
   ClientPool& clients_;
   std::vector<NodeState> nodes_;
   proto::RetryPolicy retry_;  // defaults reproduce historical behavior
+  bool begun_ = false;        // begin() or resync() ran (see begin())
   support::Rng rng_;
   std::vector<support::Rng> stream_rngs_;  // empty = single shared rng_
   std::array<std::int64_t, static_cast<std::size_t>(kDenyReasonCount)>

@@ -243,6 +243,8 @@ constexpr auto fields_of(const sim::EngineStats&) {
       field("bucket_scans", path<&E::scheduler, &S::bucket_scans>),
       field("overflow_pushes", path<&E::scheduler, &S::overflow_pushes>),
       field("overflow_pops", path<&E::scheduler, &S::overflow_pops>),
+      field("bucket_sorts", path<&E::scheduler, &S::bucket_sorts>),
+      field("sorted_events", path<&E::scheduler, &S::sorted_events>),
       KLEX_FIELD(E, bucket_window)};
 }
 

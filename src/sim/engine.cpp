@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "support/check.hpp"
@@ -59,6 +60,9 @@ void Engine::require_unsequenced(const char* what) const {
   for (const Lane& lane : lanes_) {
     KLEX_REQUIRE(lane.queue.empty(), "cannot ", what,
                  " with pending events");
+  }
+  for (const EventQueue& queue : stream_queues_) {
+    KLEX_REQUIRE(queue.empty(), "cannot ", what, " with pending events");
   }
 }
 
@@ -181,6 +185,23 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
         rank[static_cast<std::size_t>(src)]++);
   }
   seq_stride_ = channels_.size() + processes_.size() + streams_.size();
+
+  // One queue per stream from here on; each lane orders its streams'
+  // queues by their heads (lane queues stay empty). A stream's ring
+  // window is 8 ticks per node, between 128 ticks and the default: its
+  // bucket headers (64 B per node) follow the tenant's size, so hundreds
+  // of small tenants add kilobytes, not a default ring each.
+  std::vector<std::uint64_t> nodes(stream_seeds.size(), 0);
+  for (std::int32_t s : node_stream_) ++nodes[static_cast<std::size_t>(s)];
+  stream_queues_.clear();
+  stream_queues_.reserve(stream_seeds.size());
+  for (std::uint64_t count : nodes) {
+    const std::uint32_t log2 = std::clamp<std::uint32_t>(
+        static_cast<std::uint32_t>(std::bit_width(8 * count)),
+        EventQueue::kMinLogBucketCount, EventQueue::kLogBucketCount);
+    stream_queues_.emplace_back(scheduler_kind_, log2);
+  }
+  for (Lane& lane : lanes_) lane.heads.reset(stream_seeds.size());
   streams_explicit_ = true;
 }
 
@@ -199,16 +220,19 @@ void Engine::size_ring_windows() {
   // The ring can hold an event at now + span only if the window exceeds
   // the span. Grow (never shrink, and only up to the bitmap cap) so the
   // longest delivery delay stays on the O(1) ring instead of falling
-  // through to the overflow heap.
+  // through to the overflow heap; a window that already covers it stays
+  // exactly as built.
   SimTime span = delays_.max_delay;
-  std::uint32_t log2 = EventQueue::kLogBucketCount;
+  std::uint32_t log2 = EventQueue::kMinLogBucketCount;
   while (log2 < EventQueue::kMaxLogBucketCount &&
          static_cast<SimTime>(std::size_t{1} << log2) <= span) {
     ++log2;
   }
-  if (log2 == EventQueue::kLogBucketCount) return;  // default stays exact
   for (Lane& lane : lanes_) {
     if (lane.queue.empty()) lane.queue.set_log_bucket_count(log2);
+  }
+  for (EventQueue& queue : stream_queues_) {
+    if (queue.empty()) queue.set_log_bucket_count(log2);
   }
 }
 
@@ -319,7 +343,7 @@ void Engine::enqueue_delivery(Lane& src, int channel_index,
     src.outbox.push_back(Outbound{channel_index, event, msg});
   } else {
     rings_[static_cast<std::size_t>(channel_index)].push_back(msg);
-    dst.queue.push(event);
+    push_event(dst, ch.stream, event);
   }
 }
 
@@ -398,7 +422,7 @@ void Engine::chaos_send(Lane& src, int channel_index, const Message& msg) {
     flush.kind = EventKind::kChaosFlush;
     flush.target = channel_index;
     flush.payload = id;
-    src.queue.push(flush);
+    push_event(src, ch.stream, flush);
   } else {
     enqueue_delivery(src, channel_index, msg, cfg.jitter, true);
   }
@@ -475,7 +499,7 @@ void Engine::set_timer_for(NodeId node, int timer_id, SimTime delay) {
   event.target = node;
   event.timer_id = static_cast<std::uint8_t>(timer_id);
   event.payload = generation;
-  lane.queue.push(event);
+  push_event(lane, node_stream_[static_cast<std::size_t>(node)], event);
 }
 
 void Engine::cancel_timer_for(NodeId node, int timer_id) {
@@ -488,19 +512,22 @@ void Engine::cancel_timer_for(NodeId node, int timer_id) {
 
 void Engine::schedule(SimTime delay, std::function<void()> fn) {
   // Inside an event handler the executing stream and lane are ambient
-  // (run_event maintains them).
+  // (run_event maintains them). Outside tenant-scoped events the callback
+  // is global: it keeps the ambient stream's seq slot, so it sequences
+  // exactly as before, but spans that contain it run merged-serial.
   schedule_callback(detail::t_current_stream, detail::t_current_lane, delay,
-                    std::move(fn));
+                    std::move(fn),
+                    streams_explicit_ && detail::t_scoped_stream < 0);
 }
 
 void Engine::schedule_in_stream(int stream, SimTime delay,
                                 std::function<void()> fn) {
   schedule_callback(stream, stream_at(stream).home_lane, delay,
-                    std::move(fn));
+                    std::move(fn), false);
 }
 
 void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
-                               std::function<void()> fn) {
+                               std::function<void()> fn, bool global) {
   // Callback seq counters and the slab are shared across lanes; the
   // parallel engine stops opening windows once any callback exists, so
   // a call from inside one is a protocol error.
@@ -523,12 +550,29 @@ void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
                            .next_callback_seq,
                        channels_.size() + processes_.size() +
                            static_cast<std::size_t>(stream));
-  event.kind = EventKind::kCallback;
+  event.kind = global ? EventKind::kGlobalCallback : EventKind::kCallback;
   event.target = stream;
   event.payload = slot;
-  lane.queue.push(event);
+  push_event(lane, stream, event);
   ++pending_callbacks_;
+  if (global) ++pending_global_callbacks_;
   ++callbacks_scheduled_;
+}
+
+void Engine::push_stream_event(std::int32_t stream, const Event& event) {
+  const int scoped = detail::t_scoped_stream;
+  KLEX_CHECK(scoped < 0 || scoped == stream, "an event of stream ", scoped,
+             " scheduled into stream ", stream,
+             " (tenant-scoped events stay in their own stream)");
+  EventQueue& queue = stream_queues_[static_cast<std::size_t>(stream)];
+  queue.push(event);
+  // The executing stream is re-keyed by its executor after the event (or
+  // its whole tenant-major run); any other push moves that head now.
+  if (stream != scoped) {
+    lanes_[static_cast<std::size_t>(
+               streams_[static_cast<std::size_t>(stream)].home_lane)]
+        .heads.update(stream, queue);
+  }
 }
 
 void Engine::inject_message(NodeId from, int from_channel,
@@ -609,6 +653,13 @@ SimTime Engine::now() const {
 }
 
 SimTime Engine::next_event_time() const {
+  if (streams_explicit_) {
+    SimTime best = kTimeInfinity;
+    for (const Lane& lane : lanes_) {
+      if (!lane.heads.empty()) best = std::min(best, lane.heads.top().at);
+    }
+    return best;
+  }
   if (lanes_.size() == 1) return lanes_[0].queue.top_time();
   SimTime best = kTimeInfinity;
   for (const Lane& lane : lanes_) {
@@ -665,19 +716,23 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
 
 EngineStats Engine::stats() const {
   EngineStats stats;
-  for (const Lane& lane : lanes_) {
-    stats.events_executed += lane.events_executed;
-    stats.messages_sent += lane.messages_sent;
-    stats.messages_delivered += lane.messages_delivered;
-    stats.max_heap_size += static_cast<std::uint64_t>(lane.queue.max_size());
-    const SchedulerCounters& c = lane.queue.counters();
+  auto add_queue = [&stats](const EventQueue& queue) {
+    stats.max_heap_size += static_cast<std::uint64_t>(queue.max_size());
+    const SchedulerCounters& c = queue.counters();
     stats.scheduler.bucket_inserts += c.bucket_inserts;
     stats.scheduler.bucket_scans += c.bucket_scans;
     stats.scheduler.overflow_pushes += c.overflow_pushes;
     stats.scheduler.overflow_pops += c.overflow_pops;
     stats.scheduler.bucket_sorts += c.bucket_sorts;
     stats.scheduler.sorted_events += c.sorted_events;
+  };
+  for (const Lane& lane : lanes_) {
+    stats.events_executed += lane.events_executed;
+    stats.messages_sent += lane.messages_sent;
+    stats.messages_delivered += lane.messages_delivered;
+    add_queue(lane.queue);
   }
+  for (const EventQueue& queue : stream_queues_) add_queue(queue);
   stats.callbacks_scheduled = callbacks_scheduled_;
   stats.callback_slots_created = callback_slots_created_;
   stats.in_flight_walks = in_flight_walks_;
@@ -740,6 +795,9 @@ void Engine::dispatch(Lane& lane, const Event& event) {
           event.timer_id);
       return;
     }
+    case EventKind::kGlobalCallback:
+      --pending_global_callbacks_;
+      [[fallthrough]];
     case EventKind::kCallback: {
       --pending_callbacks_;
       std::uint32_t slot = static_cast<std::uint32_t>(event.payload);
@@ -758,34 +816,40 @@ void Engine::dispatch(Lane& lane, const Event& event) {
   }
 }
 
-int Engine::run_event(Lane& lane, int lane_index, const Event& event) {
+int Engine::stream_of_event(const Event& event) const {
   // The executing stream is the owner of the event's sequencing slot.
-  int stream;
   switch (event.kind) {
     case EventKind::kTimer:
-      stream = node_stream_[static_cast<std::size_t>(event.target)];
-      break;
+      return node_stream_[static_cast<std::size_t>(event.target)];
     case EventKind::kCallback:
-      stream = event.target;
-      break;
+    case EventKind::kGlobalCallback:
+      return event.target;
     default:
-      stream = channels_[static_cast<std::size_t>(event.target)].stream;
-      break;
+      return channels_[static_cast<std::size_t>(event.target)].stream;
   }
+}
+
+int Engine::run_event(Lane& lane, int lane_index, const Event& event) {
+  const int stream = stream_of_event(event);
   ++lane.events_executed;
   // Explicit streams nest in lanes, so this cell is single-writer; the
   // plain engine's one stream reads the lane totals instead.
+  int scoped = -1;
   if (streams_explicit_) {
     ++streams_[static_cast<std::size_t>(stream)].events_executed;
+    if (event.kind != EventKind::kGlobalCallback) scoped = stream;
   }
-  detail::t_current_stream = stream;
-  detail::t_current_lane = lane_index;
+  detail::DispatchContext context(stream, scoped, lane_index);
   detail::t_current_event_seq = event.seq;
   dispatch(lane, event);
-  detail::t_current_event_seq = 0;
-  detail::t_current_lane = 0;
-  detail::t_current_stream = 0;
   return stream;
+}
+
+void Engine::run_stream_event(Lane& lane, int stream, const Event& event) {
+  ++lane.events_executed;
+  ++streams_[static_cast<std::size_t>(stream)].events_executed;
+  detail::t_current_event_seq = event.seq;
+  dispatch(lane, event);
 }
 
 void Engine::execute(Lane& lane, int lane_index, const Event& event) {
@@ -839,17 +903,61 @@ bool Engine::pop_next(SimTime t, Event* out, int* lane_out) {
   return true;
 }
 
-bool Engine::step() {
-  start();
+bool Engine::execute_next(SimTime t) {
+  if (streams_explicit_) return execute_next_stream(t);
   Event event;
   int lane;
-  if (!pop_next(kTimeInfinity, &event, &lane)) return false;
+  if (!pop_next(t, &event, &lane)) return false;
   execute(lanes_[static_cast<std::size_t>(lane)], lane, event);
   return true;
 }
 
+bool Engine::execute_next_stream(SimTime t) {
+  // Merged-serial order over the per-stream queues: the earliest head of
+  // the earliest lane.
+  int best = -1;
+  for (int i = 0; i < lane_count(); ++i) {
+    const StreamHeads& heads = lanes_[static_cast<std::size_t>(i)].heads;
+    if (heads.empty()) continue;
+    if (best < 0 ||
+        heads.top().before(lanes_[static_cast<std::size_t>(best)].heads.top())) {
+      best = i;
+    }
+  }
+  if (best < 0) return false;
+  Lane& lane = lanes_[static_cast<std::size_t>(best)];
+  if (lane.heads.top().at > t) return false;
+  const std::int32_t stream = lane.heads.top().stream;
+  EventQueue& queue = stream_queues_[static_cast<std::size_t>(stream)];
+  Event event;
+  const bool popped = queue.pop_min_until(t, &event);
+  KLEX_CHECK(popped, "stream ", stream, " head out of date");
+  KLEX_CHECK(event.at >= lane.now, "event queue went backwards");
+  // The merged loop keeps every lane clock in lockstep.
+  for (Lane& l : lanes_) l.now = event.at;
+  queue.advance_to(event.at);
+  last_stream_ = run_event(lane, best, event);
+  lane.heads.update(stream, queue);
+  return true;
+}
+
+bool Engine::step() {
+  start();
+  return execute_next(kTimeInfinity);
+}
+
 void Engine::run_until(SimTime t) {
   start();
+  if (streams_explicit_) {
+    if (tenant_major()) {
+      run_streams_until(t, [](int, const Event&) {});
+    } else {
+      while (execute_next_stream(t)) {
+      }
+    }
+    sync_lanes_to(t);
+    return;
+  }
   Event event;
   int lane;
   while (pop_next(t, &event, &lane)) {
@@ -861,13 +969,7 @@ void Engine::run_until(SimTime t) {
 std::uint64_t Engine::run_events(std::uint64_t max_events) {
   start();
   std::uint64_t executed = 0;
-  Event event;
-  int lane;
-  while (executed < max_events &&
-         pop_next(kTimeInfinity, &event, &lane)) {
-    execute(lanes_[static_cast<std::size_t>(lane)], lane, event);
-    ++executed;
-  }
+  while (executed < max_events && execute_next(kTimeInfinity)) ++executed;
   return executed;
 }
 
@@ -879,14 +981,11 @@ bool Engine::run_until_message_quiescence(std::uint64_t max_events) {
   // controller set no timers, and for the full protocol the root's timeout
   // keeps the system live forever (so this method only makes sense for the
   // ladder variants and for drained workloads).
-  Event event;
-  int lane;
   while (in_flight_messages() > 0 || pending_callbacks() > 0) {
     if (executed >= max_events) return false;
-    if (!pop_next(kTimeInfinity, &event, &lane)) {
+    if (!execute_next(kTimeInfinity)) {
       return in_flight_messages() == 0 && pending_callbacks() == 0;
     }
-    execute(lanes_[static_cast<std::size_t>(lane)], lane, event);
     ++executed;
   }
   return true;
@@ -907,6 +1006,11 @@ void Engine::begin_window(SimTime start) {
 }
 
 void Engine::run_lane_window(int lane_index, SimTime t) {
+  if (streams_explicit_) {
+    auto no_hook = [](int, const Event&) {};
+    run_lane_streams(lane_index, t, no_hook);
+    return;
+  }
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   Event event;
   while (lane.queue.pop_min_until(t, &event)) {
@@ -930,8 +1034,8 @@ void Engine::end_window() {
     for (const Outbound& out : src.outbox) {
       const std::size_t c = static_cast<std::size_t>(out.channel);
       rings_[c].push_back(out.msg);
-      lanes_[static_cast<std::size_t>(lane_of(channels_[c].to))].queue.push(
-          out.event);
+      push_event(lanes_[static_cast<std::size_t>(lane_of(channels_[c].to))],
+                 channels_[c].stream, out.event);
     }
     src.outbox.clear();
   }

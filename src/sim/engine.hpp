@@ -46,6 +46,34 @@
 // must nest inside lanes (every node of a stream on one lane, channels
 // never crossing streams), which keeps their census cells single-writer.
 //
+// Per-stream queues and tenant-major order. A plain engine keeps one
+// EventQueue per lane. An engine with explicit streams keeps one per
+// stream instead (lane queues stay empty), plus per lane a StreamHeads
+// heap of its streams keyed by their earliest pending (at, seq). Because
+// streams are causally closed, run_until(t) -- and a parallel lane's
+// window -- runs them tenant-major: the stream with the earliest head
+// executes all its events through t in (at, seq) order, then the next,
+// each on its own queue and state. Every stream sees exactly the events,
+// times and draws of the merged order; only the interleaving of
+// different streams differs. These paths keep the merged-serial (at, seq)
+// order, read off the heads heaps:
+//   * step(), run_events() and run_until_message_quiescence();
+//   * any run_until span while an observer is attached (observers see
+//     every stream's events in one global order; inside a parallel
+//     window a window-safe observer buffers per lane and merges by
+//     (at, seq) at the barrier, so windows stay tenant-major);
+//   * any run_until span while a global callback is pending.
+//
+// Tenant-scoped events (checked). An event of stream s -- a delivery,
+// timer or chaos flush on s's channels and nodes, or a callback
+// sequenced in s -- may schedule only into stream s: a push into another
+// stream fails a KLEX_CHECK. A *global* callback is one scheduled through
+// schedule() from outside event execution (a management-plane action
+// such as the fleet-wide epoch cut of Session::apply_fault_event); it is
+// sequenced in the calling context's stream but may touch and schedule
+// into every stream, so spans that contain one run merged-serial.
+// schedule_in_stream() from outside events is tenant-scoped.
+//
 // Channel layout. Channel c's state is split by how it is accessed,
 // into arrays indexed by c:
 //   * channels_[c] -- the 64-byte hot record, one cache line: the delay
@@ -72,6 +100,9 @@
 //   * channel_info_ and the lookup table are read-only once the engine
 //     has started, so every lane reads them freely;
 //   * a node's timer counter belongs to the node's lane;
+//   * a stream's queue belongs to its home lane, and so does the lane's
+//     StreamHeads heap (inside a window only the stream's own events
+//     push into it, and its lane re-keys it after the stream's run);
 //   * callbacks belong to the calling thread outside windows: the
 //     parallel engine opens no window once any callback was scheduled,
 //     and schedule() inside a window fails a check;
@@ -81,6 +112,7 @@
 //   * channel epochs and clear_channels() are barrier-only operations.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -119,6 +151,31 @@ inline thread_local int t_current_stream = 0;
 // per-lane records with it so a barrier-time merge by (at, seq)
 // reproduces the exact serial observation order.
 inline thread_local std::uint64_t t_current_event_seq = 0;
+// Stream of the tenant-scoped event executing on this thread on an
+// engine with explicit streams; -1 outside event dispatch and inside a
+// global callback. Pushes into other streams check against it.
+inline thread_local int t_scoped_stream = -1;
+
+// The thread-local context of event dispatch (one event, or a run of one
+// stream's events), restored however the handlers exit: a handler that
+// throws must not leave its stream scoped for the management-plane calls
+// that follow on this thread.
+class DispatchContext {
+ public:
+  DispatchContext(int stream, int scoped, int lane) {
+    t_current_stream = stream;
+    t_scoped_stream = scoped;
+    t_current_lane = lane;
+  }
+  ~DispatchContext() {
+    t_current_event_seq = 0;
+    t_current_lane = 0;
+    t_scoped_stream = -1;
+    t_current_stream = 0;
+  }
+  DispatchContext(const DispatchContext&) = delete;
+  DispatchContext& operator=(const DispatchContext&) = delete;
+};
 }  // namespace detail
 
 /// Routes *out-of-event* work to one stream's census cells. Management-
@@ -244,7 +301,9 @@ struct EngineStats {
   /// (callback scheduling then does zero slot allocations).
   std::uint64_t callback_slots_created = 0;
   /// High-water mark of the pending-event set (ring + overflow heap),
-  /// summed over lanes.
+  /// summed over the engine's queues: one per lane on a plain engine,
+  /// one per stream with explicit streams (a sum of per-queue
+  /// high-waters, which may exceed the engine-wide peak).
   std::uint64_t max_heap_size = 0;
   /// Full in-flight walks (for_each_in_flight calls). The incremental
   /// census keeps this at zero during run_until_stabilized; the counter is
@@ -268,8 +327,7 @@ struct EngineStats {
   /// BENCH_*.json trajectory, so "schedule/pop are O(1) amortized" is a
   /// gated invariant: overflow_pushes growing toward bucket_inserts means
   /// the heap fallback became the hot path again. bucket_sorts and
-  /// sorted_events (the tick sorts) are pinned by tests only; no
-  /// artifact emits them.
+  /// sorted_events count the tick sorts.
   SchedulerCounters scheduler{};
 
   /// Adds another engine's counters (a batch of separate engines reports
@@ -364,6 +422,21 @@ class Engine {
   /// last event could have perturbed instead of scanning all R tenants.
   int last_stream() const { return last_stream_; }
 
+  /// True when run_until executes tenant-major (see the file comment):
+  /// explicit streams, no observer attached, no global callback pending.
+  bool tenant_major() const {
+    return streams_explicit_ && observers_.empty() &&
+           pending_global_callbacks_ == 0;
+  }
+
+  /// The tenant-major span of run_until(t) with a per-event hook:
+  /// executes every pending event with at <= t, one stream after another
+  /// (lane by lane), and calls after_event(stream, event) after each.
+  /// Leaves every lane clock at the latest time executed (where the
+  /// merged loop would leave it), not at t. Requires tenant_major().
+  template <typename AfterEvent>
+  void run_streams_until(SimTime t, AfterEvent&& after_event);
+
   // -- execution ------------------------------------------------------------
 
   /// Calls on_start() on every process (once); implicit in the run methods.
@@ -432,8 +505,8 @@ class Engine {
   void begin_window(SimTime start);
 
   /// Executes every pending event of `lane` with at <= `t` (the window
-  /// end, exclusive, minus one). Thread-safe across distinct lanes while
-  /// a window is open.
+  /// end, exclusive, minus one), tenant-major on engines with explicit
+  /// streams. Thread-safe across distinct lanes while a window is open.
   void run_lane_window(int lane, SimTime t);
 
   /// Closes the window: merges every lane outbox (in lane order) into
@@ -524,14 +597,17 @@ class Engine {
 
   /// Schedules `fn` to run at now() + delay as a standalone event (used by
   /// workloads / applications to model request arrivals and CS
-  /// completion), sequenced in the executing event's stream. Fails a
+  /// completion), sequenced in the executing event's stream. Called from
+  /// outside any tenant-scoped event on an engine with explicit streams,
+  /// it schedules a global callback (see the file comment). Fails a
   /// check inside a parallel window.
   void schedule(SimTime delay, std::function<void()> fn);
 
   /// schedule() with an explicit sequencing stream, for callers outside
   /// any event context (a workload driver arming a tenant's first think
   /// timer from the main thread): the callback is sequenced in `stream`
-  /// and queued on its home lane.
+  /// and queued on its home lane. It is tenant-scoped: from inside an
+  /// event of another stream it fails the stream check.
   void schedule_in_stream(int stream, SimTime delay,
                           std::function<void()> fn);
 
@@ -684,11 +760,13 @@ class Engine {
     Message msg;
   };
 
-  /// One partition: queue, clock, counters, outbox.
+  /// One partition: queue (or, with explicit streams, the heads of its
+  /// streams' queues), clock, counters, outbox.
   struct Lane {
     explicit Lane(SchedulerKind kind) : queue(kind) {}
 
     EventQueue queue;
+    StreamHeads heads;
     SimTime now = 0;
 
     std::uint64_t messages_sent = 0;
@@ -744,14 +822,38 @@ class Engine {
   void boot();  // out-of-line once-only part of start()
   void size_ring_windows();
   void dispatch(Lane& lane, const Event& event);
+  /// Stream owning the event's sequencing slot.
+  int stream_of_event(const Event& event) const;
   /// Runs one event on `lane` (clocks already advanced) in the event's
   /// stream, with the thread-local context set for the handler; returns
   /// that stream.
   int run_event(Lane& lane, int lane_index, const Event& event);
+  /// run_event for a tenant-major run of `stream`, whose context the
+  /// caller holds (a detail::DispatchContext around the run).
+  void run_stream_event(Lane& lane, int stream, const Event& event);
   /// Advances the clocks to `event.at` and runs it (merged-serial loop).
   void execute(Lane& lane, int lane_index, const Event& event);
   /// Pops the global (at, seq) minimum with at <= t across all lanes.
   bool pop_next(SimTime t, Event* out, int* lane_out);
+  /// Merged-serial step: executes the global (at, seq) minimum if its
+  /// time is <= t; false otherwise.
+  bool execute_next(SimTime t);
+  /// execute_next over the per-stream queues (explicit streams).
+  bool execute_next_stream(SimTime t);
+  /// Queues `event` in `stream`: on the lane queue of a plain engine, on
+  /// the stream's own queue (checked against the executing stream) with
+  /// explicit streams.
+  void push_event(Lane& lane, std::int32_t stream, const Event& event) {
+    if (streams_explicit_) {
+      push_stream_event(stream, event);
+    } else {
+      lane.queue.push(event);
+    }
+  }
+  void push_stream_event(std::int32_t stream, const Event& event);
+  /// Runs lane `lane_index`'s streams tenant-major through t.
+  template <typename AfterEvent>
+  void run_lane_streams(int lane_index, SimTime t, AfterEvent& after_event);
   /// Sends on the channel from its source lane `src`: through the chaos
   /// model if one is attached, else straight to enqueue_delivery.
   void schedule_delivery(Lane& src, int channel_index, const Message& msg);
@@ -772,7 +874,7 @@ class Engine {
   void chaos_release(Lane& src, int channel_index, std::uint64_t bound,
                      bool flush);
   void schedule_callback(int stream, int lane_index, SimTime delay,
-                         std::function<void()> fn);
+                         std::function<void()> fn, bool global);
   // Observer fan-out, out of line: the hot send/deliver paths only test
   // observers_.empty(), so unmonitored runs pay no indirect call (and no
   // loop setup) per event.
@@ -790,6 +892,8 @@ class Engine {
   // Streams: one (seeded with the engine seed) until configure_streams.
   bool streams_explicit_ = false;
   std::vector<Stream> streams_;
+  // One pending-event queue per explicit stream (empty on plain engines).
+  std::vector<EventQueue> stream_queues_;
   std::vector<std::int32_t> node_stream_;  // one entry per node
   int last_stream_ = 0;
   // Splits the single stream's channel rngs in wiring order.
@@ -829,6 +933,7 @@ class Engine {
   std::vector<std::function<void()>> callback_slab_;
   std::vector<std::uint32_t> callback_free_slots_;
   std::uint64_t pending_callbacks_ = 0;
+  std::uint64_t pending_global_callbacks_ = 0;
   std::uint64_t callbacks_scheduled_ = 0;
   std::uint64_t callback_slots_created_ = 0;
 
@@ -840,5 +945,45 @@ class Engine {
 
   std::vector<SimObserver*> observers_;
 };
+
+template <typename AfterEvent>
+void Engine::run_lane_streams(int lane_index, SimTime t,
+                              AfterEvent& after_event) {
+  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
+  // The lane clock follows each stream's own events and ends at the
+  // latest time any of them reached.
+  SimTime reached = lane.now;
+  Event event;
+  while (!lane.heads.empty() && lane.heads.top().at <= t) {
+    const std::int32_t stream = lane.heads.top().stream;
+    EventQueue& queue = stream_queues_[static_cast<std::size_t>(stream)];
+    // Tenant-major spans hold no global callback, so every event of the
+    // run is scoped to the stream.
+    detail::DispatchContext context(stream, stream, lane_index);
+    while (queue.pop_min_until(t, &event)) {
+      lane.now = event.at;
+      queue.advance_to(event.at);
+      run_stream_event(lane, stream, event);
+      after_event(static_cast<int>(stream), event);
+    }
+    reached = std::max(reached, lane.now);
+    // The stream's own pushes skipped the heads (see push_stream_event):
+    // re-key it once, after its run.
+    lane.heads.update(stream, queue);
+  }
+  lane.now = reached;
+}
+
+template <typename AfterEvent>
+void Engine::run_streams_until(SimTime t, AfterEvent&& after_event) {
+  KLEX_CHECK(tenant_major(), "tenant-major span on a merged-serial engine");
+  start();
+  SimTime reached = 0;
+  for (int i = 0; i < lane_count(); ++i) {
+    run_lane_streams(i, t, after_event);
+    reached = std::max(reached, lanes_[static_cast<std::size_t>(i)].now);
+  }
+  for (Lane& lane : lanes_) lane.now = reached;
+}
 
 }  // namespace klex::sim

@@ -53,21 +53,35 @@ void EventHeap::pop() {
 // EventQueue
 // ---------------------------------------------------------------------------
 
-EventQueue::EventQueue(SchedulerKind scheduler)
-    : scheduler_(scheduler), buckets_(kBucketCount) {}
+EventQueue::EventQueue(SchedulerKind scheduler, std::uint32_t log_bucket_count)
+    : scheduler_(scheduler) {
+  KLEX_REQUIRE(log_bucket_count >= kMinLogBucketCount &&
+                   log_bucket_count <= kMaxLogBucketCount,
+               "ring window of 2^", log_bucket_count, " ticks out of range");
+  shape_ring(log_bucket_count);
+}
+
+void EventQueue::shape_ring(std::uint32_t log2) {
+  bucket_count_ = std::size_t{1} << log2;
+  mask_ = bucket_count_ - 1;
+  group_count_ = bucket_count_ / 64;
+  window_end_ = now_ + bucket_count_;
+}
 
 void EventQueue::set_log_bucket_count(std::uint32_t log2) {
   KLEX_REQUIRE(size_ == 0, "the ring window can only move while empty");
   KLEX_REQUIRE(log2 <= kMaxLogBucketCount, "ring window beyond bitmap cap");
-  if (log2 < kLogBucketCount) log2 = kLogBucketCount;  // grow-only
-  bucket_count_ = std::size_t{1} << log2;
-  mask_ = bucket_count_ - 1;
-  group_count_ = bucket_count_ / 64;
-  buckets_.assign(bucket_count_, Bucket{});
-  bits_.fill(0);
+  if ((std::size_t{1} << log2) <= bucket_count_) return;  // grow-only
+  shape_ring(log2);
+  buckets_.clear();  // the next ring push allocates the new size
+  bits_.clear();
   summary_ = 0;
   cached_min_bucket_ = -1;
-  window_end_ = now_ + bucket_count_;
+}
+
+void EventQueue::allocate_ring() {
+  buckets_.assign(bucket_count_, Bucket{});
+  bits_.assign(group_count_, 0);
 }
 
 std::size_t EventQueue::scan_from(std::size_t from) const {
@@ -294,6 +308,7 @@ void EventQueue::push(const Event& event) {
     ++counters_.overflow_pushes;
     return;
   }
+  if (buckets_.empty()) allocate_ring();
   ++size_;
   ++ring_count_;
   ++counters_.bucket_inserts;
@@ -311,6 +326,77 @@ void EventQueue::push(const Event& event) {
   if (cached_min_bucket_ >= 0 && event.at < cached_min_tick_) {
     cached_min_bucket_ = static_cast<std::int64_t>(index);
     cached_min_tick_ = event.at;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// StreamHeads
+// ---------------------------------------------------------------------------
+
+void StreamHeads::reset(std::size_t streams) {
+  heap_.clear();
+  position_.assign(streams, -1);
+}
+
+void StreamHeads::place(std::size_t index, const Head& head) {
+  heap_[index] = head;
+  position_[static_cast<std::size_t>(head.stream)] =
+      static_cast<std::int32_t>(index);
+}
+
+void StreamHeads::sift_up(std::size_t index, Head head) {
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / 2;
+    if (!head.before(heap_[parent])) break;
+    place(index, heap_[parent]);
+    index = parent;
+  }
+  place(index, head);
+}
+
+void StreamHeads::sift_down(std::size_t index, Head head) {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * index + 1;
+    if (child >= size) break;
+    if (child + 1 < size && heap_[child + 1].before(heap_[child])) ++child;
+    if (!heap_[child].before(head)) break;
+    place(index, heap_[child]);
+    index = child;
+  }
+  place(index, head);
+}
+
+void StreamHeads::update(std::int32_t stream, EventQueue& queue) {
+  std::int32_t& position = position_[static_cast<std::size_t>(stream)];
+  if (queue.empty()) {
+    if (position < 0) return;
+    // Remove: the last head fills the hole and sifts whichever way its
+    // key says.
+    const std::size_t index = static_cast<std::size_t>(position);
+    position = -1;
+    const Head last = heap_.back();
+    heap_.pop_back();
+    if (index == heap_.size()) return;
+    if (index > 0 && last.before(heap_[(index - 1) / 2])) {
+      sift_up(index, last);
+    } else {
+      sift_down(index, last);
+    }
+    return;
+  }
+  const Event& min = queue.top();
+  const Head head{min.at, min.seq, stream};
+  if (position < 0) {
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, head);
+    return;
+  }
+  const std::size_t index = static_cast<std::size_t>(position);
+  if (head.before(heap_[index])) {
+    sift_up(index, head);
+  } else {
+    sift_down(index, head);
   }
 }
 

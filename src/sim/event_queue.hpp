@@ -37,10 +37,19 @@
 // live in a parallel array), a bucket header is 8 bytes, and the drain
 // array of 16-byte keys is the only per-tick buffer. A gathered event
 // keeps its pool slot until it is popped, so the pool never holds more
-// slots than the queue's pending high-water (max_size()).
+// slots than the queue's pending high-water (max_size()). The bucket
+// ring and its bitmap are allocated by the first push that routes to
+// the ring, so a queue that never leaves the sparse regime is a heap
+// and a few counters; a queue built with a small window (a small
+// tenant's) allocates proportionally small headers.
+//
+// StreamHeads orders many queues: an indexed min-heap of streams keyed
+// by each stream queue's minimum (at, seq). The engine keeps one
+// EventQueue per stream when it runs explicit streams (engine.hpp), and
+// the heads give the merged-serial order over them and the next stream
+// with work before a horizon.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -50,8 +59,10 @@ namespace klex::sim {
 
 // kChaosFlush is the chaos model's hold-release deadline: target is the
 // channel, payload the highest hold id it may release (sim/chaos.hpp).
+// kGlobalCallback is a callback scheduled from outside any tenant's
+// events (Engine::schedule); it may touch every stream (engine.hpp).
 enum class EventKind : std::uint8_t { kDelivery, kTimer, kCallback,
-                                      kChaosFlush };
+                                      kChaosFlush, kGlobalCallback };
 
 // One inline 32-byte record per pending event -- no heap payloads. A
 // delivery does not carry its Message: per-channel delivery times are
@@ -65,7 +76,8 @@ struct Event {
   std::uint64_t seq = 0;       // insertion order; ties on `at` keep it
   std::uint64_t payload = 0;   // timer generation / callback slot /
                                // channel epoch (delivery)
-  std::int32_t target = -1;    // channel index (delivery) / node (timer)
+  std::int32_t target = -1;    // channel index (delivery, flush) / node
+                               // (timer) / stream (callbacks)
   std::uint8_t timer_id = 0;   // < kMaxTimers
   EventKind kind = EventKind::kDelivery;
 
@@ -140,13 +152,21 @@ class EventQueue {
   static constexpr std::size_t kBucketCount = std::size_t{1}
                                               << kLogBucketCount;
 
+  /// Smallest ring window a queue may be built with (128 ticks): a
+  /// small tenant's queue, sized to what the tenant keeps pending.
+  static constexpr std::uint32_t kMinLogBucketCount = 7;
+
   /// Below this pending-event count pushes prefer the heap: a tiny heap
   /// is two hot cache lines, while ring traffic touches a cold bucket
   /// per event. Measured crossover is ~10 events on the sparse protocol
   /// rungs (bench_fig2_deadlock's naive cell).
   static constexpr std::size_t kSparseThreshold = 8;
 
-  explicit EventQueue(SchedulerKind scheduler = SchedulerKind::kCalendar);
+  /// A queue whose ring window is 2^log_bucket_count ticks (a lane's
+  /// queue keeps the default; the engine builds smaller ones for small
+  /// streams, so their headers stay proportional to what they hold).
+  explicit EventQueue(SchedulerKind scheduler = SchedulerKind::kCalendar,
+                      std::uint32_t log_bucket_count = kLogBucketCount);
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -176,9 +196,10 @@ class EventQueue {
 
   /// Grows the ring window to 2^log2 ticks (at most kMaxLogBucketCount).
   /// Only legal while the queue is empty; the engine calls it at boot
-  /// when the delay model outranges the default window. Values below the
-  /// default are clamped up -- the window never shrinks, so
-  /// default-configuration routing stays bit-identical.
+  /// when the delay model outranges a window. Values below the current
+  /// window are clamped up -- the window never shrinks, so
+  /// default-configuration routing stays bit-identical. The ring is
+  /// (re)allocated at its new size by the next push that needs it.
   void set_log_bucket_count(std::uint32_t log2);
 
   /// Current ring window width in ticks.
@@ -219,9 +240,7 @@ class EventQueue {
     }
   };
 
-  static constexpr std::size_t kMaxGroupCount =
-      (std::size_t{1} << kMaxLogBucketCount) / 64;
-  static_assert(kMaxGroupCount <= 64,
+  static_assert((std::size_t{1} << kMaxLogBucketCount) / 64 <= 64,
                 "the two-level bitmap needs one summary word");
 
   std::size_t tick_position(SimTime at) const {
@@ -246,6 +265,8 @@ class EventQueue {
   std::size_t min_bucket() const;
   /// Circular two-level bitmap scan starting at bucket position `from`.
   std::size_t scan_from(std::size_t from) const;
+  /// Allocates the bucket ring and its bitmap (first ring push).
+  void allocate_ring();
   /// Stores `event` in a free pool slot and returns the slot.
   std::uint32_t allocate(const Event& event);
   /// Puts pool slot `slot` on the list of bucket `index`.
@@ -264,6 +285,9 @@ class EventQueue {
   /// Returns the drained remainder to its bucket (a push landed earlier).
   void undrain();
 
+  /// Sets the window fields for 2^log2 buckets.
+  void shape_ring(std::uint32_t log2);
+
   SchedulerKind scheduler_;
   SimTime now_ = 0;
   SimTime window_end_ = kBucketCount;
@@ -272,8 +296,10 @@ class EventQueue {
   std::size_t mask_ = kBucketCount - 1;
   std::size_t group_count_ = kBucketCount / 64;
 
-  std::vector<Bucket> buckets_;  // bucket_count_ entries
-  std::array<std::uint64_t, kMaxGroupCount> bits_{};
+  // The ring: bucket_count_ headers and group_count_ bitmap words once
+  // allocated, empty before the first ring push.
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint64_t> bits_;
   std::uint64_t summary_ = 0;
 
   std::vector<Event> pool_;           // ring-resident events
@@ -298,6 +324,41 @@ class EventQueue {
   mutable std::int64_t cached_min_bucket_ = -1;
   mutable SimTime cached_min_tick_ = 0;
   mutable SchedulerCounters counters_;
+};
+
+/// Indexed min-heap of streams keyed by the (at, seq) of each stream
+/// queue's minimum event (see the file comment). A stream with an empty
+/// queue is not in the heap. Keys are copied in, so sifting never
+/// touches the queues.
+class StreamHeads {
+ public:
+  struct Head {
+    SimTime at = 0;
+    std::uint64_t seq = 0;
+    std::int32_t stream = -1;
+
+    bool before(const Head& other) const {
+      if (at != other.at) return at < other.at;
+      return seq < other.seq;
+    }
+  };
+
+  /// Sizes the index for streams [0, streams); the heap starts empty.
+  void reset(std::size_t streams);
+  bool empty() const { return heap_.empty(); }
+  /// The stream whose queue holds the earliest event (heap non-empty).
+  const Head& top() const { return heap_.front(); }
+  /// Re-keys `stream` from its queue's minimum: inserts, moves or (for
+  /// an empty queue) removes it.
+  void update(std::int32_t stream, EventQueue& queue);
+
+ private:
+  void place(std::size_t index, const Head& head);
+  void sift_up(std::size_t index, Head head);
+  void sift_down(std::size_t index, Head head);
+
+  std::vector<Head> heap_;
+  std::vector<std::int32_t> position_;  // per stream; -1 when absent
 };
 
 }  // namespace klex::sim

@@ -1,5 +1,6 @@
 #include "verify/safety_monitor.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -165,28 +166,20 @@ void SafetyMonitor::apply_deliver(sim::SimTime at) {
 }
 
 void SafetyMonitor::on_window_merge() {
-  // k-way merge of the lane buffers by (at, seq). (at, seq) is unique
-  // per event across lanes and one event's records are consecutive in
-  // one lane's buffer, so `<=` with first-lane-wins tie-breaking is a
-  // stable total order matching the merged-serial observation order.
-  std::vector<std::size_t> cursor(lane_records_.size(), 0);
-  for (;;) {
-    std::size_t best_lane = lane_records_.size();
-    for (std::size_t lane = 0; lane < lane_records_.size(); ++lane) {
-      if (cursor[lane] >= lane_records_[lane].size()) continue;
-      const Record& candidate = lane_records_[lane][cursor[lane]];
-      if (best_lane == lane_records_.size()) {
-        best_lane = lane;
-        continue;
-      }
-      const Record& best = lane_records_[best_lane][cursor[best_lane]];
-      if (candidate.at < best.at ||
-          (candidate.at == best.at && candidate.seq < best.seq)) {
-        best_lane = lane;
-      }
-    }
-    if (best_lane == lane_records_.size()) break;
-    const Record& next = lane_records_[best_lane][cursor[best_lane]++];
+  // Lane buffers in lane order, stably sorted by (at, seq). (at, seq) is
+  // unique per event and one event's records are consecutive in one
+  // lane's buffer, so this is the merged-serial observation order -- also
+  // when a lane ran its tenants one after another and its own buffer is
+  // not in (at, seq) order.
+  merged_.clear();
+  for (const std::vector<Record>& records : lane_records_) {
+    merged_.insert(merged_.end(), records.begin(), records.end());
+  }
+  std::stable_sort(merged_.begin(), merged_.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+                   });
+  for (const Record& next : merged_) {
     switch (next.kind) {
       case RecordKind::kRequest:
         apply_request(next.node, next.at);

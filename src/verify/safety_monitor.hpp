@@ -193,6 +193,7 @@ class SafetyMonitor : public proto::Listener, public sim::SimObserver {
   // One record buffer per lane (indexed by Engine::current_lane();
   // single-writer during a window).
   std::vector<std::vector<Record>> lane_records_;
+  std::vector<Record> merged_;  // on_window_merge scratch
 };
 
 }  // namespace klex::verify

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "api/builder.hpp"
 #include "sim/engine.hpp"
 
 namespace klex {
@@ -282,6 +284,57 @@ TEST(WorkloadDriver, TotalsAggregate) {
   EXPECT_EQ(h.driver.total_requests(), 3);
   h.port.grant(1, h.pool, h.engine.now());
   EXPECT_EQ(h.driver.total_grants(), 1);
+}
+
+TEST(WorkloadDriver, PreWorkloadAdoptionIsIdenticalAtEveryLaneCount) {
+  // A transient fault before begin_workload leaves corrupted requesters
+  // that the protocol then grants; the driver adopts those critical
+  // sections. At P > 1 the grants arrive inside parallel windows, where
+  // nothing may be scheduled, so the driver holds them until begin():
+  // P = 4 must replay P = 1.
+  struct Outcome {
+    int adopted = 0;
+    sim::SimTime stabilized = 0;
+    std::int64_t grants = 0;
+    std::int64_t requests = 0;
+    std::uint64_t events = 0;
+
+    bool operator==(const Outcome&) const = default;
+  };
+  auto run = [](int threads) {
+    proto::WorkloadSpec spec;
+    spec.base.think = Dist::exponential(48);
+    spec.base.cs_duration = Dist::exponential(24);
+    spec.base.need = Dist::uniform(1, 2);
+    Session session = SystemBuilder()
+                          .topology(TopologySpec::tree_balanced(2, 4))
+                          .kl(2, 4)
+                          .seed(31)
+                          .threads(threads)
+                          .workload(spec)
+                          .build_session();
+    SystemBase& system = *session.system;
+    system.run_until(20'000);
+    support::Rng rng(5);
+    system.inject_transient_fault(rng);
+    system.run_until(60'000);
+    Outcome out;
+    for (NodeId node = 0; node < system.n(); ++node) {
+      if (session.driver->holding(node)) ++out.adopted;
+    }
+    out.stabilized = system.run_until_stabilized(10'000'000);
+    session.begin_workload();
+    system.run_until(system.engine().now() + 200'000);
+    out.grants = session.driver->total_grants();
+    out.requests = session.driver->total_requests();
+    out.events = system.engine().events_executed();
+    return out;
+  };
+  const Outcome serial = run(1);
+  EXPECT_GT(serial.adopted, 0);
+  EXPECT_NE(serial.stabilized, sim::kTimeInfinity);
+  EXPECT_GT(serial.grants, 0);
+  EXPECT_TRUE(run(4) == serial);
 }
 
 }  // namespace

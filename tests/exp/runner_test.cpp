@@ -217,7 +217,7 @@ TEST(ExperimentRunner, JsonArtifactIsWellFormed) {
             (Keys{"callbacks_scheduled", "callback_slots_created",
                   "max_heap_size", "in_flight_walks", "bucket_inserts",
                   "bucket_scans", "overflow_pushes", "overflow_pops",
-                  "bucket_window"}));
+                  "bucket_sorts", "sorted_events", "bucket_window"}));
   const std::size_t aggregates = text.find("\"aggregates\": [");
   ASSERT_NE(aggregates, std::string::npos);
   EXPECT_EQ(
@@ -296,7 +296,8 @@ TEST(ExperimentRunner, JsonArtifactEmitsEveryConditionalBlock) {
                   "max_heap_size", "in_flight_walks", "chaos_dropped",
                   "chaos_duplicated", "chaos_reordered", "chaos_jittered",
                   "bucket_inserts", "bucket_scans", "overflow_pushes",
-                  "overflow_pops", "bucket_window"}));
+                  "overflow_pops", "bucket_sorts", "sorted_events",
+                  "bucket_window"}));
   const std::size_t aggregates = text.find("\"aggregates\": [");
   ASSERT_NE(aggregates, std::string::npos);
   EXPECT_EQ(

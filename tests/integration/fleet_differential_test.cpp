@@ -18,7 +18,13 @@
 //      the tenant) equal its standalone twin's;
 //   4. the worker-lane count changes nothing per tenant (serial vs
 //      windowed parallel execution), and each tenant still matches its
-//      standalone twin's counters.
+//      standalone twin's counters;
+//   5. tenant-major execution (the engine's run_until on a fleet, and
+//      a fleet's run_until_stabilized) reaches exactly the state of
+//      the merged (at, seq) order -- stepping, or the same fleet with an
+//      observer attached, which forces merged spans -- including the
+//      stabilization loop's returned time, clock and executed prefix,
+//      and a chaos burst whose deferred epoch cut is a global callback.
 //
 // All phases run to fixed horizons (run_until aligns every lane clock
 // exactly at the horizon), so out-of-event actions -- fault injection,
@@ -447,6 +453,238 @@ TEST(FleetDifferentialTest, WorkerLaneCountDoesNotChangeTenantTrajectories) {
         << "tenant " << t;
     EXPECT_EQ(got.correct, twin->token_counts_correct()) << "tenant " << t;
   }
+}
+
+// -- tenant-major execution vs the merged (at, seq) order --------------------
+
+/// Any attached observer switches the engine's spans to the merged order;
+/// this one does nothing else.
+class MergedOrder final : public sim::SimObserver {};
+
+/// What a tenant-major run must share with its merged-order twin.
+struct FleetSnapshot {
+  sim::SimTime now = 0;
+  std::uint64_t events = 0;
+  std::uint64_t pending_callbacks = 0;
+  std::int64_t grants = 0;
+  std::int64_t requests = 0;
+  std::vector<proto::AppState> states;
+  std::vector<int> needs;
+  std::vector<std::uint64_t> tenant_events;
+  std::vector<std::uint64_t> tenant_resource_sends;
+  std::vector<bool> tenant_correct;
+  std::vector<sim::SimTime> tenant_since;
+  std::vector<std::int64_t> tenant_recoveries;
+
+  bool operator==(const FleetSnapshot&) const = default;
+};
+
+FleetSnapshot snapshot(const Session& session) {
+  const auto& fleet = dynamic_cast<const FleetSystem&>(*session.system);
+  FleetSnapshot out;
+  out.now = fleet.engine().now();
+  out.events = fleet.engine().events_executed();
+  out.pending_callbacks = fleet.engine().pending_callbacks();
+  out.grants = session.driver->total_grants();
+  out.requests = session.driver->total_requests();
+  for (NodeId node = 0; node < fleet.n(); ++node) {
+    out.states.push_back(fleet.state_of(node));
+    out.needs.push_back(fleet.need_of(node));
+  }
+  for (int t = 0; t < fleet.tenant_count(); ++t) {
+    out.tenant_events.push_back(fleet.tenant_events_executed(t));
+    out.tenant_resource_sends.push_back(
+        fleet.tenant_sent_of_type(t, kResourceType));
+    out.tenant_correct.push_back(fleet.tenant_correct(t));
+    out.tenant_since.push_back(fleet.tenant_stabilized_at(t));
+    out.tenant_recoveries.push_back(fleet.tenant_recovery_events(t));
+  }
+  return out;
+}
+
+Session fleet_session(std::uint64_t seed, int tenants,
+                      proto::Features features = proto::Features::full(),
+                      FaultPlan plan = {}) {
+  SystemBuilder builder = base_builder(seed);
+  builder.features(features).workload(contention_spec()).fleet(tenants);
+  if (!plan.empty()) builder.fault_plan(std::move(plan));
+  return builder.build_session();
+}
+
+TEST(FleetDifferentialTest, RunUntilMatchesSteppingAtEveryCheckpoint) {
+  // One fleet advanced by run_until (tenant-major), its twin by step()
+  // (merged order): identical per-tenant state, counters and clock at
+  // every checkpoint, through a fleet-wide transient fault.
+  Session spans = fleet_session(4711, 6);
+  Session steps = fleet_session(4711, 6);
+  ASSERT_TRUE(spans.system->engine().tenant_major());
+  spans.begin_workload();
+  steps.begin_workload();
+  auto advance = [&](sim::SimTime t) {
+    spans.system->run_until(t);
+    sim::Engine& engine = steps.system->engine();
+    while (engine.next_event_time() <= t) ASSERT_TRUE(engine.step());
+    steps.system->run_until(t);  // aligns the clock only
+  };
+  for (sim::SimTime t : {sim::SimTime{1'000}, sim::SimTime{4'000},
+                         sim::SimTime{20'000}}) {
+    advance(t);
+    EXPECT_TRUE(snapshot(spans) == snapshot(steps)) << "at " << t;
+  }
+  support::Rng spans_fault(99);
+  support::Rng steps_fault(99);
+  spans.system->inject_transient_fault(spans_fault);
+  steps.system->inject_transient_fault(steps_fault);
+  spans.driver->resync();
+  steps.driver->resync();
+  for (sim::SimTime t : {sim::SimTime{20'500}, sim::SimTime{60'000}}) {
+    advance(t);
+    EXPECT_TRUE(snapshot(spans) == snapshot(steps)) << "at " << t;
+  }
+  EXPECT_GT(spans.driver->total_grants(), 0);
+}
+
+/// Runs the same stabilization on a tenant-major fleet and on its twin
+/// forced into the merged loop by an observer, after the same `setup`,
+/// and expects the same outcome. Returns the tenant-major result.
+struct StabilizationCase {
+  sim::SimTime result = 0;
+  sim::SimTime window_end = 0;  // result + poll * consecutive
+  bool events_left_on_window_end = false;
+};
+
+template <typename Setup>
+StabilizationCase expect_same_stabilization(std::uint64_t seed,
+                                            Setup&& setup,
+                                            sim::SimTime deadline_after,
+                                            sim::SimTime poll,
+                                            int consecutive,
+                                            const std::string& label) {
+  Session fast = fleet_session(seed, 8);
+  Session merged = fleet_session(seed, 8);
+  MergedOrder observer;
+  merged.system->add_observer(&observer);
+  setup(fast);
+  setup(merged);
+  EXPECT_TRUE(fast.system->engine().tenant_major()) << label;
+  EXPECT_FALSE(merged.system->engine().tenant_major()) << label;
+  const sim::SimTime deadline =
+      fast.system->engine().now() + deadline_after;
+  const sim::SimTime got =
+      fast.system->run_until_stabilized(deadline, poll, consecutive);
+  const sim::SimTime want =
+      merged.system->run_until_stabilized(deadline, poll, consecutive);
+  EXPECT_EQ(got, want) << label;
+  EXPECT_TRUE(snapshot(fast) == snapshot(merged)) << label;
+  EXPECT_EQ(fast.system->engine().next_event_time(),
+            merged.system->engine().next_event_time())
+      << label;
+  StabilizationCase out;
+  out.result = got;
+  if (got == sim::kTimeInfinity) {
+    // A retry from where the miss left off starts with a resync probe,
+    // which must find the same per-tenant probe state on both sides.
+    const sim::SimTime retry = deadline + 2'000'000;
+    EXPECT_EQ(fast.system->run_until_stabilized(retry, poll, consecutive),
+              merged.system->run_until_stabilized(retry, poll, consecutive))
+        << label;
+    EXPECT_TRUE(snapshot(fast) == snapshot(merged)) << label << " retry";
+  } else {
+    out.window_end = got + poll * static_cast<sim::SimTime>(consecutive);
+    EXPECT_EQ(fast.system->engine().now(), out.window_end) << label;
+    out.events_left_on_window_end =
+        fast.system->engine().next_event_time() == out.window_end;
+  }
+  return out;
+}
+
+TEST(FleetDifferentialTest, StabilizationMatchesTheMergedLoop) {
+  auto nothing = [](Session&) {};
+  auto faulted = [](Session& session) {
+    session.begin_workload();
+    session.system->run_until(15'000);
+    support::Rng rng(2024);
+    session.system->inject_transient_fault(rng);  // every tenant
+    session.driver->resync();
+  };
+
+  // Boot.
+  const StabilizationCase boot =
+      expect_same_stabilization(31, nothing, 1'000'000, 64, 3, "boot");
+  EXPECT_NE(boot.result, sim::kTimeInfinity);
+
+  // After a fleet-wide transient fault.
+  const StabilizationCase fault =
+      expect_same_stabilization(32, faulted, 2'000'000, 64, 3, "fault");
+  EXPECT_NE(fault.result, sim::kTimeInfinity);
+
+  // A confirmation whose last event lands exactly on result + window
+  // while other tenants still have events on that tick: the merged loop
+  // executes only the globally first of them.
+  int exact = 0;
+  for (sim::SimTime poll = 20; poll < 32 && exact == 0; ++poll) {
+    const StabilizationCase c = expect_same_stabilization(
+        33, faulted, 2'000'000, poll, 2, "poll " + std::to_string(poll));
+    if (c.result != sim::kTimeInfinity && c.events_left_on_window_end) ++exact;
+  }
+  EXPECT_GT(exact, 0);
+
+  // A deadline the fault's recovery cannot meet.
+  const StabilizationCase miss =
+      expect_same_stabilization(34, faulted, 300, 64, 3, "miss");
+  EXPECT_EQ(miss.result, sim::kTimeInfinity);
+
+  // A correct stretch that begins before the deadline but cannot be
+  // confirmed by it: the merged loop gives up at its first event and
+  // runs on to the deadline without probing.
+  const StabilizationCase late = expect_same_stabilization(
+      32, faulted, fault.result - 15'000 + 64 * 3 - 1, 64, 3, "late");
+  EXPECT_EQ(late.result, sim::kTimeInfinity);
+  // The same, where a tenant turns incorrect again later in the round
+  // that gave up (the round rolls that tenant's probe flag back).
+  const StabilizationCase relapse =
+      expect_same_stabilization(32, faulted, 2'425, 64, 3, "relapse");
+  EXPECT_EQ(relapse.result, sim::kTimeInfinity);
+}
+
+TEST(FleetDifferentialTest, ChaosBurstEpochCutMatchesTheMergedOrder) {
+  // A burst on the full+cut rung defers its epoch cut to burst end as a
+  // global callback (scheduled from outside any tenant's events): spans
+  // around it run merged, so the fleet replays the merged-order run.
+  FaultEvent burst;
+  burst.kind = FaultKind::kChaosBurst;
+  burst.chaos.drop_p = 0.05;
+  burst.chaos.jitter = 6;
+  burst.duration = 3'000;
+  const proto::Features cut = proto::Features::full().with_epoch_cut();
+  Session fast = fleet_session(808, 5, cut, FaultPlan{{burst}});
+  Session merged = fleet_session(808, 5, cut, FaultPlan{{burst}});
+  MergedOrder observer;
+  merged.system->add_observer(&observer);
+  for (Session* session : {&fast, &merged}) {
+    ASSERT_NE(session->system->run_until_stabilized(1'000'000),
+              sim::kTimeInfinity);
+    session->begin_workload();
+    session->system->run_until(10'000);
+    support::Rng rng(5);
+    session->apply_fault_event(burst, rng);
+  }
+  sim::Engine& engine = fast.system->engine();
+  EXPECT_FALSE(engine.tenant_major());  // the deferred cut is pending
+  for (Session* session : {&fast, &merged}) {
+    session->system->run_until(10'000 + burst.duration + 2'000);
+  }
+  EXPECT_TRUE(engine.tenant_major());
+  EXPECT_TRUE(snapshot(fast) == snapshot(merged));
+  for (Session* session : {&fast, &merged}) {
+    EXPECT_NE(session->system->run_until_stabilized(
+                  session->system->engine().now() + 1'000'000),
+              sim::kTimeInfinity);
+  }
+  EXPECT_TRUE(snapshot(fast) == snapshot(merged));
+  EXPECT_EQ(engine.chaos_stats().dropped,
+            merged.system->engine().chaos_stats().dropped);
+  EXPECT_GT(engine.chaos_stats().dropped, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -463,6 +466,166 @@ TEST(Engine, OutOfRangeStreamReadoutsThrow) {
     EXPECT_THROW(net.engine.schedule_in_stream(stream, 1, [] {}),
                  std::invalid_argument);
   }
+}
+
+// -- per-stream queues and tenant-major order -------------------------------
+
+/// A node that keeps its stream busy: on start it sends a burst and arms
+/// a timer; every delivery is logged and echoed while its countdown
+/// lasts; every timer firing re-arms and schedules a callback (sequenced
+/// in the node's stream) that sends a fresh burst.
+class Chatter : public Process {
+ public:
+  void on_start() override {
+    for (std::int32_t i = 0; i < 3; ++i) send(0, tagged(8 + i));
+    set_timer(0, 40);
+  }
+  void on_message(int channel, const Message& msg) override {
+    log.push_back({now(), channel, msg.f0});
+    if (msg.f0 > 0) {
+      Message reply = msg;
+      --reply.f0;
+      send(channel, reply);
+    }
+  }
+  void on_timer(int timer_id) override {
+    log.push_back({now(), -1, timer_id});
+    if (++fired < 12) set_timer(0, 37);
+    engine().schedule(5, [this] {
+      log.push_back({now(), -2, 0});
+      send(0, tagged(4));
+    });
+  }
+
+  struct Entry {
+    SimTime at;
+    int channel;
+    std::int32_t value;
+    bool operator==(const Entry&) const = default;
+  };
+  std::vector<Entry> log;
+  int fired = 0;
+
+  using Process::send;
+};
+
+/// `streams` independent pairs of Chatters, stream s seeded 100 + s.
+struct StreamFleet {
+  explicit StreamFleet(int streams) : engine(DelayModel{1, 16}, 1) {
+    std::vector<int> node_stream;
+    std::vector<std::uint64_t> seeds;
+    for (int s = 0; s < streams; ++s) {
+      for (int i = 0; i < 2; ++i) {
+        auto node = std::make_unique<Chatter>();
+        nodes.push_back(node.get());
+        engine.add_process(std::move(node));
+        node_stream.push_back(s);
+      }
+      seeds.push_back(100 + static_cast<std::uint64_t>(s));
+    }
+    for (int s = 0; s < streams; ++s) {
+      engine.connect(2 * s, 0, 2 * s + 1, 0);
+      engine.connect(2 * s + 1, 0, 2 * s, 0);
+    }
+    engine.configure_streams(node_stream, seeds);
+  }
+
+  Engine engine;
+  std::vector<Chatter*> nodes;
+};
+
+TEST(EngineStreams, RunUntilMatchesStepAtEveryCheckpoint) {
+  // run_until executes tenant-major, step() the merged (at, seq) order:
+  // every stream must see the same events at the same times either way.
+  StreamFleet spans(5);
+  StreamFleet steps(5);
+  ASSERT_TRUE(spans.engine.tenant_major());
+  for (SimTime checkpoint : {SimTime{30}, SimTime{95}, SimTime{260},
+                             SimTime{700}}) {
+    spans.engine.run_until(checkpoint);
+    while (steps.engine.next_event_time() <= checkpoint) {
+      ASSERT_TRUE(steps.engine.step());
+    }
+    steps.engine.run_until(checkpoint);  // aligns the clock only
+    EXPECT_EQ(spans.engine.now(), checkpoint);
+    EXPECT_EQ(steps.engine.now(), checkpoint);
+    EXPECT_EQ(spans.engine.events_executed(), steps.engine.events_executed());
+    EXPECT_EQ(spans.engine.next_event_time(),
+              steps.engine.next_event_time());
+    EXPECT_EQ(spans.engine.pending_callbacks(),
+              steps.engine.pending_callbacks());
+    for (int s = 0; s < 5; ++s) {
+      EXPECT_EQ(spans.engine.events_executed_in(s),
+                steps.engine.events_executed_in(s))
+          << "stream " << s << " at " << checkpoint;
+      EXPECT_EQ(spans.engine.sent_of_type_in(s, 1),
+                steps.engine.sent_of_type_in(s, 1));
+      EXPECT_EQ(spans.engine.in_flight_of_type_in(s, 1),
+                steps.engine.in_flight_of_type_in(s, 1));
+    }
+    for (std::size_t v = 0; v < spans.nodes.size(); ++v) {
+      EXPECT_EQ(spans.nodes[v]->log, steps.nodes[v]->log)
+          << "node " << v << " at " << checkpoint;
+    }
+  }
+  EXPECT_GT(spans.engine.stats().callbacks_scheduled, 0u);
+}
+
+/// Stream 0's node, whose timer schedules into stream 1 through `poke`.
+class Trespasser : public Process {
+ public:
+  explicit Trespasser(std::function<void(Engine&)> poke)
+      : poke_(std::move(poke)) {}
+  void on_start() override { set_timer(0, 3); }
+  void on_message(int, const Message&) override {}
+  void on_timer(int) override { poke_(engine()); }
+
+ private:
+  std::function<void(Engine&)> poke_;
+};
+
+TEST(EngineStreams, AnEventPushingIntoAnotherStreamFailsItsCheck) {
+  auto build = [](std::function<void(Engine&)> poke) {
+    auto engine = std::make_unique<Engine>();
+    engine->add_process(std::make_unique<Trespasser>(std::move(poke)));
+    engine->add_process(std::make_unique<Recorder>());
+    engine->configure_streams({0, 1}, {1, 2});
+    return engine;
+  };
+  // A callback or a timer into stream 1 from an event of stream 0.
+  auto callback = build([](Engine& e) { e.schedule_in_stream(1, 1, [] {}); });
+  EXPECT_THROW(callback->run_until(10), support::CheckFailure);
+  auto timer = build([](Engine& e) { e.set_timer_for(1, 0, 1); });
+  EXPECT_THROW(timer->run_until(10), support::CheckFailure);
+  // Into its own stream is fine, and so is the management plane.
+  auto own = build([](Engine& e) { e.schedule_in_stream(0, 1, [] {}); });
+  EXPECT_NO_THROW(own->run_until(10));
+  own->schedule_in_stream(1, 1, [] {});
+  EXPECT_NO_THROW(own->run_until(20));
+}
+
+TEST(EngineStreams, GlobalCallbacksAndObserversRunMergedSerial) {
+  StreamFleet fleet(3);
+  fleet.engine.run_until(50);
+  ASSERT_TRUE(fleet.engine.tenant_major());
+  // schedule() outside any event is global: it may schedule into every
+  // stream, and spans containing it run merged-serial.
+  int ran = 0;
+  fleet.engine.schedule(10, [&] {
+    ++ran;
+    for (int s = 0; s < 3; ++s) {
+      fleet.engine.schedule_in_stream(s, 1, [&ran] { ++ran; });
+    }
+  });
+  EXPECT_FALSE(fleet.engine.tenant_major());
+  fleet.engine.run_until(80);
+  EXPECT_EQ(ran, 4);
+  EXPECT_TRUE(fleet.engine.tenant_major());
+  // An attached observer sees one global order.
+  SimObserver observer;
+  fleet.engine.add_observer(&observer);
+  EXPECT_FALSE(fleet.engine.tenant_major());
+  EXPECT_NO_THROW(fleet.engine.run_until(200));
 }
 
 }  // namespace

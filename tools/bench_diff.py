@@ -28,13 +28,15 @@ present on both sides the tool compares:
     same-machine commit-to-commit runs use the strict default. Every cell
     also reports its wall-time per node (mean_wall_seconds / n).
   * deterministic counters: per-run engine.callback_slots_created,
-    engine.in_flight_walks, engine.overflow_pushes, engine.max_heap_size
-    and the run-level recovery_events (keyed by topology, features, k, l,
+    engine.in_flight_walks, engine.overflow_pushes, engine.max_heap_size,
+    engine.bucket_sorts, engine.sorted_events and the run-level
+    recovery_events (keyed by topology, features, k, l,
     fault_garbage, seed). These are bit-deterministic per seed, so any
     growth beyond --counter-tolerance plus --counter-slack means
     per-event allocations, O(channels) census walks, heap-fallback
-    scheduling or a larger pending-event high-water (which bounds the
-    calendar's event pool) crept into a hot path: REGRESSION. A counter present in the baseline but absent
+    scheduling, a larger pending-event high-water (which bounds the
+    calendar's event pool) or more within-tick sorting crept into a hot
+    path: REGRESSION. A counter present in the baseline but absent
     from the current artifact is a FAILURE (dropping a gated counter must
     not read as "no regression"); one absent from the baseline is skipped
     with a note (new counters gate once a baseline carrying them is
@@ -79,9 +81,15 @@ ENGINE_COUNTER_FIELDS = (
     "callback_slots_created",
     "in_flight_walks",
     "overflow_pushes",
-    # Pending-event high-water: the calendar's event pool never holds
-    # more slots than this, so it bounds scheduler memory.
+    # Pending-event high-water, summed over the engine's queues (one per
+    # lane, or one per stream on a fleet engine, where it is a sum of
+    # per-queue high-waters): a queue's event pool never holds more
+    # slots than its high-water, so it bounds scheduler memory.
     "max_heap_size",
+    # Calendar ticks gathered out of seq order and the events those sorts
+    # covered: the within-tick sort work.
+    "bucket_sorts",
+    "sorted_events",
     # Adversarial-channel decision counters: bit-deterministic per seed
     # (per-link chaos rng), emitted only by chaos-enabled scenarios --
     # absent baselines skip them via the absent-in-baseline rule.

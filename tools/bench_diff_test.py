@@ -22,10 +22,12 @@ BENCH_DIFF = Path(__file__).resolve().parent / "bench_diff.py"
 
 def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
              latency_p99=None, mean_latency_p99=None, policy=None,
-             pending=50):
+             pending=50, sorted_events=40):
     """One minimal BENCH artifact with a single cell and a single run.
 
-    pending is the run's pending-event high-water (engine.max_heap_size).
+    pending is the run's pending-event high-water (engine.max_heap_size);
+    sorted_events the events its tick sorts covered (engine.sorted_events,
+    beside engine.bucket_sorts).
 
     latency_p99 / mean_latency_p99 add the degraded-mode grant-latency
     percentile fields (run-level and aggregate-level); policy adds the
@@ -56,6 +58,8 @@ def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
             "in_flight_walks": counter,
             "overflow_pushes": 0,
             "max_heap_size": pending,
+            "bucket_sorts": 4,
+            "sorted_events": sorted_events,
         },
     }
     if latency_p99 is not None:
@@ -113,6 +117,20 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("engine.max_heap_size", result.stdout)
         self.assertIn("REGRESSION", result.stdout)
+
+    def test_tick_sort_growth_fails(self):
+        result = run_diff(artifact(sorted_events=40),
+                          artifact(sorted_events=400))
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("engine.sorted_events", result.stdout)
+        self.assertIn("REGRESSION", result.stdout)
+
+    def test_dropped_tick_sort_counter_fails(self):
+        cur = artifact()
+        del cur["runs"][0]["engine"]["bucket_sorts"]
+        result = run_diff(artifact(), cur)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("engine.bucket_sorts", result.stdout)
 
     def test_nan_rate_is_a_data_error(self):
         cur = artifact()

@@ -81,6 +81,11 @@ exp::ScenarioSpec small_tenant_spec() {
 exp::ScenarioSpec large_tenant_spec() {
   exp::ScenarioSpec spec = small_tenant_spec();
   spec.topologies = {exp::TopologySpec::tree_balanced(2, 10)};
+  // With l = 4 units for 2047 nodes a tenant runs about 0.24 events per
+  // tick, so the small-tenant 30 k-tick window would time a few ms of
+  // CPU -- host noise, not a rate. 15 M ticks run about 3.7 M events
+  // (at least 0.3 s of CPU) per tenant.
+  spec.horizon = 15'000'000;
   spec.fleet = {1, 4};
   std::erase_if(spec.fleet, [](int r) {
     int max_r = 1024;
@@ -183,10 +188,10 @@ void emit_fleet_scenario() {
   artifact.note =
       "merged sweeps: small-tenant cells (tree_balanced(2,3), n=15 per "
       "tenant, R in the spec's fleet grid) plus large-tenant cells "
-      "(tree_balanced(2,10), n=2047 per tenant, R in {1,4}); every "
-      "fleet cell has a shared and a separate-engines run of the same "
-      "seeds, and every shared run faults tenant 0 alone; the spec grid "
-      "above describes the small-tenant sweep only";
+      "(tree_balanced(2,10), n=2047 per tenant, R in {1,4}, a 15M-tick "
+      "window); every fleet cell has a shared and a separate-engines run "
+      "of the same seeds, and every shared run faults tenant 0 alone; the "
+      "spec grid above describes the small-tenant sweep only";
   std::string path =
       exp::write_json_file(artifact, output.results, output.aggregates);
   std::cout << "wrote " << path << "\n";

@@ -117,6 +117,19 @@ Client::Client(proto::RequestPort& port, proto::NodeId node, int k,
     : port_(port), node_(node), k_(k), policy_(policy), engine_(engine) {
   KLEX_REQUIRE(node_ >= 0, "bad node id ", node_);
   KLEX_REQUIRE(k_ >= 1, "k must be >= 1");
+  if (engine_ != nullptr) {
+    deadline_handler_ = engine_->add_action_handler(this);
+    owns_deadline_handler_ = true;
+  }
+}
+
+Client::~Client() {
+  if (owns_deadline_handler_) engine_->remove_action_handler(deadline_handler_);
+}
+
+void Client::on_action(sim::NodeId /*node*/, std::uint8_t /*action*/,
+                       std::uint64_t epoch) {
+  handle_deadline(epoch);
 }
 
 void Client::raise_misuse(const char* what) {
@@ -184,9 +197,10 @@ PendingAcquire Client::acquire(int need, sim::SimTime deadline) {
   // May grant synchronously: request() → EnterCS → pool → handle_enter.
   port_.request(node_, need);
   if (deadline > 0 && phase_ == Phase::kWaiting && engine_ != nullptr) {
-    const std::uint64_t epoch = acquire_epoch_;
-    engine_->schedule_in_stream(engine_->stream_of(node_), deadline,
-                                [this, epoch] { handle_deadline(epoch); });
+    // Sequenced in the node's stream; the epoch makes a deadline that
+    // outlives this acquisition a no-op.
+    engine_->schedule_action(deadline_handler_, node_, kDeadlineAction,
+                             deadline, acquire_epoch_);
   }
   return PendingAcquire(this);
 }
@@ -357,13 +371,27 @@ void Client::resync() {
 
 ClientPool::ClientPool(proto::RequestPort& port, int n, int k,
                        MisusePolicy policy, sim::Engine* engine)
-    : k_(k), policy_(policy) {
+    : k_(k), policy_(policy), engine_(engine) {
   KLEX_REQUIRE(n >= 0, "negative node count");
+  if (engine_ != nullptr) deadline_handler_ = engine_->add_action_handler(this);
   clients_.reserve(static_cast<std::size_t>(n));
   for (proto::NodeId node = 0; node < n; ++node) {
-    clients_.push_back(
-        std::make_unique<Client>(port, node, k, policy, engine));
+    // Built without an engine (no handler of its own), then wired to the
+    // pool's shared deadline handler.
+    auto client = std::make_unique<Client>(port, node, k, policy);
+    client->engine_ = engine_;
+    client->deadline_handler_ = deadline_handler_;
+    clients_.push_back(std::move(client));
   }
+}
+
+ClientPool::~ClientPool() {
+  if (engine_ != nullptr) engine_->remove_action_handler(deadline_handler_);
+}
+
+void ClientPool::on_action(sim::NodeId node, std::uint8_t /*action*/,
+                           std::uint64_t epoch) {
+  clients_[static_cast<std::size_t>(node)]->handle_deadline(epoch);
 }
 
 Client& ClientPool::at(proto::NodeId node) {

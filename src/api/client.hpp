@@ -36,6 +36,11 @@
 // Handlers are sticky: they stay installed across acquisitions (so a
 // closed-loop driver pays no per-request allocation) and outcomes that
 // arrive before a handler is installed are delivered on installation.
+//
+// An acquire deadline is a typed engine action (sim::ActionHandler), not
+// a callback: the pool registers once with the engine and routes each
+// deadline to its node's session; the acquire epoch rides in the event,
+// so a deadline that outlived its acquisition is a no-op.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +51,9 @@
 
 #include "proto/app.hpp"
 #include "proto/workload.hpp"
+#include "sim/engine.hpp"
 
 namespace klex {
-
-namespace sim {
-class Engine;
-}  // namespace sim
 
 class Client;
 class ClientPool;
@@ -151,12 +153,16 @@ class PendingAcquire {
 /// SystemBase::clients().at(node) (or construct directly over any
 /// RequestPort for tests). Not copyable or movable: Leases and
 /// PendingAcquires point back into it.
-class Client {
+class Client final : private sim::ActionHandler {
  public:
   /// `engine` (optional) powers per-acquire deadlines; without one,
   /// acquire(need, deadline) issues normally but cannot arm the timer.
+  /// A standalone client with an engine registers its own deadline
+  /// action handler (the engine must outlive it); pool clients share
+  /// the pool's.
   Client(proto::RequestPort& port, proto::NodeId node, int k,
          MisusePolicy policy, sim::Engine* engine = nullptr);
+  ~Client();
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
@@ -228,6 +234,13 @@ class Client {
 
   enum class Phase { kIdle, kWaiting, kHolding };
 
+  /// The Event::action code of an acquire deadline.
+  static constexpr std::uint8_t kDeadlineAction = 0;
+
+  /// The deadline action (a standalone client's own handler).
+  void on_action(sim::NodeId node, std::uint8_t action,
+                 std::uint64_t epoch) override;
+
   [[noreturn]] void raise_misuse(const char* what);
   PendingAcquire deny(DenyReason reason);
   void deliver_grant(int need, bool expected);
@@ -251,6 +264,8 @@ class Client {
   int k_;
   MisusePolicy policy_;
   sim::Engine* engine_ = nullptr;  // null = deadlines unavailable
+  int deadline_handler_ = -1;      // engine action handler of deadlines
+  bool owns_deadline_handler_ = false;  // registered by this client
   TenantId tenant_ = 0;
 
   Phase phase_ = Phase::kIdle;
@@ -275,13 +290,17 @@ class Client {
 /// One Client per node, plus the Listener glue that routes protocol
 /// grant/exit events to the right session. Register it once with the
 /// harness (SystemBase::clients() does both steps).
-class ClientPool final : public proto::Listener {
+class ClientPool final : public proto::Listener,
+                         private sim::ActionHandler {
  public:
   /// `engine` (optional) is handed to every Client so acquire(need,
   /// deadline) can arm its timer; SystemBase::clients() always passes
-  /// one, bare-port test pools may omit it.
+  /// one, bare-port test pools may omit it. With an engine the pool is
+  /// the one deadline action handler of all its sessions, so the engine
+  /// must outlive the pool.
   ClientPool(proto::RequestPort& port, int n, int k, MisusePolicy policy,
              sim::Engine* engine = nullptr);
+  ~ClientPool() override;
 
   Client& at(proto::NodeId node);
   const Client& at(proto::NodeId node) const;
@@ -301,8 +320,14 @@ class ClientPool final : public proto::Listener {
   void on_exit_cs(proto::NodeId node, sim::SimTime at) override;
 
  private:
+  // sim::ActionHandler: a session's deadline came due.
+  void on_action(sim::NodeId node, std::uint8_t action,
+                 std::uint64_t epoch) override;
+
   int k_;
   MisusePolicy policy_;
+  sim::Engine* engine_ = nullptr;
+  int deadline_handler_ = -1;
   std::vector<std::unique_ptr<Client>> clients_;  // stable addresses
 };
 

@@ -46,6 +46,7 @@ WorkloadDriver::WorkloadDriver(sim::Engine& engine, ClientPool& clients,
     });
     client.on_revoked([this, node] { handle_revoked(node); });
   }
+  action_handler_ = engine_.add_action_handler(this);
 }
 
 WorkloadDriver::~WorkloadDriver() {
@@ -59,6 +60,7 @@ WorkloadDriver::~WorkloadDriver() {
     client.on_revoked(nullptr);
     state(node).lease.detach();
   }
+  engine_.remove_action_handler(action_handler_);
 }
 
 void WorkloadDriver::begin() {
@@ -89,11 +91,19 @@ void WorkloadDriver::schedule_cycle(proto::NodeId node,
   node_state.cycle_scheduled = true;
   sim::SimTime delay =
       node_state.behavior.think.sample(rng_for(node)) + extra_delay;
-  // Sequence the callback in the node's own stream (the only stream on a
-  // plain engine): fleets keep each tenant's callback sub-order
-  // independent of its neighbors.
-  engine_.schedule_in_stream(engine_.stream_of(node), delay,
-                             [this, node] { start_acquire(node); });
+  // The action is sequenced in the node's own stream (the only stream on
+  // a plain engine): fleets keep each tenant's sub-order independent of
+  // its neighbors.
+  engine_.schedule_action(action_handler_, node, kThinkEnd, delay);
+}
+
+void WorkloadDriver::on_action(sim::NodeId node, std::uint8_t action,
+                               std::uint64_t /*epoch*/) {
+  if (action == kThinkEnd) {
+    start_acquire(node);
+  } else {
+    end_critical_section(node);
+  }
 }
 
 void WorkloadDriver::start_acquire(proto::NodeId node) {
@@ -101,7 +111,7 @@ void WorkloadDriver::start_acquire(proto::NodeId node) {
   node_state.cycle_scheduled = false;
   Client& client = clients_.at(node);
   if (!client.idle()) {
-    // The session changed underneath the pending think callback (e.g. a
+    // The session changed underneath the pending think-end (e.g. a
     // corruption-induced critical section was adopted): try again after
     // another think time.
     schedule_cycle(node);
@@ -123,8 +133,9 @@ void WorkloadDriver::handle_grant(proto::NodeId node, Lease lease,
   NodeState& node_state = state(node);
   if (expected) {
     ++node_state.granted;
-    node_state.latency.add(static_cast<double>(
-        engine_.now() - node_state.acquire_started_at));
+    if (latency_recorder_) {
+      latency_recorder_(node, engine_.now() - node_state.acquire_started_at);
+    }
   }
   node_state.backoff_exponent = 0;  // the node is demonstrably reachable
   node_state.deny_streak = 0;
@@ -194,12 +205,14 @@ void WorkloadDriver::schedule_release(proto::NodeId node) {
   if (node_state.behavior.hold_forever) return;  // the set I never releases
   node_state.release_scheduled = true;
   sim::SimTime duration = node_state.behavior.cs_duration.sample(rng_for(node));
-  engine_.schedule_in_stream(engine_.stream_of(node), duration, [this, node] {
-    NodeState& inner = state(node);
-    inner.release_scheduled = false;
-    inner.lease.release();  // stale-safe: a revoked lease is a no-op
-    if (inner.behavior.active) schedule_cycle(node);
-  });
+  engine_.schedule_action(action_handler_, node, kCsEnd, duration);
+}
+
+void WorkloadDriver::end_critical_section(proto::NodeId node) {
+  NodeState& node_state = state(node);
+  node_state.release_scheduled = false;
+  node_state.lease.release();  // stale-safe: a revoked lease is a no-op
+  if (node_state.behavior.active) schedule_cycle(node);
 }
 
 void WorkloadDriver::resync() {

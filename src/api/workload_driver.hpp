@@ -15,22 +15,37 @@
 // acquires on idle sessions). resync() re-establishes the closed loop
 // after a transient fault by reconciling every session with the
 // (possibly corrupted) protocol state.
+//
+// The loop's own steps -- think-end and CS-end -- are typed engine
+// actions (sim::Engine::schedule_action): node and action inline in the
+// event, dispatched by a direct call, no callback slot. Per grant the
+// driver keeps counters only; grant latencies go to an optional
+// LatencyRecorder (the experiment runner bins them by class), and a
+// driver without one stores nothing per grant.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "api/client.hpp"
 #include "proto/workload.hpp"
 #include "sim/engine.hpp"
-#include "support/histogram.hpp"
 #include "support/rng.hpp"
 
 namespace klex {
 
-class WorkloadDriver {
+class WorkloadDriver final : private sim::ActionHandler {
  public:
+  /// Receives the latency (issue → grant, simulated ticks) of every
+  /// expected grant at `node`. Adopted (unexpected) grants and grants
+  /// that arrive after the acquire deadline abandoned the wait are never
+  /// reported.
+  using LatencyRecorder =
+      std::function<void(proto::NodeId node, sim::SimTime latency)>;
+
   /// `clients.size()` sessions drive `behaviors.size()` nodes (sizes must
   /// match). The driver installs its sticky handlers on every session at
   /// construction; call begin() after the harness is wired.
@@ -48,11 +63,11 @@ class WorkloadDriver {
                  std::vector<proto::NodeBehavior> behaviors,
                  std::vector<support::Rng> stream_rngs);
 
-  /// Uninstalls the driver's handlers and detaches outstanding leases
-  /// (the units stay reserved -- a destructor must not re-enter the
-  /// protocol and its listener fan-out). Think/release callbacks already
-  /// scheduled on the engine still reference the driver: destroy it only
-  /// when the engine is done running (as run_point and the examples do).
+  /// Uninstalls the driver's handlers, unregisters its engine actions
+  /// (think/release actions still pending retire as no-ops) and detaches
+  /// outstanding leases (the units stay reserved -- a destructor must not
+  /// re-enter the protocol and its listener fan-out). The engine and the
+  /// client pool must outlive the driver.
   ~WorkloadDriver();
 
   WorkloadDriver(const WorkloadDriver&) = delete;
@@ -104,20 +119,25 @@ class WorkloadDriver {
   /// Backoff retries consumed against the policy's retry_budget.
   std::int64_t retries_spent() const;
 
-  /// Grant latency (issue → expected grant, simulated ticks) observed at
-  /// `node`. Deadline-abandoned and adopted (unexpected) acquisitions
-  /// never record a sample.
-  const support::Histogram& grant_latency(proto::NodeId node) const {
-    return nodes_[static_cast<std::size_t>(node)].latency;
+  /// Installs (or, with nullptr, removes) the grant-latency recorder.
+  /// Takes effect for the grants that follow.
+  void set_latency_recorder(LatencyRecorder recorder) {
+    latency_recorder_ = std::move(recorder);
   }
 
  private:
+  /// The driver's engine actions (Event::action codes).
+  enum Action : std::uint8_t { kThinkEnd, kCsEnd };
+
+  void on_action(sim::NodeId node, std::uint8_t action,
+                 std::uint64_t epoch) override;
+
   struct NodeState {
     proto::NodeBehavior behavior;
     std::int64_t issued = 0;
     std::int64_t granted = 0;
     bool release_scheduled = false;
-    bool cycle_scheduled = false;  // a think/acquire callback is pending
+    bool cycle_scheduled = false;  // a think-end action is pending
     // Capped exponential backoff against retryable denials (unreachable,
     // overloaded, deadline-exceeded): each one doubles the extra delay
     // before the next attempt per the RetryPolicy, a grant resets it.
@@ -125,7 +145,6 @@ class WorkloadDriver {
     std::int64_t deny_streak = 0;   // consecutive denials this cycle
     std::int64_t retries_spent = 0; // lifetime backoff retries (budget)
     sim::SimTime acquire_started_at = 0;
-    support::Histogram latency;     // issue → grant, expected grants only
     Lease lease;
   };
 
@@ -136,6 +155,7 @@ class WorkloadDriver {
   void schedule_cycle(proto::NodeId node, sim::SimTime extra_delay = 0);
   void start_acquire(proto::NodeId node);
   void schedule_release(proto::NodeId node);
+  void end_critical_section(proto::NodeId node);
   void handle_grant(proto::NodeId node, Lease lease, bool expected);
   void handle_deny(proto::NodeId node, DenyReason reason);
   void handle_revoked(proto::NodeId node);
@@ -151,7 +171,9 @@ class WorkloadDriver {
 
   sim::Engine& engine_;
   ClientPool& clients_;
+  int action_handler_ = -1;  // this driver's index in the engine
   std::vector<NodeState> nodes_;
+  LatencyRecorder latency_recorder_;  // empty = no per-grant reporting
   proto::RetryPolicy retry_;  // defaults reproduce historical behavior
   bool begun_ = false;        // begin() or resync() ran (see begin())
   support::Rng rng_;

@@ -687,7 +687,31 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   system.run_until(std::max(system.engine().now(), settle_from) +
                    spec.warmup);
 
-  // Phase 2: closed-loop workload over the measurement window.
+  // Phase 2: closed-loop workload over the measurement window. Per-class
+  // slices in class order, then the "base" cell for nodes that fell
+  // through to the base behavior.
+  if (!spec.workload.classes.empty()) {
+    result.classes.resize(spec.workload.classes.size() + 1);
+    run.class_latency.resize(result.classes.size());
+    for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
+      result.classes[c].name = spec.workload.classes[c].name;
+    }
+    result.classes.back().name = "base";
+  }
+  auto class_slot = [&](NodeId node) {
+    int cls = session.workload.class_index[static_cast<std::size_t>(node)];
+    return cls >= 0 ? static_cast<std::size_t>(cls)
+                    : spec.workload.classes.size();
+  };
+  // The window's grant latencies, binned as they happen (the driver
+  // keeps no per-grant samples).
+  driver.set_latency_recorder([&](NodeId node, sim::SimTime latency) {
+    const double ticks = static_cast<double>(latency);
+    run.latency.add(ticks);
+    if (!run.class_latency.empty()) {
+      run.class_latency[class_slot(node)].add(ticks);
+    }
+  });
   session.begin_workload();
   waits.reset_samples();
   const std::uint64_t resource_before = sent_of(TokenType::kResource);
@@ -697,33 +721,18 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   sim::SimTime window_start = system.engine().now();
   std::uint64_t events_before = system.engine().events_executed();
   system.run_until(window_start + spec.horizon);
+  driver.set_latency_recorder(nullptr);
 
   result.grants = driver.total_grants();
   result.requests = driver.total_requests();
   result.outstanding_at_end = driver.outstanding();
   result.quiescent_at_end =
       system.engine().next_event_time() == sim::kTimeInfinity;
-  if (!spec.workload.classes.empty()) {
-    // Per-class slices in class order, then the "base" cell for nodes
-    // that fell through to the base behavior.
-    result.classes.resize(spec.workload.classes.size() + 1);
-    run.class_latency.resize(result.classes.size());
-    for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
-      result.classes[c].name = spec.workload.classes[c].name;
-    }
-    result.classes.back().name = "base";
-  }
-  for (NodeId node = 0; node < result.n; ++node) {
-    run.latency.merge(driver.grant_latency(node));
-    if (result.classes.empty()) continue;
-    int cls = session.workload.class_index[static_cast<std::size_t>(node)];
-    std::size_t slot = cls >= 0 ? static_cast<std::size_t>(cls)
-                                : spec.workload.classes.size();
-    ClassResult& cell = result.classes[slot];
+  for (NodeId node = 0; node < result.n && !result.classes.empty(); ++node) {
+    ClassResult& cell = result.classes[class_slot(node)];
     ++cell.nodes;
     cell.requests += driver.requests_issued(node);
     cell.grants += driver.grants(node);
-    run.class_latency[slot].merge(driver.grant_latency(node));
     if (system.state_of(node) == proto::AppState::kIn) ++cell.holding_at_end;
   }
   for (int t = 0; t < waits.scope_count(); ++t) {

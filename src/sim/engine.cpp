@@ -434,24 +434,22 @@ void Engine::chaos_release(Lane& src, int channel_index, std::uint64_t bound,
                            bool flush) {
   ChaosModel::Link& link = chaos_->link(channel_index);
   if (link.held.empty()) return;
-  // Collect the due holds first, then schedule: the release path draws
-  // from the channel rng and must not interleave with the compaction.
-  std::vector<ChaosModel::Held> due;
+  // One in-place pass: a due hold is released where it stands (in hold
+  // order, so the channel rng draws in that order) and the rest compact
+  // toward the front. A release touches the rng, the ring and the
+  // queues, never the hold buffer, so nothing is copied aside.
   std::size_t out = 0;
   for (std::size_t i = 0; i < link.held.size(); ++i) {
     ChaosModel::Held& held = link.held[i];
     if (flush ? held.id <= bound
               : held.id < bound && --held.release_after <= 0) {
-      due.push_back(held);
+      enqueue_delivery(src, channel_index, held.msg, 0, false);
     } else {
       if (out != i) link.held[out] = std::move(held);
       ++out;
     }
   }
   link.held.resize(out);
-  for (const ChaosModel::Held& held : due) {
-    enqueue_delivery(src, channel_index, held.msg, 0, false);
-  }
 }
 
 void Engine::send_from(NodeId from, int channel, const Message& msg) {
@@ -543,20 +541,79 @@ void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
     ++callback_slots_created_;
   }
 
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   Event event;
+  event.kind = global ? EventKind::kGlobalCallback : EventKind::kCallback;
+  event.target = stream;
+  event.payload = slot;
+  push_callback_event(stream, lane_index, delay, event);
+  if (global) ++pending_global_callbacks_;
+}
+
+void Engine::push_callback_event(int stream, int lane_index, SimTime delay,
+                                 Event& event) {
+  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   event.at = lane.now + delay;
   event.seq = next_seq(streams_[static_cast<std::size_t>(stream)]
                            .next_callback_seq,
                        channels_.size() + processes_.size() +
                            static_cast<std::size_t>(stream));
-  event.kind = global ? EventKind::kGlobalCallback : EventKind::kCallback;
-  event.target = stream;
-  event.payload = slot;
   push_event(lane, stream, event);
   ++pending_callbacks_;
-  if (global) ++pending_global_callbacks_;
   ++callbacks_scheduled_;
+}
+
+int Engine::add_action_handler(ActionHandler* handler) {
+  KLEX_REQUIRE(handler != nullptr, "null action handler");
+  for (std::size_t i = 0; i < action_slots_.size(); ++i) {
+    ActionSlot& slot = action_slots_[i];
+    if (slot.handler == nullptr && slot.pending == 0) {
+      slot.handler = handler;
+      return static_cast<int>(i);
+    }
+  }
+  KLEX_REQUIRE(action_slots_.size() < kMaxActionHandlers,
+               "more than ", kMaxActionHandlers, " action handlers");
+  action_slots_.push_back(ActionSlot{handler, 0});
+  return static_cast<int>(action_slots_.size() - 1);
+}
+
+void Engine::remove_action_handler(int handler) {
+  KLEX_REQUIRE(handler >= 0 &&
+                   static_cast<std::size_t>(handler) < action_slots_.size(),
+               "bad action handler ", handler);
+  action_slots_[static_cast<std::size_t>(handler)].handler = nullptr;
+}
+
+void Engine::schedule_action(int handler, NodeId node, std::uint8_t action,
+                             SimTime delay, std::uint64_t epoch) {
+  // Same single-thread rule as callbacks: actions share their seq
+  // counters, and the handler slots are not lane-local.
+  KLEX_CHECK(!in_window_, "actions cannot be scheduled inside a window");
+  KLEX_CHECK(handler >= 0 &&
+                 static_cast<std::size_t>(handler) < action_slots_.size() &&
+                 action_slots_[static_cast<std::size_t>(handler)].handler !=
+                     nullptr,
+             "action for an unregistered handler ", handler);
+  KLEX_CHECK(node >= 0, "bad action node ", node);
+  const int stream = stream_of(node);
+  Event event;
+  event.kind = EventKind::kAction;
+  event.target = node;
+  event.handler = static_cast<std::uint8_t>(handler);
+  event.action = action;
+  event.payload = epoch;
+  push_callback_event(stream, stream_at(stream).home_lane, delay, event);
+  ++action_slots_[static_cast<std::size_t>(handler)].pending;
+}
+
+void Engine::run_action(const Event& event) {
+  --pending_callbacks_;
+  ActionSlot& slot = action_slots_[event.handler];
+  --slot.pending;
+  // A removed handler's actions retire here without a receiver.
+  if (slot.handler != nullptr) {
+    slot.handler->on_action(event.target, event.action, event.payload);
+  }
 }
 
 void Engine::push_stream_event(std::int32_t stream, const Event& event) {
@@ -813,6 +870,9 @@ void Engine::dispatch(Lane& lane, const Event& event) {
       chaos_release(lane, event.target, event.payload, /*flush=*/true);
       return;
     }
+    case EventKind::kAction:
+      run_action(event);
+      return;
   }
 }
 
@@ -821,6 +881,8 @@ int Engine::stream_of_event(const Event& event) const {
   switch (event.kind) {
     case EventKind::kTimer:
       return node_stream_[static_cast<std::size_t>(event.target)];
+    case EventKind::kAction:
+      return stream_of(event.target);
     case EventKind::kCallback:
     case EventKind::kGlobalCallback:
       return event.target;

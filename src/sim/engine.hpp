@@ -64,9 +64,23 @@
 //     (at, seq) at the barrier, so windows stay tenant-major);
 //   * any run_until span while a global callback is pending.
 //
+// Typed client actions versus callbacks. The closed-loop client path --
+// a WorkloadDriver's think-end and CS-end, a Client's acquire deadline --
+// runs as typed actions (schedule_action): the node, an action code and
+// an epoch are stored inline in the 32-byte event, and dispatch calls the
+// registered ActionHandler directly. No std::function is built and no
+// callback-slab slot is taken, so a closed loop allocates nothing per
+// step. An action of node v keeps exactly the sequencing of the callback
+// it replaced: stream stream_of(v)'s slot C + N + s and counter, shared
+// with that stream's callbacks (so the two interleave in schedule order),
+// and it counts in pending_callbacks() and callbacks_scheduled() -- the
+// parallel window fallback and message quiescence see it as a callback.
+// schedule() / schedule_in_stream() with a std::function remain for
+// everything else: the fault plan's deferred epoch cut, tests and tools.
+//
 // Tenant-scoped events (checked). An event of stream s -- a delivery,
-// timer or chaos flush on s's channels and nodes, or a callback
-// sequenced in s -- may schedule only into stream s: a push into another
+// timer or chaos flush on s's channels and nodes, or a callback or
+// action sequenced in s -- may schedule only into stream s: a push into another
 // stream fails a KLEX_CHECK. A *global* callback is one scheduled through
 // schedule() from outside event execution (a management-plane action
 // such as the fleet-wide epoch cut of Session::apply_fault_event); it is
@@ -103,9 +117,9 @@
 //   * a stream's queue belongs to its home lane, and so does the lane's
 //     StreamHeads heap (inside a window only the stream's own events
 //     push into it, and its lane re-keys it after the stream's run);
-//   * callbacks belong to the calling thread outside windows: the
-//     parallel engine opens no window once any callback was scheduled,
-//     and schedule() inside a window fails a check;
+//   * callbacks and actions belong to the calling thread outside
+//     windows: the parallel engine opens no window once any was
+//     scheduled, and scheduling one inside a window fails a check;
 //   * per-lane counters may individually wrap (a lane delivers messages
 //     another lane sent) but their mod-2^64 sums are exact, and they are
 //     only summed between windows;
@@ -241,6 +255,20 @@ class Process {
   NodeId id_ = -1;
 };
 
+/// Receiver of typed client actions (Engine::schedule_action): the
+/// closed-loop client steps -- a WorkloadDriver's think-end and CS-end, a
+/// Client's acquire deadline -- each addressed to one node. The engine
+/// stores node, action code and epoch inline in the event and calls
+/// on_action directly at dispatch; nothing is allocated per action.
+class ActionHandler {
+ public:
+  virtual void on_action(NodeId node, std::uint8_t action,
+                         std::uint64_t epoch) = 0;
+
+ protected:
+  ~ActionHandler() = default;
+};
+
 /// Uniform-integer message delay model. delays are drawn from
 /// [min_delay, max_delay] per message (then clamped for FIFO order).
 /// min_delay doubles as the conservative lookahead of the parallel
@@ -295,10 +323,12 @@ struct EngineStats {
   std::uint64_t events_executed = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
-  /// Callbacks scheduled over the run.
+  /// Callbacks and typed client actions scheduled over the run.
   std::uint64_t callbacks_scheduled = 0;
   /// Slab slots ever constructed; stays flat once the slab warms up
-  /// (callback scheduling then does zero slot allocations).
+  /// (callback scheduling then does zero slot allocations). Typed
+  /// actions take none, so a closed loop without other callbacks
+  /// reports 0.
   std::uint64_t callback_slots_created = 0;
   /// High-water mark of the pending-event set (ring + overflow heap),
   /// summed over the engine's queues: one per lane on a plain engine,
@@ -482,13 +512,14 @@ class Engine {
   /// Number of in-flight (sent, not yet delivered) messages.
   std::uint64_t in_flight_messages() const;
 
-  /// Number of scheduled-but-unfired callbacks.
+  /// Number of scheduled-but-unfired callbacks and typed actions.
   std::uint64_t pending_callbacks() const { return pending_callbacks_; }
 
-  /// Callbacks scheduled over the run. Once it is nonzero the parallel
-  /// engine opens no more windows (callbacks may touch any node, and the
-  /// callback seq counters are written outside windows only) and runs
-  /// the trajectory-identical merged-serial loop instead.
+  /// Callbacks and typed actions scheduled over the run. Once it is
+  /// nonzero the parallel engine opens no more windows (callbacks may
+  /// touch any node, and the callback seq counters are written outside
+  /// windows only) and runs the trajectory-identical merged-serial loop
+  /// instead.
   std::uint64_t callbacks_scheduled() const { return callbacks_scheduled_; }
 
   // -- window protocol (driven by sim::ParallelEngine) -----------------------
@@ -595,21 +626,44 @@ class Engine {
   void set_timer_for(NodeId node, int timer_id, SimTime delay);
   void cancel_timer_for(NodeId node, int timer_id);
 
-  /// Schedules `fn` to run at now() + delay as a standalone event (used by
-  /// workloads / applications to model request arrivals and CS
-  /// completion), sequenced in the executing event's stream. Called from
-  /// outside any tenant-scoped event on an engine with explicit streams,
-  /// it schedules a global callback (see the file comment). Fails a
-  /// check inside a parallel window.
+  /// Schedules `fn` to run at now() + delay as a standalone event
+  /// (open-loop arrivals, fault-plan steps, tests and tools; the
+  /// library's closed loop uses schedule_action instead), sequenced in
+  /// the executing event's stream. Called from outside any tenant-scoped
+  /// event on an engine with explicit streams, it schedules a global
+  /// callback (see the file comment). Fails a check inside a parallel
+  /// window.
   void schedule(SimTime delay, std::function<void()> fn);
 
   /// schedule() with an explicit sequencing stream, for callers outside
-  /// any event context (a workload driver arming a tenant's first think
-  /// timer from the main thread): the callback is sequenced in `stream`
-  /// and queued on its home lane. It is tenant-scoped: from inside an
-  /// event of another stream it fails the stream check.
+  /// any event context (arming a tenant's first step from the main
+  /// thread): the callback is sequenced in `stream` and queued on its
+  /// home lane. It is tenant-scoped: from inside an event of another
+  /// stream it fails the stream check.
   void schedule_in_stream(int stream, SimTime delay,
                           std::function<void()> fn);
+
+  // -- typed client actions (see the file comment) ---------------------------
+
+  /// Registers `handler` for schedule_action and returns its index. An
+  /// index is reused only once its previous handler was removed and its
+  /// last action has retired. At most kMaxActionHandlers at a time.
+  int add_action_handler(ActionHandler* handler);
+
+  /// Unregisters a handler: its still-pending actions retire as no-ops
+  /// when they come due, so a receiver may be destroyed mid-run.
+  void remove_action_handler(int handler);
+
+  /// Schedules `action` of `handler` for `node` at now() + delay, with
+  /// `epoch` passed back on dispatch. It is sequenced and counted exactly
+  /// as schedule_in_stream(stream_of(node), delay, fn) is -- the stream's
+  /// callback seq slot and counter, pending_callbacks() and
+  /// callbacks_scheduled() -- but takes no callback slot. Fails a check
+  /// inside a parallel window.
+  void schedule_action(int handler, NodeId node, std::uint8_t action,
+                       SimTime delay, std::uint64_t epoch = 0);
+
+  static constexpr int kMaxActionHandlers = 256;
 
   // -- fault injection / census ----------------------------------------------
 
@@ -875,6 +929,13 @@ class Engine {
                      bool flush);
   void schedule_callback(int stream, int lane_index, SimTime delay,
                          std::function<void()> fn, bool global);
+  /// The sequencing and counting a callback and a typed action share:
+  /// stamps `event` with now + delay and the stream's callback seq, and
+  /// queues it on the stream's lane.
+  void push_callback_event(int stream, int lane_index, SimTime delay,
+                           Event& event);
+  /// Dispatches a typed action (pending counters, then the handler).
+  void run_action(const Event& event);
   // Observer fan-out, out of line: the hot send/deliver paths only test
   // observers_.empty(), so unmonitored runs pay no indirect call (and no
   // loop setup) per event.
@@ -936,6 +997,15 @@ class Engine {
   std::uint64_t pending_global_callbacks_ = 0;
   std::uint64_t callbacks_scheduled_ = 0;
   std::uint64_t callback_slots_created_ = 0;
+
+  // Typed-action receivers, indexed by Event::handler. `pending` counts a
+  // slot's queued actions, so a removed slot is reused only when no stale
+  // action can reach its next owner. Single-threaded like the slab.
+  struct ActionSlot {
+    ActionHandler* handler = nullptr;
+    std::uint64_t pending = 0;
+  };
+  std::vector<ActionSlot> action_slots_;
 
   mutable std::uint64_t in_flight_walks_ = 0;
 

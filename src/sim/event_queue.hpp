@@ -61,8 +61,12 @@ namespace klex::sim {
 // channel, payload the highest hold id it may release (sim/chaos.hpp).
 // kGlobalCallback is a callback scheduled from outside any tenant's
 // events (Engine::schedule); it may touch every stream (engine.hpp).
+// kAction is a typed client action (Engine::schedule_action): target is
+// the node, handler and action name the receiver and what it does,
+// payload is the receiver's epoch.
 enum class EventKind : std::uint8_t { kDelivery, kTimer, kCallback,
-                                      kChaosFlush, kGlobalCallback };
+                                      kChaosFlush, kGlobalCallback,
+                                      kAction };
 
 // One inline 32-byte record per pending event -- no heap payloads. A
 // delivery does not carry its Message: per-channel delivery times are
@@ -75,11 +79,13 @@ struct Event {
   SimTime at = 0;
   std::uint64_t seq = 0;       // insertion order; ties on `at` keep it
   std::uint64_t payload = 0;   // timer generation / callback slot /
-                               // channel epoch (delivery)
+                               // channel epoch (delivery) / action epoch
   std::int32_t target = -1;    // channel index (delivery, flush) / node
-                               // (timer) / stream (callbacks)
+                               // (timer, action) / stream (callbacks)
   std::uint8_t timer_id = 0;   // < kMaxTimers
   EventKind kind = EventKind::kDelivery;
+  std::uint8_t handler = 0;    // action handler index (kAction)
+  std::uint8_t action = 0;     // handler-defined action code (kAction)
 
   bool before(const Event& other) const {
     if (at != other.at) return at < other.at;

@@ -2,8 +2,12 @@
 // metrics (waiting times, convergence times, message counts).
 //
 // `Summary` keeps O(1) moments; `Histogram` additionally keeps every
-// sample (experiments are small enough) so exact quantiles can be
-// reported in the benchmark tables.
+// sample so exact quantiles can be reported in the benchmark tables.
+// That is 8 bytes per sample, so a Histogram belongs to a measurement
+// (the experiment runner's per-run and per-class latency bins, the
+// waiting-time tracker), not to a library hot path: WorkloadDriver
+// keeps no per-grant samples and reports latencies to an optional
+// recorder instead.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/engine.hpp"
+
 namespace klex {
 namespace {
 
@@ -318,6 +320,82 @@ TEST(ClientPool, PolicyPropagatesToClients) {
   EXPECT_EQ(h.client().policy(), MisusePolicy::kClamp);
   h.client().acquire(99);  // would throw under kCheck
   EXPECT_EQ(h.port.needs[0], 3);
+}
+
+// -- acquire deadlines (typed engine actions) ---------------------------------
+
+struct DeadlineHarness {
+  DeadlineHarness()
+      : port(1), pool(port, 1, 1, MisusePolicy::kCheck, &engine) {
+    pool.at(0).on_denied(
+        [this](DenyReason reason) { denials.push_back(reason); });
+    pool.at(0).on_granted([this](Lease lease) { held = std::move(lease); });
+  }
+
+  sim::Engine engine;
+  FakePort port;
+  ClientPool pool;
+  std::vector<DenyReason> denials;
+  Lease held;
+};
+
+TEST(ClientDeadline, StaleDeadlineAfterAGrantIsANoOp) {
+  DeadlineHarness h;
+  Client& client = h.pool.at(0);
+  client.acquire(1, /*deadline=*/10);
+  EXPECT_EQ(h.engine.pending_callbacks(), 1u);
+  h.engine.run_until(4);
+  h.port.grant(0, h.pool);
+  ASSERT_TRUE(client.holding());
+  // The deadline comes due at t = 10 and finds its acquisition granted.
+  h.engine.run_until(20);
+  EXPECT_TRUE(client.holding());
+  EXPECT_TRUE(h.held.active());
+  EXPECT_TRUE(h.denials.empty());
+  EXPECT_EQ(h.engine.pending_callbacks(), 0u);
+}
+
+TEST(ClientDeadline, EarlierAcquisitionsDeadlineSparesTheNextOne) {
+  DeadlineHarness h;
+  Client& client = h.pool.at(0);
+  client.acquire(1, /*deadline=*/10);  // due at t = 10
+  h.engine.run_until(2);
+  h.port.grant(0, h.pool);
+  h.held.release();
+  ASSERT_TRUE(client.idle());
+  client.acquire(1, /*deadline=*/100);  // due at t = 102
+  h.engine.run_until(50);
+  EXPECT_TRUE(client.waiting()) << "the first deadline must not abandon "
+                                   "the second acquisition";
+  EXPECT_TRUE(h.denials.empty());
+  h.engine.run_until(102);
+  EXPECT_TRUE(client.idle());
+  ASSERT_EQ(h.denials.size(), 1u);
+  EXPECT_EQ(h.denials.front(), DenyReason::kDeadlineExceeded);
+  // Deadlines never take a callback slot.
+  EXPECT_EQ(h.engine.stats().callbacks_scheduled, 2u);
+  EXPECT_EQ(h.engine.stats().callback_slots_created, 0u);
+}
+
+TEST(ClientDeadline, StandaloneClientArmsItsOwnDeadlines) {
+  sim::Engine engine;
+  FakePort port(1);
+  std::vector<DenyReason> denials;
+  {
+    Client client(port, 0, 1, MisusePolicy::kCheck, &engine);
+    client.on_denied([&](DenyReason reason) { denials.push_back(reason); });
+    client.acquire(1, /*deadline=*/5);
+    engine.run_until(5);
+    EXPECT_TRUE(client.idle());
+    port.states[0] = AppState::kOut;  // the protocol dropped the request
+    client.acquire(1, /*deadline=*/5);  // due at t = 10, after the client
+  }
+  ASSERT_EQ(denials.size(), 1u);
+  EXPECT_EQ(denials.front(), DenyReason::kDeadlineExceeded);
+  // The destroyed client's pending deadline retires as a no-op.
+  engine.run_until(20);
+  EXPECT_EQ(denials.size(), 1u);
+  EXPECT_EQ(engine.pending_callbacks(), 0u);
 }
 
 }  // namespace

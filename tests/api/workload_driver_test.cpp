@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "api/builder.hpp"
@@ -335,6 +336,80 @@ TEST(WorkloadDriver, PreWorkloadAdoptionIsIdenticalAtEveryLaneCount) {
   EXPECT_NE(serial.stabilized, sim::kTimeInfinity);
   EXPECT_GT(serial.grants, 0);
   EXPECT_TRUE(run(4) == serial);
+}
+
+TEST(WorkloadDriver, LatencyRecorderSeesExpectedGrantsOnly) {
+  // Node 0 is granted while it waits: one sample. Node 1's wait is
+  // abandoned at its deadline and its late grant is adopted: no sample.
+  // Node 2 never requests; its raw-port grant is adopted: no sample.
+  sim::Engine engine;
+  FakePort port(3);
+  ClientPool pool(port, 3, 1, MisusePolicy::kClamp, &engine);
+  NodeBehavior behavior;
+  behavior.think = Dist::fixed(10);
+  behavior.cs_duration = Dist::fixed(50);
+  NodeBehavior relay = behavior;
+  relay.active = false;
+  WorkloadDriver driver(engine, pool, {behavior, behavior, relay},
+                        support::Rng(5));
+  proto::RetryPolicy policy;
+  policy.deadline = 20;
+  driver.set_retry_policy(policy);
+  std::vector<std::pair<NodeId, sim::SimTime>> samples;
+  driver.set_latency_recorder([&](NodeId node, sim::SimTime latency) {
+    samples.emplace_back(node, latency);
+  });
+  driver.begin();
+  engine.run_until(15);
+  ASSERT_EQ(port.requests, 2);  // both active nodes asked at t = 10
+  port.grant(0, pool, engine.now());
+  engine.run_until(31);  // node 1's deadline passed at t = 30
+  EXPECT_EQ(driver.deny_count(DenyReason::kDeadlineExceeded), 1);
+  port.grant(1, pool, engine.now());
+  EXPECT_TRUE(driver.holding(1));  // adopted
+  port.request(2, 1);
+  port.grant(2, pool, engine.now());
+  EXPECT_TRUE(driver.holding(2));  // adopted
+  engine.run_until(40);
+  EXPECT_EQ(driver.total_grants(), 1);
+  EXPECT_EQ(samples,
+            (std::vector<std::pair<NodeId, sim::SimTime>>{{0, 5}}));
+  // Without a recorder the driver stores nothing per grant.
+  driver.set_latency_recorder(nullptr);
+  engine.run_until(200);
+  EXPECT_EQ(samples.size(), 1u);
+}
+
+TEST(WorkloadDriver, ClosedLoopsCreateNoCallbackSlots) {
+  // Think-end, CS-end and acquire deadlines are typed engine actions:
+  // they count as scheduled callbacks but never take a slot -- on a
+  // plain engine and on a fleet.
+  proto::WorkloadSpec spec;
+  spec.base.think = Dist::exponential(48);
+  spec.base.cs_duration = Dist::exponential(24);
+  spec.base.need = Dist::uniform(1, 2);
+  proto::RetryPolicy policy;
+  policy.deadline = 40;  // short: many waits are abandoned
+  for (int fleet : {1, 4}) {
+    SystemBuilder builder;
+    builder.topology(TopologySpec::tree_balanced(2, 4))
+        .kl(2, 4)
+        .seed(17)
+        .workload(spec)
+        .retry_policy(policy);
+    if (fleet > 1) builder.fleet(fleet);
+    Session session = builder.build_session();
+    SystemBase& system = *session.system;
+    ASSERT_NE(system.run_until_stabilized(10'000'000), sim::kTimeInfinity);
+    session.begin_workload();
+    system.run_until(system.engine().now() + 50'000);
+    EXPECT_GT(session.driver->total_grants(), 100) << "fleet " << fleet;
+    EXPECT_GT(session.driver->deny_count(DenyReason::kDeadlineExceeded), 0)
+        << "fleet " << fleet;
+    const sim::EngineStats stats = system.engine().stats();
+    EXPECT_GT(stats.callbacks_scheduled, 1'000u) << "fleet " << fleet;
+    EXPECT_EQ(stats.callback_slots_created, 0u) << "fleet " << fleet;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -626,6 +628,132 @@ TEST(EngineStreams, GlobalCallbacksAndObserversRunMergedSerial) {
   fleet.engine.add_observer(&observer);
   EXPECT_FALSE(fleet.engine.tenant_major());
   EXPECT_NO_THROW(fleet.engine.run_until(200));
+}
+
+// -- typed client actions -----------------------------------------------------
+
+/// Logs every action it receives.
+class ActionLog : public ActionHandler {
+ public:
+  struct Entry {
+    SimTime at;
+    NodeId node;
+    int action;
+    std::uint64_t epoch;
+    bool operator==(const Entry&) const = default;
+  };
+  explicit ActionLog(Engine& engine, std::vector<std::string>* order = nullptr)
+      : engine_(engine), order_(order) {}
+  void on_action(NodeId node, std::uint8_t action,
+                 std::uint64_t epoch) override {
+    log.push_back({engine_.now(), node, action, epoch});
+    if (order_ != nullptr) order_->push_back("action" + std::to_string(action));
+  }
+  std::vector<Entry> log;
+
+ private:
+  Engine& engine_;
+  std::vector<std::string>* order_;
+};
+
+TEST(EngineActions, ShareTheCallbackSeqSlotInScheduleOrder) {
+  // A typed action takes the seq slot and counter of the callback it
+  // replaces, so actions and callbacks of one stream scheduled for the
+  // same moment run in schedule order -- on a plain engine and in one
+  // stream of a fleet.
+  auto check = [](Engine& engine, int stream, NodeId node) {
+    std::vector<std::string> order;
+    ActionLog actions(engine, &order);
+    const int handler = engine.add_action_handler(&actions);
+    const SimTime at = engine.now() + 5;
+    engine.schedule_in_stream(stream, 5, [&] { order.push_back("fn0"); });
+    engine.schedule_action(handler, node, 1, 5);
+    engine.schedule_in_stream(stream, 5, [&] { order.push_back("fn1"); });
+    engine.schedule_action(handler, node, 2, 5);
+    engine.schedule_action(handler, node, 3, 5);
+    engine.schedule_in_stream(stream, 5, [&] { order.push_back("fn2"); });
+    engine.run_until(at);
+    EXPECT_EQ(order, (std::vector<std::string>{"fn0", "action1", "fn1",
+                                               "action2", "action3", "fn2"}));
+    for (const ActionLog::Entry& entry : actions.log) {
+      EXPECT_EQ(entry.at, at);
+      EXPECT_EQ(entry.node, node);
+    }
+    engine.remove_action_handler(handler);
+  };
+  Pair pair;
+  check(pair.engine, 0, 1);
+  StreamFleet fleet(3);
+  fleet.engine.run_until(20);
+  check(fleet.engine, 1, 3);  // node 3 is stream 1's second node
+}
+
+TEST(EngineActions, CountLikeCallbacksButTakeNoSlot) {
+  Pair net;
+  ActionLog actions(net.engine);
+  const int handler = net.engine.add_action_handler(&actions);
+  for (int i = 0; i < 100; ++i) {
+    net.engine.schedule_action(handler, i % 2, 7, 1 + i % 13,
+                               static_cast<std::uint64_t>(i));
+  }
+  // Pending actions hold a quiescence check open like callbacks do.
+  EXPECT_EQ(net.engine.pending_callbacks(), 100u);
+  EXPECT_TRUE(net.engine.run_until_message_quiescence(1'000));
+  EXPECT_EQ(net.engine.pending_callbacks(), 0u);
+  ASSERT_EQ(actions.log.size(), 100u);
+  const EngineStats stats = net.engine.stats();
+  EXPECT_EQ(stats.callbacks_scheduled, 100u);
+  EXPECT_EQ(stats.callback_slots_created, 0u);
+  std::vector<std::uint64_t> epochs;
+  for (const ActionLog::Entry& entry : actions.log) {
+    EXPECT_EQ(entry.action, 7);
+    epochs.push_back(entry.epoch);
+  }
+  std::sort(epochs.begin(), epochs.end());
+  for (std::uint64_t i = 0; i < epochs.size(); ++i) EXPECT_EQ(epochs[i], i);
+}
+
+TEST(EngineActions, RemovedHandlerRetiresItsActionsAsNoOps) {
+  Pair net;
+  auto doomed = std::make_unique<ActionLog>(net.engine);
+  const int handler = net.engine.add_action_handler(doomed.get());
+  net.engine.schedule_action(handler, 0, 0, 10);
+  net.engine.remove_action_handler(handler);
+  doomed.reset();
+  // The slot stays taken while its stale action is pending, so a new
+  // handler cannot receive it.
+  ActionLog fresh(net.engine);
+  const int second = net.engine.add_action_handler(&fresh);
+  EXPECT_NE(second, handler);
+  net.engine.run_until(20);
+  EXPECT_TRUE(fresh.log.empty());
+  EXPECT_EQ(net.engine.pending_callbacks(), 0u);
+  // Retired, the slot is free again; scheduling for a removed handler
+  // fails its check.
+  EXPECT_THROW(net.engine.schedule_action(handler, 0, 0, 1),
+               support::CheckFailure);
+  ActionLog third(net.engine);
+  EXPECT_EQ(net.engine.add_action_handler(&third), handler);
+}
+
+TEST(EngineActions, ActionsAreTenantScoped) {
+  // An action runs in its node's stream: from there it may schedule into
+  // that stream only, and it does not force merged-serial spans.
+  StreamFleet fleet(2);
+  struct Poker : ActionHandler {
+    Engine* engine = nullptr;
+    int handler = -1;
+    void on_action(NodeId, std::uint8_t action, std::uint64_t) override {
+      if (action == 1) engine->schedule_action(handler, 2, 0, 1);  // stream 1
+    }
+  } poker;
+  poker.engine = &fleet.engine;
+  poker.handler = fleet.engine.add_action_handler(&poker);
+  fleet.engine.schedule_action(poker.handler, 1, 0, 5);  // stream 0
+  EXPECT_TRUE(fleet.engine.tenant_major());
+  EXPECT_NO_THROW(fleet.engine.run_until(10));
+  fleet.engine.schedule_action(poker.handler, 0, 1, 5);  // stream 0
+  EXPECT_THROW(fleet.engine.run_until(20), support::CheckFailure);
 }
 
 }  // namespace

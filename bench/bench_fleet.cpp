@@ -81,10 +81,15 @@ exp::ScenarioSpec small_tenant_spec() {
 exp::ScenarioSpec large_tenant_spec() {
   exp::ScenarioSpec spec = small_tenant_spec();
   spec.topologies = {exp::TopologySpec::tree_balanced(2, 10)};
-  // With l = 4 units for 2047 nodes a tenant runs about 0.24 events per
-  // tick, so the small-tenant 30 k-tick window would time a few ms of
-  // CPU -- host noise, not a rate. 15 M ticks run about 3.7 M events
-  // (at least 0.3 s of CPU) per tenant.
+  // With l = 4 units for 2047 nodes, the small tenants' think ~ exp(96)
+  // saturates the tree: every node waits and the latency grows with the
+  // horizon. With think ~ exp(50 k) a tenant settles at about 40 % of
+  // its nodes waiting and a p50 latency of about 35 k ticks, the same at
+  // 7.5 M and 15 M ticks.
+  spec.workload.base.think = proto::Dist::exponential(50'000);
+  // A tenant runs about 0.63 events per tick, so the small-tenant
+  // 30 k-tick window would time a few ms of CPU -- host noise, not a
+  // rate. 15 M ticks run about 9.5 M events per tenant.
   spec.horizon = 15'000'000;
   spec.fleet = {1, 4};
   std::erase_if(spec.fleet, [](int r) {

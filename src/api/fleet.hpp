@@ -23,8 +23,10 @@
 //     every tenant of fleet(R) replays its standalone trace.
 //   * execution: each tenant's events sit in the tenant's own queue, and
 //     run_until runs the fleet tenant-major -- one tenant through the
-//     horizon, then the next -- so a span works on one tenant's queue
-//     and state at a time. Tenant events may only schedule into their
+//     horizon, then the next, in ascending tenant order over the tenants
+//     with work before the horizon -- so a span works on one tenant's
+//     queue and state at a time and walks the tenant-ordered arrays
+//     forward. Tenant events may only schedule into their
 //     own tenant (a checked engine contract). Observers and pending
 //     global callbacks switch spans to the merged (at, seq) order (see
 //     sim/engine.hpp).

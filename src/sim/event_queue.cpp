@@ -400,4 +400,24 @@ void StreamHeads::update(std::int32_t stream, EventQueue& queue) {
   }
 }
 
+void StreamHeads::collect_until(SimTime t,
+                                std::vector<std::int32_t>& out) const {
+  out.clear();
+  if (heap_.empty() || heap_.front().at > t) return;
+  // Breadth-first over heap indices, with `out` as the queue; a child
+  // after t prunes its subtree. The indices then become streams, sorted.
+  out.push_back(0);
+  const std::size_t size = heap_.size();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::size_t child = 2 * static_cast<std::size_t>(out[i]) + 1;
+    for (std::size_t c = child; c < child + 2 && c < size; ++c) {
+      if (heap_[c].at <= t) out.push_back(static_cast<std::int32_t>(c));
+    }
+  }
+  for (std::int32_t& entry : out) {
+    entry = heap_[static_cast<std::size_t>(entry)].stream;
+  }
+  std::sort(out.begin(), out.end());
+}
+
 }  // namespace klex::sim

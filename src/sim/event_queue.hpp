@@ -46,8 +46,8 @@
 // StreamHeads orders many queues: an indexed min-heap of streams keyed
 // by each stream queue's minimum (at, seq). The engine keeps one
 // EventQueue per stream when it runs explicit streams (engine.hpp), and
-// the heads give the merged-serial order over them and the next stream
-// with work before a horizon.
+// the heads give the merged-serial order over them and, for a
+// tenant-major span, the set of streams with work before a horizon.
 #pragma once
 
 #include <cstdint>
@@ -357,6 +357,10 @@ class StreamHeads {
   /// Re-keys `stream` from its queue's minimum: inserts, moves or (for
   /// an empty queue) removes it.
   void update(std::int32_t stream, EventQueue& queue);
+  /// Replaces `out` with every stream whose head is at or before `t`, in
+  /// ascending stream index. A subtree whose root is after `t` holds no
+  /// such stream, so the walk costs O(collected), not O(streams).
+  void collect_until(SimTime t, std::vector<std::int32_t>& out) const;
 
  private:
   void place(std::size_t index, const Head& head);

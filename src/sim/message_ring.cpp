@@ -8,7 +8,7 @@ namespace klex::sim {
 
 void MessageRing::grow() {
   KLEX_CHECK(capacity_ < (std::uint32_t{1} << 31), "message ring overflow");
-  std::uint32_t capacity = capacity_ == 0 ? 8 : capacity_ * 2;
+  std::uint32_t capacity = capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
   auto next = std::make_unique<Message[]>(capacity);
   std::uint32_t count = tail_ - head_;
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -7,7 +7,9 @@
 // array with monotone head/tail counters -- push and pop are one store
 // or load plus an increment. Growth reorders the live range into a
 // doubled buffer (amortized O(1), and channels reach a steady-state
-// capacity quickly).
+// capacity quickly). release() empties the ring and gives a buffer
+// grown past the first allocation back, for fault clears after which a
+// storm's backlog should not stay resident (see Engine::clear_channel_range).
 //
 // The header is 24 bytes (buffer pointer, capacity, head, tail): the
 // engine keeps one per channel in an array parallel to its 64-byte hot
@@ -28,8 +30,12 @@ namespace klex::sim {
 
 class MessageRing {
  public:
+  /// Slots of the first allocation; grow() doubles from here.
+  static constexpr std::uint32_t kInitialCapacity = 8;
+
   bool empty() const { return head_ == tail_; }
   std::size_t size() const { return tail_ - head_; }
+  std::size_t capacity() const { return capacity_; }
 
   const Message& front() const { return buf_[head_ & (capacity_ - 1)]; }
 
@@ -44,6 +50,16 @@ class MessageRing {
   void clear() {
     head_ = 0;
     tail_ = 0;
+  }
+
+  /// clear(), and frees a buffer grown past kInitialCapacity (the next
+  /// push allocates afresh).
+  void release() {
+    clear();
+    if (capacity_ > kInitialCapacity) {
+      buf_.reset();
+      capacity_ = 0;
+    }
   }
 
   /// Visits every in-flight message in FIFO order.

@@ -24,7 +24,8 @@
 //      the merged (at, seq) order -- stepping, or the same fleet with an
 //      observer attached, which forces merged spans -- including the
 //      stabilization loop's returned time, clock and executed prefix,
-//      and a chaos burst whose deferred epoch cut is a global callback.
+//      and a chaos burst whose deferred epoch cut is a global callback;
+//      one span, many slices and stepping leave every tenant alike.
 //
 // All phases run to fixed horizons (run_until aligns every lane clock
 // exactly at the horizon), so out-of-event actions -- fault injection,
@@ -470,8 +471,12 @@ struct FleetSnapshot {
   std::int64_t requests = 0;
   std::vector<proto::AppState> states;
   std::vector<int> needs;
+  std::vector<std::int64_t> node_grants;
+  std::vector<std::int64_t> node_requests;
   std::vector<std::uint64_t> tenant_events;
-  std::vector<std::uint64_t> tenant_resource_sends;
+  // Per tenant, sends of each token type (resource, pusher, priority,
+  // control).
+  std::vector<std::uint64_t> tenant_sends;
   std::vector<bool> tenant_correct;
   std::vector<sim::SimTime> tenant_since;
   std::vector<std::int64_t> tenant_recoveries;
@@ -490,11 +495,17 @@ FleetSnapshot snapshot(const Session& session) {
   for (NodeId node = 0; node < fleet.n(); ++node) {
     out.states.push_back(fleet.state_of(node));
     out.needs.push_back(fleet.need_of(node));
+    out.node_grants.push_back(session.driver->grants(node));
+    out.node_requests.push_back(session.driver->requests_issued(node));
   }
   for (int t = 0; t < fleet.tenant_count(); ++t) {
     out.tenant_events.push_back(fleet.tenant_events_executed(t));
-    out.tenant_resource_sends.push_back(
-        fleet.tenant_sent_of_type(t, kResourceType));
+    for (proto::TokenType type :
+         {proto::TokenType::kResource, proto::TokenType::kPusher,
+          proto::TokenType::kPriority, proto::TokenType::kControl}) {
+      out.tenant_sends.push_back(
+          fleet.tenant_sent_of_type(t, static_cast<std::int32_t>(type)));
+    }
     out.tenant_correct.push_back(fleet.tenant_correct(t));
     out.tenant_since.push_back(fleet.tenant_stabilized_at(t));
     out.tenant_recoveries.push_back(fleet.tenant_recovery_events(t));
@@ -542,6 +553,31 @@ TEST(FleetDifferentialTest, RunUntilMatchesSteppingAtEveryCheckpoint) {
     EXPECT_TRUE(snapshot(spans) == snapshot(steps)) << "at " << t;
   }
   EXPECT_GT(spans.driver->total_grants(), 0);
+}
+
+TEST(FleetDifferentialTest, SpanSlicingDoesNotChangeTenantTrajectories) {
+  // Tenant-major spans visit the due tenants in tenant order, whatever
+  // their heads: one span over the whole horizon, 64 slices of it and
+  // the merged step() order must leave every tenant in the same state
+  // with the same events, sends and driver counters.
+  constexpr sim::SimTime kHorizon = 16'000;
+  Session whole = fleet_session(808, 8);
+  Session sliced = fleet_session(808, 8);
+  Session steps = fleet_session(808, 8);
+  ASSERT_TRUE(whole.system->engine().tenant_major());
+  whole.begin_workload();
+  sliced.begin_workload();
+  steps.begin_workload();
+  whole.system->run_until(kHorizon);
+  for (int i = 1; i <= 64; ++i) sliced.system->run_until(kHorizon * i / 64);
+  sim::Engine& engine = steps.system->engine();
+  while (engine.next_event_time() <= kHorizon) ASSERT_TRUE(engine.step());
+  steps.system->run_until(kHorizon);  // aligns the clock only
+  const FleetSnapshot want = snapshot(steps);
+  EXPECT_TRUE(snapshot(whole) == want);
+  EXPECT_TRUE(snapshot(sliced) == want);
+  EXPECT_GT(want.grants, 0);
+  for (std::uint64_t events : want.tenant_events) EXPECT_GT(events, 0u);
 }
 
 /// Runs the same stabilization on a tenant-major fleet and on its twin

@@ -630,6 +630,177 @@ TEST(EngineStreams, GlobalCallbacksAndObserversRunMergedSerial) {
   EXPECT_NO_THROW(fleet.engine.run_until(200));
 }
 
+/// One node of its own stream: its timer fires first at `first` and then
+/// every `period` ticks, and each firing appends (stream, now) to a log
+/// the whole engine shares.
+class Ticker : public Process {
+ public:
+  struct Fire {
+    int stream;
+    SimTime at;
+    bool operator==(const Fire&) const = default;
+  };
+  Ticker(std::vector<Fire>& log, int stream, SimTime first, SimTime period)
+      : log_(log), stream_(stream), first_(first), period_(period) {}
+  void on_start() override { set_timer(0, first_); }
+  void on_message(int, const Message&) override {}
+  void on_timer(int) override {
+    log_.push_back({stream_, now()});
+    set_timer(0, period_);
+  }
+
+ private:
+  std::vector<Fire>& log_;
+  int stream_;
+  SimTime first_;
+  SimTime period_;
+};
+
+/// One Ticker per entry of `first` (stream s first fires at first[s],
+/// then every 7 ticks); with `lanes` > 1 the streams are split into
+/// that many contiguous lane blocks.
+struct TickerFleet {
+  explicit TickerFleet(const std::vector<SimTime>& first, int lanes = 1) {
+    std::vector<int> node_stream;
+    std::vector<int> node_lane;
+    std::vector<std::uint64_t> seeds;
+    const int streams = static_cast<int>(first.size());
+    for (int s = 0; s < streams; ++s) {
+      engine.add_process(std::make_unique<Ticker>(
+          log, s, first[static_cast<std::size_t>(s)], 7));
+      node_stream.push_back(s);
+      node_lane.push_back(s * lanes / streams);
+      seeds.push_back(static_cast<std::uint64_t>(s) + 1);
+    }
+    if (lanes > 1) engine.configure_lanes(node_lane, lanes);
+    engine.configure_streams(node_stream, seeds);
+  }
+  Engine engine;
+  std::vector<Ticker::Fire> log;
+};
+
+/// The streams of `log` in visit order, one entry per contiguous block;
+/// the latest time in `log` goes to `latest`.
+std::vector<int> visit_blocks(const std::vector<Ticker::Fire>& log,
+                              SimTime* latest) {
+  std::vector<int> blocks;
+  *latest = 0;
+  for (const Ticker::Fire& fire : log) {
+    if (blocks.empty() || blocks.back() != fire.stream) {
+      blocks.push_back(fire.stream);
+    }
+    *latest = std::max(*latest, fire.at);
+  }
+  return blocks;
+}
+
+/// The clock of `lane` (Engine::now() reads the executing lane's).
+SimTime lane_clock(const Engine& engine, int lane) {
+  detail::DispatchContext context(0, -1, lane);
+  return engine.now();
+}
+
+TEST(EngineStreams, SpansVisitTheDueStreamsInAscendingOrder) {
+  // Earliest-head order would visit 3, 1, 4, 0; stream 2 is not due by
+  // t = 60. Each due stream runs as one block through t, in index order.
+  const std::vector<SimTime> first = {30, 10, 90, 5, 20};
+  TickerFleet fleet(first);
+  std::vector<int> hook_streams;
+  fleet.engine.run_streams_until(60, [&](int stream, const Event& event) {
+    EXPECT_LE(event.at, 60);
+    hook_streams.push_back(stream);
+  });
+  SimTime latest = 0;
+  EXPECT_EQ(visit_blocks(fleet.log, &latest),
+            (std::vector<int>{0, 1, 3, 4}));
+  ASSERT_EQ(hook_streams.size(), fleet.log.size());
+  for (std::size_t i = 0; i < fleet.log.size(); ++i) {
+    EXPECT_EQ(hook_streams[i], fleet.log[i].stream);
+  }
+  // Stream 1 fires at 10, 17, ..., 59: the latest any stream reached.
+  EXPECT_EQ(latest, 59);
+  EXPECT_EQ(fleet.engine.now(), 59);
+  EXPECT_EQ(fleet.engine.events_executed_in(2), 0u);
+  for (int s : {0, 1, 3, 4}) {
+    const SimTime fires = (60 - first[static_cast<std::size_t>(s)]) / 7 + 1;
+    EXPECT_EQ(fleet.engine.events_executed_in(s),
+              static_cast<std::uint64_t>(fires))
+        << "stream " << s;
+  }
+  // The next span starts from the re-keyed heads: stream 2 joins.
+  fleet.log.clear();
+  fleet.engine.run_streams_until(95, [](int, const Event&) {});
+  EXPECT_EQ(visit_blocks(fleet.log, &latest),
+            (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(fleet.engine.now(), latest);
+}
+
+TEST(EngineStreams, LaneWindowsVisitTheirDueStreamsInAscendingOrder) {
+  // Streams 0-2 on lane 0, 3-5 on lane 1; streams 1 and 4 are not due by
+  // the window's last tick.
+  TickerFleet fleet({40, 70, 3, 25, 80, 9}, 2);
+  fleet.engine.start();
+  fleet.engine.begin_window(0);
+  SimTime latest = 0;
+  fleet.engine.run_lane_window(1, 50);
+  EXPECT_EQ(visit_blocks(fleet.log, &latest), (std::vector<int>{3, 5}));
+  EXPECT_EQ(lane_clock(fleet.engine, 1), latest);
+  EXPECT_EQ(latest, 46);  // stream 3: 25, ..., 46; stream 5: 9, ..., 44
+  fleet.log.clear();
+  fleet.engine.run_lane_window(0, 50);
+  EXPECT_EQ(visit_blocks(fleet.log, &latest), (std::vector<int>{0, 2}));
+  EXPECT_EQ(lane_clock(fleet.engine, 0), latest);
+  EXPECT_EQ(latest, 47);  // stream 0: 40, 47; stream 2: 3, ..., 45
+  fleet.engine.end_window();
+  EXPECT_EQ(fleet.engine.events_executed_in(1), 0u);
+  EXPECT_EQ(fleet.engine.events_executed_in(4), 0u);
+}
+
+TEST(EngineStreams, ClearedStormRingsCountExactlyAndRegrowInFifoOrder) {
+  // Two streams of a Recorder pair each. A storm backlog on stream 0's
+  // channel 0 -> 1 is cleared (its ring is freed) while stream 1's
+  // traffic stays in flight; the ring then regrows from nothing.
+  Engine engine(DelayModel{1, 16}, 1);
+  std::vector<Recorder*> nodes;
+  for (int i = 0; i < 4; ++i) {
+    auto node = std::make_unique<Recorder>();
+    nodes.push_back(node.get());
+    engine.add_process(std::move(node));
+  }
+  for (NodeId v : {0, 2}) {
+    engine.connect(v, 0, v + 1, 0);
+    engine.connect(v + 1, 0, v, 0);
+  }
+  engine.configure_streams({0, 0, 1, 1}, {1, 2});
+  for (std::int32_t i = 0; i < 300; ++i) engine.inject_message(0, 0, tagged(i));
+  for (std::int32_t i = 0; i < 50; ++i) engine.inject_message(2, 0, tagged(i));
+  EXPECT_EQ(engine.in_flight_of_type_in(0, 1), 300u);
+  EXPECT_EQ(engine.in_flight_of_type_in(1, 1), 50u);
+  engine.clear_channel_range(0, 2);
+  EXPECT_EQ(engine.channel_backlog(0, 0), 0);
+  EXPECT_EQ(engine.in_flight_of_type_in(0, 1), 0u);
+  EXPECT_EQ(engine.in_flight_of_type_in(1, 1), 50u);
+  EXPECT_EQ(engine.in_flight_messages(), 50u);
+  for (std::int32_t i = 0; i < 40; ++i) {
+    engine.inject_message(0, 0, tagged(1000 + i));
+  }
+  EXPECT_EQ(engine.channel_backlog(0, 0), 40);
+  EXPECT_EQ(engine.in_flight_of_type_in(0, 1), 40u);
+  engine.run_until(10'000);
+  ASSERT_EQ(nodes[1]->deliveries.size(), 40u);
+  for (std::int32_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(nodes[1]->deliveries[static_cast<std::size_t>(i)].msg.f0,
+              1000 + i);
+  }
+  ASSERT_EQ(nodes[3]->deliveries.size(), 50u);
+  for (std::int32_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(nodes[3]->deliveries[static_cast<std::size_t>(i)].msg.f0, i);
+  }
+  EXPECT_EQ(engine.in_flight_of_type_in(0, 1), 0u);
+  EXPECT_EQ(engine.in_flight_of_type_in(1, 1), 0u);
+  EXPECT_EQ(engine.in_flight_messages(), 0u);
+}
+
 // -- typed client actions -----------------------------------------------------
 
 /// Logs every action it receives.

@@ -71,6 +71,35 @@ TEST(MessageRing, ClearResetsAndTheRingIsReusable) {
   }
 }
 
+TEST(MessageRing, ReleaseFreesAStormGrownBufferAndRegrowsInFifoOrder) {
+  MessageRing ring;
+  for (std::int32_t i = 0; i < 5; ++i) ring.push_back(tagged(i));
+  EXPECT_EQ(ring.capacity(), MessageRing::kInitialCapacity);
+  // A ring that never grew keeps its buffer.
+  ring.release();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), MessageRing::kInitialCapacity);
+  // A storm backlog grows it; clear() keeps the grown buffer, release()
+  // gives it back.
+  for (std::int32_t i = 0; i < 1000; ++i) ring.push_back(tagged(i));
+  EXPECT_GE(ring.capacity(), 1000u);
+  ring.clear();
+  EXPECT_GE(ring.capacity(), 1000u);
+  for (std::int32_t i = 0; i < 1000; ++i) ring.push_back(tagged(i));
+  ring.release();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_LE(ring.capacity(), MessageRing::kInitialCapacity);
+  // Regrowth from nothing keeps FIFO order through a wrapped grow.
+  for (std::int32_t i = 0; i < 6; ++i) ring.push_back(tagged(i));
+  for (std::int32_t i = 0; i < 4; ++i) ring.pop_front();
+  for (std::int32_t i = 6; i < 30; ++i) ring.push_back(tagged(i));
+  for (std::int32_t i = 4; i < 30; ++i) {
+    ASSERT_EQ(ring.front().f0, i);
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
 TEST(MessageRing, RandomizedChurnMatchesDequeOracle) {
   // 100k mixed push/pop operations with drifting fill level: the
   // counters run far past every capacity the ring grows through, so

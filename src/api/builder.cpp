@@ -137,11 +137,6 @@ SystemBuilder& SystemBuilder::delays(sim::DelayModel d) {
   return *this;
 }
 
-SystemBuilder& SystemBuilder::scheduler(sim::SchedulerKind kind) {
-  scheduler_ = kind;
-  return *this;
-}
-
 SystemBuilder& SystemBuilder::timeout_period(sim::SimTime t) {
   timeout_period_ = t;
   return *this;
@@ -303,7 +298,6 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
     config.seed_tokens = seed_tokens_;
     config.spread_tokens = spread_tokens_;
     config.threads = threads_;
-    config.scheduler = scheduler_;
     auto fleet_system = std::make_unique<FleetSystem>(std::move(config));
     fleet_system->set_misuse_policy(misuse_policy_);
     fleet_system->set_admission_policy(admission_policy_);
@@ -319,7 +313,6 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
     config.features = features_;
     config.cmax = cmax_;
     config.delays = delays_;
-    config.scheduler = scheduler_;
     config.timeout_period = timeout_period_;
     config.seed = seed_;
     config.seed_tokens = seed_tokens_;

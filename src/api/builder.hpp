@@ -91,7 +91,6 @@ class SystemBuilder {
   SystemBuilder& features(proto::Features f);
   SystemBuilder& cmax(int c);
   SystemBuilder& delays(sim::DelayModel d);
-  SystemBuilder& scheduler(sim::SchedulerKind kind);
   SystemBuilder& timeout_period(sim::SimTime t);
   SystemBuilder& seed(std::uint64_t s);
   SystemBuilder& seed_tokens(bool on = true);
@@ -175,7 +174,6 @@ class SystemBuilder {
   proto::Features features_ = proto::Features::full();
   int cmax_ = 4;
   sim::DelayModel delays_{};
-  sim::SchedulerKind scheduler_ = sim::SchedulerKind::kCalendar;
   sim::SimTime timeout_period_ = 0;
   std::uint64_t seed_ = support::Rng::kDefaultSeed;
   bool seed_tokens_ = false;

@@ -34,8 +34,7 @@ core::Params fleet_base_params(const FleetConfig& config) {
 }  // namespace
 
 FleetSystem::FleetSystem(FleetConfig config)
-    : SystemBase(fleet_base_params(config), config.delays, config.seed,
-                 config.scheduler),
+    : SystemBase(fleet_base_params(config), config.delays, config.seed),
       config_(std::move(config)) {
   const int tenants = tenant_count();
   tenant_params_.reserve(static_cast<std::size_t>(tenants));
@@ -220,7 +219,7 @@ bool FleetSystem::stabilization_step(sim::SimTime deadline,
   const sim::SimTime stop = *correct
                                 ? *since + window
                                 : next + std::min(window, deadline - next);
-  if (!engine.tenant_major() || next >= stop) {
+  if (!engine.runs_spans() || next >= stop) {
     return SystemBase::stabilization_step(deadline, window, correct, since);
   }
   // Each tenant runs through stop - 1 on its own; its per-event probe

@@ -91,7 +91,6 @@ struct FleetConfig {
   /// Worker lanes; clamped to [1, min(R, Engine::kMaxLanes)] -- a tenant
   /// never spans lanes.
   int threads = 1;
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;
 };
 
 class FleetSystem : public SystemBase {
@@ -218,7 +217,7 @@ class FleetSystem : public SystemBase {
   /// them in (at, seq) order to follow the fleet-wide correct stretch.
   /// The tick where the merged loop may stop after any single event (the
   /// confirmation point or the deadline) is stepped in merged order, as
-  /// is everything while the engine runs merged (Engine::tenant_major).
+  /// is everything while the engine runs merged (Engine::runs_spans).
   bool stabilization_step(sim::SimTime deadline, sim::SimTime window,
                           bool* correct, sim::SimTime* since) override;
 

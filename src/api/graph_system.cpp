@@ -48,8 +48,7 @@ tree::Tree GraphSystem::run_spanning_phase(const GraphSystemConfig& config,
 }
 
 GraphSystem::GraphSystem(GraphSystemConfig config)
-    : SystemBase(make_params(config), config.delays, config.seed,
-                 config.scheduler),
+    : SystemBase(make_params(config), config.delays, config.seed),
       config_(std::move(config)),
       overlay_(run_spanning_phase(config_, stree_converged_at_)) {
   if (config_.live_topology) {

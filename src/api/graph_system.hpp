@@ -35,9 +35,6 @@ struct GraphSystemConfig {
   std::uint64_t seed = support::Rng::kDefaultSeed;
   bool seed_tokens = false;
 
-  /// Event scheduler (kCalendar unless differentially testing the
-  /// binary-heap reference -- see sim::SchedulerKind).
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;
 
   /// Spanning-tree construction phase (its own engine, derived seed).
   sim::SimTime beacon_period = 256;

@@ -36,8 +36,7 @@ int clamp_threads(const SystemConfig& config) {
 }  // namespace
 
 System::System(SystemConfig config)
-    : SystemBase(make_params(config), config.delays, config.seed,
-                 config.scheduler),
+    : SystemBase(make_params(config), config.delays, config.seed),
       config_(std::move(config)) {
   int lanes = clamp_threads(config_);
   std::vector<int> node_lane;

@@ -52,9 +52,6 @@ struct SystemConfig {
   /// Fidelity ablations -- see core::Params.
   bool literal_pusher_guard = false;
   bool omit_prio_wrap_count = false;
-  /// Event scheduler (kCalendar unless differentially testing the
-  /// binary-heap reference -- see sim::SchedulerKind).
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;
   /// Worker lanes for the conservative-window parallel engine: the tree
   /// is cut into `threads` contiguous DFS-preorder chunks, each with its
   /// own event queue, clock and rng, executed concurrently in

@@ -8,9 +8,9 @@
 namespace klex {
 
 SystemBase::SystemBase(core::Params params, sim::DelayModel delays,
-                       std::uint64_t seed, sim::SchedulerKind scheduler)
+                       std::uint64_t seed)
     : params_(params),
-      engine_(delays, seed, scheduler),
+      engine_(delays, seed),
       tracker_(&engine_, params.l, params.features) {
   KLEX_REQUIRE(params_.k >= 1 && params_.k <= params_.l,
                "need 1 <= k <= l");

@@ -190,8 +190,7 @@ class SystemBase : public proto::RequestPort {
                                       sim::SimTime derived_timeout);
 
  protected:
-  SystemBase(core::Params params, sim::DelayModel delays, std::uint64_t seed,
-             sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar);
+  SystemBase(core::Params params, sim::DelayModel delays, std::uint64_t seed);
 
   /// Registers a process that participates in the exclusion protocol; the
   /// engine id is the registration index. Returns a raw pointer (the

@@ -1,5 +1,9 @@
 #include "exp/runner.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -19,12 +23,25 @@
 
 namespace klex::exp {
 
+namespace {
+// CPUs this process may run on: its affinity mask where the platform has
+// one (so `taskset` lowers it), else the hardware concurrency, else 1.
+int usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0 &&
+      CPU_COUNT(&mask) > 0) {
+    return CPU_COUNT(&mask);
+  }
+#endif
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+}  // namespace
+
 ExperimentRunner::ExperimentRunner(int threads) : threads_(threads) {
   KLEX_REQUIRE(threads >= 0, "negative thread count");
-  if (threads_ == 0) {
-    threads_ = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads_ <= 0) threads_ = 1;
-  }
+  if (threads_ == 0) threads_ = usable_cpus();
 }
 
 std::vector<RunPoint> ExperimentRunner::expand(const ScenarioSpec& spec) {

@@ -278,7 +278,8 @@ struct Aggregate {
 
 class ExperimentRunner {
  public:
-  /// `threads` = 0 uses the hardware concurrency.
+  /// `threads` = 0 uses one worker per CPU the process may run on (its
+  /// affinity mask, so `taskset -c 0` runs one grid point at a time).
   explicit ExperimentRunner(int threads = 0);
 
   int threads() const { return threads_; }

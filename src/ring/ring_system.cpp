@@ -28,8 +28,7 @@ core::Params make_params(const RingConfig& config) {
 }  // namespace
 
 RingSystem::RingSystem(RingConfig config)
-    : SystemBase(make_params(config), config.delays, config.seed,
-                 config.scheduler),
+    : SystemBase(make_params(config), config.delays, config.seed),
       config_(config) {
   KLEX_REQUIRE(config_.n >= 2, "ring needs n >= 2");
 

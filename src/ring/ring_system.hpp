@@ -22,9 +22,6 @@ struct RingConfig {
   sim::SimTime timeout_period = 0;  // 0 = derived (n hops per loop)
   std::uint64_t seed = support::Rng::kDefaultSeed;
   bool seed_tokens = false;
-  /// Event scheduler (kCalendar unless differentially testing the
-  /// binary-heap reference -- see sim::SchedulerKind).
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;
   /// Worker lanes (contiguous node-id arcs; see SystemConfig::threads).
   int threads = 1;
 };

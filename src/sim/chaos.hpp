@@ -104,8 +104,6 @@ class ChaosModel {
 
   ChaosModel(int channel_count, const ChaosConfig& steady);
 
-  const ChaosConfig& steady() const { return steady_; }
-
   Link& link(int channel) {
     return links_[static_cast<std::size_t>(channel)];
   }

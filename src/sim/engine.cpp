@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <utility>
 
 #include "support/check.hpp"
@@ -43,26 +44,55 @@ SimTime Process::now() const {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(DelayModel delays, std::uint64_t seed,
-               SchedulerKind scheduler)
+Engine::Engine(DelayModel delays, std::uint64_t seed)
     : delays_(delays),
-      scheduler_kind_(scheduler),
-      streams_(1),
+      lanes_(1),
+      callback_seqs_(1, 0),
       channel_rngs_(seed ^ kChannelRngSalt) {
   KLEX_REQUIRE(delays_.min_delay >= 1, "min_delay must be >= 1");
   KLEX_REQUIRE(delays_.max_delay >= delays_.min_delay,
                "max_delay must be >= min_delay");
-  lanes_.emplace_back(scheduler_kind_);
+  build_queues({0}, {EventQueue::kLogBucketCount});
 }
 
 void Engine::require_unsequenced(const char* what) const {
   KLEX_REQUIRE(!started_, "cannot ", what, " after start");
-  for (const Lane& lane : lanes_) {
-    KLEX_REQUIRE(lane.queue.empty(), "cannot ", what,
+  for (const Queue& queue : queues_) {
+    KLEX_REQUIRE(queue.events.empty(), "cannot ", what,
                  " with pending events");
   }
-  for (const EventQueue& queue : stream_queues_) {
-    KLEX_REQUIRE(queue.empty(), "cannot ", what, " with pending events");
+}
+
+void Engine::build_queues(const std::vector<std::int32_t>& lanes,
+                          const std::vector<std::uint32_t>& log_buckets) {
+  queues_.clear();
+  queues_.reserve(lanes.size());
+  for (std::size_t q = 0; q < lanes.size(); ++q) {
+    queues_.emplace_back(queue_kind_, log_buckets[q], lanes[q]);
+  }
+  for (Lane& lane : lanes_) {
+    lane.heads.reset(queues_.size());
+    lane.due.clear();
+  }
+  // A plain engine's lane runs its own queue in every span.
+  if (!streams_explicit_) {
+    for (std::size_t q = 0; q < queues_.size(); ++q) {
+      lanes_[static_cast<std::size_t>(lanes[q])].due.push_back(
+          static_cast<std::int32_t>(q));
+    }
+  }
+  for (Channel& channel : channels_) {
+    channel.queue = node_queue_[static_cast<std::size_t>(channel.to)];
+  }
+}
+
+void Engine::use_heap_queues() {
+  require_unsequenced("swap queues");
+  queue_kind_ = SchedulerKind::kBinaryHeap;
+  for (Queue& queue : queues_) {
+    queue.events = EventQueue(
+        queue_kind_, static_cast<std::uint32_t>(std::countr_zero(
+                         queue.events.bucket_window())));
   }
 }
 
@@ -77,7 +107,7 @@ NodeId Engine::add_process(std::unique_ptr<Process> process) {
   lookup_stale_ = true;
   timer_generations_.resize(timer_generations_.size() + kMaxTimers, 0);
   timer_seqs_.push_back(0);
-  node_stream_.push_back(0);
+  node_queue_.push_back(0);
   ++seq_stride_;
   return id;
 }
@@ -103,6 +133,7 @@ void Engine::connect(NodeId from, int from_channel, NodeId to,
   const std::size_t index = channels_.size();
   Channel& channel = channels_.emplace_back();
   channel.rng = channel_rngs_.split(index);
+  channel.queue = node_queue_[static_cast<std::size_t>(to)];
   channel.to = to;
   channel.to_channel = to_channel;
   rings_.emplace_back();
@@ -122,18 +153,19 @@ void Engine::configure_lanes(const std::vector<int>& node_lane,
                "lane count must be in [1, ", kMaxLanes, "]");
   KLEX_REQUIRE(static_cast<int>(node_lane.size()) == process_count(),
                "one lane per node required");
-  for (const Lane& lane : lanes_) {
-    KLEX_REQUIRE(lane.queue.empty(),
-                 "cannot repartition with pending events");
-  }
-  node_lane_.assign(node_lane.begin(), node_lane.end());
-  for (std::int32_t lane : node_lane_) {
+  require_unsequenced("repartition");
+  for (int lane : node_lane) {
     KLEX_REQUIRE(lane >= 0 && lane < lane_count, "lane out of range");
   }
+  // A plain engine's queue q is lane q's.
+  node_queue_.assign(node_lane.begin(), node_lane.end());
 
   lanes_.clear();
-  lanes_.reserve(static_cast<std::size_t>(lane_count));
-  for (int i = 0; i < lane_count; ++i) lanes_.emplace_back(scheduler_kind_);
+  lanes_.resize(static_cast<std::size_t>(lane_count));
+  std::vector<std::int32_t> lanes(static_cast<std::size_t>(lane_count));
+  std::iota(lanes.begin(), lanes.end(), 0);
+  build_queues(lanes, std::vector<std::uint32_t>(
+                          lanes.size(), EventQueue::kLogBucketCount));
 }
 
 void Engine::configure_streams(const std::vector<int>& node_stream,
@@ -145,14 +177,12 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
   require_unsequenced("re-stream");
 
   const int count = static_cast<int>(stream_seeds.size());
-  streams_.assign(stream_seeds.size(), Stream{});
-  node_stream_.assign(node_stream.begin(), node_stream.end());
-
   // Every stream nests inside exactly one lane: that lane's thread is the
-  // single writer of the stream's census cells.
+  // single writer of the stream's queue and census cells.
   std::vector<std::int32_t> home(stream_seeds.size(), -1);
+  std::vector<std::uint64_t> nodes(stream_seeds.size(), 0);
   for (NodeId v = 0; v < process_count(); ++v) {
-    std::int32_t s = node_stream_[static_cast<std::size_t>(v)];
+    std::int32_t s = node_stream[static_cast<std::size_t>(v)];
     KLEX_REQUIRE(s >= 0 && s < count, "stream out of range for node ", v);
     std::int32_t lane = static_cast<std::int32_t>(lane_of(v));
     if (home[static_cast<std::size_t>(s)] == -1) {
@@ -160,9 +190,19 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
     }
     KLEX_REQUIRE(home[static_cast<std::size_t>(s)] == lane,
                  "stream ", s, " spans lanes (streams must nest in a lane)");
+    ++nodes[static_cast<std::size_t>(s)];
   }
-  for (std::size_t s = 0; s < streams_.size(); ++s) {
-    streams_[s].home_lane = home[s] == -1 ? 0 : home[s];
+  for (std::int32_t& lane : home) lane = std::max(lane, 0);
+  // A stream's ring window is 8 ticks per node, between 128 ticks and a
+  // lane queue's default: its bucket headers (64 B per node) follow the
+  // tenant's size, so hundreds of small tenants add kilobytes, not a
+  // default ring each.
+  std::vector<std::uint32_t> log_buckets;
+  log_buckets.reserve(nodes.size());
+  for (std::uint64_t size : nodes) {
+    log_buckets.push_back(std::clamp<std::uint32_t>(
+        static_cast<std::uint32_t>(std::bit_width(8 * size)),
+        EventQueue::kMinLogBucketCount, EventQueue::kLogBucketCount));
   }
 
   // Re-key every channel rng from its stream's seed and its index among
@@ -176,33 +216,20 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
   std::vector<std::uint64_t> rank(stream_seeds.size(), 0);
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const ChannelInfo& info = channel_info_[c];
-    std::int32_t src = node_stream_[static_cast<std::size_t>(info.from)];
-    std::int32_t dst = node_stream_[static_cast<std::size_t>(info.to)];
+    std::int32_t src = node_stream[static_cast<std::size_t>(info.from)];
+    std::int32_t dst = node_stream[static_cast<std::size_t>(info.to)];
     KLEX_REQUIRE(src == dst, "channel ", info.from, "->", info.to,
                  " crosses streams (tenants must be channel-independent)");
-    channels_[c].stream = src;
     channels_[c].rng = roots[static_cast<std::size_t>(src)].split(
         rank[static_cast<std::size_t>(src)]++);
   }
-  seq_stride_ = channels_.size() + processes_.size() + streams_.size();
 
-  // One queue per stream from here on; each lane orders its streams'
-  // queues by their heads (lane queues stay empty). A stream's ring
-  // window is 8 ticks per node, between 128 ticks and the default: its
-  // bucket headers (64 B per node) follow the tenant's size, so hundreds
-  // of small tenants add kilobytes, not a default ring each.
-  std::vector<std::uint64_t> nodes(stream_seeds.size(), 0);
-  for (std::int32_t s : node_stream_) ++nodes[static_cast<std::size_t>(s)];
-  stream_queues_.clear();
-  stream_queues_.reserve(stream_seeds.size());
-  for (std::uint64_t count : nodes) {
-    const std::uint32_t log2 = std::clamp<std::uint32_t>(
-        static_cast<std::uint32_t>(std::bit_width(8 * count)),
-        EventQueue::kMinLogBucketCount, EventQueue::kLogBucketCount);
-    stream_queues_.emplace_back(scheduler_kind_, log2);
-  }
-  for (Lane& lane : lanes_) lane.heads.reset(stream_seeds.size());
+  // One queue per stream from here on, each ordered by its lane's heads.
   streams_explicit_ = true;
+  callback_seqs_.assign(stream_seeds.size(), 0);
+  node_queue_.assign(node_stream.begin(), node_stream.end());
+  seq_stride_ = channels_.size() + processes_.size() + callback_seqs_.size();
+  build_queues(home, log_buckets);
 }
 
 Process& Engine::process(NodeId id) {
@@ -215,24 +242,27 @@ const Process& Engine::process(NodeId id) const {
   return *processes_[static_cast<std::size_t>(id)];
 }
 
-void Engine::size_ring_windows() {
-  if (scheduler_kind_ != SchedulerKind::kCalendar) return;
-  // The ring can hold an event at now + span only if the window exceeds
-  // the span. Grow (never shrink, and only up to the bitmap cap) so the
-  // longest delivery delay stays on the O(1) ring instead of falling
-  // through to the overflow heap; a window that already covers it stays
-  // exactly as built.
-  SimTime span = delays_.max_delay;
+namespace {
+// The boot sizing rule: the smallest ring window (as a power of two,
+// from kMinLogBucketCount up to the bitmap cap) that exceeds the longest
+// delivery delay, so every delivery stays on the O(1) ring instead of
+// falling through to the overflow heap.
+std::uint32_t ring_log2_for(SimTime max_delay) {
   std::uint32_t log2 = EventQueue::kMinLogBucketCount;
   while (log2 < EventQueue::kMaxLogBucketCount &&
-         static_cast<SimTime>(std::size_t{1} << log2) <= span) {
+         static_cast<SimTime>(std::size_t{1} << log2) <= max_delay) {
     ++log2;
   }
-  for (Lane& lane : lanes_) {
-    if (lane.queue.empty()) lane.queue.set_log_bucket_count(log2);
-  }
-  for (EventQueue& queue : stream_queues_) {
-    if (queue.empty()) queue.set_log_bucket_count(log2);
+  return log2;
+}
+}  // namespace
+
+void Engine::size_ring_windows() {
+  // Grow (never shrink) each queue to the rule's window; a window that
+  // already covers the longest delay stays exactly as built.
+  const std::uint32_t log2 = ring_log2_for(delays_.max_delay);
+  for (Queue& queue : queues_) {
+    if (queue.events.empty()) queue.events.set_log_bucket_count(log2);
   }
 }
 
@@ -289,32 +319,26 @@ void Engine::rebuild_lookup() const {
   lookup_stale_ = false;
 }
 
-std::array<std::uint64_t, Engine::kTrackedMessageTypes>&
-Engine::in_flight_cells(Lane& src, std::int32_t stream) {
-  return streams_explicit_
-             ? streams_[static_cast<std::size_t>(stream)].in_flight_by_type
-             : src.in_flight_by_type;
-}
-
-void Engine::schedule_delivery(Lane& src, int channel_index,
-                               const Message& msg) {
+void Engine::schedule_delivery(Lane& src, std::int32_t from,
+                               int channel_index, const Message& msg) {
   if (chaos_) {
-    chaos_send(src, channel_index, msg);
+    chaos_send(src, from, channel_index, msg);
   } else {
-    enqueue_delivery(src, channel_index, msg, 0, true);
+    enqueue_delivery(src, from, channel_index, msg, 0, true);
   }
 }
 
-void Engine::enqueue_delivery(Lane& src, int channel_index,
-                              const Message& msg, SimTime jitter,
-                              bool fresh) {
+void Engine::enqueue_delivery(Lane& src, std::int32_t from,
+                              int channel_index, const Message& msg,
+                              SimTime jitter, bool fresh) {
   Channel& ch = channels_[static_cast<std::size_t>(channel_index)];
   SimTime delay = delays_.min_delay +
                   static_cast<SimTime>(ch.rng.next_below(
                       delays_.max_delay - delays_.min_delay + 1));
   if (fresh) {
     ++src.in_flight;
-    ++in_flight_cells(src, ch.stream)[type_bucket(msg.type)];
+    ++queues_[static_cast<std::size_t>(from)]
+          .in_flight_by_type[type_bucket(msg.type)];
     if (jitter > 0) {
       SimTime extra = static_cast<SimTime>(
           ch.rng.next_below(static_cast<std::uint64_t>(jitter) + 1));
@@ -334,8 +358,9 @@ void Engine::enqueue_delivery(Lane& src, int channel_index,
   event.kind = EventKind::kDelivery;
   event.target = channel_index;
   event.payload = ch.epoch;
-  Lane& dst = lanes_[static_cast<std::size_t>(lane_of(ch.to))];
-  if (in_window_ && &dst != &src) {
+  if (in_window_ &&
+      &lanes_[static_cast<std::size_t>(
+          queues_[static_cast<std::size_t>(ch.queue)].lane)] != &src) {
     // Inside a parallel window the destination queue and the channel
     // ring belong to another thread; park the delivery in the source
     // lane's outbox -- end_window() merges it at the barrier, which is
@@ -343,7 +368,7 @@ void Engine::enqueue_delivery(Lane& src, int channel_index,
     src.outbox.push_back(Outbound{channel_index, event, msg});
   } else {
     rings_[static_cast<std::size_t>(channel_index)].push_back(msg);
-    push_event(dst, ch.stream, event);
+    push_event(ch.queue, event);
   }
 }
 
@@ -383,7 +408,8 @@ void Engine::chaos_burst_links(const std::vector<std::pair<int, int>>& links,
                               lanes_[0].now + duration);
 }
 
-void Engine::chaos_send(Lane& src, int channel_index, const Message& msg) {
+void Engine::chaos_send(Lane& src, std::int32_t from, int channel_index,
+                        const Message& msg) {
   Channel& ch = channels_[static_cast<std::size_t>(channel_index)];
   ChaosModel::Link& link = chaos_->link(channel_index);
   const ChaosConfig& cfg = chaos_->effective(channel_index, src.now);
@@ -400,20 +426,21 @@ void Engine::chaos_send(Lane& src, int channel_index, const Message& msg) {
     ++link.stats.dropped;
   } else if (cfg.dup_p > 0.0 && ch.rng.next_bool(cfg.dup_p)) {
     ++link.stats.duplicated;
-    enqueue_delivery(src, channel_index, msg, cfg.jitter, true);
-    enqueue_delivery(src, channel_index, msg, cfg.jitter, true);
+    enqueue_delivery(src, from, channel_index, msg, cfg.jitter, true);
+    enqueue_delivery(src, from, channel_index, msg, cfg.jitter, true);
   } else if (cfg.reorder_p > 0.0 && ch.rng.next_bool(cfg.reorder_p)) {
     ++link.stats.reordered;
     // Held back: stays in the in-flight census (released without
     // re-counting), overtaken by up to reorder_window later sends.
     ++src.in_flight;
-    ++in_flight_cells(src, ch.stream)[type_bucket(msg.type)];
+    ++queues_[static_cast<std::size_t>(from)]
+          .in_flight_by_type[type_bucket(msg.type)];
     const std::uint64_t id = link.next_hold_id++;
     const int release_after = 1 + static_cast<int>(ch.rng.next_below(
         static_cast<std::uint64_t>(cfg.reorder_window)));
     link.held.push_back(ChaosModel::Held{msg, release_after, id});
     // Guaranteed release on a quiet channel: a flush event on the source
-    // lane's own queue (safe to push mid-window). Stale flushes after a
+    // node's own queue (safe to push mid-window). Stale flushes after a
     // channel clear find an empty hold buffer (ids never reset).
     Event flush;
     flush.at = src.now + cfg.reorder_flush_delay;
@@ -422,16 +449,16 @@ void Engine::chaos_send(Lane& src, int channel_index, const Message& msg) {
     flush.kind = EventKind::kChaosFlush;
     flush.target = channel_index;
     flush.payload = id;
-    push_event(src, ch.stream, flush);
+    push_event(from, flush);
   } else {
-    enqueue_delivery(src, channel_index, msg, cfg.jitter, true);
+    enqueue_delivery(src, from, channel_index, msg, cfg.jitter, true);
   }
 
-  chaos_release(src, channel_index, mature_below, /*flush=*/false);
+  chaos_release(src, from, channel_index, mature_below, /*flush=*/false);
 }
 
-void Engine::chaos_release(Lane& src, int channel_index, std::uint64_t bound,
-                           bool flush) {
+void Engine::chaos_release(Lane& src, std::int32_t from, int channel_index,
+                           std::uint64_t bound, bool flush) {
   ChaosModel::Link& link = chaos_->link(channel_index);
   if (link.held.empty()) return;
   // One in-place pass: a due hold is released where it stands (in hold
@@ -443,7 +470,7 @@ void Engine::chaos_release(Lane& src, int channel_index, std::uint64_t bound,
     ChaosModel::Held& held = link.held[i];
     if (flush ? held.id <= bound
               : held.id < bound && --held.release_after <= 0) {
-      enqueue_delivery(src, channel_index, held.msg, 0, false);
+      enqueue_delivery(src, from, channel_index, held.msg, 0, false);
     } else {
       if (out != i) link.held[out] = std::move(held);
       ++out;
@@ -454,16 +481,12 @@ void Engine::chaos_release(Lane& src, int channel_index, std::uint64_t bound,
 
 void Engine::send_from(NodeId from, int channel, const Message& msg) {
   int index = channel_index_of(from, channel);
-  Lane& src = lanes_[static_cast<std::size_t>(lane_of(from))];
-  schedule_delivery(src, index, msg);
+  const std::int32_t queue = node_queue_[static_cast<std::size_t>(from)];
+  Queue& source = queues_[static_cast<std::size_t>(queue)];
+  Lane& src = lanes_[static_cast<std::size_t>(source.lane)];
+  schedule_delivery(src, queue, index, msg);
   ++src.messages_sent;
-  if (streams_explicit_) {
-    ++streams_[static_cast<std::size_t>(
-                   channels_[static_cast<std::size_t>(index)].stream)]
-          .sent_by_type[type_bucket(msg.type)];
-  } else {
-    ++src.sent_by_type[type_bucket(msg.type)];
-  }
+  ++source.sent_by_type[type_bucket(msg.type)];
   if (!observers_.empty()) notify_send(from, channel, msg);
 }
 
@@ -497,7 +520,7 @@ void Engine::set_timer_for(NodeId node, int timer_id, SimTime delay) {
   event.target = node;
   event.timer_id = static_cast<std::uint8_t>(timer_id);
   event.payload = generation;
-  push_event(lane, node_stream_[static_cast<std::size_t>(node)], event);
+  push_event(node_queue_[static_cast<std::size_t>(node)], event);
 }
 
 void Engine::cancel_timer_for(NodeId node, int timer_id) {
@@ -510,21 +533,26 @@ void Engine::cancel_timer_for(NodeId node, int timer_id) {
 
 void Engine::schedule(SimTime delay, std::function<void()> fn) {
   // Inside an event handler the executing stream and lane are ambient
-  // (run_event maintains them). Outside tenant-scoped events the callback
-  // is global: it keeps the ambient stream's seq slot, so it sequences
-  // exactly as before, but spans that contain it run merged-serial.
-  schedule_callback(detail::t_current_stream, detail::t_current_lane, delay,
-                    std::move(fn),
+  // (the run loops maintain them); the callback joins the executing
+  // node's queue. Outside tenant-scoped events the callback is global: it
+  // keeps the ambient stream's seq slot, so it sequences exactly as
+  // before, but spans that contain it run merged-serial.
+  schedule_callback(detail::t_current_stream,
+                    streams_explicit_ ? detail::t_current_stream
+                                      : detail::t_current_lane,
+                    now() + delay, std::move(fn),
                     streams_explicit_ && detail::t_scoped_stream < 0);
 }
 
 void Engine::schedule_in_stream(int stream, SimTime delay,
                                 std::function<void()> fn) {
-  schedule_callback(stream, stream_at(stream).home_lane, delay,
+  const Queue& queue = stream_queue(stream);
+  schedule_callback(stream, stream,
+                    lanes_[static_cast<std::size_t>(queue.lane)].now + delay,
                     std::move(fn), false);
 }
 
-void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
+void Engine::schedule_callback(int stream, std::int32_t queue, SimTime at,
                                std::function<void()> fn, bool global) {
   // Callback seq counters and the slab are shared across lanes; the
   // parallel engine stops opening windows once any callback exists, so
@@ -545,19 +573,17 @@ void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
   event.kind = global ? EventKind::kGlobalCallback : EventKind::kCallback;
   event.target = stream;
   event.payload = slot;
-  push_callback_event(stream, lane_index, delay, event);
+  push_callback_event(stream, queue, at, event);
   if (global) ++pending_global_callbacks_;
 }
 
-void Engine::push_callback_event(int stream, int lane_index, SimTime delay,
+void Engine::push_callback_event(int stream, std::int32_t queue, SimTime at,
                                  Event& event) {
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
-  event.at = lane.now + delay;
-  event.seq = next_seq(streams_[static_cast<std::size_t>(stream)]
-                           .next_callback_seq,
+  event.at = at;
+  event.seq = next_seq(callback_seqs_[static_cast<std::size_t>(stream)],
                        channels_.size() + processes_.size() +
                            static_cast<std::size_t>(stream));
-  push_event(lane, stream, event);
+  push_event(queue, event);
   ++pending_callbacks_;
   ++callbacks_scheduled_;
 }
@@ -594,15 +620,19 @@ void Engine::schedule_action(int handler, NodeId node, std::uint8_t action,
                  action_slots_[static_cast<std::size_t>(handler)].handler !=
                      nullptr,
              "action for an unregistered handler ", handler);
-  KLEX_CHECK(node >= 0, "bad action node ", node);
+  KLEX_CHECK(node >= 0 && node < process_count(), "bad action node ", node);
+  // The action joins its stream's queue (lane 0's on a plain engine).
   const int stream = stream_of(node);
+  const Queue& queue = stream_queue(stream);
   Event event;
   event.kind = EventKind::kAction;
   event.target = node;
   event.handler = static_cast<std::uint8_t>(handler);
   event.action = action;
   event.payload = epoch;
-  push_callback_event(stream, stream_at(stream).home_lane, delay, event);
+  push_callback_event(stream, stream,
+                      lanes_[static_cast<std::size_t>(queue.lane)].now + delay,
+                      event);
   ++action_slots_[static_cast<std::size_t>(handler)].pending;
 }
 
@@ -621,14 +651,13 @@ void Engine::push_stream_event(std::int32_t stream, const Event& event) {
   KLEX_CHECK(scoped < 0 || scoped == stream, "an event of stream ", scoped,
              " scheduled into stream ", stream,
              " (tenant-scoped events stay in their own stream)");
-  EventQueue& queue = stream_queues_[static_cast<std::size_t>(stream)];
-  queue.push(event);
+  Queue& queue = queues_[static_cast<std::size_t>(stream)];
+  queue.events.push(event);
   // The executing stream is re-keyed by its executor after the event (or
-  // its whole tenant-major run); any other push moves that head now.
+  // its whole run); any other push moves that head now.
   if (stream != scoped) {
-    lanes_[static_cast<std::size_t>(
-               streams_[static_cast<std::size_t>(stream)].home_lane)]
-        .heads.update(stream, queue);
+    lanes_[static_cast<std::size_t>(queue.lane)].heads.update(stream,
+                                                              queue.events);
   }
 }
 
@@ -638,8 +667,8 @@ void Engine::inject_message(NodeId from, int from_channel,
   // protocol send: the message "was already in the channel" (arbitrary
   // initial content). It still obeys FIFO and delay bounds.
   int index = channel_index_of(from, from_channel);
-  schedule_delivery(lanes_[static_cast<std::size_t>(lane_of(from))], index,
-                    msg);
+  schedule_delivery(lanes_[static_cast<std::size_t>(lane_of(from))],
+                    node_queue_[static_cast<std::size_t>(from)], index, msg);
 }
 
 void Engine::clear_channels() {
@@ -658,13 +687,8 @@ void Engine::clear_channels() {
   // All channels are now empty: the per-lane in-flight and per-type
   // census counters reset as writes instead of a decrement per dropped
   // message (their cross-lane sums are the tracked quantity).
-  for (Lane& lane : lanes_) {
-    lane.in_flight = 0;
-    lane.in_flight_by_type.fill(0);
-  }
-  for (Stream& stream : streams_) {
-    stream.in_flight_by_type.fill(0);
-  }
+  for (Lane& lane : lanes_) lane.in_flight = 0;
+  for (Queue& queue : queues_) queue.in_flight_by_type.fill(0);
   // Held-back messages die with the channel content (their counters were
   // zeroed above; pending flush events find empty hold buffers).
   if (chaos_) chaos_->drop_all_holds();
@@ -673,19 +697,19 @@ void Engine::clear_channels() {
 void Engine::clear_channel_range(int begin, int end) {
   KLEX_REQUIRE(streams_explicit_,
                "clear_channel_range needs explicit streams (per-tenant "
-               "counter decrements route through the channel's stream)");
+               "counter decrements route through the channel's stream queue)");
   KLEX_REQUIRE(begin >= 0 && begin <= end && end <= channel_count(),
                "bad channel range [", begin, ", ", end, ")");
   for (int i = begin; i < end; ++i) {
     const std::size_t c = static_cast<std::size_t>(i);
     Channel& ch = channels_[c];
-    Stream& stream = streams_[static_cast<std::size_t>(ch.stream)];
+    Queue& queue = queues_[static_cast<std::size_t>(ch.queue)];
     Lane& src =
         lanes_[static_cast<std::size_t>(lane_of(channel_info_[c].from))];
     // Per-message decrements instead of clear_channels' reset-to-zero:
     // other tenants' in-flight counts must survive untouched.
     rings_[c].for_each([&](const Message& msg) {
-      --stream.in_flight_by_type[type_bucket(msg.type)];
+      --queue.in_flight_by_type[type_bucket(msg.type)];
       --src.in_flight;
     });
     // Storm-grown rings are freed: kept, they held a fleet's rings at
@@ -695,7 +719,7 @@ void Engine::clear_channel_range(int begin, int end) {
     if (chaos_) {
       ChaosModel::Link& link = chaos_->link(i);
       for (const ChaosModel::Held& held : link.held) {
-        --stream.in_flight_by_type[type_bucket(held.msg.type)];
+        --queue.in_flight_by_type[type_bucket(held.msg.type)];
         --src.in_flight;
       }
       link.held.clear();
@@ -715,43 +739,18 @@ SimTime Engine::now() const {
 }
 
 SimTime Engine::next_event_time() const {
-  if (streams_explicit_) {
-    SimTime best = kTimeInfinity;
-    for (const Lane& lane : lanes_) {
-      if (!lane.heads.empty()) best = std::min(best, lane.heads.top().at);
+  // Lane queues are keyed only by the merged loop (see the file comment),
+  // so a plain engine reads them directly; top_time gathers nothing.
+  if (!streams_explicit_) {
+    SimTime best = queues_[0].events.top_time();
+    for (std::size_t q = 1; q < queues_.size(); ++q) {
+      best = std::min(best, queues_[q].events.top_time());
     }
     return best;
   }
-  if (lanes_.size() == 1) return lanes_[0].queue.top_time();
   SimTime best = kTimeInfinity;
-  for (const Lane& lane : lanes_) {
-    best = std::min(best, lane.queue.top_time());
-  }
+  for (const Lane& lane : lanes_) best = std::min(best, lane.heads.top_time());
   return best;
-}
-
-std::uint64_t Engine::messages_sent() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.messages_sent;
-  return total;
-}
-
-std::uint64_t Engine::messages_delivered() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.messages_delivered;
-  return total;
-}
-
-std::uint64_t Engine::events_executed() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.events_executed;
-  return total;
-}
-
-std::uint64_t Engine::in_flight_messages() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.in_flight;
-  return total;
 }
 
 EngineStats& EngineStats::operator+=(const EngineStats& other) {
@@ -767,39 +766,25 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
   chaos_duplicated += other.chaos_duplicated;
   chaos_reordered += other.chaos_reordered;
   chaos_jittered += other.chaos_jittered;
-  scheduler.bucket_inserts += other.scheduler.bucket_inserts;
-  scheduler.bucket_scans += other.scheduler.bucket_scans;
-  scheduler.overflow_pushes += other.scheduler.overflow_pushes;
-  scheduler.overflow_pops += other.scheduler.overflow_pops;
-  scheduler.bucket_sorts += other.scheduler.bucket_sorts;
-  scheduler.sorted_events += other.scheduler.sorted_events;
+  scheduler += other.scheduler;
   return *this;
 }
 
 EngineStats Engine::stats() const {
   EngineStats stats;
-  auto add_queue = [&stats](const EventQueue& queue) {
-    stats.max_heap_size += static_cast<std::uint64_t>(queue.max_size());
-    const SchedulerCounters& c = queue.counters();
-    stats.scheduler.bucket_inserts += c.bucket_inserts;
-    stats.scheduler.bucket_scans += c.bucket_scans;
-    stats.scheduler.overflow_pushes += c.overflow_pushes;
-    stats.scheduler.overflow_pops += c.overflow_pops;
-    stats.scheduler.bucket_sorts += c.bucket_sorts;
-    stats.scheduler.sorted_events += c.sorted_events;
-  };
-  for (const Lane& lane : lanes_) {
-    stats.events_executed += lane.events_executed;
-    stats.messages_sent += lane.messages_sent;
-    stats.messages_delivered += lane.messages_delivered;
-    add_queue(lane.queue);
+  stats.events_executed = events_executed();
+  stats.messages_sent = messages_sent();
+  stats.messages_delivered = messages_delivered();
+  for (const Queue& queue : queues_) {
+    stats.max_heap_size += static_cast<std::uint64_t>(queue.events.max_size());
+    stats.scheduler += queue.events.counters();
   }
-  for (const EventQueue& queue : stream_queues_) add_queue(queue);
   stats.callbacks_scheduled = callbacks_scheduled_;
   stats.callback_slots_created = callback_slots_created_;
   stats.in_flight_walks = in_flight_walks_;
-  stats.bucket_window =
-      static_cast<std::uint64_t>(lanes_[0].queue.bucket_window());
+  stats.bucket_window = std::max<std::uint64_t>(
+      EventQueue::kBucketCount, std::uint64_t{1}
+                                    << ring_log2_for(delays_.max_delay));
   if (chaos_) {
     ChaosStats chaos = chaos_->totals();
     stats.chaos_dropped = chaos.dropped;
@@ -810,7 +795,7 @@ EngineStats Engine::stats() const {
   return stats;
 }
 
-void Engine::dispatch(Lane& lane, const Event& event) {
+void Engine::dispatch(Lane& lane, std::int32_t queue, const Event& event) {
   switch (event.kind) {
     case EventKind::kDelivery: {
       const std::size_t c = static_cast<std::size_t>(event.target);
@@ -826,15 +811,10 @@ void Engine::dispatch(Lane& lane, const Event& event) {
       // (delivery times per channel are monotone, ties keep send order).
       Message msg = ring.front();
       ring.pop_front();
-      if (streams_explicit_) {
-        // The stream cell is exact (same cell as the increment); it is
-        // also same-thread, because streams nest inside lanes and
-        // channels never cross streams.
-        --streams_[static_cast<std::size_t>(ch.stream)]
-              .in_flight_by_type[type_bucket(msg.type)];
-      } else {
-        --lane.in_flight_by_type[type_bucket(msg.type)];
-      }
+      // The executing queue's cell: with explicit streams it is the one
+      // the send counted into (channels never cross streams).
+      --queues_[static_cast<std::size_t>(queue)]
+            .in_flight_by_type[type_bucket(msg.type)];
       --lane.in_flight;
       ++lane.messages_delivered;
       NodeId to = ch.to;
@@ -870,9 +850,10 @@ void Engine::dispatch(Lane& lane, const Event& event) {
       return;
     }
     case EventKind::kChaosFlush: {
-      // Runs on the channel's source lane (the queue the hold pushed
-      // it to), so the hold buffer stays single-writer.
-      chaos_release(lane, event.target, event.payload, /*flush=*/true);
+      // Runs in the channel's source queue (the one the hold pushed it
+      // to), so the hold buffer stays single-writer.
+      chaos_release(lane, queue, event.target, event.payload,
+                    /*flush=*/true);
       return;
     }
     case EventKind::kAction:
@@ -881,130 +862,63 @@ void Engine::dispatch(Lane& lane, const Event& event) {
   }
 }
 
-int Engine::stream_of_event(const Event& event) const {
-  // The executing stream is the owner of the event's sequencing slot.
-  switch (event.kind) {
-    case EventKind::kTimer:
-      return node_stream_[static_cast<std::size_t>(event.target)];
-    case EventKind::kAction:
-      return stream_of(event.target);
-    case EventKind::kCallback:
-    case EventKind::kGlobalCallback:
-      return event.target;
-    default:
-      return channels_[static_cast<std::size_t>(event.target)].stream;
-  }
-}
-
-int Engine::run_event(Lane& lane, int lane_index, const Event& event) {
-  const int stream = stream_of_event(event);
-  ++lane.events_executed;
-  // Explicit streams nest in lanes, so this cell is single-writer; the
-  // plain engine's one stream reads the lane totals instead.
-  int scoped = -1;
-  if (streams_explicit_) {
-    ++streams_[static_cast<std::size_t>(stream)].events_executed;
-    if (event.kind != EventKind::kGlobalCallback) scoped = stream;
-  }
-  detail::DispatchContext context(stream, scoped, lane_index);
-  detail::t_current_event_seq = event.seq;
-  dispatch(lane, event);
-  return stream;
-}
-
-void Engine::run_stream_event(Lane& lane, int stream, const Event& event) {
-  ++lane.events_executed;
-  ++streams_[static_cast<std::size_t>(stream)].events_executed;
-  detail::t_current_event_seq = event.seq;
-  dispatch(lane, event);
-}
-
-void Engine::execute(Lane& lane, int lane_index, const Event& event) {
-  KLEX_CHECK(event.at >= lane.now, "event queue went backwards");
-  if (event.at != lanes_[0].now) {
-    // Time advanced: slide every lane clock and calendar window (the
-    // merged-serial loop keeps all lanes in lockstep) before the handler
-    // can schedule anything at the new time.
-    for (Lane& l : lanes_) {
-      l.now = event.at;
-      l.queue.advance_to(event.at);
-    }
-  }
+bool Engine::execute_next(SimTime t) {
   if (lanes_.size() == 1 && !streams_explicit_) {
-    // The serial plain engine needs no thread-local context: lane and
-    // stream are 0, and observers read the event seq only while they
-    // buffer inside a window. This loop is the hot path of every P = 1
-    // run, so it skips the six thread-local writes.
-    ++lane.events_executed;
-    dispatch(lane, event);
-    return;
-  }
-  last_stream_ = run_event(lane, lane_index, event);
-}
-
-bool Engine::pop_next(SimTime t, Event* out, int* lane_out) {
-  if (lanes_.size() == 1) {
-    if (!lanes_[0].queue.pop_min_until(t, out)) return false;
-    *lane_out = 0;
+    // One lane holding one queue: the step is that queue's pop, run in
+    // the thread's idle context (lane 0, stream 0, unscoped), so it sets
+    // no context. Every stabilization step of a one-lane plain engine
+    // comes here; the general step below cost klexbench's recovery time
+    // 3-5 %.
+    Lane& lane = lanes_[0];
+    Queue& queue = queues_[0];
+    Event event;
+    if (!queue.events.pop_min_until(t, &event)) return false;
+    lane.now = event.at;
+    queue.events.advance_to(event.at);
+    ++queue.events_executed;
+    dispatch(lane, 0, event);
     return true;
   }
-  // Merged-serial order: the global (at, seq) minimum across lanes. The
-  // per-entity slots make the key unique, so this order is identical
-  // whatever queue an event sits in -- and identical to the windowed
-  // execution.
-  int best = -1;
-  Event best_event;
-  for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
-    EventQueue& queue = lanes_[static_cast<std::size_t>(i)].queue;
-    if (queue.empty()) continue;
-    const Event& candidate = queue.top();
-    if (best < 0 || candidate.before(best_event)) {
-      best = i;
-      best_event = candidate;
+  // The lane holding the global (at, seq) minimum: the earliest head of
+  // the earliest lane. The per-entity slots make the key unique, so this
+  // order is the same whatever queue an event sits in -- and the same as
+  // the windowed execution.
+  std::size_t best = lanes_.size();
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    StreamHeads& heads = lanes_[i].heads;
+    // Lane queues are keyed here, once per merged step (see the file
+    // comment).
+    if (!streams_explicit_) {
+      heads.update(static_cast<std::int32_t>(i), queues_[i].events);
     }
-  }
-  if (best < 0 || best_event.at > t) return false;
-  lanes_[static_cast<std::size_t>(best)].queue.pop();
-  *out = best_event;
-  *lane_out = best;
-  return true;
-}
-
-bool Engine::execute_next(SimTime t) {
-  if (streams_explicit_) return execute_next_stream(t);
-  Event event;
-  int lane;
-  if (!pop_next(t, &event, &lane)) return false;
-  execute(lanes_[static_cast<std::size_t>(lane)], lane, event);
-  return true;
-}
-
-bool Engine::execute_next_stream(SimTime t) {
-  // Merged-serial order over the per-stream queues: the earliest head of
-  // the earliest lane.
-  int best = -1;
-  for (int i = 0; i < lane_count(); ++i) {
-    const StreamHeads& heads = lanes_[static_cast<std::size_t>(i)].heads;
-    if (heads.empty()) continue;
-    if (best < 0 ||
-        heads.top().before(lanes_[static_cast<std::size_t>(best)].heads.top())) {
+    if (!heads.empty() && (best == lanes_.size() ||
+                           heads.top().before(lanes_[best].heads.top()))) {
       best = i;
     }
   }
-  if (best < 0) return false;
-  Lane& lane = lanes_[static_cast<std::size_t>(best)];
-  if (lane.heads.top().at > t) return false;
-  const std::int32_t stream = lane.heads.top().stream;
-  EventQueue& queue = stream_queues_[static_cast<std::size_t>(stream)];
+  if (best == lanes_.size()) return false;
+  Lane& lane = lanes_[best];
+  // The lane's earliest queue: its own on a plain engine.
+  const std::int32_t queue = streams_explicit_
+                                 ? lane.heads.top().stream
+                                 : static_cast<std::int32_t>(best);
+  EventQueue& events = queues_[static_cast<std::size_t>(queue)].events;
   Event event;
-  const bool popped = queue.pop_min_until(t, &event);
-  KLEX_CHECK(popped, "stream ", stream, " head out of date");
+  if (!events.pop_min_until(t, &event)) return false;
   KLEX_CHECK(event.at >= lane.now, "event queue went backwards");
   // The merged loop keeps every lane clock in lockstep.
-  for (Lane& l : lanes_) l.now = event.at;
-  queue.advance_to(event.at);
-  last_stream_ = run_event(lane, best, event);
-  lane.heads.update(stream, queue);
+  for (std::size_t i = 0; i < lanes_.size(); ++i) set_lane_clock(i, event.at);
+  events.advance_to(event.at);
+  const int stream = streams_explicit_ ? queue : 0;
+  const bool scoped =
+      streams_explicit_ && event.kind != EventKind::kGlobalCallback;
+  {
+    detail::DispatchContext context(stream, scoped ? stream : -1,
+                                    static_cast<int>(best));
+    run_queued(lane, queue, event);
+  }
+  last_stream_ = stream;
+  if (streams_explicit_) lane.heads.update(queue, events);
   return true;
 }
 
@@ -1015,20 +929,11 @@ bool Engine::step() {
 
 void Engine::run_until(SimTime t) {
   start();
-  if (streams_explicit_) {
-    if (tenant_major()) {
-      run_streams_until(t, [](int, const Event&) {});
-    } else {
-      while (execute_next_stream(t)) {
-      }
+  if (runs_spans()) {
+    run_streams_until(t, [](int, const Event&) {});
+  } else {
+    while (execute_next(t)) {
     }
-    sync_lanes_to(t);
-    return;
-  }
-  Event event;
-  int lane;
-  while (pop_next(t, &event, &lane)) {
-    execute(lanes_[static_cast<std::size_t>(lane)], lane, event);
   }
   sync_lanes_to(t);
 }
@@ -1065,30 +970,17 @@ bool Engine::run_until_message_quiescence(std::uint64_t max_events) {
 void Engine::begin_window(SimTime start) {
   KLEX_CHECK(!in_window_, "nested parallel window");
   in_window_ = true;
-  for (Lane& lane : lanes_) {
-    KLEX_CHECK(lane.now <= start, "window opens behind a lane clock");
-    lane.now = start;
-    lane.queue.advance_to(start);
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    KLEX_CHECK(lanes_[i].now <= start, "window opens behind a lane clock");
+    set_lane_clock(i, start);
   }
 }
 
 void Engine::run_lane_window(int lane_index, SimTime t) {
-  if (streams_explicit_) {
-    auto no_hook = [](int, const Event&) {};
-    run_lane_streams(lane_index, t, no_hook);
-    return;
-  }
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
-  Event event;
-  while (lane.queue.pop_min_until(t, &event)) {
-    if (event.at != lane.now) {
-      lane.now = event.at;
-      lane.queue.advance_to(event.at);
-    }
-    // last_stream_ is deliberately not updated here -- it serves the
-    // merged-serial stabilization loop only.
-    run_event(lane, lane_index, event);
-  }
+  // last_stream_ is deliberately not updated here -- it serves the
+  // merged-serial stabilization loop only.
+  auto no_hook = [](int, const Event&) {};
+  run_lane_streams(lane_index, t, no_hook);
 }
 
 void Engine::end_window() {
@@ -1101,8 +993,7 @@ void Engine::end_window() {
     for (const Outbound& out : src.outbox) {
       const std::size_t c = static_cast<std::size_t>(out.channel);
       rings_[c].push_back(out.msg);
-      push_event(lanes_[static_cast<std::size_t>(lane_of(channels_[c].to))],
-                 channels_[c].stream, out.event);
+      push_event(channels_[c].queue, out.event);
     }
     src.outbox.clear();
   }
@@ -1115,11 +1006,8 @@ void Engine::end_window() {
 }
 
 void Engine::sync_lanes_to(SimTime t) {
-  for (Lane& lane : lanes_) {
-    if (lane.now < t) {
-      lane.now = t;
-      lane.queue.advance_to(t);
-    }
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].now < t) set_lane_clock(i, t);
   }
 }
 

@@ -17,11 +17,10 @@
 //     channel with up to CMAX arbitrary messages (see inject_garbage()).
 //
 // Lanes. The engine is organized as `lane_count()` partitions ("lanes"),
-// each owning an EventQueue, a clock and per-type census counters. The
-// default engine has exactly one lane and runs the classic serial loop;
-// configure_lanes() splits the node set across lanes (sim::ParallelEngine
-// then executes conservative min_delay-wide time windows with one worker
-// thread per lane).
+// each owning a clock, message counters and the heads of its queues. The
+// default engine has exactly one lane; configure_lanes() splits the node
+// set across lanes (sim::ParallelEngine then executes conservative
+// min_delay-wide time windows with one worker thread per lane).
 //
 // Sequencing. Events are ordered by (at, seq), and every delay draw and
 // seq comes from per-entity state that knows nothing of lanes:
@@ -46,30 +45,42 @@
 // must nest inside lanes (every node of a stream on one lane, channels
 // never crossing streams), which keeps their census cells single-writer.
 //
-// Per-stream queues and tenant-major order. A plain engine keeps one
-// EventQueue per lane. An engine with explicit streams keeps one per
-// stream instead (lane queues stay empty), plus per lane a StreamHeads
-// heap of its streams keyed by their earliest pending (at, seq). Because
-// streams are causally closed, run_until(t) -- and a parallel lane's
-// window -- runs them tenant-major: the lane collects the streams whose
-// head is at or before t (a pruned walk of the heads heap, O(due)) and
-// runs them in ascending stream index, each executing all its events
-// through t in (at, seq) order on its own queue and state. Per-stream
-// state (queues, channel records, processes, clients) is allocated in
-// stream order, so ascending visits walk memory forward and the hardware
-// prefetcher hides part of each visit's cold misses; earliest-head order
-// was a random walk over it. No stream can become due during the span
-// (a push into another stream fails the check below), so the collected
-// set is exact. Every stream sees exactly the events, times and draws of
-// the merged order; only the interleaving of different streams differs.
-// These paths keep the merged-serial (at, seq) order, read off the heads
-// heaps:
-//   * step(), run_events() and run_until_message_quiescence();
-//   * any run_until span while an observer is attached (observers see
-//     every stream's events in one global order; inside a parallel
-//     window a window-safe observer buffers per lane and merges by
-//     (at, seq) at the barrier, so windows stay tenant-major);
-//   * any run_until span while a global callback is pending.
+// Queues. Every engine is a set of EventQueues, and every pending event
+// sits in the queue of its node or stream: a plain engine has one queue
+// per lane (one in all at P = 1), an engine with explicit streams one
+// per stream. A queue's record also holds the per-type census cells and
+// the events counter of what it runs. Each lane orders its queues by
+// their earliest pending (at, seq) in a StreamHeads heap. Stream queues
+// are re-keyed as they change; a lane's own queue on a plain engine is
+// keyed only when the merged loop compares lanes, because keying gathers
+// its next tick, and gathering it earlier than the pop that needs it
+// would move the tick-sort counters of every plain trajectory.
+//
+// Two loops run events.
+//   * The merged loop (step) executes the global (at, seq) minimum across
+//     the lanes' heads (on a one-lane plain engine, its one queue's
+//     minimum, popped directly). It serves step(), run_events(),
+//     run_until_message_quiescence(), and run_until wherever spans are
+//     not closed: with an observer or a pending global callback on an
+//     engine with explicit streams (observers see every stream's events
+//     in one global order), and on a plain engine with several lanes.
+//   * The span loop runs each lane's queues one after another, each
+//     through t in (at, seq) order on its own state. It serves
+//     run_until, run_streams_until and every lane of a parallel window
+//     wherever a lane's queues are causally closed: a plain engine on
+//     one lane (its only queue), each lane of a window, and a fleet with
+//     no observer and no pending global callback. A fleet lane collects
+//     the streams whose head is at or before t (a pruned walk of its
+//     heads, O(due)) and runs them in ascending stream index:
+//     per-stream state (queues, channel records, processes, clients) is
+//     allocated in stream order, so ascending visits walk memory forward
+//     and the hardware prefetcher hides part of each visit's cold misses.
+//     No stream can become due during the span (a push into another
+//     stream fails the check below), so the collected set is exact.
+//     Every stream sees exactly the events, times and draws of the merged
+//     order; only the interleaving of different streams differs.
+// Inside a parallel window a window-safe observer buffers per lane and
+// merges by (at, seq) at the barrier, so windows stay spans.
 //
 // Typed client actions versus callbacks. The closed-loop client path --
 // a WorkloadDriver's think-end and CS-end, a Client's acquire deadline --
@@ -99,8 +110,8 @@
 // into arrays indexed by c:
 //   * channels_[c] -- the 64-byte hot record, one cache line: the delay
 //     rng, the FIFO clamp (last_scheduled), the seq counter, the epoch,
-//     the stream and the destination endpoint -- all a send or a
-//     delivery reads;
+//     the destination queue and endpoint -- all a send or a delivery
+//     reads;
 //   * rings_[c] -- the 24-byte header of the in-flight FIFO;
 //   * channel_info_[c] -- the wiring (both endpoints), read only by
 //     census walks, chaos burst scoping and clear_channel_range.
@@ -121,15 +132,16 @@
 //   * channel_info_ and the lookup table are read-only once the engine
 //     has started, so every lane reads them freely;
 //   * a node's timer counter belongs to the node's lane;
-//   * a stream's queue belongs to its home lane, and so does the lane's
-//     StreamHeads heap (inside a window only the stream's own events
-//     push into it, and its lane re-keys it after the stream's run);
+//   * a queue and its record belong to its home lane, and so does the
+//     lane's StreamHeads heap (inside a window only the lane's own events
+//     push into its queues, and the lane re-keys a stream queue after the
+//     stream's run);
 //   * callbacks and actions belong to the calling thread outside
 //     windows: the parallel engine opens no window once any was
 //     scheduled, and scheduling one inside a window fails a check;
-//   * per-lane counters may individually wrap (a lane delivers messages
-//     another lane sent) but their mod-2^64 sums are exact, and they are
-//     only summed between windows;
+//   * per-lane and per-queue counters may individually wrap (a lane
+//     delivers messages another lane sent) but their mod-2^64 sums are
+//     exact, and they are only summed between windows;
 //   * channel epochs and clear_channels() are barrier-only operations.
 #pragma once
 
@@ -337,19 +349,20 @@ struct EngineStats {
   /// actions take none, so a closed loop without other callbacks
   /// reports 0.
   std::uint64_t callback_slots_created = 0;
-  /// High-water mark of the pending-event set (ring + overflow heap),
-  /// summed over the engine's queues: one per lane on a plain engine,
-  /// one per stream with explicit streams (a sum of per-queue
-  /// high-waters, which may exceed the engine-wide peak).
+  /// Pending-event high-water (ring + overflow heap) summed over the
+  /// engine's queues: one per lane on a plain engine, one per stream
+  /// with explicit streams. A sum of per-queue high-waters may exceed
+  /// the engine-wide peak.
   std::uint64_t max_heap_size = 0;
   /// Full in-flight walks (for_each_in_flight calls). The incremental
   /// census keeps this at zero during run_until_stabilized; the counter is
   /// in the BENCH_*.json trajectory so O(channels) polling cannot silently
   /// creep back into a hot loop.
   std::uint64_t in_flight_walks = 0;
-  /// Calendar ring window chosen at boot (satellite of the scheduler
-  /// auto-tune): 1024 unless the delay model outranged the default
-  /// window.
+  /// Ring window of a lane queue, in ticks: 1024 unless the delay model
+  /// outranges it, then grown by the boot sizing rule (the smallest power
+  /// of two above max_delay, at most 4096). Stream queues start smaller
+  /// (8 ticks per node) and grow by the same rule.
   std::uint64_t bucket_window = 0;
   /// Chaos decision counters (zero unless a ChaosModel is attached);
   /// deterministic per (seed, config), so they ride in the BENCH_*.json
@@ -376,8 +389,7 @@ struct EngineStats {
 class Engine {
  public:
   explicit Engine(DelayModel delays = {},
-                  std::uint64_t seed = support::Rng::kDefaultSeed,
-                  SchedulerKind scheduler = SchedulerKind::kCalendar);
+                  std::uint64_t seed = support::Rng::kDefaultSeed);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -407,10 +419,11 @@ class Engine {
 
   int lane_count() const { return static_cast<int>(lanes_.size()); }
 
-  /// Lane of `node` (0 for unconfigured engines).
+  /// Lane of `node` (0 for unconfigured engines): its queue's lane.
   int lane_of(NodeId node) const {
-    return node_lane_.empty() ? 0
-                              : node_lane_[static_cast<std::size_t>(node)];
+    return queues_[static_cast<std::size_t>(
+                       node_queue_[static_cast<std::size_t>(node)])]
+        .lane;
   }
 
   /// Lane executing on the calling thread: the worker's lane inside a
@@ -438,13 +451,13 @@ class Engine {
                          const std::vector<std::uint64_t>& stream_seeds);
 
   /// Number of streams (1 unless configure_streams ran).
-  int stream_count() const { return static_cast<int>(streams_.size()); }
+  int stream_count() const { return static_cast<int>(callback_seqs_.size()); }
 
   bool has_explicit_streams() const { return streams_explicit_; }
 
   /// Stream of `node` (0 on engines without explicit streams).
   int stream_of(NodeId node) const {
-    return streams_explicit_ ? node_stream_[static_cast<std::size_t>(node)]
+    return streams_explicit_ ? node_queue_[static_cast<std::size_t>(node)]
                              : 0;
   }
 
@@ -459,18 +472,20 @@ class Engine {
   /// last event could have perturbed instead of scanning all R tenants.
   int last_stream() const { return last_stream_; }
 
-  /// True when run_until executes tenant-major (see the file comment):
-  /// explicit streams, no observer attached, no global callback pending.
-  bool tenant_major() const {
-    return streams_explicit_ && observers_.empty() &&
-           pending_global_callbacks_ == 0;
+  /// True when run_until runs the span loop (see the file comment): a
+  /// plain engine on one lane, or explicit streams with no observer
+  /// attached and no global callback pending (tenant-major).
+  bool runs_spans() const {
+    return streams_explicit_
+               ? observers_.empty() && pending_global_callbacks_ == 0
+               : lanes_.size() == 1;
   }
 
-  /// The tenant-major span of run_until(t) with a per-event hook:
-  /// executes every pending event with at <= t, one stream after another
-  /// (lane by lane), and calls after_event(stream, event) after each.
-  /// Leaves every lane clock at the latest time executed (where the
-  /// merged loop would leave it), not at t. Requires tenant_major().
+  /// The span of run_until(t) with a per-event hook: executes every
+  /// pending event with at <= t, one queue after another (lane by lane),
+  /// and calls after_event(stream, event) after each. Leaves every lane
+  /// clock at the latest time executed (where the merged loop would
+  /// leave it), not at t. Requires runs_spans().
   template <typename AfterEvent>
   void run_streams_until(SimTime t, AfterEvent&& after_event);
 
@@ -508,16 +523,27 @@ class Engine {
   /// the parallel engine.
   SimTime next_event_time() const;
 
-  /// Which scheduler this engine runs on (kCalendar unless the caller
-  /// opted into the binary-heap reference for differential testing).
-  SchedulerKind scheduler() const { return scheduler_kind_; }
+  /// Test oracle: swaps every queue for a heap-only one (and builds the
+  /// queues of later configure_lanes / configure_streams calls that
+  /// way), so a differential test can run the same execution on the
+  /// binary heap alone. Call before start() and before any event is
+  /// scheduled.
+  void use_heap_queues();
 
-  std::uint64_t messages_sent() const;
-  std::uint64_t messages_delivered() const;
-  std::uint64_t events_executed() const;
+  std::uint64_t messages_sent() const {
+    return sum_of(lanes_, &Lane::messages_sent);
+  }
+  std::uint64_t messages_delivered() const {
+    return sum_of(lanes_, &Lane::messages_delivered);
+  }
+  std::uint64_t events_executed() const {
+    return sum_of(queues_, &Queue::events_executed);
+  }
 
   /// Number of in-flight (sent, not yet delivered) messages.
-  std::uint64_t in_flight_messages() const;
+  std::uint64_t in_flight_messages() const {
+    return sum_of(lanes_, &Lane::in_flight);
+  }
 
   /// Number of scheduled-but-unfired callbacks and typed actions.
   std::uint64_t pending_callbacks() const { return pending_callbacks_; }
@@ -543,8 +569,8 @@ class Engine {
   void begin_window(SimTime start);
 
   /// Executes every pending event of `lane` with at <= `t` (the window
-  /// end, exclusive, minus one), tenant-major on engines with explicit
-  /// streams. Thread-safe across distinct lanes while a window is open.
+  /// end, exclusive, minus one) as a span over the lane's queues.
+  /// Thread-safe across distinct lanes while a window is open.
   void run_lane_window(int lane, SimTime t);
 
   /// Closes the window: merges every lane outbox (in lane order) into
@@ -558,8 +584,6 @@ class Engine {
   /// firing concurrently from several lane threads, so a window-safe
   /// observer must buffer per lane instead of applying directly.
   bool in_window() const { return in_window_; }
-
-  bool has_observers() const { return !observers_.empty(); }
 
   /// True while any attached observer is NOT window-safe (shared mutable
   /// state): the parallel engine must fall back to merged-serial.
@@ -590,9 +614,6 @@ class Engine {
   void configure_chaos(const ChaosConfig& config);
 
   bool has_chaos() const { return chaos_ != nullptr; }
-
-  /// The steady-state chaos config (requires has_chaos()).
-  const ChaosConfig& chaos_config() const { return chaos_->steady(); }
 
   /// Starts a burst episode: `config` overrides the steady config on
   /// every link until now() + duration (replacing any active burst).
@@ -725,23 +746,19 @@ class Engine {
   std::uint64_t in_flight_of_type(std::int32_t type) const {
     std::size_t b = type_bucket(type);
     std::uint64_t total = 0;
-    if (streams_explicit_) {
-      for (const Stream& s : streams_) total += s.in_flight_by_type[b];
-    } else {
-      for (const Lane& lane : lanes_) total += lane.in_flight_by_type[b];
-    }
+    for (const Queue& queue : queues_) total += queue.in_flight_by_type[b];
     return total;
   }
 
   /// in_flight_of_type restricted to one stream. Exact per stream (not
   /// merely sum-exact): with explicit streams the increment, the delivery
-  /// decrement and the range-clear decrement all land in the channel's
-  /// stream cell, so a tenant's census reads one cell in O(1) without
+  /// decrement and the range-clear decrement all land in the stream
+  /// queue's cell, so a tenant's census reads one cell in O(1) without
   /// scanning the other tenants. On a plain engine stream 0 is the whole
   /// engine.
   std::uint64_t in_flight_of_type_in(int stream, std::int32_t type) const {
-    const Stream& s = stream_at(stream);
-    return streams_explicit_ ? s.in_flight_by_type[type_bucket(type)]
+    const Queue& queue = stream_queue(stream);
+    return streams_explicit_ ? queue.in_flight_by_type[type_bucket(type)]
                              : in_flight_of_type(type);
   }
 
@@ -756,27 +773,23 @@ class Engine {
   std::uint64_t sent_of_type(std::int32_t type) const {
     std::size_t b = type_bucket(type);
     std::uint64_t total = 0;
-    if (streams_explicit_) {
-      for (const Stream& s : streams_) total += s.sent_by_type[b];
-    } else {
-      for (const Lane& lane : lanes_) total += lane.sent_by_type[b];
-    }
+    for (const Queue& queue : queues_) total += queue.sent_by_type[b];
     return total;
   }
 
   /// sent_of_type restricted to one stream (per-tenant message-overhead
   /// accounting).
   std::uint64_t sent_of_type_in(int stream, std::int32_t type) const {
-    const Stream& s = stream_at(stream);
-    return streams_explicit_ ? s.sent_by_type[type_bucket(type)]
+    const Queue& queue = stream_queue(stream);
+    return streams_explicit_ ? queue.sent_by_type[type_bucket(type)]
                              : sent_of_type(type);
   }
 
   /// Events executed on behalf of one stream (per-tenant recovery-cost
   /// accounting).
   std::uint64_t events_executed_in(int stream) const {
-    const Stream& s = stream_at(stream);
-    return streams_explicit_ ? s.events_executed : events_executed();
+    const Queue& queue = stream_queue(stream);
+    return streams_explicit_ ? queue.events_executed : events_executed();
   }
 
   /// Per-channel in-flight count for (from, from_channel).
@@ -805,9 +818,10 @@ class Engine {
     // stale and dropped at dispatch. 32 bits suffice: a stale event would
     // have to stay pending across 2^32 clears to alias.
     std::uint32_t epoch = 0;
-    // Sequencing stream (== src stream == dst stream: channels may not
-    // cross streams).
-    std::int32_t stream = 0;
+    // Queue of the destination node, which runs the deliveries (with
+    // explicit streams also the source's: channels may not cross
+    // streams).
+    std::int32_t queue = 0;
     NodeId to = -1;
     std::int32_t to_channel = -1;
   };
@@ -822,37 +836,43 @@ class Engine {
     Message msg;
   };
 
-  /// One partition: queue (or, with explicit streams, the heads of its
-  /// streams' queues), clock, counters, outbox.
-  struct Lane {
-    explicit Lane(SchedulerKind kind) : queue(kind) {}
+  /// One pending-event queue and the counters of the events it runs
+  /// (single writer: its home lane).
+  struct Queue {
+    Queue(SchedulerKind kind, std::uint32_t log_buckets, std::int32_t lane)
+        : events(kind, log_buckets), lane(lane) {}
 
-    EventQueue queue;
+    EventQueue events;
+    std::int32_t lane = 0;
+    std::uint64_t events_executed = 0;
+    std::array<std::uint64_t, kTrackedMessageTypes> in_flight_by_type{};
+    std::array<std::uint64_t, kTrackedMessageTypes> sent_by_type{};
+  };
+
+  /// One partition: the heads of its queues, clock, counters, outbox.
+  struct Lane {
     StreamHeads heads;
     SimTime now = 0;
 
     std::uint64_t messages_sent = 0;
     std::uint64_t messages_delivered = 0;
-    std::uint64_t events_executed = 0;
     std::uint64_t in_flight = 0;  // may wrap per lane; sums are exact
-    std::array<std::uint64_t, kTrackedMessageTypes> in_flight_by_type{};
-    std::array<std::uint64_t, kTrackedMessageTypes> sent_by_type{};
 
     std::vector<Outbound> outbox;
-    // Scratch of run_lane_streams: the streams due in the current span.
+    // The queues a span runs: collected from the heads per span with
+    // explicit streams, the lane's own queue on a plain engine.
     std::vector<std::int32_t> due;
   };
 
-  /// One stream: its callback seq counter and, with explicit streams,
-  /// its per-type census cells (single writer: all of an explicit
-  /// stream's nodes live on one lane).
-  struct Stream {
-    std::uint64_t next_callback_seq = 0;
-    std::uint64_t events_executed = 0;
-    std::int32_t home_lane = 0;
-    std::array<std::uint64_t, kTrackedMessageTypes> in_flight_by_type{};
-    std::array<std::uint64_t, kTrackedMessageTypes> sent_by_type{};
-  };
+  /// Sum of one counter over lanes or queues (each addend may wrap; the
+  /// sum is exact).
+  template <typename T>
+  static std::uint64_t sum_of(const std::vector<T>& items,
+                              std::uint64_t T::*counter) {
+    std::uint64_t total = 0;
+    for (const T& item : items) total += item.*counter;
+    return total;
+  }
 
   static std::size_t type_bucket(std::int32_t type) {
     // Types outside [0, kTrackedMessageTypes) alias the junk bucket 0;
@@ -862,20 +882,18 @@ class Engine {
     return t < static_cast<std::uint32_t>(kTrackedMessageTypes) ? t : 0u;
   }
 
-  const Stream& stream_at(int stream) const {
+  /// Stream s's events sit in queue s: its own with explicit streams,
+  /// lane 0's for the one stream of a plain engine.
+  const Queue& stream_queue(int stream) const {
     KLEX_REQUIRE(stream >= 0 && stream < stream_count(), "bad stream ",
                  stream);
-    return streams_[static_cast<std::size_t>(stream)];
+    return queues_[static_cast<std::size_t>(stream)];
   }
 
   /// seq = counter * (C + N + S) + slot (see the file comment).
   std::uint64_t next_seq(std::uint64_t& counter, std::uint64_t slot) const {
     return counter++ * seq_stride_ + slot;
   }
-  /// Per-type in-flight cells a send from lane `src` in `stream` counts
-  /// into: the stream's with explicit streams, the lane's otherwise.
-  std::array<std::uint64_t, kTrackedMessageTypes>& in_flight_cells(
-      Lane& src, std::int32_t stream);
 
   int channel_index_of(NodeId from, int from_channel) const;
   /// Rebuilds the flat channel lookup from channel_info_.
@@ -883,66 +901,73 @@ class Engine {
   /// Rejects wiring changes once seqs may have been handed out (the
   /// stride and the channel rng keys would move under them).
   void require_unsequenced(const char* what) const;
+  /// Replaces the queues: queue q homed on lane `lanes[q]`, with a ring
+  /// window of 2^log_buckets[q] ticks. Resets every lane's heads and
+  /// spans, and points each channel at its destination's queue.
+  void build_queues(const std::vector<std::int32_t>& lanes,
+                    const std::vector<std::uint32_t>& log_buckets);
   void boot();  // out-of-line once-only part of start()
   void size_ring_windows();
-  void dispatch(Lane& lane, const Event& event);
-  /// Stream owning the event's sequencing slot.
-  int stream_of_event(const Event& event) const;
-  /// Runs one event on `lane` (clocks already advanced) in the event's
-  /// stream, with the thread-local context set for the handler; returns
-  /// that stream.
-  int run_event(Lane& lane, int lane_index, const Event& event);
-  /// run_event for a tenant-major run of `stream`, whose context the
-  /// caller holds (a detail::DispatchContext around the run).
-  void run_stream_event(Lane& lane, int stream, const Event& event);
-  /// Advances the clocks to `event.at` and runs it (merged-serial loop).
-  void execute(Lane& lane, int lane_index, const Event& event);
-  /// Pops the global (at, seq) minimum with at <= t across all lanes.
-  bool pop_next(SimTime t, Event* out, int* lane_out);
-  /// Merged-serial step: executes the global (at, seq) minimum if its
-  /// time is <= t; false otherwise.
+  /// Runs one event of queue `queue` on `lane` (its context set by the
+  /// caller): counts it and dispatches it.
+  void run_queued(Lane& lane, std::int32_t queue, const Event& event) {
+    ++queues_[static_cast<std::size_t>(queue)].events_executed;
+    detail::t_current_event_seq = event.seq;
+    dispatch(lane, queue, event);
+  }
+  void dispatch(Lane& lane, std::int32_t queue, const Event& event);
+  /// The merged loop's step: executes the global (at, seq) minimum if
+  /// its time is <= t; false otherwise.
   bool execute_next(SimTime t);
-  /// execute_next over the per-stream queues (explicit streams).
-  bool execute_next_stream(SimTime t);
-  /// Queues `event` in `stream`: on the lane queue of a plain engine, on
-  /// the stream's own queue (checked against the executing stream) with
-  /// explicit streams.
-  void push_event(Lane& lane, std::int32_t stream, const Event& event) {
+  /// Moves a lane clock to `t`. A plain engine's lane queue slides its
+  /// ring window with it; a stream queue slides only on its own events
+  /// (where pushes from outside it route depends on that).
+  void set_lane_clock(std::size_t lane, SimTime t) {
+    lanes_[lane].now = t;
+    if (!streams_explicit_) queues_[lane].events.advance_to(t);
+  }
+  /// Queues `event` on queue `queue`.
+  void push_event(std::int32_t queue, const Event& event) {
     if (streams_explicit_) {
-      push_stream_event(stream, event);
+      push_stream_event(queue, event);
     } else {
-      lane.queue.push(event);
+      queues_[static_cast<std::size_t>(queue)].events.push(event);
     }
   }
+  /// push_event with explicit streams: checked against the executing
+  /// stream, and the heads re-keyed unless the stream itself is running.
   void push_stream_event(std::int32_t stream, const Event& event);
-  /// Runs lane `lane_index`'s streams tenant-major through t.
+  /// Runs lane `lane_index`'s queues one after another through t.
   template <typename AfterEvent>
   void run_lane_streams(int lane_index, SimTime t, AfterEvent& after_event);
-  /// Sends on the channel from its source lane `src`: through the chaos
-  /// model if one is attached, else straight to enqueue_delivery.
-  void schedule_delivery(Lane& src, int channel_index, const Message& msg);
+  /// Sends on the channel from source lane `src` and source queue
+  /// `from`: through the chaos model if one is attached, else straight
+  /// to enqueue_delivery.
+  void schedule_delivery(Lane& src, std::int32_t from, int channel_index,
+                         const Message& msg);
   /// The one delivery body: draws the delay (plus up to `jitter` extra
   /// ticks) from the channel rng, clamps it for FIFO and queues the
   /// delivery (or parks it in the outbox mid-window). `fresh` marks a
   /// first-time send, counted into the in-flight census; releases of
   /// held messages pass false (counted at hold time, no jitter).
-  void enqueue_delivery(Lane& src, int channel_index, const Message& msg,
-                        SimTime jitter, bool fresh);
+  void enqueue_delivery(Lane& src, std::int32_t from, int channel_index,
+                        const Message& msg, SimTime jitter, bool fresh);
   // Chaos send path: decide drop/duplicate/hold/jitter from the channel
   // rng, then mature the channel's older holds (the new send is the
   // overtaking traffic).
-  void chaos_send(Lane& src, int channel_index, const Message& msg);
+  void chaos_send(Lane& src, std::int32_t from, int channel_index,
+                  const Message& msg);
   /// Releases holds in hold order: on a flush, those with id <= `bound`;
   /// otherwise those with id < `bound` whose remaining overtake count
   /// (decremented here) reaches zero.
-  void chaos_release(Lane& src, int channel_index, std::uint64_t bound,
-                     bool flush);
-  void schedule_callback(int stream, int lane_index, SimTime delay,
+  void chaos_release(Lane& src, std::int32_t from, int channel_index,
+                     std::uint64_t bound, bool flush);
+  void schedule_callback(int stream, std::int32_t queue, SimTime at,
                          std::function<void()> fn, bool global);
   /// The sequencing and counting a callback and a typed action share:
-  /// stamps `event` with now + delay and the stream's callback seq, and
-  /// queues it on the stream's lane.
-  void push_callback_event(int stream, int lane_index, SimTime delay,
+  /// stamps `event` with `at` and the stream's callback seq, and queues
+  /// it on `queue`.
+  void push_callback_event(int stream, std::int32_t queue, SimTime at,
                            Event& event);
   /// Dispatches a typed action (pending counters, then the handler).
   void run_action(const Event& event);
@@ -953,19 +978,20 @@ class Engine {
   void notify_deliver(NodeId to, int channel, const Message& msg);
 
   DelayModel delays_;
-  SchedulerKind scheduler_kind_;
+  // kBinaryHeap once use_heap_queues() ran (the test oracle).
+  SchedulerKind queue_kind_ = SchedulerKind::kCalendar;
   bool started_ = false;
   bool in_window_ = false;
 
   std::vector<Lane> lanes_;        // >= 1; lanes_[0] is the serial lane
-  std::vector<std::int32_t> node_lane_;  // empty until configure_lanes
+  // One per lane on a plain engine, one per stream with explicit streams.
+  std::vector<Queue> queues_;
+  std::vector<std::int32_t> node_queue_;  // one entry per node
 
   // Streams: one (seeded with the engine seed) until configure_streams.
   bool streams_explicit_ = false;
-  std::vector<Stream> streams_;
-  // One pending-event queue per explicit stream (empty on plain engines).
-  std::vector<EventQueue> stream_queues_;
-  std::vector<std::int32_t> node_stream_;  // one entry per node
+  // Per-stream callback seq counters (slot C + N + s).
+  std::vector<std::uint64_t> callback_seqs_;
   int last_stream_ = 0;
   // Splits the single stream's channel rngs in wiring order.
   support::Rng channel_rngs_;
@@ -1032,33 +1058,35 @@ void Engine::run_lane_streams(int lane_index, SimTime t,
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   // The streams due by t, in index order (see the file comment); the
   // set is fixed up front because no stream becomes due during the span.
-  lane.heads.collect_until(t, lane.due);
-  // The lane clock follows each stream's own events and ends at the
+  if (streams_explicit_) lane.heads.collect_until(t, lane.due);
+  // The lane clock follows each queue's own events and ends at the
   // latest time any of them reached.
   SimTime reached = lane.now;
   Event event;
-  for (const std::int32_t stream : lane.due) {
-    EventQueue& queue = stream_queues_[static_cast<std::size_t>(stream)];
-    // Tenant-major spans hold no global callback, so every event of the
-    // run is scoped to the stream.
-    detail::DispatchContext context(stream, stream, lane_index);
-    while (queue.pop_min_until(t, &event)) {
+  for (const std::int32_t queue : lane.due) {
+    EventQueue& events = queues_[static_cast<std::size_t>(queue)].events;
+    // Spans hold no global callback, so with explicit streams every
+    // event of the run is scoped to its stream.
+    const int stream = streams_explicit_ ? queue : 0;
+    detail::DispatchContext context(stream, streams_explicit_ ? queue : -1,
+                                    lane_index);
+    while (events.pop_min_until(t, &event)) {
       lane.now = event.at;
-      queue.advance_to(event.at);
-      run_stream_event(lane, stream, event);
-      after_event(static_cast<int>(stream), event);
+      events.advance_to(event.at);
+      run_queued(lane, queue, event);
+      after_event(stream, event);
     }
     reached = std::max(reached, lane.now);
     // The stream's own pushes skipped the heads (see push_stream_event):
     // re-key it once, after its run.
-    lane.heads.update(stream, queue);
+    if (streams_explicit_) lane.heads.update(queue, events);
   }
   lane.now = reached;
 }
 
 template <typename AfterEvent>
 void Engine::run_streams_until(SimTime t, AfterEvent&& after_event) {
-  KLEX_CHECK(tenant_major(), "tenant-major span on a merged-serial engine");
+  KLEX_CHECK(runs_spans(), "span on an engine that must run merged");
   start();
   SimTime reached = 0;
   for (int i = 0; i < lane_count(); ++i) {

@@ -1,8 +1,9 @@
-// The engine's pending-event set.
+// The engine's pending-event queues.
 //
-// Two schedulers implement the same total order (at, seq):
+// Every queue of the engine is an EventQueue: one kind, ordered by
+// (at, seq). It combines two structures:
 //
-//   * CalendarQueue (the default) -- a hierarchical bucket ring
+//   * the calendar ring -- a hierarchical bucket ring
 //     ("calendar") over the next kBucketCount integer ticks, with a
 //     two-level bitmap (64-bit summary word over 64 group words) locating
 //     the earliest non-empty bucket in O(1), plus the binary heap for
@@ -17,19 +18,19 @@
 //     queues route there wholesale. pop() compares the two minima by
 //     (at, seq), so the split is invisible to event order.
 //
-//   * EventHeap -- the indexed binary min-heap (the pre-calendar
-//     scheduler, O(log m) per op). Kept both as the calendar's fallback
-//     structure and as a standalone SchedulerKind so the two engines can
-//     be differentially tested against each other
-//     (tests/integration/scheduler_differential_test.cpp pins them
-//     bit-identical).
+//   * EventHeap -- the binary min-heap (the pre-calendar scheduler,
+//     O(log m) per op), the calendar's fallback structure. A queue built
+//     with SchedulerKind::kBinaryHeap routes every event to it: that is
+//     the test oracle (Engine::use_heap_queues), which
+//     tests/integration/scheduler_differential_test.cpp pins
+//     bit-identical to the calendar.
 //
-// Ordering contract (both schedulers, pinned by the differential tests):
-// events pop in strictly increasing (at, seq). The calendar preserves it
-// because (a) the earliest non-empty tick is gathered once into a drain
-// array of (seq, pool slot) keys and sorted by seq there, and later
-// pushes into that tick insert in seq order; (b) buckets are consumed
-// in tick order; and (c) the heap side is an exact min-heap on
+// Ordering contract (calendar and oracle, pinned by the differential
+// tests): events pop in strictly increasing (at, seq). The calendar
+// preserves it because (a) the earliest non-empty tick is gathered once
+// into a drain array of (seq, pool slot) keys and sorted by seq there,
+// and later pushes into that tick insert in seq order; (b) buckets are
+// consumed in tick order; and (c) the heap side is an exact min-heap on
 // (at, seq) and pop() takes whichever structure holds the smaller key.
 //
 // Memory follows the pending events: every bucket threads its events
@@ -43,11 +44,11 @@
 // and a few counters; a queue built with a small window (a small
 // tenant's) allocates proportionally small headers.
 //
-// StreamHeads orders many queues: an indexed min-heap of streams keyed
-// by each stream queue's minimum (at, seq). The engine keeps one
-// EventQueue per stream when it runs explicit streams (engine.hpp), and
-// the heads give the merged-serial order over them and, for a
-// tenant-major span, the set of streams with work before a horizon.
+// StreamHeads orders many queues: an indexed min-heap of queues keyed by
+// each one's minimum (at, seq). Each engine lane keeps one over its
+// queues (engine.hpp): the heads give the merged-serial order over them
+// and, for a tenant-major span, the set of streams with work before a
+// horizon.
 #pragma once
 
 #include <cstdint>
@@ -95,9 +96,9 @@ struct Event {
 static_assert(sizeof(Event) == 32, "the event core stores events inline;"
               " keep the record one 32-byte slot");
 
-/// Which scheduler the engine runs on. kCalendar is the default;
-/// kBinaryHeap forces every event through the heap (the historical
-/// scheduler) for differential testing.
+/// How a queue routes its events. kCalendar is the engine's; kBinaryHeap
+/// forces every event through the heap (the historical scheduler), the
+/// test oracle the calendar is differentially tested against.
 enum class SchedulerKind : std::uint8_t { kCalendar, kBinaryHeap };
 
 /// Deterministic scheduler-op counters (exposed through EngineStats and
@@ -119,6 +120,18 @@ struct SchedulerCounters {
   /// events those sorts covered (ticks gathered in order cost no sort).
   std::uint64_t bucket_sorts = 0;
   std::uint64_t sorted_events = 0;
+
+  /// Adds another queue's counters (an engine reports the sum over its
+  /// queues).
+  SchedulerCounters& operator+=(const SchedulerCounters& other) {
+    bucket_inserts += other.bucket_inserts;
+    bucket_scans += other.bucket_scans;
+    overflow_pushes += other.overflow_pushes;
+    overflow_pops += other.overflow_pops;
+    bucket_sorts += other.bucket_sorts;
+    sorted_events += other.sorted_events;
+    return *this;
+  }
 };
 
 /// Min-heap on (at, seq) over a flat vector. Versus std::priority_queue:
@@ -354,6 +367,10 @@ class StreamHeads {
   bool empty() const { return heap_.empty(); }
   /// The stream whose queue holds the earliest event (heap non-empty).
   const Head& top() const { return heap_.front(); }
+  /// top().at, or kTimeInfinity when no queue holds an event.
+  SimTime top_time() const {
+    return heap_.empty() ? kTimeInfinity : heap_.front().at;
+  }
   /// Re-keys `stream` from its queue's minimum: inserts, moves or (for
   /// an empty queue) removes it.
   void update(std::int32_t stream, EventQueue& queue);

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "idle_nodes.hpp"
 #include "sim/engine.hpp"
 
 namespace klex {
@@ -326,7 +327,8 @@ TEST(ClientPool, PolicyPropagatesToClients) {
 
 struct DeadlineHarness {
   DeadlineHarness()
-      : port(1), pool(port, 1, 1, MisusePolicy::kCheck, &engine) {
+      : port(add_idle_nodes(engine, 1)),
+        pool(port, 1, 1, MisusePolicy::kCheck, &engine) {
     pool.at(0).on_denied(
         [this](DenyReason reason) { denials.push_back(reason); });
     pool.at(0).on_granted([this](Lease lease) { held = std::move(lease); });
@@ -379,7 +381,7 @@ TEST(ClientDeadline, EarlierAcquisitionsDeadlineSparesTheNextOne) {
 
 TEST(ClientDeadline, StandaloneClientArmsItsOwnDeadlines) {
   sim::Engine engine;
-  FakePort port(1);
+  FakePort port(add_idle_nodes(engine, 1));
   std::vector<DenyReason> denials;
   {
     Client client(port, 0, 1, MisusePolicy::kCheck, &engine);

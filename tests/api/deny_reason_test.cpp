@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/workload_driver.hpp"
+#include "idle_nodes.hpp"
 #include "sim/engine.hpp"
 
 namespace klex {
@@ -118,7 +119,7 @@ class StalledPort : public proto::RequestPort {
 
 TEST(DenyCounters, AdmissionRefusalCountsAsOverloaded) {
   sim::Engine engine;
-  StalledPort port(1);
+  StalledPort port(add_idle_nodes(engine, 1));
   port.admit_all = false;
   ClientPool pool(port, 1, 1, MisusePolicy::kClamp, &engine);
   proto::NodeBehavior behavior;
@@ -138,7 +139,7 @@ TEST(DenyCounters, AdmissionRefusalCountsAsOverloaded) {
 
 TEST(DenyCounters, AbandonedWaitCountsAsDeadlineExceeded) {
   sim::Engine engine;
-  StalledPort port(1);
+  StalledPort port(add_idle_nodes(engine, 1));
   ClientPool pool(port, 1, 1, MisusePolicy::kClamp, &engine);
   proto::NodeBehavior behavior;
   behavior.think = Dist::fixed(1);

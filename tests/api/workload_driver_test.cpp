@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "api/builder.hpp"
+#include "idle_nodes.hpp"
 #include "sim/engine.hpp"
 
 namespace klex {
@@ -63,7 +64,7 @@ class FakePort : public proto::RequestPort {
 struct Harness {
   Harness(int n, int k, std::vector<NodeBehavior> behaviors,
           std::uint64_t seed)
-      : port(n),
+      : port(add_idle_nodes(engine, n)),
         pool(port, n, k, MisusePolicy::kClamp),
         driver(engine, pool, std::move(behaviors), support::Rng(seed)) {}
 
@@ -343,7 +344,7 @@ TEST(WorkloadDriver, LatencyRecorderSeesExpectedGrantsOnly) {
   // abandoned at its deadline and its late grant is adopted: no sample.
   // Node 2 never requests; its raw-port grant is adopted: no sample.
   sim::Engine engine;
-  FakePort port(3);
+  FakePort port(add_idle_nodes(engine, 3));
   ClientPool pool(port, 3, 1, MisusePolicy::kClamp, &engine);
   NodeBehavior behavior;
   behavior.think = Dist::fixed(10);

@@ -2,6 +2,10 @@
 // aggregation, and the JSON artifact shape.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <ostream>
 #include <sstream>
@@ -49,6 +53,26 @@ TEST(ExperimentRunner, ExpandsFullGrid) {
   EXPECT_EQ(points[2].k, 2);
   EXPECT_EQ(points[2].l, 3);
 }
+
+#if defined(__linux__)
+TEST(ExperimentRunner, DefaultPoolFollowsTheAffinityMask) {
+  // The pool is one worker per CPU the process may use, so taskset can
+  // serialise a timing bench's grid points.
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(ExperimentRunner(0).threads(), CPU_COUNT(&mask));
+
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = ExperimentRunner(0).threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(pinned, 1);
+}
+#endif
 
 TEST(ExperimentRunner, RunPointServesWorkload) {
   ScenarioSpec spec = small_scenario();

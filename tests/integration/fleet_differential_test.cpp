@@ -528,7 +528,7 @@ TEST(FleetDifferentialTest, RunUntilMatchesSteppingAtEveryCheckpoint) {
   // every checkpoint, through a fleet-wide transient fault.
   Session spans = fleet_session(4711, 6);
   Session steps = fleet_session(4711, 6);
-  ASSERT_TRUE(spans.system->engine().tenant_major());
+  ASSERT_TRUE(spans.system->engine().runs_spans());
   spans.begin_workload();
   steps.begin_workload();
   auto advance = [&](sim::SimTime t) {
@@ -564,7 +564,7 @@ TEST(FleetDifferentialTest, SpanSlicingDoesNotChangeTenantTrajectories) {
   Session whole = fleet_session(808, 8);
   Session sliced = fleet_session(808, 8);
   Session steps = fleet_session(808, 8);
-  ASSERT_TRUE(whole.system->engine().tenant_major());
+  ASSERT_TRUE(whole.system->engine().runs_spans());
   whole.begin_workload();
   sliced.begin_workload();
   steps.begin_workload();
@@ -602,8 +602,8 @@ StabilizationCase expect_same_stabilization(std::uint64_t seed,
   merged.system->add_observer(&observer);
   setup(fast);
   setup(merged);
-  EXPECT_TRUE(fast.system->engine().tenant_major()) << label;
-  EXPECT_FALSE(merged.system->engine().tenant_major()) << label;
+  EXPECT_TRUE(fast.system->engine().runs_spans()) << label;
+  EXPECT_FALSE(merged.system->engine().runs_spans()) << label;
   const sim::SimTime deadline =
       fast.system->engine().now() + deadline_after;
   const sim::SimTime got =
@@ -706,11 +706,11 @@ TEST(FleetDifferentialTest, ChaosBurstEpochCutMatchesTheMergedOrder) {
     session->apply_fault_event(burst, rng);
   }
   sim::Engine& engine = fast.system->engine();
-  EXPECT_FALSE(engine.tenant_major());  // the deferred cut is pending
+  EXPECT_FALSE(engine.runs_spans());  // the deferred cut is pending
   for (Session* session : {&fast, &merged}) {
     session->system->run_until(10'000 + burst.duration + 2'000);
   }
-  EXPECT_TRUE(engine.tenant_major());
+  EXPECT_TRUE(engine.runs_spans());
   EXPECT_TRUE(snapshot(fast) == snapshot(merged));
   for (Session* session : {&fast, &merged}) {
     EXPECT_NE(session->system->run_until_stabilized(

@@ -1,12 +1,12 @@
-// Differential test for the calendar-queue scheduler: an engine on
-// SchedulerKind::kCalendar must be bit-identical to one on
-// SchedulerKind::kBinaryHeap -- same seeds produce the same event order,
-// hence the same delivery trace, the same message counters and the same
-// census-transition timestamps -- across the tree, ring and graph
-// topologies, through workload churn and both transient-fault flavors.
-// This is the pin behind "replace the heap without perturbing a single
-// committed trajectory": the two schedulers may only differ in their
-// SchedulerCounters and wall-clock.
+// Differential test for the calendar-queue scheduler: an engine on its
+// calendar queues must be bit-identical to the same engine with every
+// queue swapped for the heap-only test oracle (Engine::use_heap_queues)
+// -- same seeds produce the same event order, hence the same delivery
+// trace, the same message counters and the same census-transition
+// timestamps -- across the tree, ring and graph topologies, through
+// workload churn and both transient-fault flavors. This is the pin behind
+// "replace the heap without perturbing a single committed trajectory":
+// the two may only differ in their SchedulerCounters and wall-clock.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -49,21 +49,21 @@ struct DifferentialParam {
   FaultKind fault;
 };
 
-Session build_session(const DifferentialParam& param,
-                      sim::SchedulerKind scheduler) {
+Session build_session(const DifferentialParam& param, bool heap_oracle) {
   proto::WorkloadSpec workload;
   workload.base.think = proto::Dist::exponential(48);
   workload.base.cs_duration = proto::Dist::exponential(24);
   workload.base.need = proto::Dist::uniform(1, 2);
-  return SystemBuilder()
-      .topology(param.topology)
-      .kl(2, 4)
-      .cmax(3)
-      .seed(1337)
-      .scheduler(scheduler)
-      .workload(workload)
-      .fault(param.fault)
-      .build_session();
+  Session session = SystemBuilder()
+                        .topology(param.topology)
+                        .kl(2, 4)
+                        .cmax(3)
+                        .seed(1337)
+                        .workload(workload)
+                        .fault(param.fault)
+                        .build_session();
+  if (heap_oracle) session.system->engine().use_heap_queues();
+  return session;
 }
 
 class SchedulerDifferentialTest
@@ -71,12 +71,8 @@ class SchedulerDifferentialTest
 
 TEST_P(SchedulerDifferentialTest, CalendarMatchesHeapBitForBit) {
   const DifferentialParam& param = GetParam();
-  Session calendar = build_session(param, sim::SchedulerKind::kCalendar);
-  Session heap = build_session(param, sim::SchedulerKind::kBinaryHeap);
-  ASSERT_EQ(calendar.system->engine().scheduler(),
-            sim::SchedulerKind::kCalendar);
-  ASSERT_EQ(heap.system->engine().scheduler(),
-            sim::SchedulerKind::kBinaryHeap);
+  Session calendar = build_session(param, /*heap_oracle=*/false);
+  Session heap = build_session(param, /*heap_oracle=*/true);
 
   DeliveryTrace calendar_trace;
   DeliveryTrace heap_trace;

@@ -541,7 +541,7 @@ TEST(EngineStreams, RunUntilMatchesStepAtEveryCheckpoint) {
   // every stream must see the same events at the same times either way.
   StreamFleet spans(5);
   StreamFleet steps(5);
-  ASSERT_TRUE(spans.engine.tenant_major());
+  ASSERT_TRUE(spans.engine.runs_spans());
   for (SimTime checkpoint : {SimTime{30}, SimTime{95}, SimTime{260},
                              SimTime{700}}) {
     spans.engine.run_until(checkpoint);
@@ -609,7 +609,7 @@ TEST(EngineStreams, AnEventPushingIntoAnotherStreamFailsItsCheck) {
 TEST(EngineStreams, GlobalCallbacksAndObserversRunMergedSerial) {
   StreamFleet fleet(3);
   fleet.engine.run_until(50);
-  ASSERT_TRUE(fleet.engine.tenant_major());
+  ASSERT_TRUE(fleet.engine.runs_spans());
   // schedule() outside any event is global: it may schedule into every
   // stream, and spans containing it run merged-serial.
   int ran = 0;
@@ -619,14 +619,14 @@ TEST(EngineStreams, GlobalCallbacksAndObserversRunMergedSerial) {
       fleet.engine.schedule_in_stream(s, 1, [&ran] { ++ran; });
     }
   });
-  EXPECT_FALSE(fleet.engine.tenant_major());
+  EXPECT_FALSE(fleet.engine.runs_spans());
   fleet.engine.run_until(80);
   EXPECT_EQ(ran, 4);
-  EXPECT_TRUE(fleet.engine.tenant_major());
+  EXPECT_TRUE(fleet.engine.runs_spans());
   // An attached observer sees one global order.
   SimObserver observer;
   fleet.engine.add_observer(&observer);
-  EXPECT_FALSE(fleet.engine.tenant_major());
+  EXPECT_FALSE(fleet.engine.runs_spans());
   EXPECT_NO_THROW(fleet.engine.run_until(200));
 }
 
@@ -907,6 +907,27 @@ TEST(EngineActions, RemovedHandlerRetiresItsActionsAsNoOps) {
   EXPECT_EQ(net.engine.add_action_handler(&third), handler);
 }
 
+TEST(EngineActions, ActionsForNodesOutOfRangeThrow) {
+  // On a fleet the node's stream would be read past the node table, and
+  // on a plain engine the handler would get a node that does not exist.
+  auto check = [](Engine& engine) {
+    ActionLog actions(engine);
+    const int handler = engine.add_action_handler(&actions);
+    const NodeId past = static_cast<NodeId>(engine.process_count());
+    EXPECT_THROW(engine.schedule_action(handler, past, 0, 1),
+                 support::CheckFailure);
+    EXPECT_THROW(engine.schedule_action(handler, -1, 0, 1),
+                 support::CheckFailure);
+    EXPECT_EQ(engine.pending_callbacks(), 0u);
+    EXPECT_NO_THROW(engine.schedule_action(handler, past - 1, 0, 1));
+    engine.remove_action_handler(handler);
+  };
+  Pair pair;
+  check(pair.engine);
+  StreamFleet fleet(2);
+  check(fleet.engine);
+}
+
 TEST(EngineActions, ActionsAreTenantScoped) {
   // An action runs in its node's stream: from there it may schedule into
   // that stream only, and it does not force merged-serial spans.
@@ -921,7 +942,7 @@ TEST(EngineActions, ActionsAreTenantScoped) {
   poker.engine = &fleet.engine;
   poker.handler = fleet.engine.add_action_handler(&poker);
   fleet.engine.schedule_action(poker.handler, 1, 0, 5);  // stream 0
-  EXPECT_TRUE(fleet.engine.tenant_major());
+  EXPECT_TRUE(fleet.engine.runs_spans());
   EXPECT_NO_THROW(fleet.engine.run_until(10));
   fleet.engine.schedule_action(poker.handler, 0, 1, 5);  // stream 0
   EXPECT_THROW(fleet.engine.run_until(20), support::CheckFailure);

@@ -239,7 +239,8 @@ TEST(EventCore, FarEventOutwaitsRingTrafficAndFiresOnTime) {
 }
 
 TEST(EventCore, BinaryHeapModeBypassesTheRing) {
-  Engine engine(DelayModel{}, 1, SchedulerKind::kBinaryHeap);
+  Engine engine(DelayModel{}, 1);
+  engine.use_heap_queues();
   auto p0 = std::make_unique<Sink>();
   Sink* a = p0.get();
   engine.add_process(std::move(p0));

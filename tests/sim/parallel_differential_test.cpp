@@ -247,6 +247,151 @@ TEST_P(WindowedVsMerged, SameTrajectoryAsMergedSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Lanes, WindowedVsMerged, ::testing::Values(2, 4, 8));
 
+// -- a plain engine on the shared loops ----------------------------------------
+//
+// A plain engine runs on the same two loops as a fleet: step() is the
+// merged loop, and run_until on one lane is the span loop over the lane's
+// only queue. Every way of driving a P = 1 session is the same execution,
+// scheduler counters included: the loops gather and scan each tick
+// exactly where the lane loop they replaced did. (At P > 1, run_until is
+// the merged loop, and WindowedVsMerged pins it against the windows.)
+
+/// Records the client-visible trajectory without a SimObserver, so an
+/// unobserved run keeps its span loop.
+struct GrantTrace : proto::Listener {
+  struct Record {
+    sim::SimTime at = 0;
+    int kind = 0;  // 0 request, 1 enter, 2 exit
+    NodeId node = -1;
+    int need = 0;
+
+    friend bool operator==(const Record&, const Record&) = default;
+  };
+
+  void on_request(NodeId node, int need, sim::SimTime at) override {
+    records.push_back({at, 0, node, need});
+  }
+  void on_enter_cs(NodeId node, int need, sim::SimTime at) override {
+    records.push_back({at, 1, node, need});
+  }
+  void on_exit_cs(NodeId node, sim::SimTime at) override {
+    records.push_back({at, 2, node, 0});
+  }
+
+  std::vector<Record> records;
+};
+
+enum class Drive { kStep, kSpan, kSlices };
+
+/// Advances `engine` to `t`: one step() per event, one run_until span, or
+/// 64 run_until slices.
+void drive_to(sim::Engine& engine, Drive drive, sim::SimTime t) {
+  switch (drive) {
+    case Drive::kStep:
+      while (engine.next_event_time() <= t) ASSERT_TRUE(engine.step());
+      engine.run_until(t);  // nothing is left at or before t: clocks only
+      return;
+    case Drive::kSpan:
+      engine.run_until(t);
+      return;
+    case Drive::kSlices: {
+      const sim::SimTime start = engine.now();
+      for (sim::SimTime i = 1; i <= 64; ++i) {
+        engine.run_until(start + (t - start) * i / 64);
+      }
+      return;
+    }
+  }
+}
+
+struct LoopRun {
+  std::vector<TraceObserver::Record> deliveries;
+  std::vector<GrantTrace::Record> grants;
+  sim::EngineStats stats;
+  sim::SimTime stabilized = 0;
+  sim::SimTime recovered = 0;
+};
+
+/// A P = 1 tree session: stabilization, a closed-loop stretch, one
+/// transient fault and its recovery, and a post-recovery stretch, every
+/// stretch driven the `drive` way.
+LoopRun run_plain_session(Drive drive, bool observed) {
+  proto::WorkloadSpec workload;
+  workload.base.think = proto::Dist::exponential(48);
+  workload.base.cs_duration = proto::Dist::exponential(24);
+  workload.base.need = proto::Dist::uniform(1, 2);
+  Session session = SystemBuilder()
+                        .topology(TopologySpec::tree_random(24, 3))
+                        .kl(2, 4)
+                        .cmax(3)
+                        .seed(1337)
+                        .workload(workload)
+                        .fault(FaultKind::kTransient)
+                        .build_session();
+  sim::Engine& engine = session.system->engine();
+  TraceObserver deliveries;
+  GrantTrace grants;
+  if (observed) session.system->add_observer(&deliveries);
+  session.system->add_listener(&grants);
+  EXPECT_TRUE(engine.runs_spans());  // one lane: observed or not
+
+  LoopRun run;
+  run.stabilized = session.system->run_until_stabilized(10'000'000);
+  session.begin_workload();
+  drive_to(engine, drive, engine.now() + 150'000);
+  support::Rng fault_rng(0xFA17u);
+  const sim::SimTime fault_at = engine.now();
+  session.apply_fault_event(session.fault_plan.events.front(), fault_rng);
+  run.recovered = session.system->run_until_stabilized(fault_at + 80'000'000);
+  drive_to(engine, drive, engine.now() + 100'000);
+  run.deliveries = deliveries.records;
+  run.grants = grants.records;
+  run.stats = engine.stats();
+  return run;
+}
+
+void expect_same_stats(const sim::EngineStats& a, const sim::EngineStats& b) {
+  EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.callbacks_scheduled, b.callbacks_scheduled);
+  EXPECT_EQ(a.callback_slots_created, b.callback_slots_created);
+  EXPECT_EQ(a.max_heap_size, b.max_heap_size);
+  EXPECT_EQ(a.in_flight_walks, b.in_flight_walks);
+  EXPECT_EQ(a.bucket_window, b.bucket_window);
+  EXPECT_EQ(a.scheduler.bucket_inserts, b.scheduler.bucket_inserts);
+  EXPECT_EQ(a.scheduler.bucket_scans, b.scheduler.bucket_scans);
+  EXPECT_EQ(a.scheduler.overflow_pushes, b.scheduler.overflow_pushes);
+  EXPECT_EQ(a.scheduler.overflow_pops, b.scheduler.overflow_pops);
+  EXPECT_EQ(a.scheduler.bucket_sorts, b.scheduler.bucket_sorts);
+  EXPECT_EQ(a.scheduler.sorted_events, b.scheduler.sorted_events);
+}
+
+TEST(PlainEngineLoops, EveryWayOfDrivingOneLaneIsTheSameExecution) {
+  const LoopRun reference = run_plain_session(Drive::kSpan, false);
+  const LoopRun observed = run_plain_session(Drive::kSpan, true);
+  ASSERT_NE(reference.stabilized, sim::kTimeInfinity);
+  ASSERT_NE(reference.recovered, sim::kTimeInfinity);
+  ASSERT_FALSE(reference.grants.empty());
+  ASSERT_FALSE(observed.deliveries.empty());
+  const char* names[] = {"step", "span", "slices"};
+  for (Drive drive : {Drive::kStep, Drive::kSpan, Drive::kSlices}) {
+    for (bool with_observer : {false, true}) {
+      SCOPED_TRACE(std::string(names[static_cast<int>(drive)]) +
+                   (with_observer ? " observed" : " unobserved"));
+      const LoopRun run = run_plain_session(drive, with_observer);
+      EXPECT_EQ(run.stabilized, reference.stabilized);
+      EXPECT_EQ(run.recovered, reference.recovered);
+      EXPECT_TRUE(run.grants == reference.grants);
+      expect_same_stats(run.stats, reference.stats);
+      if (with_observer) {
+        ASSERT_EQ(run.deliveries.size(), observed.deliveries.size());
+        EXPECT_TRUE(run.deliveries == observed.deliveries);
+      }
+    }
+  }
+}
+
 // -- faults, across topology families ----------------------------------------
 
 struct FaultCase {

@@ -82,7 +82,7 @@ ENGINE_COUNTER_FIELDS = (
     "in_flight_walks",
     "overflow_pushes",
     # Pending-event high-water, summed over the engine's queues (one per
-    # lane, or one per stream on a fleet engine, where it is a sum of
+    # lane on a plain engine, one per stream on a fleet engine; a sum of
     # per-queue high-waters): a queue's event pool never holds more
     # slots than its high-water, so it bounds scheduler memory.
     "max_heap_size",

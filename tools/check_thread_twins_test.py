@@ -98,5 +98,69 @@ class CheckThreadTwinsTest(unittest.TestCase):
                                  result.stdout + result.stderr)
 
 
+class BaselineTwinsTest(unittest.TestCase):
+    """The --baseline form: every current run must replay the baseline
+    run of its scenario, cell and seed, engine counters included."""
+
+    @staticmethod
+    def artifact(*runs):
+        return {"scenario": "scale", "runs": list(runs)}
+
+    @staticmethod
+    def with_engine(record, **counters):
+        record["engine"] = dict({"bucket_sorts": 7, "overflow_pushes": 3},
+                                **counters)
+        return record
+
+    def test_identical_runs_pass_and_one_sided_runs_are_skipped(self):
+        base = self.artifact(self.with_engine(run()),
+                             self.with_engine(run(seed=2)))
+        cur = self.artifact(self.with_engine(run()),
+                            self.with_engine(run(seed=3)))
+        problems, compared = check_thread_twins.check_against(
+            {"scale": base}, {"scale": cur})
+        self.assertEqual(problems, [])
+        self.assertEqual(compared, 1)
+
+    def test_a_moved_engine_counter_is_a_mismatch(self):
+        # bench_diff passes a counter that falls; the twin check does not.
+        base = self.artifact(self.with_engine(run()))
+        cur = self.artifact(self.with_engine(run(), bucket_sorts=6))
+        problems, compared = check_thread_twins.check_against(
+            {"scale": base}, {"scale": cur})
+        self.assertEqual(compared, 1)
+        self.assertEqual(len(problems), 1)
+        self.assertIn("engine.bucket_sorts = 6, baseline has 7", problems[0])
+
+    def test_a_moved_trajectory_field_is_a_mismatch(self):
+        base = self.artifact(self.with_engine(run(grants=100)))
+        cur = self.artifact(self.with_engine(run(grants=101)))
+        problems, _ = check_thread_twins.check_against(
+            {"scale": base}, {"scale": cur})
+        self.assertEqual(len(problems), 2)  # grants and events_executed
+
+    def test_exit_status(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp) / "base"
+            same = Path(tmp) / "same"
+            moved = Path(tmp) / "moved"
+            for directory in (base, same, moved):
+                directory.mkdir()
+            record = self.with_engine(run())
+            (base / "BENCH_scale.json").write_text(
+                json.dumps(self.artifact(record)))
+            (same / "BENCH_scale.json").write_text(
+                json.dumps(self.artifact(record)))
+            (moved / "BENCH_scale.json").write_text(json.dumps(
+                self.artifact(self.with_engine(run(), overflow_pushes=4))))
+            for current, status in ((same, 0), (moved, 1)):
+                result = subprocess.run(
+                    [sys.executable, str(SCRIPT), "--baseline", str(base),
+                     str(current)],
+                    capture_output=True, text=True)
+                self.assertEqual(result.returncode, status,
+                                 result.stdout + result.stderr)
+
+
 if __name__ == "__main__":
     unittest.main()

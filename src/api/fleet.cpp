@@ -118,7 +118,9 @@ FleetSystem::FleetSystem(FleetConfig config)
   // the injections are the first draws from each tenant's channel rngs,
   // exactly as they are the first draws of a standalone spread system.
   if (config_.spread_tokens) {
-    for (int t = 0; t < tenants; ++t) spread_seed_tokens(t);
+    for (int t = 0; t < tenants; ++t) {
+      spread_seed_tokens(tenant_spec(t).tree, tenant_params(t), node_begin(t));
+    }
   }
 
   std::vector<proto::CensusTracker::TenantExpectation> expected(
@@ -130,134 +132,12 @@ FleetSystem::FleetSystem(FleetConfig config)
   }
   tracker_.configure_tenants(std::move(expected));
 
-  tenant_ok_.assign(static_cast<std::size_t>(tenants), 0);
-  incorrect_tenants_ = tenants;
-  correct_since_.assign(static_cast<std::size_t>(tenants),
-                        sim::kTimeInfinity);
+  size_stabilization_probe(tenants);
   recoveries_.assign(static_cast<std::size_t>(tenants), 0);
 
   if (lanes > 1) {
     parallel_ = std::make_unique<sim::ParallelEngine>(engine());
   }
-}
-
-void FleetSystem::spread_seed_tokens(int tenant) {
-  // The standalone System::spread_seed_tokens walk, shifted into the
-  // tenant's engine-id range: ℓ resources evenly spaced along the
-  // tenant's own Euler tour, pusher and priority at its root.
-  const tree::Tree& tree = tenant_spec(tenant).tree;
-  const core::Params& params = tenant_params(tenant);
-  const NodeId base = node_begin(tenant);
-  const int hops = 2 * (tree.size() - 1);
-  std::vector<std::pair<NodeId, int>> tour;
-  tour.reserve(static_cast<std::size_t>(hops));
-  NodeId v = tree::kRoot;
-  int ch = 0;
-  for (int i = 0; i < hops; ++i) {
-    tour.emplace_back(v, ch);
-    NodeId w = tree.neighbor(v, ch);
-    int in = tree.reverse_channel(v, ch);
-    v = w;
-    ch = (in + 1) % tree.degree(w);
-  }
-  KLEX_CHECK(v == tree::kRoot && ch == 0, "the Euler tour must close");
-  for (int i = 0; i < params.l; ++i) {
-    std::size_t pos = static_cast<std::size_t>(
-        (static_cast<long long>(i) * hops) / params.l);
-    const auto& [node, channel] = tour[pos];
-    engine().inject_message(base + node, channel, proto::make_resource());
-  }
-  if (params.features.pusher) {
-    engine().inject_message(base + tree::kRoot, 0, proto::make_pusher());
-  }
-  if (params.features.priority) {
-    engine().inject_message(base + tree::kRoot, 0, proto::make_priority());
-  }
-}
-
-bool FleetSystem::census_correct(bool resync_probe) {
-  if (resync_probe) {
-    // Anything (boot, fault injection, a recovery drain) may have moved
-    // any tenant: rebuild the flags with one O(R) scan of O(1) probes.
-    incorrect_tenants_ = 0;
-    for (int t = 0; t < tenant_count(); ++t) {
-      const bool ok = census_tracker().correct_of(t);
-      if (ok && !tenant_ok_[static_cast<std::size_t>(t)]) {
-        correct_since_[static_cast<std::size_t>(t)] = engine().now();
-      }
-      if (!ok) {
-        correct_since_[static_cast<std::size_t>(t)] = sim::kTimeInfinity;
-        ++incorrect_tenants_;
-      }
-      tenant_ok_[static_cast<std::size_t>(t)] = ok ? 1 : 0;
-    }
-    return incorrect_tenants_ == 0;
-  }
-  // Per-event probe: an event belongs to exactly one stream and tenants
-  // are causally independent, so only the last executed event's tenant
-  // can have crossed the legitimacy edge. O(1), never scans the fleet.
-  const int t = engine().last_stream();
-  const bool ok = census_tracker().correct_of(t);
-  if (ok != (tenant_ok_[static_cast<std::size_t>(t)] != 0)) {
-    tenant_ok_[static_cast<std::size_t>(t)] = ok ? 1 : 0;
-    incorrect_tenants_ += ok ? -1 : 1;
-    correct_since_[static_cast<std::size_t>(t)] =
-        ok ? engine().now() : sim::kTimeInfinity;
-  }
-  return incorrect_tenants_ == 0;
-}
-
-bool FleetSystem::stabilization_step(sim::SimTime deadline,
-                                     sim::SimTime window, bool* correct,
-                                     sim::SimTime* since) {
-  sim::Engine& engine = this->engine();
-  // The merged loop runs every event before `stop`: a correct stretch
-  // confirms at since + window at the earliest, and one that has not
-  // begun can begin no earlier than the next event (the loop only steps
-  // an incorrect fleet while next <= deadline, so this cannot overflow).
-  const sim::SimTime next = engine.next_event_time();
-  const sim::SimTime stop = *correct
-                                ? *since + window
-                                : next + std::min(window, deadline - next);
-  if (!engine.runs_spans() || next >= stop) {
-    return SystemBase::stabilization_step(deadline, window, correct, since);
-  }
-  // Each tenant runs through stop - 1 on its own; its per-event probe
-  // (census_correct's, O(1)) records the tenant's edges.
-  edges_.clear();
-  engine.run_streams_until(stop - 1, [this](int t, const sim::Event& e) {
-    const bool ok = census_tracker().correct_of(t);
-    char& flag = tenant_ok_[static_cast<std::size_t>(t)];
-    if (ok != (flag != 0)) {
-      flag = ok ? 1 : 0;
-      edges_.push_back(Edge{e.at, e.seq, t, ok});
-    }
-  });
-  // Replay the edges in the merged order to follow the fleet-wide
-  // predicate. Inside the round the merged loop can only give up: a
-  // stretch that begins here confirms beyond the round.
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-  });
-  std::size_t applied = 0;
-  bool gave_up = false;
-  while (applied < edges_.size() && !gave_up) {
-    const Edge& edge = edges_[applied++];
-    incorrect_tenants_ += edge.correct ? -1 : 1;
-    correct_since_[static_cast<std::size_t>(edge.tenant)] =
-        edge.correct ? edge.at : sim::kTimeInfinity;
-    const bool now_correct = incorrect_tenants_ == 0;
-    if (now_correct && !*correct) *since = edge.at;
-    *correct = now_correct;
-    gave_up = *correct && *since + window > deadline;
-  }
-  // The merged loop probes nothing after giving up: undo the later edges'
-  // flags so the next resync probe starts from the same state.
-  for (std::size_t i = applied; i < edges_.size(); ++i) {
-    char& flag = tenant_ok_[static_cast<std::size_t>(edges_[i].tenant)];
-    flag = flag != 0 ? 0 : 1;
-  }
-  return gave_up;
 }
 
 void FleetSystem::on_clients_created(ClientPool& pool) {
@@ -283,8 +163,7 @@ proto::MessageDomains FleetSystem::message_domains() const {
 void FleetSystem::inject_transient_fault_tenant(int tenant,
                                                 support::Rng& rng,
                                                 int garbage_per_channel) {
-  KLEX_REQUIRE(tenant >= 0 && tenant < tenant_count(), "bad tenant ",
-               tenant);
+  require_tenant(tenant);
   // Deltas fired by corrupt() must be attributed to this tenant's stream
   // (we are outside event execution).
   sim::ScopedStream scope(tenant);
@@ -340,8 +219,7 @@ void FleetSystem::flood_channels(support::Rng& rng, int garbage_per_channel) {
 }
 
 bool FleetSystem::epoch_cut_recover_tenant(int tenant) {
-  KLEX_REQUIRE(tenant >= 0 && tenant < tenant_count(), "bad tenant ",
-               tenant);
+  require_tenant(tenant);
   KLEX_REQUIRE(tenant_params(tenant).features.epoch_cut,
                "epoch_cut_recover_tenant needs Features::epoch_cut on "
                "tenant ", tenant);
@@ -368,8 +246,7 @@ bool FleetSystem::epoch_cut_recover_tenant(int tenant) {
 void FleetSystem::chaos_burst_tenant(int tenant,
                                      const sim::ChaosConfig& config,
                                      sim::SimTime duration) {
-  KLEX_REQUIRE(tenant >= 0 && tenant < tenant_count(), "bad tenant ",
-               tenant);
+  require_tenant(tenant);
   engine().chaos_burst_channel_range(
       chan_begin_[static_cast<std::size_t>(tenant)],
       chan_begin_[static_cast<std::size_t>(tenant) + 1], config, duration);

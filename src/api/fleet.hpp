@@ -32,10 +32,10 @@
 //     sim/engine.hpp).
 //   * census: proto::CensusTracker grows a tenant axis -- per-tenant
 //     expected populations, per-tenant O(1) legitimacy (correct_of reads
-//     one stream's counters, never scanning the other R-1 tenants), and a
-//     stabilization probe that re-checks only the tenant of the event
-//     just executed. run_until_stabilized steps the tenants one at a time
-//     too, and returns exactly what the merged-order loop returns.
+//     one stream's counters, never scanning the other R-1 tenants).
+//     SystemBase::run_until_stabilized probes each tenant after each of
+//     its own events, runs the tenants tenant-major too, and returns
+//     exactly what the merged-order loop returns.
 //   * faults / recovery: inject_transient_fault_tenant corrupts exactly
 //     one tenant's processes and channel range;
 //     epoch_cut_recover_tenant drains and re-boots one tenant in
@@ -135,6 +135,7 @@ class FleetSystem : public SystemBase {
   /// The live per-tenant legitimacy predicate, O(1) (never scans the
   /// other tenants).
   bool tenant_correct(int tenant) const {
+    require_tenant(tenant);
     return census_tracker().correct_of(tenant);
   }
   /// When the tenant's current correct stretch began, as observed by the
@@ -142,6 +143,7 @@ class FleetSystem : public SystemBase {
   /// Meaningful after run_until_stabilized; tenant_correct is the
   /// always-live predicate.
   sim::SimTime tenant_stabilized_at(int tenant) const {
+    require_tenant(tenant);
     return correct_since_[static_cast<std::size_t>(tenant)];
   }
   /// Events the engine executed on behalf of this tenant.
@@ -151,6 +153,7 @@ class FleetSystem : public SystemBase {
   /// Epoch-cut recoveries performed for this tenant (fault isolation's
   /// observable: a fault in tenant a leaves every other tenant at 0).
   std::int64_t tenant_recovery_events(int tenant) const {
+    require_tenant(tenant);
     return recoveries_[static_cast<std::size_t>(tenant)];
   }
   /// Messages of `type` sent on behalf of this tenant.
@@ -203,24 +206,6 @@ class FleetSystem : public SystemBase {
   void release(NodeId node) override;
 
  protected:
-  /// Incremental stabilization probe: a resync probe rescans all R
-  /// tenants (fault injection can touch any of them); a per-event probe
-  /// re-checks only the tenant of the last executed event -- per-tenant
-  /// O(1), never scanning the other tenants.
-  bool census_correct(bool resync_probe) override;
-
-  /// run_until_stabilized's advance, stepping each tenant on its own: it
-  /// executes the same events and leaves the same time, clock and
-  /// tenant_stabilized_at values as the merged-order step. A round runs
-  /// the tenants tenant-major up to a horizon the merged loop is certain
-  /// to pass, records each tenant's correct/incorrect edges, and replays
-  /// them in (at, seq) order to follow the fleet-wide correct stretch.
-  /// The tick where the merged loop may stop after any single event (the
-  /// confirmation point or the deadline) is stepped in merged order, as
-  /// is everything while the engine runs merged (Engine::runs_spans).
-  bool stabilization_step(sim::SimTime deadline, sim::SimTime window,
-                          bool* correct, sim::SimTime* since) override;
-
   /// Stamps each session with its tenant (Lease::tenant routes grants
   /// back per tenant in cross-tenant applications).
   void on_clients_created(ClientPool& pool) override;
@@ -234,16 +219,11 @@ class FleetSystem : public SystemBase {
 
  private:
   const std::vector<TenantSpec>& specs() const { return config_.tenants; }
+  void require_tenant(int tenant) const {
+    KLEX_REQUIRE(tenant >= 0 && tenant < tenant_count(), "bad tenant ",
+                 tenant);
+  }
   proto::MessageDomains tenant_message_domains(int tenant) const;
-  void spread_seed_tokens(int tenant);
-
-  /// One tenant's census edge seen by a stabilization round.
-  struct Edge {
-    sim::SimTime at = 0;
-    std::uint64_t seq = 0;
-    int tenant = -1;
-    bool correct = false;
-  };
 
   FleetConfig config_;
   std::vector<core::Params> tenant_params_;
@@ -254,13 +234,7 @@ class FleetSystem : public SystemBase {
   std::vector<int> chan_begin_;
   std::vector<int> out_begin_;
   std::vector<int> tenant_lane_;
-
-  // Incremental stabilization-probe state (census_correct).
-  std::vector<char> tenant_ok_;
-  int incorrect_tenants_ = 0;
-  std::vector<sim::SimTime> correct_since_;
   std::vector<std::int64_t> recoveries_;
-  std::vector<Edge> edges_;  // stabilization_step scratch
 };
 
 }  // namespace klex

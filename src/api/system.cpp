@@ -42,41 +42,7 @@ System::System(SystemConfig config)
   std::vector<int> node_lane;
   if (lanes > 1) node_lane = stree::partition_tree(config_.tree, lanes);
   nodes_ = build_tree_protocol(config_.tree, node_lane, lanes);
-  if (config_.spread_tokens) spread_seed_tokens();
-}
-
-void System::spread_seed_tokens() {
-  const tree::Tree& tree = config_.tree;
-  const int hops = 2 * (tree.size() - 1);
-  // The virtual ring in token-forwarding order: from (v, ch) a token
-  // crosses to w = neighbor(v, ch) and leaves on the channel after the
-  // one it arrived on -- the Euler tour of the tree.
-  std::vector<std::pair<NodeId, int>> tour;
-  tour.reserve(static_cast<std::size_t>(hops));
-  NodeId v = tree::kRoot;
-  int ch = 0;
-  for (int i = 0; i < hops; ++i) {
-    tour.emplace_back(v, ch);
-    NodeId w = tree.neighbor(v, ch);
-    int in = tree.reverse_channel(v, ch);
-    v = w;
-    ch = (in + 1) % tree.degree(w);
-  }
-  KLEX_CHECK(v == tree::kRoot && ch == 0, "the Euler tour must close");
-  // ℓ resources spread over the ring (instead of a convoy out of the
-  // root's channel 0); the unique pusher / priority start at the root.
-  for (int i = 0; i < params().l; ++i) {
-    std::size_t pos = static_cast<std::size_t>(
-        (static_cast<long long>(i) * hops) / params().l);
-    const auto& [node, channel] = tour[pos];
-    engine().inject_message(node, channel, proto::make_resource());
-  }
-  if (params().features.pusher) {
-    engine().inject_message(tree::kRoot, 0, proto::make_pusher());
-  }
-  if (params().features.priority) {
-    engine().inject_message(tree::kRoot, 0, proto::make_priority());
-  }
+  if (config_.spread_tokens) spread_seed_tokens(config_.tree, params(), 0);
 }
 
 core::KlProcessBase& System::node(NodeId id) {

@@ -79,10 +79,6 @@ class System : public SystemBase {
   core::RootProcess& root();
 
  private:
-  /// Places the ℓ resource tokens evenly spaced along the Euler tour
-  /// (plus pusher and priority at the root) for spread_tokens mode.
-  void spread_seed_tokens();
-
   SystemConfig config_;
   std::vector<core::KlProcessBase*> nodes_;  // owned by engine
 };

@@ -4,6 +4,7 @@
 
 #include "stree/graph.hpp"
 #include "support/check.hpp"
+#include "tree/virtual_ring.hpp"
 
 namespace klex {
 
@@ -14,6 +15,7 @@ SystemBase::SystemBase(core::Params params, sim::DelayModel delays,
       tracker_(&engine_, params.l, params.features) {
   KLEX_REQUIRE(params_.k >= 1 && params_.k <= params_.l,
                "need 1 <= k <= l");
+  size_stabilization_probe(1);
 }
 
 core::Params SystemBase::finalize_params(core::Params params,
@@ -261,31 +263,94 @@ sim::SimTime SystemBase::run_until_stabilized(sim::SimTime deadline,
   KLEX_REQUIRE(poll > 0, "confirmation granularity must be positive");
   KLEX_REQUIRE(consecutive >= 1, "need a non-empty confirmation window");
   const sim::SimTime window = poll * static_cast<sim::SimTime>(consecutive);
+  engine_.start();  // on_start() may mint tokens; count them before probing
+  if (tracker_.tenant_mode()) {
+    return stabilize(deadline, window,
+                     [this](int t) { return tracker_.correct_of(t); });
+  }
+  return stabilize(deadline, window, [this](int) { return tracker_.correct(); });
+}
 
+void SystemBase::size_stabilization_probe(int tenants) {
+  tenant_ok_.assign(static_cast<std::size_t>(tenants), 0);
+  incorrect_tenants_ = tenants;
+  correct_since_.assign(static_cast<std::size_t>(tenants), sim::kTimeInfinity);
+}
+
+template <typename Probe>
+sim::SimTime SystemBase::stabilize(sim::SimTime deadline, sim::SimTime window,
+                                   Probe probe) {
   // Event-driven detection: every event that could move the census goes
   // through the engine's per-type counters or a participant delta, so
-  // probing the O(1) predicate once per executed event observes every
-  // correct<->incorrect edge at its exact simulated time. `correct_since`
-  // is the start of the current correct stretch; a stretch that survives
-  // `window` ticks is confirmed and reported at its transition edge.
-  engine_.start();  // on_start() may mint tokens; count them before probing
-  bool correct = census_correct(/*resync_probe=*/true);
-  sim::SimTime correct_since = correct ? engine_.now() : sim::kTimeInfinity;
+  // probing the O(1) predicate after every event observes every
+  // correct<->incorrect edge at its exact simulated time. An event moves
+  // only its own tenant (tenants are causally independent), so the probe
+  // re-checks that tenant alone. `since` is the start of the current
+  // fleet-wide correct stretch; a stretch that survives `window` ticks is
+  // confirmed and reported at its transition edge.
+  //
+  // Resync: boot, a fault or a recovery drain may have moved any tenant,
+  // so rebuild the flags with one scan of O(1) probes.
+  const sim::SimTime start = engine_.now();
+  incorrect_tenants_ = 0;
+  for (std::size_t t = 0; t < tenant_ok_.size(); ++t) {
+    const bool ok = probe(static_cast<int>(t));
+    if (ok && !tenant_ok_[t]) correct_since_[t] = start;
+    if (!ok) {
+      correct_since_[t] = sim::kTimeInfinity;
+      ++incorrect_tenants_;
+    }
+    tenant_ok_[t] = ok ? 1 : 0;
+  }
+  bool correct = incorrect_tenants_ == 0;
+  sim::SimTime since = correct ? start : sim::kTimeInfinity;
+  // The per-event probe: tenant t's flag follows its predicate, and each
+  // flip is recorded as an edge for replay_edges.
+  auto record = [this, probe](int t, sim::SimTime at, std::uint64_t seq) {
+    const bool ok = probe(t);
+    char& flag = tenant_ok_[static_cast<std::size_t>(t)];
+    if (ok != (flag != 0)) {
+      flag = ok ? 1 : 0;
+      edges_.push_back(Edge{at, seq, t, ok});
+    }
+  };
   for (;;) {
     if (correct) {
-      if (engine_.now() >= correct_since + window) return correct_since;
-      if (correct_since + window > deadline) break;  // cannot confirm in time
-      if (engine_.next_event_time() > correct_since + window) {
-        // Nothing is scheduled inside the window, so nothing can break it:
-        // advance the clock to the confirmation point without stepping.
-        engine_.run_until(correct_since + window);
-        return correct_since;
-      }
-    } else if (engine_.next_event_time() > deadline) {
+      if (engine_.now() >= since + window) return since;
+      if (since + window > deadline) break;  // cannot confirm in time
+    }
+    // The one peek of the iteration (it may scan the queue, which the
+    // scheduler counters see, so the two exits above take none).
+    const sim::SimTime next = engine_.next_event_time();
+    if (correct && next > since + window) {
+      // Nothing is scheduled inside the window, so nothing can break it:
+      // advance the clock to the confirmation point without stepping.
+      engine_.run_until(since + window);
+      return since;
+    }
+    if (!correct && (next > deadline || engine_.now() >= deadline)) {
       break;  // queue drained (or idle) past the deadline, still incorrect
     }
-    if (!correct && engine_.now() >= deadline) break;
-    if (stabilization_step(deadline, window, &correct, &correct_since)) break;
+    // The merged loop runs every event before `stop`: a correct stretch
+    // confirms at since + window at the earliest, and one that has not
+    // begun can begin no earlier than the next event (an incorrect system
+    // gets here only with next <= deadline, so this cannot overflow).
+    const sim::SimTime stop =
+        correct ? since + window : next + std::min(window, deadline - next);
+    edges_.clear();
+    if (engine_.runs_spans() && next < stop) {
+      // A round: each tenant runs through stop - 1 on its own.
+      engine_.run_streams_until(stop - 1,
+                                [&record](int t, const sim::Event& e) {
+                                  record(t, e.at, e.seq);
+                                });
+    } else {
+      // The tick where the loop may stop after any single event, or an
+      // engine that runs merged: one step.
+      engine_.step();
+      record(engine_.last_stream(), engine_.now(), 0);
+    }
+    if (replay_edges(deadline, window, &correct, &since)) break;
   }
   // Failure: leave the clock at the deadline like the poll loop did, so
   // callers that retry with a later deadline resume from a known point.
@@ -293,18 +358,55 @@ sim::SimTime SystemBase::run_until_stabilized(sim::SimTime deadline,
   return sim::kTimeInfinity;
 }
 
-bool SystemBase::census_correct(bool /*resync_probe*/) {
-  return tracker_.correct();
+bool SystemBase::replay_edges(sim::SimTime deadline, sim::SimTime window,
+                              bool* correct, sim::SimTime* since) {
+  // Replay the edges in the merged order to follow the fleet-wide
+  // predicate. Inside a round the merged loop can only give up: a
+  // stretch that begins there confirms beyond the round.
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  });
+  std::size_t applied = 0;
+  bool gave_up = false;
+  while (applied < edges_.size() && !gave_up) {
+    const Edge& edge = edges_[applied++];
+    incorrect_tenants_ += edge.correct ? -1 : 1;
+    correct_since_[static_cast<std::size_t>(edge.tenant)] =
+        edge.correct ? edge.at : sim::kTimeInfinity;
+    const bool now_correct = incorrect_tenants_ == 0;
+    if (now_correct && !*correct) *since = edge.at;
+    *correct = now_correct;
+    gave_up = *correct && *since + window > deadline;
+  }
+  // The merged loop probes nothing after giving up: undo the later edges'
+  // flags so the next resync probe starts from the same state.
+  for (std::size_t i = applied; i < edges_.size(); ++i) {
+    char& flag = tenant_ok_[static_cast<std::size_t>(edges_[i].tenant)];
+    flag = flag != 0 ? 0 : 1;
+  }
+  return gave_up;
 }
 
-bool SystemBase::stabilization_step(sim::SimTime /*deadline*/,
-                                    sim::SimTime /*window*/, bool* correct,
-                                    sim::SimTime* since) {
-  engine_.step();
-  const bool now_correct = census_correct(/*resync_probe=*/false);
-  if (now_correct && !*correct) *since = engine_.now();
-  *correct = now_correct;
-  return false;
+void SystemBase::spread_seed_tokens(const tree::Tree& tree,
+                                    const core::Params& params,
+                                    NodeId id_base) {
+  // ℓ resources spread over the ring (instead of a convoy out of the
+  // root's channel 0); the unique pusher / priority start at the root.
+  const tree::VirtualRing ring(tree);
+  const std::vector<tree::RingHop>& hops = ring.hops();
+  const long long length = ring.length();
+  for (int i = 0; i < params.l; ++i) {
+    const tree::RingHop& hop =
+        hops[static_cast<std::size_t>(i * length / params.l)];
+    engine_.inject_message(id_base + hop.from, hop.out_channel,
+                           proto::make_resource());
+  }
+  if (params.features.pusher) {
+    engine_.inject_message(id_base + tree::kRoot, 0, proto::make_pusher());
+  }
+  if (params.features.priority) {
+    engine_.inject_message(id_base + tree::kRoot, 0, proto::make_priority());
+  }
 }
 
 proto::TokenCensus SystemBase::census() const { return tracker_.counts(); }

@@ -125,9 +125,17 @@ class SystemBase : public proto::RequestPort {
   ///
   /// The (poll, consecutive) pair is kept from the polling era so existing
   /// call sites confirm over the same ~poll*consecutive horizon they
-  /// always did; they no longer quantize the reported time. A fleet keeps
-  /// this control flow and swaps its probe (census_correct) and its step
-  /// (stabilization_step).
+  /// always did; they no longer quantize the reported time.
+  ///
+  /// The loop advances in rounds: wherever the engine runs spans
+  /// (Engine::runs_spans) it runs every tenant through a horizon the
+  /// merged (at, seq) loop is certain to pass, probes each tenant after
+  /// each of its events, and replays the recorded edges in (at, seq)
+  /// order. A plain system is one tenant probed by the global predicate;
+  /// a fleet's tenants are probed by CensusTracker::correct_of. The tick
+  /// where the loop may stop after any single event, and every advance of
+  /// an engine that runs merged, is one step(). Either way the result,
+  /// clock and executed events are those of the merged loop.
   sim::SimTime run_until_stabilized(sim::SimTime deadline,
                                     sim::SimTime poll = 64,
                                     int consecutive = 3);
@@ -243,21 +251,19 @@ class SystemBase : public proto::RequestPort {
       const std::vector<int>& node_lane = {},
       const stree::Graph* physical = nullptr);
 
-  /// The census probe run_until_stabilized evaluates after every event
-  /// (and once before its loop, with `resync_probe` = true). The base
-  /// implementation ignores `resync_probe` and returns the O(1) global
-  /// tracker predicate; the fleet re-scans all tenants on a resync probe
-  /// and otherwise re-checks only the tenant of the last executed event.
-  virtual bool census_correct(bool resync_probe);
+  /// Injects the legitimate population of the protocol instance over
+  /// `tree` at engine ids id_base + v: the ℓ resource tokens evenly spaced
+  /// along the tree's virtual ring (its Euler tour), then the pusher and
+  /// the priority token on the root's channel 0 where the rung circulates
+  /// them. The injections are the first draws of each channel rng, so
+  /// their order is part of the trajectory.
+  void spread_seed_tokens(const tree::Tree& tree, const core::Params& params,
+                          NodeId id_base);
 
-  /// One advance of run_until_stabilized's loop, taken once its stop tests
-  /// have passed: executes the next event and updates the loop's
-  /// `correct` / `since` from the per-event probe. Returns true when the
-  /// loop must give up (a correct stretch that began inside a multi-event
-  /// advance and cannot be confirmed by `deadline`); a single step never
-  /// does. A fleet advances a whole tenant-major round here when it can.
-  virtual bool stabilization_step(sim::SimTime deadline, sim::SimTime window,
-                                  bool* correct, sim::SimTime* since);
+  /// Sizes run_until_stabilized's probe state for `tenants` legitimacy
+  /// predicates: 1 for a plain system (the constructor's default), one
+  /// per tenant for a fleet.
+  void size_stabilization_probe(int tenants);
 
   /// Called once when the lazily created ClientPool comes up; a fleet
   /// stamps each client's TenantId here.
@@ -290,6 +296,38 @@ class SystemBase : public proto::RequestPort {
   proto::AdmissionPolicy admission_policy_;  // default: admit everything
   std::unique_ptr<ClientPool> clients_;  // lazily created by clients()
   std::int64_t epoch_cuts_ = 0;
+
+  // run_until_stabilized's probe state, one entry per tenant: the last
+  // probed legitimacy flag and the start of the tenant's current correct
+  // stretch (kTimeInfinity while incorrect).
+  std::vector<char> tenant_ok_;
+  int incorrect_tenants_ = 0;
+  std::vector<sim::SimTime> correct_since_;
+
+ private:
+  /// One tenant's census edge seen by a stabilization round.
+  struct Edge {
+    sim::SimTime at = 0;
+    std::uint64_t seq = 0;
+    int tenant = -1;
+    bool correct = false;
+  };
+
+  /// run_until_stabilized with its per-event probe (tenant -> legitimate)
+  /// fixed for the whole call.
+  template <typename Probe>
+  sim::SimTime stabilize(sim::SimTime deadline, sim::SimTime window,
+                         Probe probe);
+
+  /// Applies the edges one advance of stabilize recorded, in (at, seq)
+  /// order, to the fleet-wide stretch (`correct`, `since`). True when the
+  /// merged loop gives up at one of them (a correct stretch that cannot
+  /// be confirmed by `deadline`); the flags of the edges after it are
+  /// rolled back, as the merged loop would never have probed them.
+  bool replay_edges(sim::SimTime deadline, sim::SimTime window, bool* correct,
+                    sim::SimTime* since);
+
+  std::vector<Edge> edges_;  // recorded by one advance of stabilize
 };
 
 }  // namespace klex

@@ -147,8 +147,8 @@ class CensusTracker final : public ParticipantDeltaSink {
   /// integer compares -- no walk.
   bool correct() const {
     if (tenant_mode()) {
-      // All tenants legitimate. O(R) -- fleet hot loops go through
-      // correct_of (incrementally, via Engine::last_stream()) instead.
+      // All tenants legitimate. O(R) -- the stabilization loop probes
+      // only the executed event's tenant through correct_of instead.
       for (int t = 0; t < tenant_count(); ++t) {
         if (!correct_of(t)) return false;
       }

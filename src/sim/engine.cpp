@@ -863,22 +863,6 @@ void Engine::dispatch(Lane& lane, std::int32_t queue, const Event& event) {
 }
 
 bool Engine::execute_next(SimTime t) {
-  if (lanes_.size() == 1 && !streams_explicit_) {
-    // One lane holding one queue: the step is that queue's pop, run in
-    // the thread's idle context (lane 0, stream 0, unscoped), so it sets
-    // no context. Every stabilization step of a one-lane plain engine
-    // comes here; the general step below cost klexbench's recovery time
-    // 3-5 %.
-    Lane& lane = lanes_[0];
-    Queue& queue = queues_[0];
-    Event event;
-    if (!queue.events.pop_min_until(t, &event)) return false;
-    lane.now = event.at;
-    queue.events.advance_to(event.at);
-    ++queue.events_executed;
-    dispatch(lane, 0, event);
-    return true;
-  }
   // The lane holding the global (at, seq) minimum: the earliest head of
   // the earliest lane. The per-entity slots make the key unique, so this
   // order is the same whatever queue an event sits in -- and the same as
@@ -977,8 +961,8 @@ void Engine::begin_window(SimTime start) {
 }
 
 void Engine::run_lane_window(int lane_index, SimTime t) {
-  // last_stream_ is deliberately not updated here -- it serves the
-  // merged-serial stabilization loop only.
+  // last_stream_ is deliberately not updated here: it reports merged
+  // steps only.
   auto no_hook = [](int, const Event&) {};
   run_lane_streams(lane_index, t, no_hook);
 }

@@ -52,14 +52,13 @@
 // the events counter of what it runs. Each lane orders its queues by
 // their earliest pending (at, seq) in a StreamHeads heap. Stream queues
 // are re-keyed as they change; a lane's own queue on a plain engine is
-// keyed only when the merged loop compares lanes, because keying gathers
-// its next tick, and gathering it earlier than the pop that needs it
+// keyed only by a merged step, right before the pop that needs its head,
+// because keying gathers its next tick, and gathering it any earlier
 // would move the tick-sort counters of every plain trajectory.
 //
 // Two loops run events.
 //   * The merged loop (step) executes the global (at, seq) minimum across
-//     the lanes' heads (on a one-lane plain engine, its one queue's
-//     minimum, popped directly). It serves step(), run_events(),
+//     the lanes' heads. It serves step(), run_events(),
 //     run_until_message_quiescence(), and run_until wherever spans are
 //     not closed: with an observer or a pending global callback on an
 //     engine with explicit streams (observers see every stream's events
@@ -468,8 +467,8 @@ class Engine {
   static int current_stream() { return detail::t_current_stream; }
 
   /// Stream of the most recently executed merged-serial event (0 before
-  /// any). Lets a fleet's stabilization loop re-check only the tenant the
-  /// last event could have perturbed instead of scanning all R tenants.
+  /// any). Lets the stabilization loop re-check only the tenant the last
+  /// step could have perturbed instead of scanning all R tenants.
   int last_stream() const { return last_stream_; }
 
   /// True when run_until runs the span loop (see the file comment): a

@@ -371,6 +371,24 @@ TEST(FleetSystemTest, RequestValidatesAgainstTheOwningTenantsK) {
   EXPECT_EQ(fleet.need_of(fleet.global_id(0, 2)), 1);
 }
 
+TEST(FleetSystemTest, TenantObserversRejectBadTenants) {
+  // The observers check the tenant like the per-tenant mutators do,
+  // instead of reading past their per-tenant vectors.
+  FleetSystem fleet(heterogeneous_config());
+  ASSERT_NE(fleet.run_until_stabilized(1'000'000), sim::kTimeInfinity);
+  for (int bad : {-1, fleet.tenant_count()}) {
+    EXPECT_THROW(fleet.tenant_correct(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(fleet.tenant_stabilized_at(bad), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(fleet.tenant_recovery_events(bad), std::invalid_argument)
+        << bad;
+  }
+  const int last = fleet.tenant_count() - 1;
+  EXPECT_TRUE(fleet.tenant_correct(last));
+  EXPECT_NE(fleet.tenant_stabilized_at(last), sim::kTimeInfinity);
+  EXPECT_EQ(fleet.tenant_recovery_events(last), 0);
+}
+
 TEST(FleetSystemTest, DenyCountersLabelEveryReason) {
   // satellite: to_string(DenyReason) + per-reason counters.
   for (int r = 0; r < kDenyReasonCount; ++r) {

@@ -25,7 +25,9 @@
 //      observer attached, which forces merged spans -- including the
 //      stabilization loop's returned time, clock and executed prefix,
 //      and a chaos burst whose deferred epoch cut is a global callback;
-//      one span, many slices and stepping leave every tenant alike.
+//      one span, many slices and stepping leave every tenant alike. A
+//      plain system stabilizes by the same rounds as a one-tenant fleet:
+//      at P = 1 it matches its P = 2 twin, whose engine runs merged.
 //
 // All phases run to fixed horizons (run_until aligns every lane clock
 // exactly at the horizon), so out-of-event actions -- fault injection,
@@ -580,26 +582,61 @@ TEST(FleetDifferentialTest, SpanSlicingDoesNotChangeTenantTrajectories) {
   for (std::uint64_t events : want.tenant_events) EXPECT_GT(events, 0u);
 }
 
-/// Runs the same stabilization on a tenant-major fleet and on its twin
-/// forced into the merged loop by an observer, after the same `setup`,
-/// and expects the same outcome. Returns the tenant-major result.
+/// The observer that forces a fleet's merged twin into merged spans.
+sim::SimObserver* merged_order() {
+  static MergedOrder observer;
+  return &observer;
+}
+
+/// A fleet of 8 tenants; its merged twin carries an observer.
+Session fleet_twin(std::uint64_t seed, bool merged) {
+  Session session = fleet_session(seed, 8);
+  if (merged) session.system->add_observer(merged_order());
+  return session;
+}
+
+/// What a stabilization must leave alike on its rounds side and its
+/// merged twin: the clock, the executed prefix, the next pending event
+/// and the census -- and on a fleet every tenant's snapshot.
+void expect_same_state(const Session& fast, const Session& merged,
+                       const std::string& label) {
+  const sim::Engine& a = fast.system->engine();
+  const sim::Engine& b = merged.system->engine();
+  EXPECT_EQ(a.now(), b.now()) << label;
+  EXPECT_EQ(a.events_executed(), b.events_executed()) << label;
+  EXPECT_EQ(a.next_event_time(), b.next_event_time()) << label;
+  const proto::TokenCensus x = fast.system->census();
+  const proto::TokenCensus y = merged.system->census();
+  EXPECT_TRUE(x.free_resource == y.free_resource &&
+              x.reserved_resource == y.reserved_resource &&
+              x.pusher == y.pusher && x.free_priority == y.free_priority &&
+              x.held_priority == y.held_priority && x.control == y.control)
+      << label;
+  if (dynamic_cast<const FleetSystem*>(fast.system.get()) != nullptr) {
+    EXPECT_TRUE(snapshot(fast) == snapshot(merged)) << label;
+  }
+}
+
+/// Runs the same stabilization on a system whose loop advances by span
+/// rounds and on its twin that runs merged, after the same `setup`, and
+/// expects the same outcome. `make(seed, merged)` builds either side.
+/// Returns the rounds side's result.
 struct StabilizationCase {
   sim::SimTime result = 0;
   sim::SimTime window_end = 0;  // result + poll * consecutive
   bool events_left_on_window_end = false;
 };
 
-template <typename Setup>
-StabilizationCase expect_same_stabilization(std::uint64_t seed,
+template <typename Make, typename Setup>
+StabilizationCase expect_same_stabilization(const Make& make,
+                                            std::uint64_t seed,
                                             Setup&& setup,
                                             sim::SimTime deadline_after,
                                             sim::SimTime poll,
                                             int consecutive,
                                             const std::string& label) {
-  Session fast = fleet_session(seed, 8);
-  Session merged = fleet_session(seed, 8);
-  MergedOrder observer;
-  merged.system->add_observer(&observer);
+  Session fast = make(seed, false);
+  Session merged = make(seed, true);
   setup(fast);
   setup(merged);
   EXPECT_TRUE(fast.system->engine().runs_spans()) << label;
@@ -611,10 +648,7 @@ StabilizationCase expect_same_stabilization(std::uint64_t seed,
   const sim::SimTime want =
       merged.system->run_until_stabilized(deadline, poll, consecutive);
   EXPECT_EQ(got, want) << label;
-  EXPECT_TRUE(snapshot(fast) == snapshot(merged)) << label;
-  EXPECT_EQ(fast.system->engine().next_event_time(),
-            merged.system->engine().next_event_time())
-      << label;
+  expect_same_state(fast, merged, label);
   StabilizationCase out;
   out.result = got;
   if (got == sim::kTimeInfinity) {
@@ -624,7 +658,7 @@ StabilizationCase expect_same_stabilization(std::uint64_t seed,
     EXPECT_EQ(fast.system->run_until_stabilized(retry, poll, consecutive),
               merged.system->run_until_stabilized(retry, poll, consecutive))
         << label;
-    EXPECT_TRUE(snapshot(fast) == snapshot(merged)) << label << " retry";
+    expect_same_state(fast, merged, label + " retry");
   } else {
     out.window_end = got + poll * static_cast<sim::SimTime>(consecutive);
     EXPECT_EQ(fast.system->engine().now(), out.window_end) << label;
@@ -634,24 +668,29 @@ StabilizationCase expect_same_stabilization(std::uint64_t seed,
   return out;
 }
 
+constexpr sim::SimTime kFaultAt = 15'000;
+
+/// Runs the workload to kFaultAt, then faults every tenant.
+void faulted(Session& session) {
+  session.begin_workload();
+  session.system->run_until(kFaultAt);
+  support::Rng rng(2024);
+  session.system->inject_transient_fault(rng);
+  session.driver->resync();
+}
+
 TEST(FleetDifferentialTest, StabilizationMatchesTheMergedLoop) {
   auto nothing = [](Session&) {};
-  auto faulted = [](Session& session) {
-    session.begin_workload();
-    session.system->run_until(15'000);
-    support::Rng rng(2024);
-    session.system->inject_transient_fault(rng);  // every tenant
-    session.driver->resync();
-  };
+  auto make = fleet_twin;
 
   // Boot.
-  const StabilizationCase boot =
-      expect_same_stabilization(31, nothing, 1'000'000, 64, 3, "boot");
+  const StabilizationCase boot = expect_same_stabilization(
+      make, 31, nothing, 1'000'000, 64, 3, "boot");
   EXPECT_NE(boot.result, sim::kTimeInfinity);
 
   // After a fleet-wide transient fault.
-  const StabilizationCase fault =
-      expect_same_stabilization(32, faulted, 2'000'000, 64, 3, "fault");
+  const StabilizationCase fault = expect_same_stabilization(
+      make, 32, faulted, 2'000'000, 64, 3, "fault");
   EXPECT_NE(fault.result, sim::kTimeInfinity);
 
   // A confirmation whose last event lands exactly on result + window
@@ -660,27 +699,111 @@ TEST(FleetDifferentialTest, StabilizationMatchesTheMergedLoop) {
   int exact = 0;
   for (sim::SimTime poll = 20; poll < 32 && exact == 0; ++poll) {
     const StabilizationCase c = expect_same_stabilization(
-        33, faulted, 2'000'000, poll, 2, "poll " + std::to_string(poll));
+        make, 33, faulted, 2'000'000, poll, 2,
+        "poll " + std::to_string(poll));
     if (c.result != sim::kTimeInfinity && c.events_left_on_window_end) ++exact;
   }
   EXPECT_GT(exact, 0);
 
   // A deadline the fault's recovery cannot meet.
   const StabilizationCase miss =
-      expect_same_stabilization(34, faulted, 300, 64, 3, "miss");
+      expect_same_stabilization(make, 34, faulted, 300, 64, 3, "miss");
   EXPECT_EQ(miss.result, sim::kTimeInfinity);
 
   // A correct stretch that begins before the deadline but cannot be
   // confirmed by it: the merged loop gives up at its first event and
   // runs on to the deadline without probing.
   const StabilizationCase late = expect_same_stabilization(
-      32, faulted, fault.result - 15'000 + 64 * 3 - 1, 64, 3, "late");
+      make, 32, faulted, fault.result - kFaultAt + 64 * 3 - 1, 64, 3,
+      "late");
   EXPECT_EQ(late.result, sim::kTimeInfinity);
   // The same, where a tenant turns incorrect again later in the round
   // that gave up (the round rolls that tenant's probe flag back).
-  const StabilizationCase relapse =
-      expect_same_stabilization(32, faulted, 2'425, 64, 3, "relapse");
+  const StabilizationCase relapse = expect_same_stabilization(
+      make, 32, faulted, 2'425, 64, 3, "relapse");
   EXPECT_EQ(relapse.result, sim::kTimeInfinity);
+}
+
+/// The faulted setup plus a callback at `at` that injects a surplus
+/// resource token, breaking any correct census. The callback's seq is
+/// drawn when it is scheduled, so runs that differ only in `at` share
+/// their trajectory up to the earlier of the two times.
+auto surplus_token_at(sim::SimTime at) {
+  return [at](Session& session) {
+    faulted(session);
+    sim::Engine* engine = &session.system->engine();
+    engine->schedule(at - engine->now(), [engine]() {
+      engine->inject_message(0, 0, proto::make_resource());
+    });
+  };
+}
+
+TEST(FleetDifferentialTest, PlainStabilizationRoundsMatchTheMergedLoop) {
+  // A plain system is a one-tenant round: at P = 1 the loop advances by
+  // spans, and its P = 2 twin (whose engine runs merged) steps. Every
+  // case of the fleet test above must come out the same.
+  constexpr sim::SimTime kWindow = 64 * 3;
+  const std::vector<std::pair<std::string, TopologySpec>> topologies = {
+      {"tree_random", TopologySpec::tree_random(40, 5)},
+      {"ring", TopologySpec::ring(32)},
+      {"graph_random", TopologySpec::graph_random(20, 8, 3)},
+  };
+  for (const auto& [name, topology] : topologies) {
+    auto make = [topology = topology](std::uint64_t seed, bool merged) {
+      SystemBuilder builder;
+      builder.topology(topology)
+          .kl(2, 4)
+          .seed(seed)
+          .workload(contention_spec())
+          .threads(merged ? 2 : 1);
+      return builder.build_session();
+    };
+    auto nothing = [](Session&) {};
+
+    const StabilizationCase boot = expect_same_stabilization(
+        make, 31, nothing, 1'000'000, 64, 3, name + " boot");
+    EXPECT_NE(boot.result, sim::kTimeInfinity) << name;
+
+    const StabilizationCase fault = expect_same_stabilization(
+        make, 32, faulted, 2'000'000, 64, 3, name + " fault");
+    ASSERT_NE(fault.result, sim::kTimeInfinity) << name;
+
+    // The confirming event is not the last on its tick.
+    int exact = 0;
+    for (sim::SimTime poll = 20; poll < 48 && exact == 0; ++poll) {
+      const StabilizationCase c = expect_same_stabilization(
+          make, 33, faulted, 2'000'000, poll, 2,
+          name + " poll " + std::to_string(poll));
+      if (c.result != sim::kTimeInfinity && c.events_left_on_window_end) {
+        ++exact;
+      }
+    }
+    EXPECT_GT(exact, 0) << name;
+
+    const StabilizationCase miss = expect_same_stabilization(
+        make, 32, faulted, 300, 64, 3, name + " miss");
+    EXPECT_EQ(miss.result, sim::kTimeInfinity) << name;
+
+    const StabilizationCase late = expect_same_stabilization(
+        make, 32, faulted, fault.result - kFaultAt + kWindow - 1, 64, 3,
+        name + " late");
+    EXPECT_EQ(late.result, sim::kTimeInfinity) << name;
+
+    // Relapse: the census turns correct at `edge` (found by a run whose
+    // surplus token comes too late to matter), the deadline admits that
+    // edge as a start but not as a confirmation, and the surplus token
+    // breaks the stretch again one tick later, inside the round that
+    // gave up.
+    Session probe = make(32, false);
+    surplus_token_at(kFaultAt + 4'000'000)(probe);
+    const sim::SimTime edge =
+        probe.system->run_until_stabilized(kFaultAt + 2'000'000);
+    ASSERT_NE(edge, sim::kTimeInfinity) << name;
+    const StabilizationCase relapse = expect_same_stabilization(
+        make, 32, surplus_token_at(edge + 1), edge - kFaultAt + kWindow - 1,
+        64, 3, name + " relapse");
+    EXPECT_EQ(relapse.result, sim::kTimeInfinity) << name;
+  }
 }
 
 TEST(FleetDifferentialTest, ChaosBurstEpochCutMatchesTheMergedOrder) {
@@ -695,8 +818,7 @@ TEST(FleetDifferentialTest, ChaosBurstEpochCutMatchesTheMergedOrder) {
   const proto::Features cut = proto::Features::full().with_epoch_cut();
   Session fast = fleet_session(808, 5, cut, FaultPlan{{burst}});
   Session merged = fleet_session(808, 5, cut, FaultPlan{{burst}});
-  MergedOrder observer;
-  merged.system->add_observer(&observer);
+  merged.system->add_observer(merged_order());
   for (Session* session : {&fast, &merged}) {
     ASSERT_NE(session->system->run_until_stabilized(1'000'000),
               sim::kTimeInfinity);

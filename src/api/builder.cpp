@@ -1,5 +1,6 @@
 #include "api/builder.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "api/fleet.hpp"
@@ -19,6 +20,23 @@ constexpr std::uint64_t kDriverSalt = 0xABCDull;
 // Cross-tenant class membership (materialize_fleet) draws from its own
 // stream so adding a cross class never perturbs per-tenant assignment.
 constexpr std::uint64_t kCrossTenantSalt = 0xC705ull;
+
+/// The tree a tree-kind spec names; nullopt for ring and graph kinds.
+std::optional<tree::Tree> spec_tree(const TopologySpec& spec) {
+  using Kind = TopologySpec::Kind;
+  switch (spec.kind) {
+    case Kind::kTreeLine: return tree::line(spec.n);
+    case Kind::kTreeStar: return tree::star(spec.n);
+    case Kind::kTreeBalanced: return tree::balanced(spec.a, spec.b);
+    case Kind::kTreeCaterpillar: return tree::caterpillar(spec.a, spec.b);
+    case Kind::kTreeRandom: {
+      support::Rng topo_rng(static_cast<std::uint64_t>(spec.a));
+      return tree::random_tree(spec.n, topo_rng);
+    }
+    case Kind::kTreeFigure1: return tree::figure1_tree();
+    default: return std::nullopt;
+  }
+}
 
 }  // namespace
 
@@ -261,32 +279,14 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
                      !omit_prio_wrap_count_,
                  "fleet() does not support manual tokens or the fidelity "
                  "ablations");
-    tree::Tree fleet_tree = [this]() -> tree::Tree {
-      if (topo_kind_ == TopoKind::kTree) return *tree_;
-      KLEX_REQUIRE(topo_kind_ == TopoKind::kSpec,
-                   "fleet() needs a tree topology");
-      using Kind = TopologySpec::Kind;
-      switch (spec_.kind) {
-        case Kind::kTreeLine: return tree::line(spec_.n);
-        case Kind::kTreeStar: return tree::star(spec_.n);
-        case Kind::kTreeBalanced: return tree::balanced(spec_.a, spec_.b);
-        case Kind::kTreeCaterpillar:
-          return tree::caterpillar(spec_.a, spec_.b);
-        case Kind::kTreeRandom: {
-          support::Rng topo_rng(static_cast<std::uint64_t>(spec_.a));
-          return tree::random_tree(spec_.n, topo_rng);
-        }
-        case Kind::kTreeFigure1: return tree::figure1_tree();
-        default: break;
-      }
-      KLEX_REQUIRE(false,
-                   "fleet() needs a tree topology (ring / graph fleets are "
-                   "not supported)");
-      return tree::line(2);
-    }();
+    std::optional<tree::Tree> fleet_tree =
+        topo_kind_ == TopoKind::kSpec ? spec_tree(spec_) : tree_;
+    KLEX_REQUIRE(fleet_tree.has_value(),
+                 "fleet() needs a tree topology (ring / graph fleets are "
+                 "not supported)");
     FleetConfig config;
     TenantSpec tenant;
-    tenant.tree = std::move(fleet_tree);
+    tenant.tree = *std::move(fleet_tree);
     tenant.k = k_;
     tenant.l = l_;
     tenant.features = features_;
@@ -368,28 +368,12 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
       system = make_graph_system(*graph_);
       break;
     case TopoKind::kSpec: {
+      if (std::optional<tree::Tree> t = spec_tree(spec_)) {
+        system = make_tree_system(*std::move(t));
+        break;
+      }
       using Kind = TopologySpec::Kind;
       switch (spec_.kind) {
-        case Kind::kTreeLine:
-          system = make_tree_system(tree::line(spec_.n));
-          break;
-        case Kind::kTreeStar:
-          system = make_tree_system(tree::star(spec_.n));
-          break;
-        case Kind::kTreeBalanced:
-          system = make_tree_system(tree::balanced(spec_.a, spec_.b));
-          break;
-        case Kind::kTreeCaterpillar:
-          system = make_tree_system(tree::caterpillar(spec_.a, spec_.b));
-          break;
-        case Kind::kTreeRandom: {
-          support::Rng topo_rng(static_cast<std::uint64_t>(spec_.a));
-          system = make_tree_system(tree::random_tree(spec_.n, topo_rng));
-          break;
-        }
-        case Kind::kTreeFigure1:
-          system = make_tree_system(tree::figure1_tree());
-          break;
         case Kind::kRing:
           system = make_ring_system(spec_.n);
           break;
@@ -407,6 +391,8 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
         }
         case Kind::kGraphComplete:
           system = make_graph_system(stree::complete_graph(spec_.n));
+          break;
+        default:  // the tree kinds, handled above
           break;
       }
       break;
@@ -457,9 +443,8 @@ Session SystemBuilder::build_session() const {
       // drives from (seed + t)-salted rngs -- the exact rngs a standalone
       // build_session with seed + t would use, which is what pins every
       // tenant's workload trajectory to its standalone twin.
-      auto* fleet_system = static_cast<FleetSystem*>(session.system.get());
-      const int tenants = fleet_system->tenant_count();
-      const int per_tenant_n = fleet_system->tenant_n(0);
+      const int tenants = session.system->tenant_count();
+      const int per_tenant_n = session.system->tenant_n(0);
       std::vector<support::Rng> class_rngs;
       std::vector<support::Rng> driver_rngs;
       class_rngs.reserve(static_cast<std::size_t>(tenants));

@@ -172,7 +172,7 @@ class Client final : private sim::ActionHandler {
   void set_policy(MisusePolicy policy) { policy_ = policy; }
 
   /// Tenant this session belongs to (0 outside fleets). Stamped by the
-  /// owning harness (FleetSystem) right after pool creation; leases carry
+  /// owning system (SystemBase::clients) at pool creation; leases carry
   /// it so cross-tenant applications can tell their grants apart.
   TenantId tenant() const { return tenant_; }
   void set_tenant(TenantId tenant) { tenant_ = tenant; }

@@ -15,7 +15,19 @@ SystemBase::SystemBase(core::Params params, sim::DelayModel delays,
       tracker_(&engine_, params.l, params.features) {
   KLEX_REQUIRE(params_.k >= 1 && params_.k <= params_.l,
                "need 1 <= k <= l");
-  size_stabilization_probe(1);
+  open_tenant(params_);
+}
+
+void SystemBase::open_tenant(const core::Params& params) {
+  if (!tenants_.empty() && tenant_n(tenant_count() - 1) == 0) {
+    tenants_.back().params = params;
+    return;
+  }
+  tenants_.push_back(Tenant{params, n(), engine_.channel_count(),
+                            static_cast<int>(out_channels_.size()), 0});
+  // run_until_stabilized's probe state; its resync probes every tenant.
+  tenant_ok_.push_back(0);
+  correct_since_.push_back(sim::kTimeInfinity);
 }
 
 core::Params SystemBase::finalize_params(core::Params params,
@@ -147,7 +159,11 @@ ClientPool& SystemBase::clients() {
     clients_ = std::make_unique<ClientPool>(*this, n(), params_.k,
                                             misuse_policy_, &engine_);
     add_listener(clients_.get());
-    on_clients_created(*clients_);
+    // Lease::tenant routes grants back per tenant in cross-tenant
+    // applications.
+    for (NodeId node = 0; node < n(); ++node) {
+      clients_->at(node).set_tenant(tenant_of(node));
+    }
   }
   return *clients_;
 }
@@ -171,19 +187,27 @@ void SystemBase::request(NodeId node, int need) {
                  "); see MisusePolicy");
     return;  // kClamp / kIgnore: drop
   }
-  if (need < 0 || need > params_.k) {
+  // `need` is checked against the owning tenant's k (params().k is a
+  // fleet's largest).
+  const int tenant = tenant_of(node);
+  const int k = tenant_params(tenant).k;
+  if (need < 0 || need > k) {
     switch (misuse_policy_) {
       case MisusePolicy::kCheck:
-        KLEX_REQUIRE(false, "request() need must be in 0..k, got ", need);
+        KLEX_REQUIRE(false, "request() need must be in 0..", k,
+                     " for tenant ", tenant, ", got ", need);
         return;
       case MisusePolicy::kClamp:
-        need = std::clamp(need, 0, params_.k);
+        need = std::clamp(need, 0, k);
         break;
       case MisusePolicy::kIgnore:
         return;
     }
   }
   if (!admit(node, need)) return;  // admission shed (not misuse): drop
+  // Any delta the request fires lands in the tenant's census stream
+  // (client sessions call the port from outside event execution too).
+  sim::ScopedStream scope(tenant);
   participant->request(need);
 }
 
@@ -198,6 +222,7 @@ void SystemBase::release(NodeId node) {
                  "); see MisusePolicy");
     return;  // kClamp / kIgnore: drop
   }
+  sim::ScopedStream scope(tenant_of(node));
   participant->release();
 }
 
@@ -271,21 +296,16 @@ sim::SimTime SystemBase::run_until_stabilized(sim::SimTime deadline,
   return stabilize(deadline, window, [this](int) { return tracker_.correct(); });
 }
 
-void SystemBase::size_stabilization_probe(int tenants) {
-  tenant_ok_.assign(static_cast<std::size_t>(tenants), 0);
-  incorrect_tenants_ = tenants;
-  correct_since_.assign(static_cast<std::size_t>(tenants), sim::kTimeInfinity);
-}
-
 template <typename Probe>
 sim::SimTime SystemBase::stabilize(sim::SimTime deadline, sim::SimTime window,
                                    Probe probe) {
   // Event-driven detection: every event that could move the census goes
   // through the engine's per-type counters or a participant delta, so
   // probing the O(1) predicate after every event observes every
-  // correct<->incorrect edge at its exact simulated time. An event moves
-  // only its own tenant (tenants are causally independent), so the probe
-  // re-checks that tenant alone. `since` is the start of the current
+  // correct<->incorrect edge at its exact simulated time. A tenant event
+  // moves only its own tenant (tenants are causally independent), so the
+  // probe re-checks that tenant alone; a global callback re-checks every
+  // tenant. `since` is the start of the current
   // fleet-wide correct stretch; a stretch that survives `window` ticks is
   // confirmed and reported at its transition edge.
   //
@@ -348,7 +368,14 @@ sim::SimTime SystemBase::stabilize(sim::SimTime deadline, sim::SimTime window,
       // The tick where the loop may stop after any single event, or an
       // engine that runs merged: one step.
       engine_.step();
-      record(engine_.last_stream(), engine_.now(), 0);
+      const int moved = engine_.last_stream();
+      if (moved >= 0) {
+        record(moved, engine_.now(), 0);
+      } else {
+        // A global callback (such as a deferred epoch cut) may have moved
+        // every tenant at once.
+        for (int t = 0; t < tenant_count(); ++t) record(t, engine_.now(), 0);
+      }
     }
     if (replay_edges(deadline, window, &correct, &since)) break;
   }
@@ -415,70 +442,108 @@ proto::TokenCensus SystemBase::census_oracle() const {
   return proto::take_census(engine_, census_participants_);
 }
 
-proto::MessageDomains SystemBase::message_domains() const {
+proto::MessageDomains SystemBase::message_domains(int tenant) const {
   proto::MessageDomains domains;
-  domains.myc_modulus = core::myc_modulus(n(), params_.cmax);
-  domains.l = params_.l;
+  domains.myc_modulus =
+      core::myc_modulus(tenant_n(tenant), tenant_params(tenant).cmax);
+  domains.l = tenant_params(tenant).l;
   return domains;
 }
 
 bool SystemBase::token_counts_correct() const { return tracker_.correct(); }
 
-void SystemBase::inject_transient_fault(support::Rng& rng,
-                                        int garbage_per_channel) {
-  engine_.clear_channels();
-  for (proto::ExclusionParticipant* participant : participants_) {
-    participant->corrupt(rng);
-  }
-  proto::MessageDomains domains = message_domains();
-  for (const auto& [node, channel] : out_channels_) {
+bool SystemBase::tenant_correct(int tenant) const {
+  require_tenant(tenant);
+  return tracker_.tenant_mode() ? tracker_.correct_of(tenant)
+                                : tracker_.correct();
+}
+
+void SystemBase::inject_garbage(int tenant, support::Rng& rng,
+                                int garbage_per_channel) {
+  const proto::MessageDomains domains = message_domains(tenant);
+  const int cmax = tenant_params(tenant).cmax;
+  const int end = out_end(tenant);
+  for (int i = slot(tenant).out_begin; i < end; ++i) {
+    const auto& [node, channel] = out_channels_[static_cast<std::size_t>(i)];
     // Default: up to CMAX arbitrary messages per channel (the paper's
     // bound); an explicit count overrides it -- possibly beyond CMAX,
     // which is exactly what the CMAX-violation ablation measures.
-    int garbage = garbage_per_channel >= 0
-                      ? garbage_per_channel
-                      : static_cast<int>(rng.next_below(
-                            static_cast<std::uint64_t>(params_.cmax) + 1));
-    for (int i = 0; i < garbage; ++i) {
+    const int garbage =
+        garbage_per_channel >= 0
+            ? garbage_per_channel
+            : static_cast<int>(
+                  rng.next_below(static_cast<std::uint64_t>(cmax) + 1));
+    for (int g = 0; g < garbage; ++g) {
       engine_.inject_message(node, channel,
                              proto::random_message(domains, rng));
     }
   }
+}
+
+void SystemBase::inject_transient_fault(support::Rng& rng,
+                                        int garbage_per_channel) {
+  for (int t = 0; t < tenant_count(); ++t) {
+    inject_transient_fault_tenant(t, rng, garbage_per_channel);
+  }
+}
+
+void SystemBase::inject_transient_fault_tenant(int tenant, support::Rng& rng,
+                                               int garbage_per_channel) {
+  require_tenant(tenant);
+  // Deltas fired by corrupt() must be attributed to this tenant's census
+  // stream (we are outside event execution).
+  sim::ScopedStream scope(tenant);
+  engine_.clear_channel_range(channel_begin(tenant), channel_end(tenant));
+  for (NodeId v = node_begin(tenant); v < node_end(tenant); ++v) {
+    participants_[static_cast<std::size_t>(v)]->corrupt(rng);
+  }
+  inject_garbage(tenant, rng, garbage_per_channel);
 }
 
 void SystemBase::flood_channels(support::Rng& rng, int garbage_per_channel) {
   KLEX_REQUIRE(garbage_per_channel >= 0, "need a garbage count");
-  engine_.clear_channels();
-  proto::MessageDomains domains = message_domains();
-  for (const auto& [node, channel] : out_channels_) {
-    for (int i = 0; i < garbage_per_channel; ++i) {
-      engine_.inject_message(node, channel,
-                             proto::random_message(domains, rng));
-    }
+  for (int t = 0; t < tenant_count(); ++t) {
+    sim::ScopedStream scope(t);
+    engine_.clear_channel_range(channel_begin(t), channel_end(t));
+    inject_garbage(t, rng, garbage_per_channel);
   }
 }
 
 bool SystemBase::epoch_cut_recover() {
-  KLEX_REQUIRE(params_.features.epoch_cut,
-               "epoch_cut_recover() needs Features::epoch_cut (the drain "
-               "is an opt-in rung, not part of the paper's protocol)");
-  if (tracker_.correct()) return false;
-  KLEX_REQUIRE(!participants_.empty(), "no participants to drain");
-  // One batched drain pass, O(channels + n): every in-flight message
-  // (garbage and legitimate tokens alike) is dropped via the channel
-  // epoch bump, every stored token is erased through the delta-reporting
-  // drain hook, and the root re-mints the legitimate population. The
-  // incremental census tracks all of it, so the cut is visible to
-  // run_until_stabilized at its exact timestamp.
-  engine_.clear_channels();
-  for (proto::ExclusionParticipant* participant : participants_) {
-    participant->epoch_drain();
+  bool any = false;
+  for (int t = 0; t < tenant_count(); ++t) {
+    if (!tenant_correct(t)) any = epoch_cut_recover_tenant(t) || any;
   }
-  // Node 0 is the distinguished root in every topology this repository
-  // builds (tree, spanning-tree overlay, ring).
-  const bool restarted = participants_[0]->epoch_restart();
-  KLEX_CHECK(restarted, "participant 0 must be the root (epoch_restart)");
-  ++epoch_cuts_;
+  return any;
+}
+
+bool SystemBase::epoch_cut_recover_tenant(int tenant) {
+  require_tenant(tenant);
+  KLEX_REQUIRE(tenant_params(tenant).features.epoch_cut,
+               "epoch_cut_recover() needs Features::epoch_cut on tenant ",
+               tenant, " (the drain is an opt-in rung, not part of the "
+               "paper's protocol)");
+  if (tenant_correct(tenant)) return false;
+  // One batched drain pass, O(tenant channels + tenant n): every
+  // in-flight message of the tenant (garbage and legitimate tokens alike)
+  // is dropped via the channel epoch bump, every stored token is erased
+  // through the delta-reporting drain hook, and the root re-mints the
+  // legitimate population. The incremental census tracks all of it, so
+  // the cut is visible to run_until_stabilized at its exact timestamp;
+  // other tenants' tokens and counters are never touched.
+  sim::ScopedStream scope(tenant);
+  engine_.clear_channel_range(channel_begin(tenant), channel_end(tenant));
+  for (NodeId v = node_begin(tenant); v < node_end(tenant); ++v) {
+    participants_[static_cast<std::size_t>(v)]->epoch_drain();
+  }
+  // A tenant's first node is its distinguished root in every topology
+  // this repository builds (tree, spanning-tree overlay, ring, fleet).
+  const bool restarted =
+      participants_[static_cast<std::size_t>(node_begin(tenant))]
+          ->epoch_restart();
+  KLEX_CHECK(restarted, "tenant ", tenant,
+             "'s first node must be its root (epoch_restart)");
+  ++tenants_[static_cast<std::size_t>(tenant)].recoveries;
   return true;
 }
 

@@ -1,12 +1,22 @@
 // klex::SystemBase -- the topology-generic exclusion runtime.
 //
 // Every harness in this repository (the tree protocol, the ring baseline,
-// and the spanning-tree composition on arbitrary graphs) wires the same
-// machinery around a protocol: a deterministic engine, a listener fan-out,
-// the global token census, transient-fault injection and the run /
-// stabilize loops. SystemBase owns all of that once; a concrete system
-// only builds its processes and channels and answers message_domains()
-// for garbage injection.
+// the spanning-tree composition on arbitrary graphs and the multi-tenant
+// fleet) wires the same machinery around a protocol: a deterministic
+// engine, a listener fan-out, the global token census, transient-fault
+// injection and the run / stabilize loops. SystemBase owns all of that
+// once; a concrete system only builds its processes and channels (the
+// ring also answers message_domains() for garbage injection).
+//
+// The paper's transient fault and legitimacy predicate are defined per
+// protocol instance, so the base carries the instance axis itself: every
+// system is a list of tenants, each owning a contiguous range of engine
+// nodes, channels and out-channels, its own finalized params and its own
+// recovery counter. A plain system is tenant 0 of one over everything it
+// builds; a FleetSystem opens one tenant per TenantSpec. Faults, the
+// epoch-cut drain, request validation and the per-tenant readout are
+// written once against a tenant, and the system-wide calls loop over the
+// tenants in order.
 //
 // Everything a workload, monitor or experiment needs is on this base, so
 // the exp::ExperimentRunner (and anything else) can drive any topology
@@ -30,6 +40,7 @@
 #include "proto/workload.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_engine.hpp"
+#include "support/check.hpp"
 #include "tree/tree.hpp"
 
 namespace klex::stree {
@@ -76,6 +87,49 @@ class SystemBase : public proto::RequestPort {
 
   /// Registers a simulator observer (message sends/deliveries).
   void add_observer(sim::SimObserver* observer);
+
+  // -- tenants (protocol instances; a plain system is tenant 0 of one) --------
+  int tenant_count() const { return static_cast<int>(tenants_.size()); }
+  /// Tenant t owns the contiguous engine ids [node_begin(t), node_end(t)).
+  NodeId node_begin(int tenant) const { return slot(tenant).node_begin; }
+  NodeId node_end(int tenant) const {
+    return tenant + 1 < tenant_count() ? slot(tenant + 1).node_begin : n();
+  }
+  int tenant_n(int tenant) const {
+    return node_end(tenant) - node_begin(tenant);
+  }
+  /// Tenant owning engine node `node` (O(1): streams store it).
+  int tenant_of(NodeId node) const { return engine_.stream_of(node); }
+  /// The tenant's own finalized params (a plain system's are params()).
+  const core::Params& tenant_params(int tenant) const {
+    return slot(tenant).params;
+  }
+
+  /// The live per-tenant legitimacy predicate, O(1) (never scans the
+  /// other tenants).
+  bool tenant_correct(int tenant) const;
+  /// When the tenant's current correct stretch began, as observed by the
+  /// last run_until_stabilized loop (kTimeInfinity while incorrect).
+  /// Meaningful after run_until_stabilized; tenant_correct is the
+  /// always-live predicate.
+  sim::SimTime tenant_stabilized_at(int tenant) const {
+    require_tenant(tenant);
+    return correct_since_[static_cast<std::size_t>(tenant)];
+  }
+  /// Events the engine executed on behalf of this tenant.
+  std::uint64_t tenant_events_executed(int tenant) const {
+    return engine_.events_executed_in(tenant);
+  }
+  /// Epoch-cut recoveries performed for this tenant (fault isolation's
+  /// observable: a fault in tenant a leaves every other tenant at 0).
+  std::int64_t tenant_recovery_events(int tenant) const {
+    require_tenant(tenant);
+    return slot(tenant).recoveries;
+  }
+  /// Messages of `type` sent on behalf of this tenant.
+  std::uint64_t tenant_sent_of_type(int tenant, std::int32_t type) const {
+    return engine_.sent_of_type_in(tenant, type);
+  }
 
   // -- client sessions ---------------------------------------------------------
   /// The per-node Client sessions (lazily created and wired into the
@@ -154,32 +208,39 @@ class SystemBase : public proto::RequestPort {
   /// well-formed messages -- up to CMAX per channel (drawn uniformly)
   /// when `garbage_per_channel` is the default -1, or exactly
   /// `garbage_per_channel` each otherwise (the CMAX-violation ablation).
-  /// Virtual: a fleet faults tenant by tenant so each tenant's garbage is
-  /// drawn from its own message domains and attributed to its own census
-  /// stream.
-  virtual void inject_transient_fault(support::Rng& rng,
-                                      int garbage_per_channel = -1);
+  /// The tenant-scoped fault applied to every tenant in order, so each
+  /// tenant's garbage comes from its own message domains.
+  void inject_transient_fault(support::Rng& rng, int garbage_per_channel = -1);
+
+  /// Transient fault scoped to one tenant: randomizes that tenant's
+  /// process variables in-domain and replaces its channels' content with
+  /// well-formed garbage (up to CMAX per channel when `garbage_per_channel`
+  /// is -1). Every other tenant's processes, channels and census are
+  /// untouched.
+  void inject_transient_fault_tenant(int tenant, support::Rng& rng,
+                                     int garbage_per_channel = -1);
 
   /// Pure channel-garbage fault: wipes every channel, then preloads each
-  /// with exactly `garbage_per_channel` random well-formed messages.
-  /// Process memory is untouched (contrast inject_transient_fault).
-  /// Virtual for the same per-tenant reasons as inject_transient_fault.
-  virtual void flood_channels(support::Rng& rng, int garbage_per_channel);
+  /// with exactly `garbage_per_channel` random well-formed messages, tenant
+  /// by tenant. Process memory is untouched (contrast
+  /// inject_transient_fault).
+  void flood_channels(support::Rng& rng, int garbage_per_channel);
 
   /// Epoch-cut batched recovery drain (requires Features::epoch_cut; see
-  /// the Features comment). If the incremental census already reports a
-  /// legitimate population this is a no-op returning false. Otherwise it
-  /// performs the one batched O(n) pass -- wipe every channel, drain
-  /// every process's stored tokens, re-boot the root (fresh census
+  /// the Features comment), applied to every tenant whose census is
+  /// illegitimate; false when every tenant already is legitimate.
+  bool epoch_cut_recover();
+
+  /// Epoch-cut drain for one tenant (requires its rung to have
+  /// Features::epoch_cut). If the tenant's census already is legitimate
+  /// this is a no-op returning false. Otherwise it performs the one
+  /// batched O(tenant size) pass -- wipe the tenant's channels, drain
+  /// its processes' stored tokens, re-boot its root (fresh census
   /// machinery, fresh token mint, restarted controller) -- and returns
   /// true. The garbage population is absorbed in O(n) work instead of
-  /// circulating for Θ(n) ticks through the protocol's own reset.
-  /// Virtual: a fleet recovers only the tenants whose census is incorrect.
-  virtual bool epoch_cut_recover();
-
-  /// Drains the base epoch_cut_recover() performed (a fleet counts its
-  /// drains per tenant: FleetSystem::tenant_recovery_events).
-  std::int64_t epoch_cuts() const { return epoch_cuts_; }
+  /// circulating for Θ(n) ticks through the protocol's own reset; other
+  /// tenants' tokens keep circulating.
+  bool epoch_cut_recover_tenant(int tenant);
 
   /// Applies a topology fault (FaultKind::kLinkChurn / kNodeCrash) and
   /// runs the online spanning-tree repair: rebuild the overlay over the
@@ -260,20 +321,30 @@ class SystemBase : public proto::RequestPort {
   void spread_seed_tokens(const tree::Tree& tree, const core::Params& params,
                           NodeId id_base);
 
-  /// Sizes run_until_stabilized's probe state for `tenants` legitimacy
-  /// predicates: 1 for a plain system (the constructor's default), one
-  /// per tenant for a fleet.
-  void size_stabilization_probe(int tenants);
+  /// Opens tenant tenant_count() at the current end of the node, channel
+  /// and out-channel lists, with its own finalized params. The
+  /// constructor opens tenant 0 over the empty lists with the base
+  /// params; while the last tenant still owns no node, this re-targets it
+  /// instead (a fleet's first call sets tenant 0's own params).
+  void open_tenant(const core::Params& params);
 
-  /// Called once when the lazily created ClientPool comes up; a fleet
-  /// stamps each client's TenantId here.
-  virtual void on_clients_created(ClientPool& pool) { (void)pool; }
+  /// Tenant t owns engine channels [channel_begin(t), channel_end(t)).
+  int channel_begin(int tenant) const { return slot(tenant).chan_begin; }
+  int channel_end(int tenant) const {
+    return tenant + 1 < tenant_count() ? slot(tenant + 1).chan_begin
+                                       : engine_.channel_count();
+  }
 
-  /// Domains for random_message() during transient-fault injection.
-  /// The default covers the tree-protocol topologies (myC domain of
-  /// 2(n−1)(CMAX+1)+1 values); the ring overrides with its n(CMAX+1)+1
-  /// domain.
-  virtual proto::MessageDomains message_domains() const;
+  void require_tenant(int tenant) const {
+    KLEX_REQUIRE(tenant >= 0 && tenant < tenant_count(), "bad tenant ",
+                 tenant);
+  }
+
+  /// Domains for random_message() during transient-fault injection into
+  /// `tenant`. The default covers the tree-protocol topologies (myC domain
+  /// of 2(n−1)(CMAX+1)+1 values over the tenant's n); the ring overrides
+  /// with its n(CMAX+1)+1 domain.
+  virtual proto::MessageDomains message_domains(int tenant) const;
 
   core::Params params_;
   proto::ListenerSet listeners_;
@@ -295,7 +366,6 @@ class SystemBase : public proto::RequestPort {
   MisusePolicy misuse_policy_ = MisusePolicy::kCheck;
   proto::AdmissionPolicy admission_policy_;  // default: admit everything
   std::unique_ptr<ClientPool> clients_;  // lazily created by clients()
-  std::int64_t epoch_cuts_ = 0;
 
   // run_until_stabilized's probe state, one entry per tenant: the last
   // probed legitimacy flag and the start of the tenant's current correct
@@ -305,6 +375,30 @@ class SystemBase : public proto::RequestPort {
   std::vector<sim::SimTime> correct_since_;
 
  private:
+  /// One protocol instance: where its node, channel and out-channel
+  /// ranges begin (each ends where the next tenant's begins, the last
+  /// tenant's at the current totals), its params and its drain count.
+  struct Tenant {
+    core::Params params;
+    NodeId node_begin = 0;
+    int chan_begin = 0;
+    int out_begin = 0;
+    std::int64_t recoveries = 0;
+  };
+
+  const Tenant& slot(int tenant) const {
+    return tenants_[static_cast<std::size_t>(tenant)];
+  }
+  int out_end(int tenant) const {
+    return tenant + 1 < tenant_count() ? slot(tenant + 1).out_begin
+                                       : static_cast<int>(out_channels_.size());
+  }
+
+  /// Preloads each of the tenant's out-channels with `garbage_per_channel`
+  /// random well-formed messages of its domains (-1: up to CMAX each,
+  /// drawn uniformly).
+  void inject_garbage(int tenant, support::Rng& rng, int garbage_per_channel);
+
   /// One tenant's census edge seen by a stabilization round.
   struct Edge {
     sim::SimTime at = 0;
@@ -327,6 +421,7 @@ class SystemBase : public proto::RequestPort {
   bool replay_edges(sim::SimTime deadline, sim::SimTime window, bool* correct,
                     sim::SimTime* since);
 
+  std::vector<Tenant> tenants_;
   std::vector<Edge> edges_;  // recorded by one advance of stabilize
 };
 

@@ -14,7 +14,6 @@
 #include <tuple>
 #include <type_traits>
 
-#include "api/fleet.hpp"
 #include "stats/waiting_time.hpp"
 #include "support/check.hpp"
 #include "support/histogram.hpp"
@@ -642,12 +641,12 @@ SystemBuilder point_builder(const ScenarioSpec& spec, const RunPoint& point,
 
 /// The phase pipeline every grid point runs through, once per session:
 /// build, stabilize + warm up, measured window, fault phase, monitor
-/// totals. A fleet point (point.fleet > 1) builds one FleetSystem; its
-/// only fleet-specific steps are the per-tenant readout and aiming the
-/// fault at tenant 0. Any other session reads out as one tenant. With
-/// `faulted` false the session skips the fault phase. The warmup starts
-/// where stabilization detection left the clock or at `settle_from`,
-/// whichever is later.
+/// totals. Every session reads out per tenant (a plain system is tenant
+/// 0 of one); a fleet point (point.fleet > 1) builds one multi-tenant
+/// system, and its only fleet-specific step is aiming the fault at
+/// tenant 0. With `faulted` false the session skips the fault phase. The
+/// warmup starts where stabilization detection left the clock or at
+/// `settle_from`, whichever is later.
 SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
                        bool faulted, sim::SimTime settle_from = 0) {
   Session session = point_builder(spec, point, faulted).build_session();
@@ -656,12 +655,7 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   SessionRun run;
   RunResult& result = run.result;
   result.n = system.n();
-  auto* fleet = dynamic_cast<FleetSystem*>(session.system.get());
-  const int tenants = fleet != nullptr ? fleet->tenant_count() : 1;
-  // Tenant t owns nodes [node_begin(t), node_end(t)); a plain system is
-  // one tenant.
-  auto node_begin = [&](int t) { return fleet ? fleet->node_begin(t) : 0; };
-  auto node_end = [&](int t) { return fleet ? fleet->node_end(t) : result.n; };
+  const int tenants = system.tenant_count();
 
   // The wall clock starts after construction so events_per_sec measures
   // the exclusion engine only (GraphSystem's constructor simulates a
@@ -672,7 +666,8 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   // entries of the requester's own protocol instance only.
   std::vector<int> scope_of_node(static_cast<std::size_t>(result.n));
   for (int t = 0; t < tenants; ++t) {
-    for (NodeId node = node_begin(t); node < node_end(t); ++node) {
+    for (NodeId node = system.node_begin(t); node < system.node_end(t);
+         ++node) {
       scope_of_node[static_cast<std::size_t>(node)] = t;
     }
   }
@@ -772,11 +767,12 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   for (int t = 0; t < tenants; ++t) {
     TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
     cell.tenant = t;
-    cell.n = node_end(t) - node_begin(t);
-    sim::SimTime since = fleet ? fleet->tenant_stabilized_at(t) : stabilized;
+    cell.n = system.tenant_n(t);
+    const sim::SimTime since = system.tenant_stabilized_at(t);
     cell.stabilized = since != sim::kTimeInfinity;
     cell.stabilization_time = cell.stabilized ? since : 0;
-    for (NodeId node = node_begin(t); node < node_end(t); ++node) {
+    for (NodeId node = system.node_begin(t); node < system.node_end(t);
+         ++node) {
       cell.requests += driver.requests_issued(node);
       cell.grants += driver.grants(node);
     }
@@ -800,12 +796,12 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
       const std::int64_t violations_at_event = safety.violation_count();
       const sim::ChaosStats chaos_then = system.engine().chaos_stats();
       FaultEventResult record;
-      if (fleet != nullptr) {
+      if (tenants > 1) {
         // A fleet's fault corrupts tenant 0 alone: the other tenants'
         // slices exhibit fault isolation.
-        fleet->inject_transient_fault_tenant(0, fault_rng, event.garbage);
-        if (fleet->tenant_params(0).features.epoch_cut) {
-          fleet->epoch_cut_recover_tenant(0);  // no-op if the fault missed
+        system.inject_transient_fault_tenant(0, fault_rng, event.garbage);
+        if (system.tenant_params(0).features.epoch_cut) {
+          system.epoch_cut_recover_tenant(0);  // no-op if the fault missed
         }
         driver.resync();
       } else {
@@ -843,12 +839,9 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   // Per-tenant end state: the isolation observables the artifact pins.
   for (int t = 0; t < tenants; ++t) {
     TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.events_executed = fleet ? fleet->tenant_events_executed(t)
-                                 : system.engine().events_executed();
-    cell.recovery_events =
-        fleet ? fleet->tenant_recovery_events(t) : system.epoch_cuts();
-    cell.correct_at_end =
-        fleet ? fleet->tenant_correct(t) : system.token_counts_correct();
+    cell.events_executed = system.tenant_events_executed(t);
+    cell.recovery_events = system.tenant_recovery_events(t);
+    cell.correct_at_end = system.tenant_correct(t);
   }
 
   // Monitor totals over the whole run, after a final watchdog sweep for

@@ -5,10 +5,11 @@
 // One run pipeline: every grid point runs as one or more sessions
 // (klex::Session), and each session goes through the same phases --
 // build, stabilize + warm up, the measured workload window, the fault
-// phase, the monitor totals. A plain point is one session. A shared
-// fleet point is one session over a FleetSystem; its only fleet-specific
-// steps are the per-tenant readout (TenantResult) and aiming the fault
-// at tenant 0. A separate fleet point runs the pipeline R times, once
+// phase, the monitor totals -- and every session reads out per tenant
+// (TenantResult; a plain system is tenant 0 of one). A plain point is one
+// session. A shared fleet point is one session over a FleetSystem; its
+// only fleet-specific step is aiming the fault at tenant 0. A separate
+// fleet point runs the pipeline R times, once
 // per standalone twin seeded seed + t, with the fault in session 0 only,
 // and merges the R sessions: counters and EngineStats summed, the
 // slowest stabilization, the latency and waiting-time distributions

@@ -65,7 +65,7 @@ const RingProcessBase& RingSystem::node(proto::NodeId id) const {
   return *nodes_[static_cast<std::size_t>(id)];
 }
 
-proto::MessageDomains RingSystem::message_domains() const {
+proto::MessageDomains RingSystem::message_domains(int /*tenant*/) const {
   proto::MessageDomains domains;
   domains.myc_modulus = ring_myc_modulus(config_.n, config_.cmax);
   domains.l = config_.l;

@@ -34,7 +34,7 @@ class RingSystem : public SystemBase {
   const RingProcessBase& node(proto::NodeId id) const;
 
  protected:
-  proto::MessageDomains message_domains() const override;
+  proto::MessageDomains message_domains(int tenant) const override;
 
  private:
   RingConfig config_;

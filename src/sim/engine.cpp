@@ -695,6 +695,10 @@ void Engine::clear_channels() {
 }
 
 void Engine::clear_channel_range(int begin, int end) {
+  if (begin == 0 && end == channel_count()) {
+    clear_channels();
+    return;
+  }
   KLEX_REQUIRE(streams_explicit_,
                "clear_channel_range needs explicit streams (per-tenant "
                "counter decrements route through the channel's stream queue)");
@@ -901,7 +905,7 @@ bool Engine::execute_next(SimTime t) {
                                     static_cast<int>(best));
     run_queued(lane, queue, event);
   }
-  last_stream_ = stream;
+  last_stream_ = event.kind == EventKind::kGlobalCallback ? -1 : stream;
   if (streams_explicit_) lane.heads.update(queue, events);
   return true;
 }

@@ -467,8 +467,9 @@ class Engine {
   static int current_stream() { return detail::t_current_stream; }
 
   /// Stream of the most recently executed merged-serial event (0 before
-  /// any). Lets the stabilization loop re-check only the tenant the last
-  /// step could have perturbed instead of scanning all R tenants.
+  /// any), or -1 when it was a global callback, which may touch every
+  /// stream. Lets the stabilization loop re-check only the tenant the
+  /// last step could have perturbed instead of scanning all R tenants.
   int last_stream() const { return last_stream_; }
 
   /// True when run_until runs the span loop (see the file comment): a
@@ -703,13 +704,14 @@ class Engine {
   void clear_channels();
 
   /// Drops the in-flight content of channels_[begin, end) only -- the
-  /// per-tenant half of clear_channels(). The fleet layer keeps each
-  /// tenant's channels contiguous, so a single-tenant epoch cut clears
-  /// O(tenant) channels and decrements exactly that tenant's per-type
-  /// counters; other tenants' traffic, clamps and counters are untouched.
-  /// Frees every ring a fault storm grew past its first allocation.
-  /// Requires explicit streams (the per-message decrement needs the
-  /// channel's stream cell).
+  /// per-tenant half of clear_channels(). SystemBase keeps each tenant's
+  /// channels contiguous, so a single-tenant epoch cut clears O(tenant)
+  /// channels and decrements exactly that tenant's per-type counters;
+  /// other tenants' traffic, clamps and counters are untouched. Frees
+  /// every ring a fault storm grew past its first allocation. Requires
+  /// explicit streams (the per-message decrement needs the channel's
+  /// stream cell) -- except for a range covering every channel, which is
+  /// clear_channels() (counters reset, ring buffers kept).
   void clear_channel_range(int begin, int end);
 
   int channel_count() const { return static_cast<int>(channels_.size()); }

@@ -35,7 +35,7 @@ namespace detail {
 template <typename... Args>
 std::string format_message(const Args&... args) {
   std::ostringstream stream;
-  (stream << ... << args);
+  ((stream << args), ...);  // an empty pack is void(), not an unused value
   return stream.str();
 }
 

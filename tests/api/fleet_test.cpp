@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -170,6 +171,47 @@ TEST(FleetSystemTest, EpochCutRecoversExactlyTheFaultedTenant) {
   // with everyone legitimate it is a no-op.
   EXPECT_FALSE(fleet.epoch_cut_recover());
   EXPECT_EQ(fleet.tenant_recovery_events(1), 1);
+}
+
+TEST(FleetSystemTest, GlobalCallbackReprobesEveryTenant) {
+  // A deferred epoch cut is a global callback that drains every faulted
+  // tenant in one step: each tenant's stretch begins at that step -- not
+  // at the tenant's next own event. With fault seed 7, tenant 2 leaves
+  // the legitimate set again at 20076 (its root mints a second
+  // population) and re-enters for good at 20160, which is where the
+  // fleet's stretch begins; with fault seed 2 every tenant stays.
+  struct Case {
+    std::uint64_t fault_seed;
+    sim::SimTime fleet_at;
+    std::vector<sim::SimTime> tenant_at;
+  };
+  for (const Case& c :
+       {Case{7, 20'160, {20'050, 20'050, 20'160, 20'050}},
+        Case{2, 20'050, {20'050, 20'050, 20'050, 20'050}}}) {
+    FleetConfig config;
+    for (int t = 0; t < 4; ++t) {
+      config.tenants.push_back(
+          {tree::line(3), 1, 2, proto::Features::full().with_epoch_cut()});
+    }
+    config.seed = 1;
+    FleetSystem fleet(config);
+    fleet.run_until(20'000);
+    support::Rng fault(c.fault_seed);
+    fleet.inject_transient_fault(fault);
+    for (int t = 0; t < 4; ++t) {
+      ASSERT_FALSE(fleet.tenant_correct(t)) << "tenant " << t;
+    }
+    fleet.engine().schedule(50, [&fleet] { fleet.epoch_cut_recover(); });
+
+    EXPECT_EQ(fleet.run_until_stabilized(2'000'000), c.fleet_at)
+        << "fault seed " << c.fault_seed;
+    for (int t = 0; t < 4; ++t) {
+      EXPECT_EQ(fleet.tenant_stabilized_at(t),
+                c.tenant_at[static_cast<std::size_t>(t)])
+          << "fault seed " << c.fault_seed << ", tenant " << t;
+      EXPECT_EQ(fleet.tenant_recovery_events(t), 1) << "tenant " << t;
+    }
+  }
 }
 
 TEST(FleetSystemTest, ChurnInOneTenantDoesNotRevokeLeasesInAnother) {
@@ -373,20 +415,33 @@ TEST(FleetSystemTest, RequestValidatesAgainstTheOwningTenantsK) {
 
 TEST(FleetSystemTest, TenantObserversRejectBadTenants) {
   // The observers check the tenant like the per-tenant mutators do,
-  // instead of reading past their per-tenant vectors.
-  FleetSystem fleet(heterogeneous_config());
-  ASSERT_NE(fleet.run_until_stabilized(1'000'000), sim::kTimeInfinity);
-  for (int bad : {-1, fleet.tenant_count()}) {
-    EXPECT_THROW(fleet.tenant_correct(bad), std::invalid_argument) << bad;
-    EXPECT_THROW(fleet.tenant_stabilized_at(bad), std::invalid_argument)
-        << bad;
-    EXPECT_THROW(fleet.tenant_recovery_events(bad), std::invalid_argument)
-        << bad;
+  // instead of reading past their per-tenant vectors -- on a fleet and on
+  // a plain system, which is tenant 0 of one.
+  auto fleet = std::make_unique<FleetSystem>(heterogeneous_config());
+  std::unique_ptr<SystemBase> plain = SystemBuilder()
+                                          .topology(TopologySpec::tree_line(6))
+                                          .kl(1, 2)
+                                          .seed(321)
+                                          .build();
+  EXPECT_EQ(plain->tenant_count(), 1);
+  for (SystemBase* system : {static_cast<SystemBase*>(fleet.get()),
+                             plain.get()}) {
+    ASSERT_NE(system->run_until_stabilized(1'000'000), sim::kTimeInfinity);
+    for (int bad : {-1, system->tenant_count()}) {
+      EXPECT_THROW(system->tenant_correct(bad), std::invalid_argument) << bad;
+      EXPECT_THROW(system->tenant_stabilized_at(bad), std::invalid_argument)
+          << bad;
+      EXPECT_THROW(system->tenant_recovery_events(bad), std::invalid_argument)
+          << bad;
+      EXPECT_THROW(system->tenant_events_executed(bad), std::invalid_argument)
+          << bad;
+    }
+    const int last = system->tenant_count() - 1;
+    EXPECT_TRUE(system->tenant_correct(last));
+    EXPECT_NE(system->tenant_stabilized_at(last), sim::kTimeInfinity);
+    EXPECT_EQ(system->tenant_recovery_events(last), 0);
   }
-  const int last = fleet.tenant_count() - 1;
-  EXPECT_TRUE(fleet.tenant_correct(last));
-  EXPECT_NE(fleet.tenant_stabilized_at(last), sim::kTimeInfinity);
-  EXPECT_EQ(fleet.tenant_recovery_events(last), 0);
+  EXPECT_EQ(plain->tenant_correct(0), plain->token_counts_correct());
 }
 
 TEST(FleetSystemTest, DenyCountersLabelEveryReason) {

@@ -129,7 +129,8 @@ TEST(FleetDifferentialTest, FleetOfOneIsBitIdenticalToSingleSystem) {
   const std::uint64_t seed = 4242;
   auto make = [&](bool as_fleet) {
     SystemBuilder builder = base_builder(seed);
-    builder.workload(contention_spec());
+    builder.workload(contention_spec())
+        .features(proto::Features::full().with_epoch_cut());
     if (as_fleet) builder.fleet(1);
     return builder.build_session();
   };
@@ -199,6 +200,31 @@ TEST(FleetDifferentialTest, FleetOfOneIsBitIdenticalToSingleSystem) {
             single.system->engine().events_executed());
   EXPECT_EQ(fleet.system->token_counts_correct(),
             single.system->token_counts_correct());
+
+  // Phase 3: identical garbage floods, then the epoch cut drains both at
+  // once; the one tenant of each counts the same single recovery.
+  single.system->flood_channels(single_fault, 3);
+  fleet.system->flood_channels(fleet_fault, 3);
+  ASSERT_FALSE(single.system->token_counts_correct());
+  EXPECT_TRUE(single.system->epoch_cut_recover());
+  EXPECT_TRUE(fleet.system->epoch_cut_recover());
+  single.driver->resync();
+  fleet.driver->resync();
+  const sim::SimTime kT3 = 1'200'000;
+  single.system->run_until(kT3);
+  fleet.system->run_until(kT3);
+  expect_traces_equal(fleet_trace.events, single_trace.events,
+                      "fleet(1) post-flood-and-cut");
+  const proto::TokenCensus single_census = single.system->census();
+  const proto::TokenCensus fleet_census = fleet.system->census();
+  EXPECT_EQ(fleet_census.free_resource, single_census.free_resource);
+  EXPECT_EQ(fleet_census.reserved_resource, single_census.reserved_resource);
+  EXPECT_EQ(fleet_census.pusher, single_census.pusher);
+  EXPECT_EQ(fleet_census.free_priority, single_census.free_priority);
+  EXPECT_EQ(fleet_census.held_priority, single_census.held_priority);
+  EXPECT_EQ(single.system->tenant_recovery_events(0), 1);
+  EXPECT_EQ(fleet.system->tenant_recovery_events(0), 1);
+  EXPECT_EQ(fleet.driver->total_grants(), single.driver->total_grants());
 }
 
 TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {

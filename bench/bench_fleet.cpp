@@ -1,5 +1,5 @@
 // E-fleet -- multi-tenant batching: R protocol instances on ONE shared
-// engine (api/fleet.hpp) vs the same R instances on R separate engines.
+// engine (api/system.hpp) vs the same R instances on R separate engines.
 //
 // The shared engine amortizes the calendar, the slab and the hot-state
 // arrays across tenants and walks ONE event loop; the separate baseline

@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "api/fleet.hpp"
 #include "api/graph_system.hpp"
 #include "api/system.hpp"
 #include "ring/ring_system.hpp"
@@ -183,7 +182,7 @@ SystemBuilder& SystemBuilder::spread_tokens(bool on) {
 
 SystemBuilder& SystemBuilder::fleet(int tenants) {
   KLEX_REQUIRE(tenants >= 1, "a fleet needs at least one tenant");
-  fleet_ = tenants;
+  tenants_ = tenants;
   return *this;
 }
 
@@ -271,40 +270,6 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
   // channels that were never connected.
   const bool live = live_topology_ || fault_plan_.has_topology_events();
 
-  if (fleet_ >= 1) {
-    KLEX_REQUIRE(!live,
-                 "fleet() has no live-topology mode (tenants are trees; "
-                 "there are no redundant links to reroute over)");
-    KLEX_REQUIRE(!manual_tokens_ && !literal_pusher_guard_ &&
-                     !omit_prio_wrap_count_,
-                 "fleet() does not support manual tokens or the fidelity "
-                 "ablations");
-    std::optional<tree::Tree> fleet_tree =
-        topo_kind_ == TopoKind::kSpec ? spec_tree(spec_) : tree_;
-    KLEX_REQUIRE(fleet_tree.has_value(),
-                 "fleet() needs a tree topology (ring / graph fleets are "
-                 "not supported)");
-    FleetConfig config;
-    TenantSpec tenant;
-    tenant.tree = *std::move(fleet_tree);
-    tenant.k = k_;
-    tenant.l = l_;
-    tenant.features = features_;
-    config.tenants.assign(static_cast<std::size_t>(fleet_), tenant);
-    config.cmax = cmax_;
-    config.delays = delays_;
-    config.timeout_period = timeout_period_;
-    config.seed = seed_;
-    config.seed_tokens = seed_tokens_;
-    config.spread_tokens = spread_tokens_;
-    config.threads = threads_;
-    auto fleet_system = std::make_unique<FleetSystem>(std::move(config));
-    fleet_system->set_misuse_policy(misuse_policy_);
-    fleet_system->set_admission_policy(admission_policy_);
-    attach_chaos(*fleet_system);
-    return fleet_system;
-  }
-
   // The knobs every topology's config shares; new builder knobs belong
   // here once, not in each per-topology block.
   auto apply_common = [this](auto& config) {
@@ -326,14 +291,22 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
     SystemConfig config;
     config.tree = std::move(t);
     apply_common(config);
+    config.tenants = tenants_;
     config.spread_tokens = spread_tokens_;
     config.manual_tokens = manual_tokens_;
     config.literal_pusher_guard = literal_pusher_guard_;
     config.omit_prio_wrap_count = omit_prio_wrap_count_;
     return std::make_unique<System>(std::move(config));
   };
+  // Tenants are copies of a tree; ring and graph systems have one.
+  auto require_one_tenant = [this] {
+    KLEX_REQUIRE(tenants_ == 1,
+                 "fleet() needs a tree topology (ring / graph fleets are "
+                 "not supported)");
+  };
   auto make_graph_system =
       [&, this](stree::Graph g) -> std::unique_ptr<SystemBase> {
+    require_one_tenant();
     KLEX_REQUIRE(!spread_tokens_,
                  "spread_tokens() is tree-topology only (the overlay tour "
                  "is not known to the builder)");
@@ -346,6 +319,7 @@ std::unique_ptr<SystemBase> SystemBuilder::build() const {
     return std::make_unique<GraphSystem>(std::move(config));
   };
   auto make_ring_system = [&](int n) -> std::unique_ptr<SystemBase> {
+    require_one_tenant();
     KLEX_REQUIRE(!spread_tokens_, "spread_tokens() is tree-topology only");
     KLEX_REQUIRE(!live,
                  "topology churn requires a graph topology (the ring "
@@ -438,37 +412,27 @@ Session SystemBuilder::build_session() const {
     session.fault_plan.events.push_back(event);
   }
   if (workload_.has_value()) {
-    if (fleet_ >= 1) {
-      // Per-tenant derived streams: tenant t's workload materializes and
-      // drives from (seed + t)-salted rngs -- the exact rngs a standalone
-      // build_session with seed + t would use, which is what pins every
-      // tenant's workload trajectory to its standalone twin.
-      const int tenants = session.system->tenant_count();
-      const int per_tenant_n = session.system->tenant_n(0);
-      std::vector<support::Rng> class_rngs;
-      std::vector<support::Rng> driver_rngs;
-      class_rngs.reserve(static_cast<std::size_t>(tenants));
-      driver_rngs.reserve(static_cast<std::size_t>(tenants));
-      for (int t = 0; t < tenants; ++t) {
-        const std::uint64_t tenant_seed =
-            seed_ + static_cast<std::uint64_t>(t);
-        class_rngs.emplace_back(tenant_seed ^ kClassSalt);
-        driver_rngs.emplace_back(tenant_seed ^ kDriverSalt);
-      }
-      support::Rng cross_rng(seed_ ^ kClassSalt ^ kCrossTenantSalt);
-      session.workload = proto::materialize_fleet(
-          *workload_, tenants, per_tenant_n, class_rngs, cross_rng);
-      session.driver = std::make_unique<WorkloadDriver>(
-          session.system->engine(), session.system->clients(),
-          session.workload.behaviors, std::move(driver_rngs));
-    } else {
-      support::Rng class_rng(seed_ ^ kClassSalt);
-      session.workload =
-          proto::materialize(*workload_, session.system->n(), class_rng);
-      session.driver = std::make_unique<WorkloadDriver>(
-          session.system->engine(), session.system->clients(),
-          session.workload.behaviors, support::Rng(seed_ ^ kDriverSalt));
+    // Per-tenant derived streams: tenant t's workload materializes and
+    // drives from (seed + t)-salted rngs -- the exact rngs a one-tenant
+    // build_session with seed + t uses, which is what pins every tenant's
+    // workload trajectory to its standalone twin.
+    const int tenants = session.system->tenant_count();
+    std::vector<support::Rng> class_rngs;
+    std::vector<support::Rng> driver_rngs;
+    class_rngs.reserve(static_cast<std::size_t>(tenants));
+    driver_rngs.reserve(static_cast<std::size_t>(tenants));
+    for (int t = 0; t < tenants; ++t) {
+      const std::uint64_t tenant_seed = seed_ + static_cast<std::uint64_t>(t);
+      class_rngs.emplace_back(tenant_seed ^ kClassSalt);
+      driver_rngs.emplace_back(tenant_seed ^ kDriverSalt);
     }
+    support::Rng cross_rng(seed_ ^ kClassSalt ^ kCrossTenantSalt);
+    session.workload =
+        proto::materialize_fleet(*workload_, tenants, session.system->tenant_n(0),
+                                 class_rngs, cross_rng);
+    session.driver = std::make_unique<WorkloadDriver>(
+        session.system->engine(), session.system->clients(),
+        session.workload.behaviors, std::move(driver_rngs));
     session.driver->set_retry_policy(retry_policy_);
   }
   return session;

@@ -101,12 +101,12 @@ class SystemBuilder {
   /// Euler tour instead of as a convoy out of the root (see
   /// SystemConfig::spread_tokens).
   SystemBuilder& spread_tokens(bool on = true);
-  /// Multi-tenant fleet: build() returns a FleetSystem running `tenants`
-  /// independent copies of the configured tree topology (with the
-  /// configured k/ℓ/rung) on one shared engine; tenant t is seeded
-  /// seed + t, so its trajectory replays the standalone system built
-  /// with that seed. Tree topologies only; fleet(1) is the differential
-  /// anchor against the plain single-system build.
+  /// Multi-tenant fleet (SystemConfig::tenants): build() returns a System
+  /// running `tenants` identical copies of the configured tree topology,
+  /// with every configured knob, on one shared engine; tenant t is
+  /// seeded seed + t, so its trajectory replays the one-tenant system
+  /// built with that seed. Tree topologies only; fleet(1) is the plain
+  /// system.
   SystemBuilder& fleet(int tenants);
   SystemBuilder& manual_tokens(bool on = true);
   SystemBuilder& literal_pusher_guard(bool on = true);
@@ -178,7 +178,7 @@ class SystemBuilder {
   std::uint64_t seed_ = support::Rng::kDefaultSeed;
   bool seed_tokens_ = false;
   int threads_ = 1;
-  int fleet_ = 0;  // 0 = plain single system; >= 1 = FleetSystem
+  int tenants_ = 1;
   bool spread_tokens_ = false;
   bool manual_tokens_ = false;
   bool literal_pusher_guard_ = false;

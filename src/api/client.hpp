@@ -63,7 +63,7 @@ enum class MisusePolicy { kCheck, kClamp, kIgnore };
 const char* misuse_policy_name(MisusePolicy policy);
 
 /// Tenant (protocol instance) a session belongs to in a multi-tenant
-/// fleet (api/fleet.hpp). Single systems are tenant 0.
+/// fleet (SystemConfig::tenants). Single systems are tenant 0.
 using TenantId = std::int32_t;
 
 enum class DenyReason {

@@ -12,6 +12,29 @@
 //   system.request(3, 2);          // node 3 asks for 2 units
 //   system.run_until(100000);
 //
+// A fleet is the same system with SystemConfig::tenants = R > 1: R
+// identical copies ("tenants") of the tree, each with the config's k, ℓ,
+// rung and knobs, run as R causally independent protocol instances on
+// one engine (one clock, one worker-lane pool, one census tracker):
+//
+//   * node ids: tenant t owns the contiguous engine range
+//     [node_begin(t), node_end(t)); tree node v of tenant t is engine
+//     node node_begin(t) + v. Channels and timers stay inside a tenant.
+//   * sequencing: tenant t is engine stream t, seeded seed + t. Its delay
+//     draws and (at, seq) sub-order replay the one-tenant System built
+//     with seed + t, whatever the other tenants do -- the differential
+//     anchor (tests/integration/fleet_differential_test.cpp).
+//   * execution: run_until runs the due tenants tenant-major, in
+//     ascending tenant order; observers and pending global callbacks
+//     switch it to the merged (at, seq) order (see sim/engine.hpp).
+//   * census: the tracker's tenant axis gives each tenant an O(1)
+//     legitimacy predicate (tenant_correct) against ℓ and the rung;
+//     l() is the system-wide bound ℓ·R.
+//   * lanes partition tenants (a tenant never spans lanes): contiguous
+//     tenant blocks, at most min(R, Engine::kMaxLanes) lanes.
+//
+// The tenant-scoped fault, flood, epoch cut, chaos burst and readouts
+// are SystemBase's (a one-tenant system is tenant 0 of one).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +51,7 @@ namespace klex {
 struct SystemConfig {
   /// The oriented tree (n >= 2); node 0 is the root.
   tree::Tree tree = tree::line(2);
-  /// Per-request bound k and total units ℓ (1 <= k <= ℓ).
+  /// Per-request bound k and total units ℓ (1 <= k <= ℓ), per tenant.
   int k = 1;
   int l = 1;
   /// Ladder rung; Features::full() is the paper's protocol.
@@ -39,7 +62,8 @@ struct SystemConfig {
   sim::DelayModel delays{};
   /// Root controller timeout; 0 derives a safe default.
   sim::SimTime timeout_period = 0;
-  /// RNG seed (drives delays and fault injection reproducibly).
+  /// RNG seed (drives delays and fault injection reproducibly). Tenant t
+  /// of a fleet is seeded seed + t.
   std::uint64_t seed = support::Rng::kDefaultSeed;
   /// Mint the legitimate token population at startup. Forced on for
   /// non-controller rungs (nothing else would create tokens) unless
@@ -52,11 +76,11 @@ struct SystemConfig {
   /// Fidelity ablations -- see core::Params.
   bool literal_pusher_guard = false;
   bool omit_prio_wrap_count = false;
-  /// Worker lanes for the conservative-window parallel engine: the tree
-  /// is cut into `threads` contiguous DFS-preorder chunks, each with its
-  /// own event queue, clock and rng, executed concurrently in
-  /// [T, T + min_delay) windows (see sim/parallel_engine.hpp). 1 = the
-  /// serial engine, bit for bit. Clamped to [1, min(n, Engine::kMaxLanes)].
+  /// Worker lanes for the conservative-window parallel engine (see
+  /// sim/parallel_engine.hpp); 1 = the serial engine, bit for bit. One
+  /// tenant: the tree is cut into `threads` contiguous DFS-preorder
+  /// chunks, clamped to [1, min(n, Engine::kMaxLanes)]. A fleet: lanes
+  /// take contiguous tenant blocks, clamped to [1, min(R, kMaxLanes)].
   int threads = 1;
   /// Seed the ℓ resource tokens evenly spaced along the virtual ring
   /// (the Euler tour) instead of minting them all into the root's
@@ -65,20 +89,28 @@ struct SystemConfig {
   /// ℓ + pusher + priority, so the controller census confirms it as-is.
   /// Implies manual seeding (seed_tokens is ignored).
   bool spread_tokens = false;
+  /// Copies of the tree on the engine (see the file comment); 1 is the
+  /// plain system.
+  int tenants = 1;
 };
 
 class System : public SystemBase {
  public:
   explicit System(SystemConfig config);
 
+  /// One tenant's tree.
   const tree::Tree& topology() const { return config_.tree; }
   const SystemConfig& config() const { return config_; }
 
   core::KlProcessBase& node(NodeId id);
   const core::KlProcessBase& node(NodeId id) const;
+  /// Tenant 0's root.
   core::RootProcess& root();
 
  private:
+  /// Builds R > 1 tenants: instances, lanes, streams, tokens, census.
+  void build_fleet();
+
   SystemConfig config_;
   std::vector<core::KlProcessBase*> nodes_;  // owned by engine
 };

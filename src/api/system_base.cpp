@@ -15,15 +15,11 @@ SystemBase::SystemBase(core::Params params, sim::DelayModel delays,
       tracker_(&engine_, params.l, params.features) {
   KLEX_REQUIRE(params_.k >= 1 && params_.k <= params_.l,
                "need 1 <= k <= l");
-  open_tenant(params_);
+  open_tenant();
 }
 
-void SystemBase::open_tenant(const core::Params& params) {
-  if (!tenants_.empty() && tenant_n(tenant_count() - 1) == 0) {
-    tenants_.back().params = params;
-    return;
-  }
-  tenants_.push_back(Tenant{params, n(), engine_.channel_count(),
+void SystemBase::open_tenant() {
+  tenants_.push_back(Tenant{n(), engine_.channel_count(),
                             static_cast<int>(out_channels_.size()), 0});
   // run_until_stabilized's probe state; its resync probes every tenant.
   tenant_ok_.push_back(0);
@@ -52,7 +48,7 @@ std::vector<core::KlProcessBase*> SystemBase::build_tree_protocol(
     const tree::Tree& tree, const std::vector<int>& node_lane,
     int lane_count, const stree::Graph* physical) {
   std::vector<core::KlProcessBase*> nodes =
-      build_tree_instance(tree, params_, 0, node_lane, physical);
+      build_tree_instance(tree, 0, node_lane, physical);
   if (lane_count > 1) {
     engine_.configure_lanes(node_lane, lane_count);
     parallel_ = std::make_unique<sim::ParallelEngine>(engine_);
@@ -61,12 +57,12 @@ std::vector<core::KlProcessBase*> SystemBase::build_tree_protocol(
 }
 
 std::vector<core::KlProcessBase*> SystemBase::build_tree_instance(
-    const tree::Tree& tree, const core::Params& params, NodeId id_base,
-    const std::vector<int>& node_lane, const stree::Graph* physical) {
+    const tree::Tree& tree, NodeId id_base, const std::vector<int>& node_lane,
+    const stree::Graph* physical) {
   KLEX_REQUIRE(tree.size() >= 2,
                "the protocol requires n >= 2 (see DESIGN.md)");
-  KLEX_REQUIRE(!params.features.controller ||
-                   (params.features.pusher && params.features.priority),
+  KLEX_REQUIRE(!params_.features.controller ||
+                   (params_.features.pusher && params_.features.priority),
                "the self-stabilizing rung requires pusher and priority");
   KLEX_REQUIRE(id_base == engine_.process_count(),
                "protocol instances append contiguously (id_base must be "
@@ -85,20 +81,20 @@ std::vector<core::KlProcessBase*> SystemBase::build_tree_instance(
         physical != nullptr ? physical->degree(v) : tree.degree(v);
   }
   arenas_.push_back(std::make_unique<core::ProcessStateArena>(
-      degrees, params.k, node_lane));
+      degrees, params_.k, node_lane));
   core::ProcessStateArena& arena = *arenas_.back();
 
   std::vector<core::KlProcessBase*> nodes;
-  std::int32_t modulus = core::myc_modulus(tree.size(), params.cmax);
+  std::int32_t modulus = core::myc_modulus(tree.size(), params_.cmax);
   for (tree::NodeId v = 0; v < tree.size(); ++v) {
     std::unique_ptr<core::KlProcessBase> process;
     int slot = arena.slot_of(v);
     if (v == tree::kRoot) {
       process = std::make_unique<core::RootProcess>(
-          params, tree.degree(v), modulus, &listeners_, arena, slot);
+          params_, tree.degree(v), modulus, &listeners_, arena, slot);
     } else {
       process = std::make_unique<core::MemberProcess>(
-          params, tree.degree(v), modulus, &listeners_, arena, slot);
+          params_, tree.degree(v), modulus, &listeners_, arena, slot);
     }
     nodes.push_back(add_node(std::move(process)));
     KLEX_CHECK(nodes.back()->id() == id_base + v,
@@ -187,15 +183,12 @@ void SystemBase::request(NodeId node, int need) {
                  "); see MisusePolicy");
     return;  // kClamp / kIgnore: drop
   }
-  // `need` is checked against the owning tenant's k (params().k is a
-  // fleet's largest).
-  const int tenant = tenant_of(node);
-  const int k = tenant_params(tenant).k;
+  const int k = params_.k;
   if (need < 0 || need > k) {
     switch (misuse_policy_) {
       case MisusePolicy::kCheck:
-        KLEX_REQUIRE(false, "request() need must be in 0..", k,
-                     " for tenant ", tenant, ", got ", need);
+        KLEX_REQUIRE(false, "request() need must be in 0..", k, ", got ",
+                     need);
         return;
       case MisusePolicy::kClamp:
         need = std::clamp(need, 0, k);
@@ -207,7 +200,7 @@ void SystemBase::request(NodeId node, int need) {
   if (!admit(node, need)) return;  // admission shed (not misuse): drop
   // Any delta the request fires lands in the tenant's census stream
   // (client sessions call the port from outside event execution too).
-  sim::ScopedStream scope(tenant);
+  sim::ScopedStream scope(tenant_of(node));
   participant->request(need);
 }
 
@@ -414,24 +407,22 @@ bool SystemBase::replay_edges(sim::SimTime deadline, sim::SimTime window,
   return gave_up;
 }
 
-void SystemBase::spread_seed_tokens(const tree::Tree& tree,
-                                    const core::Params& params,
-                                    NodeId id_base) {
+void SystemBase::spread_seed_tokens(const tree::Tree& tree, NodeId id_base) {
   // ℓ resources spread over the ring (instead of a convoy out of the
   // root's channel 0); the unique pusher / priority start at the root.
   const tree::VirtualRing ring(tree);
   const std::vector<tree::RingHop>& hops = ring.hops();
   const long long length = ring.length();
-  for (int i = 0; i < params.l; ++i) {
+  for (int i = 0; i < params_.l; ++i) {
     const tree::RingHop& hop =
-        hops[static_cast<std::size_t>(i * length / params.l)];
+        hops[static_cast<std::size_t>(i * length / params_.l)];
     engine_.inject_message(id_base + hop.from, hop.out_channel,
                            proto::make_resource());
   }
-  if (params.features.pusher) {
+  if (params_.features.pusher) {
     engine_.inject_message(id_base + tree::kRoot, 0, proto::make_pusher());
   }
-  if (params.features.priority) {
+  if (params_.features.priority) {
     engine_.inject_message(id_base + tree::kRoot, 0, proto::make_priority());
   }
 }
@@ -444,9 +435,8 @@ proto::TokenCensus SystemBase::census_oracle() const {
 
 proto::MessageDomains SystemBase::message_domains(int tenant) const {
   proto::MessageDomains domains;
-  domains.myc_modulus =
-      core::myc_modulus(tenant_n(tenant), tenant_params(tenant).cmax);
-  domains.l = tenant_params(tenant).l;
+  domains.myc_modulus = core::myc_modulus(tenant_n(tenant), params_.cmax);
+  domains.l = params_.l;
   return domains;
 }
 
@@ -461,7 +451,7 @@ bool SystemBase::tenant_correct(int tenant) const {
 void SystemBase::inject_garbage(int tenant, support::Rng& rng,
                                 int garbage_per_channel) {
   const proto::MessageDomains domains = message_domains(tenant);
-  const int cmax = tenant_params(tenant).cmax;
+  const int cmax = params_.cmax;
   const int end = out_end(tenant);
   for (int i = slot(tenant).out_begin; i < end; ++i) {
     const auto& [node, channel] = out_channels_[static_cast<std::size_t>(i)];
@@ -519,10 +509,9 @@ bool SystemBase::epoch_cut_recover() {
 
 bool SystemBase::epoch_cut_recover_tenant(int tenant) {
   require_tenant(tenant);
-  KLEX_REQUIRE(tenant_params(tenant).features.epoch_cut,
-               "epoch_cut_recover() needs Features::epoch_cut on tenant ",
-               tenant, " (the drain is an opt-in rung, not part of the "
-               "paper's protocol)");
+  KLEX_REQUIRE(params_.features.epoch_cut,
+               "epoch_cut_recover() needs Features::epoch_cut (the drain is "
+               "an opt-in rung, not part of the paper's protocol)");
   if (tenant_correct(tenant)) return false;
   // One batched drain pass, O(tenant channels + tenant n): every
   // in-flight message of the tenant (garbage and legitimate tokens alike)
@@ -545,6 +534,12 @@ bool SystemBase::epoch_cut_recover_tenant(int tenant) {
              "'s first node must be its root (epoch_restart)");
   ++tenants_[static_cast<std::size_t>(tenant)].recoveries;
   return true;
+}
+
+void SystemBase::chaos_burst_tenant(int tenant, const sim::ChaosConfig& config,
+                                    sim::SimTime duration) {
+  engine_.chaos_burst_channel_range(channel_begin(tenant), channel_end(tenant),
+                                    config, duration);
 }
 
 TopologyFaultResult SystemBase::apply_topology_fault(const FaultEvent&,

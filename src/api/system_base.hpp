@@ -11,12 +11,12 @@
 // The paper's transient fault and legitimacy predicate are defined per
 // protocol instance, so the base carries the instance axis itself: every
 // system is a list of tenants, each owning a contiguous range of engine
-// nodes, channels and out-channels, its own finalized params and its own
-// recovery counter. A plain system is tenant 0 of one over everything it
-// builds; a FleetSystem opens one tenant per TenantSpec. Faults, the
-// epoch-cut drain, request validation and the per-tenant readout are
-// written once against a tenant, and the system-wide calls loop over the
-// tenants in order.
+// nodes, channels and out-channels and its own recovery counter, and all
+// sharing params(). A plain system is tenant 0 of one over everything it
+// builds; a tree System with SystemConfig::tenants = R opens R identical
+// tenants. Faults, the epoch-cut drain, chaos bursts and the per-tenant
+// readout are written once against a tenant, and the system-wide calls
+// loop over the tenants in order.
 //
 // Everything a workload, monitor or experiment needs is on this base, so
 // the exp::ExperimentRunner (and anything else) can drive any topology
@@ -79,7 +79,9 @@ class SystemBase : public proto::RequestPort {
 
   int n() const { return static_cast<int>(participants_.size()); }
   int k() const { return params_.k; }
-  int l() const { return params_.l; }
+  /// The system-wide resource bound: ℓ per tenant, times the tenants.
+  int l() const { return params_.l * tenant_count(); }
+  /// Every tenant's finalized params.
   const core::Params& params() const { return params_; }
 
   /// Registers a protocol listener (may be called at any time).
@@ -93,17 +95,21 @@ class SystemBase : public proto::RequestPort {
   /// Tenant t owns the contiguous engine ids [node_begin(t), node_end(t)).
   NodeId node_begin(int tenant) const { return slot(tenant).node_begin; }
   NodeId node_end(int tenant) const {
-    return tenant + 1 < tenant_count() ? slot(tenant + 1).node_begin : n();
+    require_tenant(tenant);
+    return tenant + 1 < tenant_count() ? node_begin(tenant + 1) : n();
   }
   int tenant_n(int tenant) const {
     return node_end(tenant) - node_begin(tenant);
   }
+  /// Tenant t owns engine channels [channel_begin(t), channel_end(t)).
+  int channel_begin(int tenant) const { return slot(tenant).chan_begin; }
+  int channel_end(int tenant) const {
+    require_tenant(tenant);
+    return tenant + 1 < tenant_count() ? channel_begin(tenant + 1)
+                                       : engine_.channel_count();
+  }
   /// Tenant owning engine node `node` (O(1): streams store it).
   int tenant_of(NodeId node) const { return engine_.stream_of(node); }
-  /// The tenant's own finalized params (a plain system's are params()).
-  const core::Params& tenant_params(int tenant) const {
-    return slot(tenant).params;
-  }
 
   /// The live per-tenant legitimacy predicate, O(1) (never scans the
   /// other tenants).
@@ -130,6 +136,14 @@ class SystemBase : public proto::RequestPort {
   std::uint64_t tenant_sent_of_type(int tenant, std::int32_t type) const {
     return engine_.sent_of_type_in(tenant, type);
   }
+
+  /// Chaos burst scoped to one tenant: the episode's adversarial config
+  /// overrides the steady one on exactly that tenant's channels (they
+  /// are engine-contiguous) for `duration` ticks; other tenants' links
+  /// keep their steady behavior. Requires a ChaosModel
+  /// (SystemBuilder::chaos or kChaosBurst plan events).
+  void chaos_burst_tenant(int tenant, const sim::ChaosConfig& config,
+                          sim::SimTime duration);
 
   // -- client sessions ---------------------------------------------------------
   /// The per-node Client sessions (lazily created and wired into the
@@ -185,8 +199,8 @@ class SystemBase : public proto::RequestPort {
   /// (Engine::runs_spans) it runs every tenant through a horizon the
   /// merged (at, seq) loop is certain to pass, probes each tenant after
   /// each of its events, and replays the recorded edges in (at, seq)
-  /// order. A plain system is one tenant probed by the global predicate;
-  /// a fleet's tenants are probed by CensusTracker::correct_of. The tick
+  /// order. A one-tenant system is probed by the global predicate, a
+  /// fleet's tenants by CensusTracker::correct_of. The tick
   /// where the loop may stop after any single event, and every advance of
   /// an engine that runs merged, is one step(). Either way the result,
   /// clock and executed events are those of the merged loop.
@@ -301,14 +315,13 @@ class SystemBase : public proto::RequestPort {
       int lane_count = 1, const stree::Graph* physical = nullptr);
 
   /// Tenant-capable variant: builds one protocol instance over `tree`
-  /// with the given params, at engine ids `id_base .. id_base +
-  /// tree.size() - 1` (id_base must equal the current process count, so
-  /// instances append contiguously). Each call owns a fresh arena. The
-  /// plain overload above is `build_tree_instance(tree, params_, 0, ...)`
-  /// with lane plumbing; fleets call this once per tenant and wire lanes
-  /// and streams themselves afterwards.
+  /// at engine ids `id_base .. id_base + tree.size() - 1` (id_base must
+  /// equal the current process count, so instances append contiguously).
+  /// Each call owns a fresh arena. The plain overload above is
+  /// `build_tree_instance(tree, 0, ...)` with lane plumbing; a fleet calls
+  /// this once per tenant and wires lanes and streams afterwards.
   std::vector<core::KlProcessBase*> build_tree_instance(
-      const tree::Tree& tree, const core::Params& params, NodeId id_base,
+      const tree::Tree& tree, NodeId id_base,
       const std::vector<int>& node_lane = {},
       const stree::Graph* physical = nullptr);
 
@@ -318,22 +331,12 @@ class SystemBase : public proto::RequestPort {
   /// the priority token on the root's channel 0 where the rung circulates
   /// them. The injections are the first draws of each channel rng, so
   /// their order is part of the trajectory.
-  void spread_seed_tokens(const tree::Tree& tree, const core::Params& params,
-                          NodeId id_base);
+  void spread_seed_tokens(const tree::Tree& tree, NodeId id_base);
 
   /// Opens tenant tenant_count() at the current end of the node, channel
-  /// and out-channel lists, with its own finalized params. The
-  /// constructor opens tenant 0 over the empty lists with the base
-  /// params; while the last tenant still owns no node, this re-targets it
-  /// instead (a fleet's first call sets tenant 0's own params).
-  void open_tenant(const core::Params& params);
-
-  /// Tenant t owns engine channels [channel_begin(t), channel_end(t)).
-  int channel_begin(int tenant) const { return slot(tenant).chan_begin; }
-  int channel_end(int tenant) const {
-    return tenant + 1 < tenant_count() ? slot(tenant + 1).chan_begin
-                                       : engine_.channel_count();
-  }
+  /// and out-channel lists. The constructor opens tenant 0 over the empty
+  /// lists.
+  void open_tenant();
 
   void require_tenant(int tenant) const {
     KLEX_REQUIRE(tenant >= 0 && tenant < tenant_count(), "bad tenant ",
@@ -377,19 +380,22 @@ class SystemBase : public proto::RequestPort {
  private:
   /// One protocol instance: where its node, channel and out-channel
   /// ranges begin (each ends where the next tenant's begins, the last
-  /// tenant's at the current totals), its params and its drain count.
+  /// tenant's at the current totals) and its drain count.
   struct Tenant {
-    core::Params params;
     NodeId node_begin = 0;
     int chan_begin = 0;
     int out_begin = 0;
     std::int64_t recoveries = 0;
   };
 
+  /// Every tenant accessor goes through here, so a bad tenant throws
+  /// instead of reading past tenants_.
   const Tenant& slot(int tenant) const {
+    require_tenant(tenant);
     return tenants_[static_cast<std::size_t>(tenant)];
   }
   int out_end(int tenant) const {
+    require_tenant(tenant);
     return tenant + 1 < tenant_count() ? slot(tenant + 1).out_begin
                                        : static_cast<int>(out_channels_.size());
   }

@@ -13,6 +13,11 @@ MemberProcess::MemberProcess(Params params, int degree, std::int32_t modulus,
                              ProcessStateArena& arena, int slot)
     : KlProcessBase(params, degree, modulus, listener, arena, slot) {}
 
+void MemberProcess::epoch_drain() {
+  KlProcessBase::epoch_drain();
+  myc_ = -1;
+}
+
 void MemberProcess::handle_control(int channel, const proto::CtrlFields& f) {
   // Alg. 2 lines 32-59.
   bool ok = false;

@@ -22,6 +22,14 @@ class MemberProcess : public KlProcessBase {
                 proto::Listener* listener, ProcessStateArena& arena,
                 int slot);
 
+  /// Drains the stored tokens and sets myC to -1, outside the flag
+  /// domain [0, modulus): the first controller visit after the root's
+  /// epoch_restart is fresh whatever value it carries, so it resets Succ
+  /// (case (1) below). A corrupted myC equal to the root's next flag
+  /// would make that visit look stale, keep a corrupted Succ, let the
+  /// circulation skip a subtree and the root's top-up mint twice.
+  void epoch_drain() override;
+
  protected:
   void handle_control(int channel, const proto::CtrlFields& f) override;
 };

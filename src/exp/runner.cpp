@@ -627,7 +627,7 @@ SystemBuilder point_builder(const ScenarioSpec& spec, const RunPoint& point,
       .workload(spec.workload)
       .chaos(variant != nullptr && variant->override_chaos ? variant->chaos
                                                            : spec.chaos);
-  if (point.fleet > 1) builder.fleet(point.fleet);
+  builder.fleet(point.fleet);
   if (faulted) {
     builder.fault(spec.fault)
         .fault_garbage(point.fault_garbage)
@@ -672,8 +672,8 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
     }
   }
   stats::WaitingTimeTracker waits(std::move(scope_of_node));
-  // Fleet-wide bounds: k is the max per-node need, l the sum of the
-  // tenants' populations (SystemBase accessors aggregate for fleets).
+  // System-wide bounds: k is the max per-node need, l the tenants' total
+  // population.
   verify::SafetyMonitor safety(result.n, system.k(), system.l());
   system.add_listener(&waits);
   system.add_listener(&safety);
@@ -800,7 +800,7 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
         // A fleet's fault corrupts tenant 0 alone: the other tenants'
         // slices exhibit fault isolation.
         system.inject_transient_fault_tenant(0, fault_rng, event.garbage);
-        if (system.tenant_params(0).features.epoch_cut) {
+        if (system.params().features.epoch_cut) {
           system.epoch_cut_recover_tenant(0);  // no-op if the fault missed
         }
         driver.resync();

@@ -7,8 +7,8 @@
 // build, stabilize + warm up, the measured workload window, the fault
 // phase, the monitor totals -- and every session reads out per tenant
 // (TenantResult; a plain system is tenant 0 of one). A plain point is one
-// session. A shared fleet point is one session over a FleetSystem; its
-// only fleet-specific step is aiming the fault at tenant 0. A separate
+// session. A shared fleet point is one session over an R-tenant System;
+// its only fleet-specific step is aiming the fault at tenant 0. A separate
 // fleet point runs the pipeline R times, once
 // per standalone twin seeded seed + t, with the fault in session 0 only,
 // and merges the R sessions: counters and EngineStats summed, the
@@ -55,11 +55,11 @@ struct RunPoint {
   int fault_garbage = -1;
   /// Engine worker lanes (1 = serial).
   int threads = 1;
-  /// Tenants (1 = plain single system; > 1 = FleetSystem).
+  /// Tenants (SystemBuilder::fleet; 1 = plain single system).
   int fleet = 1;
   /// Fleet baseline mode: run the `fleet` tenants as separate serial
   /// engines, one pipeline session per tenant seeded seed + t, instead
-  /// of one shared FleetSystem (ScenarioSpec::fleet_compare_separate).
+  /// of one shared engine (ScenarioSpec::fleet_compare_separate).
   /// Only session 0 takes the fault; the result merges the sessions.
   bool fleet_separate = false;
   /// Index into ScenarioSpec::policies (-1 = the scenario has no policy
@@ -143,7 +143,7 @@ struct RunResult {
   /// the TOTAL node count (fleet x per-tenant size) and the per-tenant
   /// slices live in `tenants`.
   int fleet = 1;
-  /// "shared" (one FleetSystem) or "separate" (R engines) for fleet
+  /// "shared" (one engine) or "separate" (R engines) for fleet
   /// runs; empty for plain runs.
   std::string fleet_mode;
   /// Resilience-policy cell label (ScenarioSpec::PolicyVariant); empty

@@ -52,11 +52,10 @@ struct ScenarioSpec {
   /// engine). Distinct from ExperimentRunner's own worker pool, which
   /// parallelizes across grid points.
   std::vector<int> threads = {1};
-  /// Multi-tenant fleet grid: entry R > 1 runs the cell as an R-tenant
-  /// FleetSystem -- R independent copies of the topology (with the
-  /// cell's k/ℓ/rung) on ONE shared engine, tenant t seeded seed + t
-  /// (SystemBuilder::fleet; tree topologies only). 1 = the plain single
-  /// system. The fault phase of a fleet run targets tenant 0 alone, so
+  /// Multi-tenant fleet grid: entry R runs the cell as R identical
+  /// copies of the topology on ONE shared engine, tenant t seeded
+  /// seed + t (SystemBuilder::fleet; R > 1 needs a tree topology). 1 =
+  /// the plain single system. The fault phase of a fleet run targets tenant 0 alone, so
   /// the artifact's per-tenant slices exhibit fault isolation.
   std::vector<int> fleet = {1};
   /// For every fleet entry R > 1, also run the same R tenants as R

@@ -37,33 +37,18 @@ CensusTracker::CensusTracker(const sim::Engine* engine, int l,
   KLEX_REQUIRE(l_ >= 1, "need l >= 1");
 }
 
-void CensusTracker::configure_tenants(
-    std::vector<TenantExpectation> expected) {
-  KLEX_REQUIRE(!expected.empty(), "need at least one tenant");
+void CensusTracker::configure_tenants(int tenants) {
+  KLEX_REQUIRE(tenants >= 1, "need at least one tenant");
   KLEX_REQUIRE(engine_->has_explicit_streams() &&
-                   engine_->stream_count() ==
-                       static_cast<int>(expected.size()),
+                   engine_->stream_count() == tenants,
                "tenant axis needs one engine stream per tenant");
   KLEX_REQUIRE(reserved_resource() == 0 && held_priority() == 0,
                "configure tenants before any deltas accumulate");
-  for (const TenantExpectation& want : expected) {
-    KLEX_REQUIRE(want.l >= 1, "need l >= 1 per tenant");
-  }
-  if (static_cast<int>(expected.size()) > sim::Engine::kMaxLanes) {
+  if (tenants > sim::Engine::kMaxLanes) {
     overflow_cells_ = std::vector<LaneCell>(
-        expected.size() - static_cast<std::size_t>(sim::Engine::kMaxLanes));
+        static_cast<std::size_t>(tenants - sim::Engine::kMaxLanes));
   }
-  // The global expected population is the fleet total, so correct()'s
-  // default-mode fields stay meaningful for debug output.
-  l_ = 0;
-  expected_pusher_ = 0;
-  expected_priority_ = 0;
-  for (const TenantExpectation& want : expected) {
-    l_ += want.l;
-    expected_pusher_ += want.features.pusher ? 1 : 0;
-    expected_priority_ += want.features.priority ? 1 : 0;
-  }
-  tenant_expected_ = std::move(expected);
+  tenants_ = tenants;
 }
 
 void CensusTracker::resync(

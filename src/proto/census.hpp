@@ -90,42 +90,36 @@ class CensusTracker final : public ParticipantDeltaSink {
 
   // -- tenant axis (multi-tenant fleets) --------------------------------------
 
-  /// One tenant's legitimate token population.
-  struct TenantExpectation {
-    int l = 1;
-    Features features = Features::full();
-  };
-
   /// Switches the tracker to the tenant axis: delta cells are indexed by
   /// the engine's executing *stream* (one per tenant) instead of the
-  /// executing lane, and each tenant gets its own expected population.
-  /// Requires the engine to have explicit streams (one per expectation)
-  /// and pristine participants (no deltas accumulated yet). Single-writer
-  /// stays intact: a stream's deltas all come from its home lane's thread.
-  void configure_tenants(std::vector<TenantExpectation> expected);
+  /// executing lane, and each of the `tenants` tenants is expected to
+  /// carry the tracker's own legitimate population (ℓ and the rung's
+  /// auxiliary tokens). Requires the engine to have one explicit stream
+  /// per tenant and pristine participants (no deltas accumulated yet).
+  /// Single-writer stays intact: a stream's deltas all come from its home
+  /// lane's thread.
+  void configure_tenants(int tenants);
 
-  bool tenant_mode() const { return !tenant_expected_.empty(); }
-  int tenant_count() const { return static_cast<int>(tenant_expected_.size()); }
+  bool tenant_mode() const { return tenants_ > 0; }
+  int tenant_count() const { return tenants_; }
 
   /// The legitimacy predicate for one tenant, in O(1): reads the tenant's
   /// engine stream cells and its own delta cell -- never scans the other
   /// tenants. Tenant-mode only.
   bool correct_of(int tenant) const {
-    const TenantExpectation& want =
-        tenant_expected_[static_cast<std::size_t>(tenant)];
     const LaneCell& c = cell(tenant);
     return static_cast<int>(engine_->in_flight_of_type_in(
                tenant, static_cast<std::int32_t>(TokenType::kResource))) +
                    static_cast<int>(
                        c.reserved.load(std::memory_order_relaxed)) ==
-               want.l &&
+               l_ &&
            static_cast<int>(engine_->in_flight_of_type_in(
                tenant, static_cast<std::int32_t>(TokenType::kPusher))) ==
-               (want.features.pusher ? 1 : 0) &&
+               expected_pusher_ &&
            static_cast<int>(engine_->in_flight_of_type_in(
                tenant, static_cast<std::int32_t>(TokenType::kPriority))) +
                    static_cast<int>(c.held.load(std::memory_order_relaxed)) ==
-               (want.features.priority ? 1 : 0);
+               expected_priority_;
   }
 
   /// Reserved / held stored-token counts of one tenant (tenant-mode only).
@@ -165,6 +159,7 @@ class CensusTracker final : public ParticipantDeltaSink {
                    held_priority() == expected_priority_;
   }
 
+  /// The legitimate resource population (per tenant on the tenant axis).
   int l() const { return l_; }
 
   /// Re-targets the expected legitimate population. The *stored* half
@@ -192,7 +187,7 @@ class CensusTracker final : public ParticipantDeltaSink {
     // Default mode indexes by executing lane; tenant mode by executing
     // stream (same TLS-load cost -- the mode branch is one predictable
     // test on a member already in cache).
-    std::size_t index = tenant_expected_.empty()
+    std::size_t index = !tenant_mode()
                             ? static_cast<std::size_t>(
                                   sim::Engine::current_lane())
                             : static_cast<std::size_t>(
@@ -241,7 +236,7 @@ class CensusTracker final : public ParticipantDeltaSink {
   int expected_priority_ = 1;
   LaneCell cells_[sim::Engine::kMaxLanes];
   std::vector<LaneCell> overflow_cells_;
-  std::vector<TenantExpectation> tenant_expected_;
+  int tenants_ = 0;  // 0 = lane-indexed cells (no tenant axis)
 };
 
 }  // namespace klex::proto

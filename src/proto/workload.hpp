@@ -75,7 +75,7 @@ struct BehaviorClass {
   int count = -1;             // explicit size (wins over fraction)
   double fraction = 0.0;      // rounded share of n
   NodeBehavior behavior;
-  /// Multi-tenant fleets only (materialize_fleet): members are drawn once
+  /// Multi-tenant fleets (materialize_fleet): members are drawn once
   /// and placed at the *same tenant-local ids in every tenant* -- one
   /// logical application holding sessions (and leases) across all
   /// tenants. Ignored by plain materialize().
@@ -128,7 +128,10 @@ MaterializedWorkload materialize(const WorkloadSpec& spec, int n,
 /// fleet differential anchor); cross_tenant classes then draw their
 /// member *local ids* once from `cross_rng` and overwrite the same slot
 /// in every tenant, modelling one application spanning the fleet.
-/// tenant_rngs.size() must equal `tenants`.
+/// tenant_rngs.size() must equal `tenants`. For one tenant without
+/// cross_tenant classes this is materialize(spec, n_per_tenant,
+/// tenant_rngs[0]) verbatim, so SystemBuilder::build_session expands
+/// every system's workload through it.
 MaterializedWorkload materialize_fleet(const WorkloadSpec& spec, int tenants,
                                        int n_per_tenant,
                                        std::vector<support::Rng>& tenant_rngs,

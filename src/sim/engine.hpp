@@ -37,7 +37,7 @@
 // configure_streams() partitions the engine into independently seeded
 // streams instead: stream s keys its channels' rngs from its own seed and
 // the stream-relative channel index, and explicit streams also own
-// per-type census cells. The fleet layer (api/fleet.hpp) maps one
+// per-type census cells. A fleet (api/system.hpp) maps one
 // protocol instance ("tenant") to one stream; its slots keep their
 // relative order, so a tenant's delay draws and (at, seq) sub-order are
 // byte-identical to a standalone engine running that tenant alone with

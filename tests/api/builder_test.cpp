@@ -69,6 +69,24 @@ TEST(SystemBuilder, ParametersReachTheSystem) {
   // Non-controller rung: tokens are seeded, so the (rung-aware) census is
   // legitimate right after startup.
   EXPECT_NE(system->run_until_stabilized(100'000), sim::kTimeInfinity);
+
+  // A fleet carries every knob into every tenant, the fidelity ablations
+  // included.
+  auto fleet = SystemBuilder()
+                   .topology(TopologySpec::tree_line(5))
+                   .kl(2, 4)
+                   .fleet(3)
+                   .literal_pusher_guard(true)
+                   .build();
+  auto* tree_fleet = dynamic_cast<System*>(fleet.get());
+  ASSERT_NE(tree_fleet, nullptr);
+  ASSERT_EQ(fleet->tenant_count(), 3);
+  EXPECT_EQ(fleet->l(), 3 * 4);
+  for (int t = 0; t < 3; ++t) {
+    EXPECT_TRUE(
+        tree_fleet->node(fleet->node_begin(t)).params().literal_pusher_guard)
+        << "tenant " << t;
+  }
 }
 
 TEST(SystemBuilder, SessionMaterializesWorkloadClasses) {

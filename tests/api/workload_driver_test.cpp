@@ -397,8 +397,8 @@ TEST(WorkloadDriver, ClosedLoopsCreateNoCallbackSlots) {
         .kl(2, 4)
         .seed(17)
         .workload(spec)
-        .retry_policy(policy);
-    if (fleet > 1) builder.fleet(fleet);
+        .retry_policy(policy)
+        .fleet(fleet);
     Session session = builder.build_session();
     SystemBase& system = *session.system;
     ASSERT_NE(system.run_until_stabilized(10'000'000), sim::kTimeInfinity);

@@ -1,16 +1,17 @@
 // Fleet differential tests: the correctness anchor of the multi-tenant
-// subsystem (api/fleet.hpp).
+// System (SystemConfig::tenants, api/system.hpp).
 //
 // The fleet's design claim is *standalone equivalence*: tenant t of a
-// FleetSystem built with seed S replays, message for message, the
-// standalone System built with seed S + t -- whatever the other tenants
-// do. These tests pin that claim at full trace granularity:
+// fleet built with seed S replays, message for message, the one-tenant
+// System built with seed S + t -- whatever the other tenants do. These
+// tests pin that claim at full trace granularity:
 //
-//   1. fleet(1) is bit-identical to the plain single-system build
-//      (same sends, same deliveries, same grants, same fault response);
+//   1. fleet(1) is the plain system itself (one tenant, no explicit
+//      streams);
 //   2. every tenant of fleet(3) replays its standalone twin, including
-//      through a transient fault injected into ONE tenant only -- the
-//      faulted tenant tracks its (equally faulted) twin and the others
+//      through a transient fault injected into ONE tenant only and a
+//      garbage flood there that an epoch cut drains -- the faulted
+//      tenant tracks its (equally faulted and cut) twin and the others
 //      never notice -- and every tenant of a fleet(4) under steady chaos
 //      replays its equally chaotic twin (chaos draws come from the
 //      tenant's own channel rngs);
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "api/builder.hpp"
-#include "api/fleet.hpp"
 #include "proto/messages.hpp"
 #include "sim/chaos.hpp"
 #include "sim/engine.hpp"
@@ -95,7 +95,7 @@ void expect_traces_equal(const std::vector<TraceEvent>& fleet_side,
 /// The fleet trace restricted to one tenant, re-expressed in tenant-local
 /// node ids (channel indexes are per-node and need no translation).
 std::vector<TraceEvent> tenant_slice(const std::vector<TraceEvent>& all,
-                                     const FleetSystem& fleet, int tenant) {
+                                     const SystemBase& fleet, int tenant) {
   std::vector<TraceEvent> out;
   for (const TraceEvent& event : all) {
     if (fleet.tenant_of(event.node) != tenant) continue;
@@ -126,122 +126,28 @@ SystemBuilder base_builder(std::uint64_t seed) {
 }
 
 TEST(FleetDifferentialTest, FleetOfOneIsBitIdenticalToSingleSystem) {
-  const std::uint64_t seed = 4242;
-  auto make = [&](bool as_fleet) {
-    SystemBuilder builder = base_builder(seed);
-    builder.workload(contention_spec())
-        .features(proto::Features::full().with_epoch_cut());
-    if (as_fleet) builder.fleet(1);
-    return builder.build_session();
-  };
-  Session single = make(false);
-  Session fleet = make(true);
-  ASSERT_NE(single.driver, nullptr);
-  ASSERT_NE(fleet.driver, nullptr);
-  auto* fleet_system = dynamic_cast<FleetSystem*>(fleet.system.get());
-  ASSERT_NE(fleet_system, nullptr);
-  EXPECT_EQ(fleet_system->tenant_count(), 1);
-  EXPECT_EQ(dynamic_cast<FleetSystem*>(single.system.get()), nullptr);
-  EXPECT_EQ(fleet.system->n(), single.system->n());
-
-  Recorder single_trace;
-  Recorder fleet_trace;
-  single.system->add_observer(&single_trace);
-  fleet.system->add_observer(&fleet_trace);
-
-  // Phase 0: initial stabilization reports the identical instant through
-  // the fleet's incremental per-tenant probe.
-  sim::SimTime single_stable = single.system->run_until_stabilized(1'000'000);
-  sim::SimTime fleet_stable = fleet.system->run_until_stabilized(1'000'000);
-  ASSERT_NE(single_stable, sim::kTimeInfinity);
-  EXPECT_EQ(fleet_stable, single_stable);
-  EXPECT_EQ(fleet_system->tenant_stabilized_at(0), fleet_stable);
-  EXPECT_TRUE(fleet_system->tenant_correct(0));
-
-  // Phase 1: closed-loop workload to a fixed horizon.
-  single.begin_workload();
-  fleet.begin_workload();
-  const sim::SimTime kT1 = 400'000;
-  single.system->run_until(kT1);
-  fleet.system->run_until(kT1);
-  expect_traces_equal(fleet_trace.events, single_trace.events,
-                      "fleet(1) pre-fault");
-  EXPECT_GT(single.driver->total_grants(), 0);
-  EXPECT_EQ(fleet.driver->total_grants(), single.driver->total_grants());
-  EXPECT_EQ(fleet.driver->total_requests(), single.driver->total_requests());
-
-  // Phase 2: identical transient faults (identically seeded rngs draw the
-  // identical corruption), symmetric driver resync, another fixed horizon.
-  support::Rng single_fault(seed ^ 0x5EEDull);
-  support::Rng fleet_fault(seed ^ 0x5EEDull);
-  single.system->inject_transient_fault(single_fault);
-  fleet.system->inject_transient_fault(fleet_fault);
-  single.driver->resync();
-  fleet.driver->resync();
-  const sim::SimTime kT2 = 800'000;
-  single.system->run_until(kT2);
-  fleet.system->run_until(kT2);
-  expect_traces_equal(fleet_trace.events, single_trace.events,
-                      "fleet(1) post-fault");
-
-  EXPECT_EQ(fleet.driver->total_grants(), single.driver->total_grants());
-  EXPECT_EQ(fleet.driver->total_requests(), single.driver->total_requests());
-  EXPECT_EQ(fleet.driver->total_denials(), single.driver->total_denials());
-  for (int r = 0; r < kDenyReasonCount; ++r) {
-    EXPECT_EQ(fleet.driver->deny_count(static_cast<DenyReason>(r)),
-              single.driver->deny_count(static_cast<DenyReason>(r)))
-        << to_string(static_cast<DenyReason>(r));
-  }
-  EXPECT_EQ(fleet.system->engine().messages_sent(),
-            single.system->engine().messages_sent());
-  EXPECT_EQ(fleet.system->engine().messages_delivered(),
-            single.system->engine().messages_delivered());
-  EXPECT_EQ(fleet.system->engine().events_executed(),
-            single.system->engine().events_executed());
-  EXPECT_EQ(fleet.system->token_counts_correct(),
-            single.system->token_counts_correct());
-
-  // Phase 3: identical garbage floods, then the epoch cut drains both at
-  // once; the one tenant of each counts the same single recovery.
-  single.system->flood_channels(single_fault, 3);
-  fleet.system->flood_channels(fleet_fault, 3);
-  ASSERT_FALSE(single.system->token_counts_correct());
-  EXPECT_TRUE(single.system->epoch_cut_recover());
-  EXPECT_TRUE(fleet.system->epoch_cut_recover());
-  single.driver->resync();
-  fleet.driver->resync();
-  const sim::SimTime kT3 = 1'200'000;
-  single.system->run_until(kT3);
-  fleet.system->run_until(kT3);
-  expect_traces_equal(fleet_trace.events, single_trace.events,
-                      "fleet(1) post-flood-and-cut");
-  const proto::TokenCensus single_census = single.system->census();
-  const proto::TokenCensus fleet_census = fleet.system->census();
-  EXPECT_EQ(fleet_census.free_resource, single_census.free_resource);
-  EXPECT_EQ(fleet_census.reserved_resource, single_census.reserved_resource);
-  EXPECT_EQ(fleet_census.pusher, single_census.pusher);
-  EXPECT_EQ(fleet_census.free_priority, single_census.free_priority);
-  EXPECT_EQ(fleet_census.held_priority, single_census.held_priority);
-  EXPECT_EQ(single.system->tenant_recovery_events(0), 1);
-  EXPECT_EQ(fleet.system->tenant_recovery_events(0), 1);
-  EXPECT_EQ(fleet.driver->total_grants(), single.driver->total_grants());
+  // fleet(1) is the plain system itself: one tenant, no explicit streams.
+  std::unique_ptr<SystemBase> system = base_builder(4242).fleet(1).build();
+  EXPECT_EQ(system->tenant_count(), 1);
+  EXPECT_FALSE(system->engine().has_explicit_streams());
 }
 
 TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
   const std::uint64_t seed = 777;
   const int kTenants = 3;
 
+  // The epoch-cut rung changes nothing until a cut runs (phase 3).
+  const proto::Features cut_rung = proto::Features::full().with_epoch_cut();
   SystemBuilder fleet_builder = base_builder(seed);
-  fleet_builder.workload(contention_spec()).fleet(kTenants);
+  fleet_builder.workload(contention_spec()).features(cut_rung).fleet(kTenants);
   Session fleet = fleet_builder.build_session();
-  auto* fleet_system = dynamic_cast<FleetSystem*>(fleet.system.get());
-  ASSERT_NE(fleet_system, nullptr);
+  SystemBase* fleet_system = fleet.system.get();
   ASSERT_EQ(fleet_system->tenant_count(), kTenants);
 
   std::vector<Session> singles;
   for (int t = 0; t < kTenants; ++t) {
     SystemBuilder builder = base_builder(seed + static_cast<std::uint64_t>(t));
-    builder.workload(contention_spec());
+    builder.workload(contention_spec()).features(cut_rung);
     singles.push_back(builder.build_session());
   }
 
@@ -268,7 +174,7 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
         single_traces[static_cast<std::size_t>(t)].events,
         "pre-fault tenant " + std::to_string(t));
     for (NodeId local = 0; local < per_tenant_n; ++local) {
-      NodeId global = fleet_system->global_id(t, local);
+      NodeId global = fleet_system->node_begin(t) + local;
       EXPECT_EQ(fleet.driver->grants(global), twin.driver->grants(local));
       EXPECT_EQ(fleet.driver->requests_issued(global),
                 twin.driver->requests_issued(local));
@@ -295,7 +201,7 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
         single_traces[static_cast<std::size_t>(t)].events,
         "post-fault tenant " + std::to_string(t));
     for (NodeId local = 0; local < per_tenant_n; ++local) {
-      NodeId global = fleet_system->global_id(t, local);
+      NodeId global = fleet_system->node_begin(t) + local;
       EXPECT_EQ(fleet.driver->grants(global), twin.driver->grants(local));
     }
     // Per-tenant observables agree with the twin's global ones.
@@ -308,8 +214,37 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
     EXPECT_EQ(fleet_system->tenant_sent_of_type(t, kResourceType),
               twin.system->engine().sent_of_type(kResourceType))
         << "tenant " << t;
-    // Nobody ran an epoch-cut recovery (the rung is not enabled here).
+    // Nobody ran an epoch-cut recovery yet.
     EXPECT_EQ(fleet_system->tenant_recovery_events(t), 0);
+  }
+
+  // Phase 3: a garbage flood (three messages on every channel) with a
+  // transient fault into tenant 1 ONLY, drained at once by the tenant's
+  // epoch cut; the twin gets the identical flood and its system-wide cut.
+  fleet_system->inject_transient_fault_tenant(1, fleet_fault, 3);
+  singles[1].system->inject_transient_fault(twin_fault, 3);
+  EXPECT_TRUE(fleet_system->epoch_cut_recover_tenant(1));
+  EXPECT_TRUE(singles[1].system->epoch_cut_recover());
+  fleet.driver->resync();
+  for (Session& s : singles) s.driver->resync();
+  const sim::SimTime kT3 = 850'000;
+  fleet.system->run_until(kT3);
+  for (Session& s : singles) s.system->run_until(kT3);
+
+  for (int t = 0; t < kTenants; ++t) {
+    Session& twin = singles[static_cast<std::size_t>(t)];
+    expect_traces_equal(
+        tenant_slice(fleet_trace.events, *fleet_system, t),
+        single_traces[static_cast<std::size_t>(t)].events,
+        "post-flood-and-cut tenant " + std::to_string(t));
+    EXPECT_EQ(fleet_system->tenant_recovery_events(t), t == 1 ? 1 : 0)
+        << "tenant " << t;
+    EXPECT_EQ(fleet_system->tenant_recovery_events(t),
+              twin.system->tenant_recovery_events(0))
+        << "tenant " << t;
+    EXPECT_EQ(fleet_system->tenant_correct(t),
+              twin.system->token_counts_correct())
+        << "tenant " << t;
   }
 
   // Steady chaos: a fleet(4) whose every link drops and jitters, against
@@ -321,8 +256,7 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
   SystemBuilder chaos_builder = base_builder(seed);
   chaos_builder.workload(contention_spec()).chaos(chaos).fleet(kChaosTenants);
   Session chaos_fleet = chaos_builder.build_session();
-  auto* chaos_system = dynamic_cast<FleetSystem*>(chaos_fleet.system.get());
-  ASSERT_NE(chaos_system, nullptr);
+  const SystemBase* chaos_system = chaos_fleet.system.get();
   std::vector<Session> chaos_twins;
   for (int t = 0; t < kChaosTenants; ++t) {
     SystemBuilder builder = base_builder(seed + static_cast<std::uint64_t>(t));
@@ -373,7 +307,7 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
     const SystemBase& twin_system =
         *chaos_twins[static_cast<std::size_t>(t)].system;
     for (NodeId local = 0; local < chaos_system->tenant_n(t); ++local) {
-      const NodeId global = chaos_system->global_id(t, local);
+      const NodeId global = chaos_system->node_begin(t) + local;
       EXPECT_EQ(chaos_system->state_of(global), twin_system.state_of(local))
           << "tenant " << t << " node " << local;
       EXPECT_EQ(chaos_system->need_of(global), twin_system.need_of(local))
@@ -393,13 +327,12 @@ TEST(FleetDifferentialTest, EachTenantsWaitSamplesMatchItsStandaloneTwin) {
   SystemBuilder fleet_builder = base_builder(seed);
   fleet_builder.workload(contention_spec()).fleet(kTenants);
   Session fleet = fleet_builder.build_session();
-  auto* fleet_system = dynamic_cast<FleetSystem*>(fleet.system.get());
-  ASSERT_NE(fleet_system, nullptr);
+  const SystemBase* fleet_system = fleet.system.get();
   std::vector<int> scope_of_node(static_cast<std::size_t>(fleet.system->n()));
   for (int t = 0; t < kTenants; ++t) {
-    for (NodeId local = 0; local < fleet_system->tenant_n(t); ++local) {
-      scope_of_node[static_cast<std::size_t>(
-          fleet_system->global_id(t, local))] = t;
+    for (NodeId node = fleet_system->node_begin(t);
+         node < fleet_system->node_end(t); ++node) {
+      scope_of_node[static_cast<std::size_t>(node)] = t;
     }
   }
   stats::WaitingTimeTracker fleet_waits(std::move(scope_of_node));
@@ -453,15 +386,13 @@ TEST(FleetDifferentialTest, WorkerLaneCountDoesNotChangeTenantTrajectories) {
     SystemBuilder builder = base_builder(seed);
     builder.fleet(kTenants).threads(threads);
     std::unique_ptr<SystemBase> system = builder.build();
-    auto* fleet = dynamic_cast<FleetSystem*>(system.get());
-    EXPECT_NE(fleet, nullptr);
     EXPECT_EQ(system->threads(), std::min(threads, kTenants));
     system->run_until(kHorizon);
     std::vector<TenantFingerprint> out;
     for (int t = 0; t < kTenants; ++t) {
-      out.push_back({fleet->tenant_events_executed(t),
-                     fleet->tenant_sent_of_type(t, kResourceType),
-                     fleet->tenant_correct(t)});
+      out.push_back({system->tenant_events_executed(t),
+                     system->tenant_sent_of_type(t, kResourceType),
+                     system->tenant_correct(t)});
     }
     return out;
   };
@@ -513,7 +444,7 @@ struct FleetSnapshot {
 };
 
 FleetSnapshot snapshot(const Session& session) {
-  const auto& fleet = dynamic_cast<const FleetSystem&>(*session.system);
+  const SystemBase& fleet = *session.system;
   FleetSnapshot out;
   out.now = fleet.engine().now();
   out.events = fleet.engine().events_executed();
@@ -638,9 +569,7 @@ void expect_same_state(const Session& fast, const Session& merged,
               x.pusher == y.pusher && x.free_priority == y.free_priority &&
               x.held_priority == y.held_priority && x.control == y.control)
       << label;
-  if (dynamic_cast<const FleetSystem*>(fast.system.get()) != nullptr) {
-    EXPECT_TRUE(snapshot(fast) == snapshot(merged)) << label;
-  }
+  EXPECT_TRUE(snapshot(fast) == snapshot(merged)) << label;
 }
 
 /// Runs the same stabilization on a system whose loop advances by span

@@ -428,8 +428,9 @@ Session SystemBuilder::build_session() const {
     }
     support::Rng cross_rng(seed_ ^ kClassSalt ^ kCrossTenantSalt);
     session.workload =
-        proto::materialize_fleet(*workload_, tenants, session.system->tenant_n(0),
-                                 class_rngs, cross_rng);
+        proto::materialize_fleet(*workload_, tenants,
+                                 session.system->tenant_n(0), class_rngs,
+                                 cross_rng);
     session.driver = std::make_unique<WorkloadDriver>(
         session.system->engine(), session.system->clients(),
         session.workload.behaviors, std::move(driver_rngs));

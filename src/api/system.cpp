@@ -40,8 +40,9 @@ System::System(SystemConfig config)
   }
   // One tenant: lanes partition the tree, and the engine has no explicit
   // streams.
-  const int lanes = std::clamp(
-      config_.threads, 1, std::min(config_.tree.size(), sim::Engine::kMaxLanes));
+  const int lanes =
+      std::clamp(config_.threads, 1,
+                 std::min(config_.tree.size(), sim::Engine::kMaxLanes));
   std::vector<int> node_lane;
   if (lanes > 1) node_lane = stree::partition_tree(config_.tree, lanes);
   nodes_ = build_tree_protocol(config_.tree, node_lane, lanes);

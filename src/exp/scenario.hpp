@@ -55,8 +55,9 @@ struct ScenarioSpec {
   /// Multi-tenant fleet grid: entry R runs the cell as R identical
   /// copies of the topology on ONE shared engine, tenant t seeded
   /// seed + t (SystemBuilder::fleet; R > 1 needs a tree topology). 1 =
-  /// the plain single system. The fault phase of a fleet run targets tenant 0 alone, so
-  /// the artifact's per-tenant slices exhibit fault isolation.
+  /// the plain single system. The fault phase of a fleet run targets
+  /// tenant 0 alone, so the artifact's per-tenant slices exhibit fault
+  /// isolation.
   std::vector<int> fleet = {1};
   /// For every fleet entry R > 1, also run the same R tenants as R
   /// separate engines (sequentially, seeds seed .. seed+R-1) and record

@@ -182,11 +182,6 @@ MaterializedWorkload materialize_fleet(const WorkloadSpec& spec, int tenants,
                            one.class_index.end());
   }
 
-  if (std::none_of(spec.classes.begin(), spec.classes.end(),
-                   [](const BehaviorClass& cls) { return cls.cross_tenant; })) {
-    return out;
-  }
-
   // Cross pass: each cross_tenant class draws its member *local ids* once
   // and occupies that slot in every tenant -- the same logical client in
   // all of them. Explicit node lists are honored; count/fraction members

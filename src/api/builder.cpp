@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "api/graph_system.hpp"
 #include "api/system.hpp"
@@ -46,69 +47,95 @@ void Session::begin_workload() {
 }
 
 TopologyFaultResult Session::apply_fault_event(const FaultEvent& event,
-                                               support::Rng& rng) {
+                                               support::Rng& rng,
+                                               std::optional<int> tenant) {
+  SystemBase& sys = *system;
+  // The targeted tenants [first, last); the tenant primitives check them.
+  // The system-wide transient fault, flood and epoch cut are these same
+  // per-tenant calls in tenant order, and a channel range over every
+  // tenant is clear_channels().
+  const int first = tenant.value_or(0);
+  const int last = tenant ? first + 1 : sys.tenant_count();
+  const bool whole = first == 0 && last == sys.tenant_count();
   TopologyFaultResult result;
   bool state_changed = false;
-  bool topology_fault = false;
   switch (event.kind) {
     case FaultKind::kNone:
       return result;
     case FaultKind::kTransient:
-      system->inject_transient_fault(rng, event.garbage);
+      for (int t = first; t < last; ++t) {
+        sys.inject_transient_fault_tenant(t, rng, event.garbage);
+      }
       state_changed = true;
       break;
     case FaultKind::kChannelWipe:
-      system->engine().clear_channels();
+      sys.engine().clear_channel_range(sys.channel_begin(first),
+                                       sys.channel_end(last - 1));
       break;
     case FaultKind::kGarbageFlood:
       KLEX_REQUIRE(event.garbage >= 0,
                    "kGarbageFlood events need an explicit garbage count");
-      system->flood_channels(rng, event.garbage);
+      for (int t = first; t < last; ++t) {
+        sys.flood_channels_tenant(t, rng, event.garbage);
+      }
       break;
     case FaultKind::kLinkChurn:
     case FaultKind::kNodeCrash:
       // The repair performs its own epoch-cut (drain + re-mint) with the
       // state migration spliced in between; do not cut again on top.
-      result = system->apply_topology_fault(event, rng);
-      topology_fault = true;
-      state_changed = true;
-      break;
+      result = sys.apply_topology_fault(event, rng);
+      if (driver != nullptr) driver->resync();
+      return result;
     case FaultKind::kChaosBurst: {
-      sim::Engine& engine = system->engine();
+      sim::Engine& engine = sys.engine();
       KLEX_REQUIRE(engine.has_chaos(),
                    "kChaosBurst event on a system without a ChaosModel "
                    "(build this session through SystemBuilder with the "
                    "burst in its fault_plan)");
-      if (event.links.empty()) {
+      if (!event.links.empty()) {
+        // A targeted burst names tenant-local endpoints.
+        const NodeId base = sys.node_begin(first);
+        std::vector<std::pair<int, int>> links = event.links;
+        for (auto& link : links) link = {link.first + base, link.second + base};
+        engine.chaos_burst_links(links, event.chaos, event.duration);
+      } else if (whole) {
         engine.chaos_burst(event.chaos, event.duration);
       } else {
-        engine.chaos_burst_links(event.links, event.chaos, event.duration);
+        sys.chaos_burst_tenant(first, event.chaos, event.duration);
       }
       // The burst's damage is in-model and accumulates over the episode,
       // so an immediate epoch cut would fire before anything is wrong.
-      // On the full+cut rung, defer the cut to burst end: by then every
-      // drop/duplication has landed in the census, and the drain erases
-      // whatever imbalance the episode minted. Raw pointers are safe --
-      // the Session outlives the run that executes the callback.
-      if (system->params().features.epoch_cut && event.duration > 0) {
+      // On the full+cut rung, defer each tenant's cut to burst end, in
+      // that tenant's stream: by then every drop/duplication has landed
+      // in the census, and the drain erases whatever imbalance the
+      // episode minted. Raw pointers are safe -- the Session outlives
+      // the run that executes the callbacks.
+      if (sys.params().features.epoch_cut && event.duration > 0) {
         SystemBase* raw_system = system.get();
         WorkloadDriver* raw_driver = driver.get();
-        engine.schedule(event.duration, [raw_system, raw_driver]() {
-          if (raw_system->epoch_cut_recover() && raw_driver != nullptr) {
-            raw_driver->resync();
-          }
-        });
+        for (int t = first; t < last; ++t) {
+          engine.schedule_in_stream(t, event.duration, [=] {
+            if (raw_system->epoch_cut_recover_tenant(t) &&
+                raw_driver != nullptr) {
+              raw_driver->resync(raw_system->node_begin(t),
+                                 raw_system->node_end(t));
+            }
+          });
+        }
       }
       // No immediate cut and no resync: protocol state is untouched at
       // injection time.
       return result;
     }
   }
-  if (!topology_fault && system->params().features.epoch_cut &&
-      system->epoch_cut_recover()) {
-    state_changed = true;
+  if (sys.params().features.epoch_cut) {
+    for (int t = first; t < last; ++t) {
+      state_changed = sys.epoch_cut_recover_tenant(t) || state_changed;
+    }
   }
-  if (driver != nullptr && state_changed) driver->resync();
+  if (driver != nullptr && state_changed) {
+    driver->resync(sys.node_begin(first), sys.node_end(last - 1));
+  }
   return result;
 }
 

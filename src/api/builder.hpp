@@ -61,19 +61,28 @@ struct Session {
 
   void begin_workload();
 
-  /// Executes one fault event. Transient, channel-wipe and garbage-flood
-  /// events are followed -- when the system runs the epoch-cut rung
-  /// (Features::epoch_cut) and the fault left the token population
-  /// illegitimate -- by the batched epoch-cut recovery drain (the O(1)
-  /// census detects the fault the moment it is injected; the drain models
-  /// the management plane reacting to that detection). Topology kinds
-  /// (kLinkChurn / kNodeCrash) run the live GraphSystem's online repair
-  /// and return its cost breakdown; kChaosBurst opens the adversarial
-  /// episode (on the epoch-cut rung the cut is deferred to burst end).
-  /// The driver's sessions are resynced whenever protocol or topology
-  /// state changed. No-op for FaultKind::kNone.
+  /// Executes one fault event, the only path that applies faults.
+  /// Without a `tenant` it hits every tenant through the whole-system
+  /// calls. With tenant t it hits t alone through t's primitives: the
+  /// tenant-scoped transient fault, flood, channel wipe and chaos burst
+  /// (whose explicit `links` then name tenant-local endpoints), t's epoch
+  /// cut and a resync of t's driver sessions; a target that covers every
+  /// tenant (tenant 0 of a one-tenant system) is the whole-system call.
+  /// Transient, channel-wipe and garbage-flood events are followed --
+  /// when the system runs the epoch-cut rung (Features::epoch_cut) and
+  /// the fault left a targeted tenant illegitimate -- by the batched
+  /// epoch-cut recovery drain (the O(1) census detects the fault the
+  /// moment it is injected; the drain models the management plane
+  /// reacting to that detection). Topology kinds (kLinkChurn /
+  /// kNodeCrash) run the live GraphSystem's online repair and return its
+  /// cost breakdown; kChaosBurst opens the adversarial episode (on the
+  /// epoch-cut rung each targeted tenant's cut is deferred to burst end,
+  /// as a callback in that tenant's stream). The driver's sessions are
+  /// resynced whenever protocol or topology state changed. No-op for
+  /// FaultKind::kNone.
   TopologyFaultResult apply_fault_event(const FaultEvent& event,
-                                        support::Rng& rng);
+                                        support::Rng& rng,
+                                        std::optional<int> tenant = {});
 };
 
 class SystemBuilder {

@@ -77,7 +77,9 @@ struct FaultEvent {
   /// draw `count` random eligible links (up links when failing, down
   /// links when restoring) from the fault rng.
   /// kChaosBurst: explicit undirected endpoints the burst is scoped to
-  /// (both directed channels each). Empty = every link.
+  /// (both directed channels each). Empty = every link (of the target
+  /// tenant, for a burst aimed at one; its endpoints are then
+  /// tenant-local ids, see Session::apply_fault_event).
   std::vector<std::pair<int, int>> links;
 
   /// kNodeCrash: explicit node ids to crash/revive (node 0 forbidden).

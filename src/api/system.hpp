@@ -25,8 +25,8 @@
 //     with seed + t, whatever the other tenants do -- the differential
 //     anchor (tests/integration/fleet_differential_test.cpp).
 //   * execution: run_until runs the due tenants tenant-major, in
-//     ascending tenant order; observers and pending global callbacks
-//     switch it to the merged (at, seq) order (see sim/engine.hpp).
+//     ascending tenant order; an attached observer switches it to the
+//     merged (at, seq) order (see sim/engine.hpp).
 //   * census: the tracker's tenant axis gives each tenant an O(1)
 //     legitimacy predicate (tenant_correct) against ℓ and the rung;
 //     l() is the system-wide bound ℓ·R.

@@ -295,12 +295,12 @@ sim::SimTime SystemBase::stabilize(sim::SimTime deadline, sim::SimTime window,
   // Event-driven detection: every event that could move the census goes
   // through the engine's per-type counters or a participant delta, so
   // probing the O(1) predicate after every event observes every
-  // correct<->incorrect edge at its exact simulated time. A tenant event
-  // moves only its own tenant (tenants are causally independent), so the
-  // probe re-checks that tenant alone; a global callback re-checks every
-  // tenant. `since` is the start of the current
-  // fleet-wide correct stretch; a stretch that survives `window` ticks is
-  // confirmed and reported at its transition edge.
+  // correct<->incorrect edge at its exact simulated time. Every event
+  // belongs to one tenant and moves only that tenant (tenants are
+  // causally independent), so the probe re-checks that tenant alone.
+  // `since` is the start of the current fleet-wide correct stretch; a
+  // stretch that survives `window` ticks is confirmed and reported at its
+  // transition edge.
   //
   // Resync: boot, a fault or a recovery drain may have moved any tenant,
   // so rebuild the flags with one scan of O(1) probes.
@@ -361,14 +361,7 @@ sim::SimTime SystemBase::stabilize(sim::SimTime deadline, sim::SimTime window,
       // The tick where the loop may stop after any single event, or an
       // engine that runs merged: one step.
       engine_.step();
-      const int moved = engine_.last_stream();
-      if (moved >= 0) {
-        record(moved, engine_.now(), 0);
-      } else {
-        // A global callback (such as a deferred epoch cut) may have moved
-        // every tenant at once.
-        for (int t = 0; t < tenant_count(); ++t) record(t, engine_.now(), 0);
-      }
+      record(engine_.last_stream(), engine_.now(), 0);
     }
     if (replay_edges(deadline, window, &correct, &since)) break;
   }
@@ -491,12 +484,17 @@ void SystemBase::inject_transient_fault_tenant(int tenant, support::Rng& rng,
 }
 
 void SystemBase::flood_channels(support::Rng& rng, int garbage_per_channel) {
-  KLEX_REQUIRE(garbage_per_channel >= 0, "need a garbage count");
   for (int t = 0; t < tenant_count(); ++t) {
-    sim::ScopedStream scope(t);
-    engine_.clear_channel_range(channel_begin(t), channel_end(t));
-    inject_garbage(t, rng, garbage_per_channel);
+    flood_channels_tenant(t, rng, garbage_per_channel);
   }
+}
+
+void SystemBase::flood_channels_tenant(int tenant, support::Rng& rng,
+                                       int garbage_per_channel) {
+  KLEX_REQUIRE(garbage_per_channel >= 0, "need a garbage count");
+  sim::ScopedStream scope(tenant);
+  engine_.clear_channel_range(channel_begin(tenant), channel_end(tenant));
+  inject_garbage(tenant, rng, garbage_per_channel);
 }
 
 bool SystemBase::epoch_cut_recover() {

@@ -240,6 +240,11 @@ class SystemBase : public proto::RequestPort {
   /// inject_transient_fault).
   void flood_channels(support::Rng& rng, int garbage_per_channel);
 
+  /// The flood scoped to one tenant: wipes and preloads only that
+  /// tenant's channels.
+  void flood_channels_tenant(int tenant, support::Rng& rng,
+                             int garbage_per_channel);
+
   /// Epoch-cut batched recovery drain (requires Features::epoch_cut; see
   /// the Features comment), applied to every tenant whose census is
   /// illegitimate; false when every tenant already is legitimate.

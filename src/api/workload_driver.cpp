@@ -215,13 +215,18 @@ void WorkloadDriver::end_critical_section(proto::NodeId node) {
   if (node_state.behavior.active) schedule_cycle(node);
 }
 
-void WorkloadDriver::resync() {
+void WorkloadDriver::resync() { resync(0, clients_.size()); }
+
+void WorkloadDriver::resync(proto::NodeId begin, proto::NodeId end) {
   // Reconcile every session first (fires revocation / denial / adoption
   // handlers), then restart the loop for whoever ended up idle. Like
-  // begin(), resync() is called between runs, so it may start the loop.
+  // begin(), resync() runs between runs or in a management-plane
+  // callback, so it may start the loop.
   begun_ = true;
-  clients_.resync();
-  for (proto::NodeId node = 0; node < clients_.size(); ++node) {
+  for (proto::NodeId node = begin; node < end; ++node) {
+    clients_.at(node).resync();
+  }
+  for (proto::NodeId node = begin; node < end; ++node) {
     NodeState& node_state = state(node);
     const Client& client = clients_.at(node);
     if (client.holding() && !node_state.release_scheduled) {

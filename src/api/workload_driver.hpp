@@ -96,6 +96,9 @@ class WorkloadDriver final : private sim::ActionHandler {
   /// restarts the closed loop for idle active nodes (also before
   /// begin(), which it then stands in for).
   void resync();
+  /// resync() for nodes [begin, end) only: a fault aimed at one tenant
+  /// reconciles that tenant's sessions and leaves the others alone.
+  void resync(proto::NodeId begin, proto::NodeId end);
 
   std::int64_t requests_issued(proto::NodeId node) const;
   std::int64_t grants(proto::NodeId node) const;

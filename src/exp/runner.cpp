@@ -110,17 +110,6 @@ const ScenarioSpec::PolicyVariant* variant_of(const ScenarioSpec& spec,
   return &spec.policies[static_cast<std::size_t>(point.policy)];
 }
 
-// Fleet grid points support the single post-measurement transient fault
-// only (targeted at tenant 0). Staged fault plans imply live-topology
-// graph systems; fleets are tree-tenant only.
-void require_fleet_fault_supported(const ScenarioSpec& spec) {
-  KLEX_REQUIRE(spec.fault_plan.events.empty(),
-               "fleet grid points do not support staged fault plans");
-  KLEX_REQUIRE(spec.fault == ScenarioSpec::FaultKind::kNone ||
-                   spec.fault == ScenarioSpec::FaultKind::kTransient,
-               "fleet grid points support only none/transient faults");
-}
-
 // True when any run of the scenario can exercise a ChaosModel or the
 // liveness watchdog -- gates the chaos/monitoring fields so pre-chaos
 // artifacts stay byte-identical.
@@ -641,10 +630,10 @@ SystemBuilder point_builder(const ScenarioSpec& spec, const RunPoint& point,
 
 /// The phase pipeline every grid point runs through, once per session:
 /// build, stabilize + warm up, measured window, fault phase, monitor
-/// totals. Every session reads out per tenant (a plain system is tenant
-/// 0 of one); a fleet point (point.fleet > 1) builds one multi-tenant
-/// system, and its only fleet-specific step is aiming the fault at
-/// tenant 0. With `faulted` false the session skips the fault phase. The
+/// totals. Every session reads out per tenant and aims its faults at
+/// tenant 0 (a plain system is tenant 0 of one; a fleet point,
+/// point.fleet > 1, builds one multi-tenant system and takes no step of
+/// its own). With `faulted` false the session skips the fault phase. The
 /// warmup starts where stabilization detection left the clock or at
 /// `settle_from`, whichever is later.
 SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
@@ -662,19 +651,15 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
   // whole spanning-tree engine that is invisible to engine().stats()).
   auto wall_start = std::chrono::steady_clock::now();
 
-  // Each tenant is its own waiting-time scope: a wait counts the CS
-  // entries of the requester's own protocol instance only.
+  // Each tenant is its own waiting-time and safety scope: a wait counts
+  // the CS entries of the requester's own protocol instance only, and
+  // each instance is bounded by its own ℓ.
   std::vector<int> scope_of_node(static_cast<std::size_t>(result.n));
-  for (int t = 0; t < tenants; ++t) {
-    for (NodeId node = system.node_begin(t); node < system.node_end(t);
-         ++node) {
-      scope_of_node[static_cast<std::size_t>(node)] = t;
-    }
+  for (NodeId node = 0; node < result.n; ++node) {
+    scope_of_node[static_cast<std::size_t>(node)] = system.tenant_of(node);
   }
+  verify::SafetyMonitor safety(scope_of_node, system.k(), system.params().l);
   stats::WaitingTimeTracker waits(std::move(scope_of_node));
-  // System-wide bounds: k is the max per-node need, l the tenants' total
-  // population.
-  verify::SafetyMonitor safety(result.n, system.k(), system.l());
   system.add_listener(&waits);
   system.add_listener(&safety);
   if (spec.stall_threshold > 0) {
@@ -796,18 +781,10 @@ SessionRun run_session(const ScenarioSpec& spec, const RunPoint& point,
       const std::int64_t violations_at_event = safety.violation_count();
       const sim::ChaosStats chaos_then = system.engine().chaos_stats();
       FaultEventResult record;
-      if (tenants > 1) {
-        // A fleet's fault corrupts tenant 0 alone: the other tenants'
-        // slices exhibit fault isolation.
-        system.inject_transient_fault_tenant(0, fault_rng, event.garbage);
-        if (system.params().features.epoch_cut) {
-          system.epoch_cut_recover_tenant(0);  // no-op if the fault missed
-        }
-        driver.resync();
-      } else {
-        static_cast<TopologyFaultResult&>(record) =
-            session.apply_fault_event(event, fault_rng);
-      }
+      // Aimed at tenant 0: a fleet's other tenants exhibit fault
+      // isolation, and a plain system is tenant 0 of one.
+      static_cast<TopologyFaultResult&>(record) =
+          session.apply_fault_event(event, fault_rng, 0);
       const sim::SimTime recovered_at =
           system.run_until_stabilized(fault_at + spec.recovery_deadline);
       record.at = fault_at;
@@ -950,7 +927,6 @@ RunResult finish(SessionRun run, sim::SimTime horizon) {
 RunResult ExperimentRunner::run_point(const ScenarioSpec& spec,
                                       const RunPoint& point) {
   const bool fleet = point.fleet > 1;
-  if (fleet) require_fleet_fault_supported(spec);
   SessionRun run = fleet && point.fleet_separate
                        ? run_separate(spec, point)
                        : run_session(spec, point, /*faulted=*/true);

@@ -6,10 +6,11 @@
 // (klex::Session), and each session goes through the same phases --
 // build, stabilize + warm up, the measured workload window, the fault
 // phase, the monitor totals -- and every session reads out per tenant
-// (TenantResult; a plain system is tenant 0 of one). A plain point is one
-// session. A shared fleet point is one session over an R-tenant System;
-// its only fleet-specific step is aiming the fault at tenant 0. A separate
-// fleet point runs the pipeline R times, once
+// (TenantResult; a plain system is tenant 0 of one). Every session aims
+// its fault plan at tenant 0 through Session::apply_fault_event. A plain
+// point is one session. A shared fleet point is one session over an
+// R-tenant System, with no step of its own. A separate fleet point runs
+// the pipeline R times, once
 // per standalone twin seeded seed + t, with the fault in session 0 only,
 // and merges the R sessions: counters and EngineStats summed, the
 // slowest stabilization, the latency and waiting-time distributions

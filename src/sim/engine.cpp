@@ -534,14 +534,15 @@ void Engine::cancel_timer_for(NodeId node, int timer_id) {
 void Engine::schedule(SimTime delay, std::function<void()> fn) {
   // Inside an event handler the executing stream and lane are ambient
   // (the run loops maintain them); the callback joins the executing
-  // node's queue. Outside tenant-scoped events the callback is global: it
-  // keeps the ambient stream's seq slot, so it sequences exactly as
-  // before, but spans that contain it run merged-serial.
+  // node's queue. Outside events a plain engine has one stream, but one
+  // with explicit streams cannot tell whose callback this is.
+  KLEX_CHECK(!streams_explicit_ || detail::t_scoped_stream >= 0,
+             "schedule() outside events on an engine with explicit streams: "
+             "name the tenant with schedule_in_stream()");
   schedule_callback(detail::t_current_stream,
                     streams_explicit_ ? detail::t_current_stream
                                       : detail::t_current_lane,
-                    now() + delay, std::move(fn),
-                    streams_explicit_ && detail::t_scoped_stream < 0);
+                    now() + delay, std::move(fn));
 }
 
 void Engine::schedule_in_stream(int stream, SimTime delay,
@@ -549,11 +550,11 @@ void Engine::schedule_in_stream(int stream, SimTime delay,
   const Queue& queue = stream_queue(stream);
   schedule_callback(stream, stream,
                     lanes_[static_cast<std::size_t>(queue.lane)].now + delay,
-                    std::move(fn), false);
+                    std::move(fn));
 }
 
 void Engine::schedule_callback(int stream, std::int32_t queue, SimTime at,
-                               std::function<void()> fn, bool global) {
+                               std::function<void()> fn) {
   // Callback seq counters and the slab are shared across lanes; the
   // parallel engine stops opening windows once any callback exists, so
   // a call from inside one is a protocol error.
@@ -570,11 +571,10 @@ void Engine::schedule_callback(int stream, std::int32_t queue, SimTime at,
   }
 
   Event event;
-  event.kind = global ? EventKind::kGlobalCallback : EventKind::kCallback;
+  event.kind = EventKind::kCallback;
   event.target = stream;
   event.payload = slot;
   push_callback_event(stream, queue, at, event);
-  if (global) ++pending_global_callbacks_;
 }
 
 void Engine::push_callback_event(int stream, std::int32_t queue, SimTime at,
@@ -841,9 +841,6 @@ void Engine::dispatch(Lane& lane, std::int32_t queue, const Event& event) {
           event.timer_id);
       return;
     }
-    case EventKind::kGlobalCallback:
-      --pending_global_callbacks_;
-      [[fallthrough]];
     case EventKind::kCallback: {
       --pending_callbacks_;
       std::uint32_t slot = static_cast<std::uint32_t>(event.payload);
@@ -898,14 +895,11 @@ bool Engine::execute_next(SimTime t) {
   for (std::size_t i = 0; i < lanes_.size(); ++i) set_lane_clock(i, event.at);
   events.advance_to(event.at);
   const int stream = streams_explicit_ ? queue : 0;
-  const bool scoped =
-      streams_explicit_ && event.kind != EventKind::kGlobalCallback;
   {
-    detail::DispatchContext context(stream, scoped ? stream : -1,
-                                    static_cast<int>(best));
+    detail::DispatchContext context(stream, static_cast<int>(best));
     run_queued(lane, queue, event);
   }
-  last_stream_ = event.kind == EventKind::kGlobalCallback ? -1 : stream;
+  last_stream_ = stream;
   if (streams_explicit_) lane.heads.update(queue, events);
   return true;
 }

@@ -60,15 +60,15 @@
 //   * The merged loop (step) executes the global (at, seq) minimum across
 //     the lanes' heads. It serves step(), run_events(),
 //     run_until_message_quiescence(), and run_until wherever spans are
-//     not closed: with an observer or a pending global callback on an
-//     engine with explicit streams (observers see every stream's events
-//     in one global order), and on a plain engine with several lanes.
+//     not closed: with an observer on an engine with explicit streams
+//     (observers see every stream's events in one global order), and on
+//     a plain engine with several lanes.
 //   * The span loop runs each lane's queues one after another, each
 //     through t in (at, seq) order on its own state. It serves
 //     run_until, run_streams_until and every lane of a parallel window
 //     wherever a lane's queues are causally closed: a plain engine on
 //     one lane (its only queue), each lane of a window, and a fleet with
-//     no observer and no pending global callback. A fleet lane collects
+//     no observer. A fleet lane collects
 //     the streams whose head is at or before t (a pruned walk of its
 //     heads, O(due)) and runs them in ascending stream index:
 //     per-stream state (queues, channel records, processes, clients) is
@@ -93,17 +93,19 @@
 // and it counts in pending_callbacks() and callbacks_scheduled() -- the
 // parallel window fallback and message quiescence see it as a callback.
 // schedule() / schedule_in_stream() with a std::function remain for
-// everything else: the fault plan's deferred epoch cut, tests and tools.
+// everything else: the deferred epoch cut a chaos burst schedules per
+// tenant (Session::apply_fault_event), open-loop clients, tests and
+// tools.
 //
-// Tenant-scoped events (checked). An event of stream s -- a delivery,
-// timer or chaos flush on s's channels and nodes, or a callback or
-// action sequenced in s -- may schedule only into stream s: a push into another
-// stream fails a KLEX_CHECK. A *global* callback is one scheduled through
-// schedule() from outside event execution (a management-plane action
-// such as the fleet-wide epoch cut of Session::apply_fault_event); it is
-// sequenced in the calling context's stream but may touch and schedule
-// into every stream, so spans that contain one run merged-serial.
-// schedule_in_stream() from outside events is tenant-scoped.
+// Tenant-scoped events (checked). Every event belongs to one stream. An
+// event of stream s -- a delivery, timer or chaos flush on s's channels
+// and nodes, or a callback or action sequenced in s -- may schedule only
+// into stream s: a push into another stream fails a KLEX_CHECK. From
+// outside event execution, a management-plane action names its tenant
+// with schedule_in_stream(); schedule() there fails a check on an engine
+// with explicit streams, because it could not say which stream the
+// callback belongs to. So no event touches two tenants, and every
+// callback rides the tenant-major spans.
 //
 // Channel layout. Channel c's state is split by how it is accessed,
 // into arrays indexed by c:
@@ -183,9 +185,9 @@ inline thread_local int t_current_stream = 0;
 // per-lane records with it so a barrier-time merge by (at, seq)
 // reproduces the exact serial observation order.
 inline thread_local std::uint64_t t_current_event_seq = 0;
-// Stream of the tenant-scoped event executing on this thread on an
-// engine with explicit streams; -1 outside event dispatch and inside a
-// global callback. Pushes into other streams check against it.
+// Stream of the event executing on this thread; -1 outside event
+// dispatch. On an engine with explicit streams, pushes into other
+// streams check against it.
 inline thread_local int t_scoped_stream = -1;
 
 // The thread-local context of event dispatch (one event, or a run of one
@@ -194,9 +196,9 @@ inline thread_local int t_scoped_stream = -1;
 // that follow on this thread.
 class DispatchContext {
  public:
-  DispatchContext(int stream, int scoped, int lane) {
+  DispatchContext(int stream, int lane) {
     t_current_stream = stream;
-    t_scoped_stream = scoped;
+    t_scoped_stream = stream;
     t_current_lane = lane;
   }
   ~DispatchContext() {
@@ -467,18 +469,15 @@ class Engine {
   static int current_stream() { return detail::t_current_stream; }
 
   /// Stream of the most recently executed merged-serial event (0 before
-  /// any), or -1 when it was a global callback, which may touch every
-  /// stream. Lets the stabilization loop re-check only the tenant the
-  /// last step could have perturbed instead of scanning all R tenants.
+  /// any). Lets the stabilization loop re-check only the tenant the last
+  /// step could have perturbed instead of scanning all R tenants.
   int last_stream() const { return last_stream_; }
 
   /// True when run_until runs the span loop (see the file comment): a
   /// plain engine on one lane, or explicit streams with no observer
-  /// attached and no global callback pending (tenant-major).
+  /// attached (tenant-major).
   bool runs_spans() const {
-    return streams_explicit_
-               ? observers_.empty() && pending_global_callbacks_ == 0
-               : lanes_.size() == 1;
+    return streams_explicit_ ? observers_.empty() : lanes_.size() == 1;
   }
 
   /// The span of run_until(t) with a per-event hook: executes every
@@ -655,19 +654,20 @@ class Engine {
   void cancel_timer_for(NodeId node, int timer_id);
 
   /// Schedules `fn` to run at now() + delay as a standalone event
-  /// (open-loop arrivals, fault-plan steps, tests and tools; the
-  /// library's closed loop uses schedule_action instead), sequenced in
-  /// the executing event's stream. Called from outside any tenant-scoped
-  /// event on an engine with explicit streams, it schedules a global
-  /// callback (see the file comment). Fails a check inside a parallel
-  /// window.
+  /// (open-loop arrivals, tests and tools; the library's closed loop uses
+  /// schedule_action instead), sequenced in the executing event's stream
+  /// (the only stream of a plain engine). Fails a check inside a parallel
+  /// window, and outside event execution on an engine with explicit
+  /// streams: there the caller names the tenant with
+  /// schedule_in_stream().
   void schedule(SimTime delay, std::function<void()> fn);
 
   /// schedule() with an explicit sequencing stream, for callers outside
   /// any event context (arming a tenant's first step from the main
-  /// thread): the callback is sequenced in `stream` and queued on its
-  /// home lane. It is tenant-scoped: from inside an event of another
-  /// stream it fails the stream check.
+  /// thread, a fault's deferred epoch cut): the callback is sequenced in
+  /// `stream` and queued on its home lane. On a plain engine,
+  /// schedule_in_stream(0, ...) from outside events is schedule(). From
+  /// inside an event of another stream it fails the stream check.
   void schedule_in_stream(int stream, SimTime delay,
                           std::function<void()> fn);
 
@@ -964,7 +964,7 @@ class Engine {
   void chaos_release(Lane& src, std::int32_t from, int channel_index,
                      std::uint64_t bound, bool flush);
   void schedule_callback(int stream, std::int32_t queue, SimTime at,
-                         std::function<void()> fn, bool global);
+                         std::function<void()> fn);
   /// The sequencing and counting a callback and a typed action share:
   /// stamps `event` with `at` and the stream's callback seq, and queues
   /// it on `queue`.
@@ -1031,7 +1031,6 @@ class Engine {
   std::vector<std::function<void()>> callback_slab_;
   std::vector<std::uint32_t> callback_free_slots_;
   std::uint64_t pending_callbacks_ = 0;
-  std::uint64_t pending_global_callbacks_ = 0;
   std::uint64_t callbacks_scheduled_ = 0;
   std::uint64_t callback_slots_created_ = 0;
 
@@ -1066,11 +1065,8 @@ void Engine::run_lane_streams(int lane_index, SimTime t,
   Event event;
   for (const std::int32_t queue : lane.due) {
     EventQueue& events = queues_[static_cast<std::size_t>(queue)].events;
-    // Spans hold no global callback, so with explicit streams every
-    // event of the run is scoped to its stream.
     const int stream = streams_explicit_ ? queue : 0;
-    detail::DispatchContext context(stream, streams_explicit_ ? queue : -1,
-                                    lane_index);
+    detail::DispatchContext context(stream, lane_index);
     while (events.pop_min_until(t, &event)) {
       lane.now = event.at;
       events.advance_to(event.at);

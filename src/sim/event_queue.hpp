@@ -58,16 +58,16 @@
 
 namespace klex::sim {
 
-// kChaosFlush is the chaos model's hold-release deadline: target is the
-// channel, payload the highest hold id it may release (sim/chaos.hpp).
-// kGlobalCallback is a callback scheduled from outside any tenant's
-// events (Engine::schedule); it may touch every stream (engine.hpp).
+// Every kind belongs to one stream (engine.hpp). kCallback runs the
+// callback-slab function in slot `payload` (Engine::schedule /
+// schedule_in_stream); target is its stream. kChaosFlush is the chaos
+// model's hold-release deadline: target is the channel, payload the
+// highest hold id it may release (sim/chaos.hpp).
 // kAction is a typed client action (Engine::schedule_action): target is
 // the node, handler and action name the receiver and what it does,
 // payload is the receiver's epoch.
 enum class EventKind : std::uint8_t { kDelivery, kTimer, kCallback,
-                                      kChaosFlush, kGlobalCallback,
-                                      kAction };
+                                      kChaosFlush, kAction };
 
 // One inline 32-byte record per pending event -- no heap payloads. A
 // delivery does not carry its Message: per-channel delivery times are

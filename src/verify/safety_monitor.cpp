@@ -1,18 +1,31 @@
 #include "verify/safety_monitor.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "support/check.hpp"
 
 namespace klex::verify {
 
-SafetyMonitor::SafetyMonitor(int n, int k, int l) : k_(k), l_(l) {
-  KLEX_REQUIRE(n >= 1, "bad n");
+SafetyMonitor::SafetyMonitor(int n, int k, int l)
+    : SafetyMonitor(std::vector<int>(static_cast<std::size_t>(std::max(n, 0)),
+                                     0),
+                    k, l) {}
+
+SafetyMonitor::SafetyMonitor(std::vector<int> scope_of_node, int k, int l)
+    : k_(k), l_(l), scope_of_node_(std::move(scope_of_node)) {
+  KLEX_REQUIRE(!scope_of_node_.empty(), "bad n");
   KLEX_REQUIRE(k >= 1 && k <= l, "need 1 <= k <= l");
-  usage_.assign(static_cast<std::size_t>(n), 0);
-  pending_since_.assign(static_cast<std::size_t>(n), sim::kTimeInfinity);
-  stall_flagged_.assign(static_cast<std::size_t>(n), 0);
+  const auto [lowest, highest] =
+      std::minmax_element(scope_of_node_.begin(), scope_of_node_.end());
+  KLEX_REQUIRE(*lowest >= 0, "negative safety scope");
+  scope_units_.assign(static_cast<std::size_t>(*highest) + 1, 0);
+  const std::size_t n = scope_of_node_.size();
+  usage_.assign(n, 0);
+  pending_since_.assign(n, sim::kTimeInfinity);
+  stall_flagged_.assign(n, 0);
   lane_records_.resize(static_cast<std::size_t>(sim::Engine::kMaxLanes));
 }
 
@@ -74,22 +87,24 @@ void SafetyMonitor::apply_enter(proto::NodeId node, int need,
     stall_flagged_[index] = 0;
     --pending_requests_;
   }
+  const std::size_t scope = static_cast<std::size_t>(scope_of_node_[index]);
   if (usage_[index] != 0) {
     std::ostringstream what;
     what << "node " << node << " entered CS while already in CS";
     record(at, what.str());
-    units_in_use_ -= usage_[index];  // replace, do not double-count
+    scope_units_[scope] -= usage_[index];  // replace, do not double-count
   }
   usage_[index] = need;
-  units_in_use_ += need;
+  scope_units_[scope] += need;
   if (need > k_) {
     std::ostringstream what;
     what << "node " << node << " uses " << need << " > k = " << k_;
     record(at, what.str());
   }
-  if (units_in_use_ > l_) {
+  if (scope_units_[scope] > l_) {
     std::ostringstream what;
-    what << "total units in use " << units_in_use_ << " > l = " << l_;
+    what << "units in use " << scope_units_[scope] << " in scope " << scope
+         << " > l = " << l_;
     record(at, what.str());
   }
 }
@@ -105,13 +120,18 @@ void SafetyMonitor::on_exit_cs(proto::NodeId node, sim::SimTime at) {
 void SafetyMonitor::apply_exit(proto::NodeId node) {
   std::size_t index = static_cast<std::size_t>(node);
   KLEX_CHECK(index < usage_.size(), "unknown node ", node);
-  units_in_use_ -= usage_[index];
+  scope_units_[static_cast<std::size_t>(scope_of_node_[index])] -=
+      usage_[index];
   usage_[index] = 0;
 }
 
 void SafetyMonitor::forget() {
   for (int& units : usage_) units = 0;
-  units_in_use_ = 0;
+  for (int& units : scope_units_) units = 0;
+}
+
+int SafetyMonitor::units_in_use() const {
+  return std::accumulate(scope_units_.begin(), scope_units_.end(), 0);
 }
 
 int SafetyMonitor::in_cs_count() const {

@@ -15,6 +15,11 @@
 // clock and chaos campaigns can prove a duplicated token really minted
 // an extra unit.
 //
+// The ℓ bound holds per protocol instance. A plain system is one scope;
+// a fleet of independent instances is one scope per tenant (as in
+// stats::WaitingTimeTracker), so a tenant over its ℓ is a violation even
+// while the fleet as a whole uses fewer than ℓ·R units.
+//
 // Live-observer mode: watch(engine) additionally registers the monitor
 // as a sim::SimObserver. Every delivery then heartbeats the liveness
 // watchdog -- a request outstanding longer than stall_threshold ticks is
@@ -49,7 +54,11 @@ namespace klex::verify {
 
 class SafetyMonitor : public proto::Listener, public sim::SimObserver {
  public:
+  /// One scope over nodes 0 .. n-1, bounded by `l` units.
   SafetyMonitor(int n, int k, int l);
+  /// Node v counts in scope scope_of_node[v] (scopes are 0 .. max), and
+  /// each scope is bounded by `l` units.
+  SafetyMonitor(std::vector<int> scope_of_node, int k, int l);
 
   // -- proto::Listener (safety + request tracking) ---------------------------
   void on_request(proto::NodeId node, int need, sim::SimTime at) override;
@@ -80,8 +89,8 @@ class SafetyMonitor : public proto::Listener, public sim::SimObserver {
   /// Number of processes currently inside their critical section.
   int in_cs_count() const;
 
-  /// Total resource units currently in use.
-  int units_in_use() const { return units_in_use_; }
+  /// Total resource units currently in use, over every scope.
+  int units_in_use() const;
 
   std::int64_t total_entries() const { return total_entries_; }
 
@@ -169,7 +178,8 @@ class SafetyMonitor : public proto::Listener, public sim::SimObserver {
   int k_;
   int l_;
   std::vector<int> usage_;  // units held per node (0 when not in CS)
-  int units_in_use_ = 0;
+  std::vector<int> scope_of_node_;
+  std::vector<int> scope_units_;  // units in use per scope
   std::int64_t total_entries_ = 0;
   std::vector<Violation> violations_;
   std::int64_t violation_count_ = 0;

@@ -169,11 +169,12 @@ TEST(FleetSystemTest, EpochCutRecoversExactlyTheFaultedTenant) {
   EXPECT_EQ(fleet.tenant_recovery_events(1), 1);
 }
 
-TEST(FleetSystemTest, GlobalCallbackReprobesEveryTenant) {
-  // A deferred epoch cut is a global callback that drains every faulted
-  // tenant in one step: each tenant's stretch begins at that step (tick
-  // 20'050) -- not at the tenant's next own event -- and no tenant leaves
-  // the legitimate set after the cut. The drain moves every member's myC
+TEST(FleetSystemTest, DeferredTenantCutsStabilizeEachTenantAtTheCut) {
+  // A deferred epoch cut is one callback per tenant, each in its own
+  // tenant's stream, that drains the tenant if it is faulted: each
+  // faulted tenant's stretch begins at its cut (tick 20'050) -- not at
+  // the tenant's next own event -- and no tenant leaves the legitimate
+  // set after the cut. The drain moves every member's myC
   // outside the flag domain, so a corrupted myC that equals the root's
   // fresh flag value cannot make the first visit look stale, keep a
   // corrupted Succ and let the root's top-up mint a second population
@@ -190,8 +191,11 @@ TEST(FleetSystemTest, GlobalCallbackReprobesEveryTenant) {
     fleet.inject_transient_fault(fault);
     std::vector<bool> faulted;
     for (int t = 0; t < 4; ++t) faulted.push_back(!fleet.tenant_correct(t));
-    fleet.engine().schedule(kCutAt - kFaultAt,
-                            [&fleet] { fleet.epoch_cut_recover(); });
+    for (int t = 0; t < 4; ++t) {
+      fleet.engine().schedule_in_stream(t, kCutAt - kFaultAt, [&fleet, t] {
+        fleet.epoch_cut_recover_tenant(t);
+      });
+    }
 
     const bool any_faulted = faulted[0] || faulted[1] || faulted[2] ||
                              faulted[3];

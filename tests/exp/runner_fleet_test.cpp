@@ -101,42 +101,99 @@ TEST(FleetGrid, FaultPhaseTargetsTenantZeroAlone) {
 }
 
 TEST(FleetGrid, SeparateBaselineReplaysTheSameTenants) {
-  ScenarioSpec spec = fleet_scenario();
-  spec.fleet_compare_separate = true;
-  std::vector<RunPoint> points = ExperimentRunner::expand(spec);
-  ASSERT_EQ(points.size(), 2u);
-  RunResult shared = ExperimentRunner::run_point(spec, points[0]);
-  RunResult separate = ExperimentRunner::run_point(spec, points[1]);
+  // Three inputs: no fault; a transient fault with 4 garbage messages
+  // per channel on the full rung, which takes tenant 0 over its ℓ; and a
+  // staged full+cut plan, a transient fault and then a lossy burst whose
+  // deferred epoch cut runs in tenant 0's stream.
+  ScenarioSpec quiet = fleet_scenario();
+  ScenarioSpec garbage = fleet_scenario();
+  garbage.fault = ScenarioSpec::FaultKind::kTransient;
+  garbage.fault_garbage = {4};
+  ScenarioSpec staged = fleet_scenario();
+  staged.features = {proto::Features::full().with_epoch_cut()};
+  FaultEvent transient;
+  transient.kind = FaultKind::kTransient;
+  FaultEvent burst;
+  burst.at = 100'000;
+  burst.kind = FaultKind::kChaosBurst;
+  burst.chaos.drop_p = 0.05;
+  burst.chaos.jitter = 6;
+  burst.duration = 3'000;
+  staged.fault_plan.events = {transient, burst};
 
-  EXPECT_EQ(separate.fleet_mode, "separate");
-  EXPECT_EQ(separate.n, shared.n);
-  ASSERT_EQ(separate.tenants.size(), shared.tenants.size());
-  // Tenant t of the shared fleet replays the standalone system seeded
-  // seed + t (the differential anchor), so the per-tenant workload
-  // results of the two modes agree exactly.
-  for (std::size_t t = 0; t < shared.tenants.size(); ++t) {
-    EXPECT_EQ(separate.tenants[t].grants, shared.tenants[t].grants)
-        << "tenant " << t;
-    EXPECT_EQ(separate.tenants[t].requests, shared.tenants[t].requests)
-        << "tenant " << t;
-    EXPECT_EQ(separate.tenants[t].stabilization_time,
-              shared.tenants[t].stabilization_time)
-        << "tenant " << t;
+  for (ScenarioSpec* spec : {&quiet, &garbage, &staged}) {
+    spec->fleet_compare_separate = true;
+    const std::string label =
+        spec == &quiet ? "quiet" : spec == &garbage ? "garbage" : "staged";
+    std::vector<RunPoint> points = ExperimentRunner::expand(*spec);
+    ASSERT_EQ(points.size(), 2u) << label;
+    RunResult shared = ExperimentRunner::run_point(*spec, points[0]);
+    RunResult separate = ExperimentRunner::run_point(*spec, points[1]);
+
+    EXPECT_EQ(separate.fleet_mode, "separate") << label;
+    EXPECT_EQ(separate.n, shared.n) << label;
+    ASSERT_EQ(separate.tenants.size(), shared.tenants.size()) << label;
+    // Tenant t of the shared fleet replays the standalone system seeded
+    // seed + t (the differential anchor), so the per-tenant workload
+    // results of the two modes agree exactly.
+    for (std::size_t t = 0; t < shared.tenants.size(); ++t) {
+      EXPECT_EQ(separate.tenants[t].grants, shared.tenants[t].grants)
+          << label << " tenant " << t;
+      EXPECT_EQ(separate.tenants[t].requests, shared.tenants[t].requests)
+          << label << " tenant " << t;
+      EXPECT_EQ(separate.tenants[t].stabilization_time,
+                shared.tenants[t].stabilization_time)
+          << label << " tenant " << t;
+    }
+    EXPECT_EQ(separate.grants, shared.grants) << label;
+    // Both modes measure the paper's waiting time, per tenant.
+    EXPECT_GT(shared.mean_wait_entries, 0.0) << label;
+    EXPECT_GT(separate.mean_wait_entries, 0.0) << label;
+    EXPECT_EQ(separate.mean_wait_entries, shared.mean_wait_entries) << label;
+    EXPECT_EQ(separate.max_wait_entries, shared.max_wait_entries) << label;
+    // The fault hits tenant 0 alone, and the safety monitor bounds each
+    // tenant by its own ℓ: the shared run counts exactly the violations
+    // of tenant 0's standalone twin.
+    EXPECT_EQ(shared.safety_violations, separate.safety_violations) << label;
+    if (spec == &garbage) {
+      EXPECT_GT(shared.safety_violations, 0);
+    }
+    ASSERT_EQ(shared.fault_events.size(), separate.fault_events.size())
+        << label;
+    for (std::size_t e = 0; e < shared.fault_events.size(); ++e) {
+      const FaultEventResult& a = shared.fault_events[e];
+      const FaultEventResult& b = separate.fault_events[e];
+      EXPECT_EQ(a.at, b.at) << label << " event " << e;
+      EXPECT_EQ(a.kind, b.kind) << label << " event " << e;
+      EXPECT_EQ(a.recovered, b.recovered) << label << " event " << e;
+      EXPECT_EQ(a.recovery_time, b.recovery_time) << label << " event " << e;
+      EXPECT_EQ(a.chaos_dropped, b.chaos_dropped) << label << " event " << e;
+      EXPECT_EQ(a.chaos_duplicated, b.chaos_duplicated)
+          << label << " event " << e;
+      EXPECT_EQ(a.chaos_reordered, b.chaos_reordered)
+          << label << " event " << e;
+      EXPECT_EQ(a.chaos_jittered, b.chaos_jittered) << label << " event " << e;
+      EXPECT_EQ(a.violations, b.violations) << label << " event " << e;
+    }
+    if (spec == &staged) {
+      ASSERT_EQ(shared.fault_events.size(), 2u);
+      EXPECT_TRUE(shared.fault_events[1].recovered);
+      EXPECT_GT(shared.fault_events[1].chaos_dropped, 0u);
+      EXPECT_GT(shared.tenants[0].recovery_events, 0);
+    }
+    for (std::size_t t = 1; t < shared.tenants.size(); ++t) {
+      EXPECT_EQ(shared.tenants[t].recovery_events, 0)
+          << label << " tenant " << t;
+    }
+
+    // The two modes land in distinct aggregate cells.
+    std::vector<Aggregate> cells =
+        ExperimentRunner::aggregate({shared, separate});
+    ASSERT_EQ(cells.size(), 2u) << label;
+    EXPECT_EQ(cells[0].fleet, 3) << label;
+    EXPECT_EQ(cells[0].fleet_mode, "shared") << label;
+    EXPECT_EQ(cells[1].fleet_mode, "separate") << label;
   }
-  EXPECT_EQ(separate.grants, shared.grants);
-  // Both modes measure the paper's waiting time, per tenant.
-  EXPECT_GT(shared.mean_wait_entries, 0.0);
-  EXPECT_GT(separate.mean_wait_entries, 0.0);
-  EXPECT_EQ(separate.mean_wait_entries, shared.mean_wait_entries);
-  EXPECT_EQ(separate.max_wait_entries, shared.max_wait_entries);
-
-  // The two modes land in distinct aggregate cells.
-  std::vector<Aggregate> cells =
-      ExperimentRunner::aggregate({shared, separate});
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].fleet, 3);
-  EXPECT_EQ(cells[0].fleet_mode, "shared");
-  EXPECT_EQ(cells[1].fleet_mode, "separate");
 }
 
 TEST(FleetGrid, SeparateBaselineCarriesTheSharedRunsClassSlices) {

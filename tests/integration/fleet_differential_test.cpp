@@ -25,7 +25,8 @@
 //      the merged (at, seq) order -- stepping, or the same fleet with an
 //      observer attached, which forces merged spans -- including the
 //      stabilization loop's returned time, clock and executed prefix,
-//      and a chaos burst whose deferred epoch cut is a global callback;
+//      and a chaos burst whose deferred epoch cuts run in each tenant's
+//      own stream;
 //      one span, many slices and stepping leave every tenant alike. A
 //      plain system stabilizes by the same rounds as a one-tenant fleet:
 //      at P = 1 it matches its P = 2 twin, whose engine runs merged.
@@ -136,10 +137,21 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
   const std::uint64_t seed = 777;
   const int kTenants = 3;
 
-  // The epoch-cut rung changes nothing until a cut runs (phase 3).
+  // The epoch-cut rung changes nothing until a cut runs (phase 3), and
+  // the burst in the plan (phase 4) only attaches a chaos model, which
+  // changes nothing until the burst opens.
   const proto::Features cut_rung = proto::Features::full().with_epoch_cut();
+  FaultEvent burst;
+  burst.kind = FaultKind::kChaosBurst;
+  burst.chaos.drop_p = 0.05;
+  burst.chaos.jitter = 6;
+  burst.duration = 3'000;
+  const FaultPlan plan{{burst}};
   SystemBuilder fleet_builder = base_builder(seed);
-  fleet_builder.workload(contention_spec()).features(cut_rung).fleet(kTenants);
+  fleet_builder.workload(contention_spec())
+      .features(cut_rung)
+      .fault_plan(plan)
+      .fleet(kTenants);
   Session fleet = fleet_builder.build_session();
   SystemBase* fleet_system = fleet.system.get();
   ASSERT_EQ(fleet_system->tenant_count(), kTenants);
@@ -147,7 +159,7 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
   std::vector<Session> singles;
   for (int t = 0; t < kTenants; ++t) {
     SystemBuilder builder = base_builder(seed + static_cast<std::uint64_t>(t));
-    builder.workload(contention_spec()).features(cut_rung);
+    builder.workload(contention_spec()).features(cut_rung).fault_plan(plan);
     singles.push_back(builder.build_session());
   }
 
@@ -245,6 +257,39 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
     EXPECT_EQ(fleet_system->tenant_correct(t),
               twin.system->token_counts_correct())
         << "tenant " << t;
+  }
+
+  // Phase 4: a lossy burst aimed at tenant 1 through the fault path, on
+  // the full+cut rung, whose epoch cut runs in tenant 1's stream at burst
+  // end; the twin takes the same burst untargeted. The fault rngs are
+  // not drawn from (chaos decisions use the channels' own rngs).
+  fleet.apply_fault_event(burst, fleet_fault, 1);
+  singles[1].apply_fault_event(burst, twin_fault);
+  const sim::SimTime kT4 = 1'150'000;
+  fleet.system->run_until(kT4);
+  for (Session& s : singles) s.system->run_until(kT4);
+
+  const sim::ChaosModel* burst_model = fleet_system->engine().chaos_model();
+  ASSERT_NE(burst_model, nullptr);
+  for (int t = 0; t < kTenants; ++t) {
+    Session& twin = singles[static_cast<std::size_t>(t)];
+    expect_traces_equal(
+        tenant_slice(fleet_trace.events, *fleet_system, t),
+        single_traces[static_cast<std::size_t>(t)].events,
+        "post-burst tenant " + std::to_string(t));
+    EXPECT_EQ(fleet_system->tenant_recovery_events(t), t == 1 ? 2 : 0)
+        << "tenant " << t;
+    EXPECT_EQ(fleet_system->tenant_recovery_events(t),
+              twin.system->tenant_recovery_events(0))
+        << "tenant " << t;
+    std::uint64_t dropped = 0;
+    for (int c = fleet_system->channel_begin(t);
+         c < fleet_system->channel_end(t); ++c) {
+      dropped += burst_model->link(c).stats.dropped;
+    }
+    EXPECT_EQ(dropped, twin.system->engine().chaos_stats().dropped)
+        << "tenant " << t;
+    EXPECT_EQ(dropped > 0, t == 1) << "tenant " << t;
   }
 
   // Steady chaos: a fleet(4) whose every link drops and jitters, against
@@ -762,9 +807,9 @@ TEST(FleetDifferentialTest, PlainStabilizationRoundsMatchTheMergedLoop) {
 }
 
 TEST(FleetDifferentialTest, ChaosBurstEpochCutMatchesTheMergedOrder) {
-  // A burst on the full+cut rung defers its epoch cut to burst end as a
-  // global callback (scheduled from outside any tenant's events): spans
-  // around it run merged, so the fleet replays the merged-order run.
+  // A burst on the full+cut rung defers each tenant's epoch cut to burst
+  // end as a callback in that tenant's stream: spans keep running
+  // tenant-major around them, and the fleet replays the merged-order run.
   FaultEvent burst;
   burst.kind = FaultKind::kChaosBurst;
   burst.chaos.drop_p = 0.05;
@@ -783,7 +828,7 @@ TEST(FleetDifferentialTest, ChaosBurstEpochCutMatchesTheMergedOrder) {
     session->apply_fault_event(burst, rng);
   }
   sim::Engine& engine = fast.system->engine();
-  EXPECT_FALSE(engine.runs_spans());  // the deferred cut is pending
+  EXPECT_TRUE(engine.runs_spans());  // the deferred cuts are pending
   for (Session* session : {&fast, &merged}) {
     session->system->run_until(10'000 + burst.duration + 2'000);
   }

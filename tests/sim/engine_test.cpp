@@ -606,23 +606,21 @@ TEST(EngineStreams, AnEventPushingIntoAnotherStreamFailsItsCheck) {
   EXPECT_NO_THROW(own->run_until(20));
 }
 
-TEST(EngineStreams, GlobalCallbacksAndObserversRunMergedSerial) {
+TEST(EngineStreams, ScheduleNeedsAStreamAndObserversRunMergedSerial) {
   StreamFleet fleet(3);
   fleet.engine.run_until(50);
   ASSERT_TRUE(fleet.engine.runs_spans());
-  // schedule() outside any event is global: it may schedule into every
-  // stream, and spans containing it run merged-serial.
+  // Outside any event, schedule() cannot tell whose callback it is: on
+  // an engine with explicit streams it fails a check, and the caller
+  // names the stream instead. Spans keep running tenant-major.
+  EXPECT_THROW(fleet.engine.schedule(10, [] {}), support::CheckFailure);
   int ran = 0;
-  fleet.engine.schedule(10, [&] {
-    ++ran;
-    for (int s = 0; s < 3; ++s) {
-      fleet.engine.schedule_in_stream(s, 1, [&ran] { ++ran; });
-    }
-  });
-  EXPECT_FALSE(fleet.engine.runs_spans());
-  fleet.engine.run_until(80);
-  EXPECT_EQ(ran, 4);
+  for (int s = 0; s < 3; ++s) {
+    fleet.engine.schedule_in_stream(s, 10, [&ran] { ++ran; });
+  }
   EXPECT_TRUE(fleet.engine.runs_spans());
+  fleet.engine.run_until(80);
+  EXPECT_EQ(ran, 3);
   // An attached observer sees one global order.
   SimObserver observer;
   fleet.engine.add_observer(&observer);
@@ -696,7 +694,7 @@ std::vector<int> visit_blocks(const std::vector<Ticker::Fire>& log,
 
 /// The clock of `lane` (Engine::now() reads the executing lane's).
 SimTime lane_clock(const Engine& engine, int lane) {
-  detail::DispatchContext context(0, -1, lane);
+  detail::DispatchContext context(0, lane);
   return engine.now();
 }
 

@@ -33,6 +33,25 @@ TEST(SafetyMonitor, DetectsOverL) {
   EXPECT_NE(monitor.violations()[0].what.find("> l"), std::string::npos);
 }
 
+TEST(SafetyMonitor, ScopesBoundEachTenantByItsOwnL) {
+  // Two tenants of two nodes each, ℓ = 2 per tenant: tenant 0 over its ℓ
+  // is a violation although the fleet uses 3 of its 4 units.
+  SafetyMonitor monitor({0, 0, 1, 1}, 2, 2);
+  monitor.on_enter_cs(2, 1, 4);
+  monitor.on_enter_cs(0, 2, 5);
+  EXPECT_FALSE(monitor.any_violation());
+  monitor.on_exit_cs(2, 6);
+  monitor.on_enter_cs(1, 1, 7);  // tenant 0 uses 3 > 2
+  ASSERT_EQ(monitor.violation_count(), 1);
+  EXPECT_EQ(monitor.last_violation_time(), 7u);
+  EXPECT_NE(monitor.violations()[0].what.find("in scope 0 > l"),
+            std::string::npos);
+  EXPECT_EQ(monitor.units_in_use(), 3);
+  monitor.on_enter_cs(3, 2, 8);  // tenant 1 at its ℓ: fine
+  EXPECT_EQ(monitor.violation_count(), 1);
+  EXPECT_EQ(monitor.units_in_use(), 5);
+}
+
 TEST(SafetyMonitor, DetectsOverK) {
   SafetyMonitor monitor(2, 2, 5);
   monitor.on_enter_cs(0, 3, 7);  // 3 > k = 2

@@ -50,10 +50,11 @@ TopologyFaultResult Session::apply_fault_event(const FaultEvent& event,
                                                support::Rng& rng,
                                                std::optional<int> tenant) {
   SystemBase& sys = *system;
-  // The targeted tenants [first, last); the tenant primitives check them.
-  // The system-wide transient fault, flood and epoch cut are these same
-  // per-tenant calls in tenant order, and a channel range over every
-  // tenant is clear_channels().
+  // The targeted tenants [first, last); each tenant-scoped call below
+  // checks them (topology faults repair the one-tenant live graph system
+  // as a whole). The system-wide transient fault, flood and epoch cut
+  // are these same per-tenant calls in tenant order, and a channel range
+  // over every tenant is clear_channels().
   const int first = tenant.value_or(0);
   const int last = tenant ? first + 1 : sys.tenant_count();
   const bool whole = first == 0 && last == sys.tenant_count();
